@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint vet cover bench benchdiff profile clean
+.PHONY: all build test perfbench-test race lint vet cover bench benchdiff profile clean
 
 all: build test lint
 
@@ -14,6 +14,12 @@ build:
 # caching, which would otherwise skip the reshuffled run.
 test:
 	$(GO) test -shuffle=on -count=1 ./...
+
+# perfbench is a module of its own, so the root ./... never reaches it;
+# its tests pin the traced replay (including its own Bellman-Ford scratch
+# use) against SnapshotInto and RunServe.
+perfbench-test:
+	cd perfbench && $(GO) test -count=1 ./...
 
 # race covers the whole module; the parallel sweep engine (internal/runner
 # and its internal/qntn call sites) and the event-driven/stepped equivalence

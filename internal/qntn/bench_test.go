@@ -113,6 +113,43 @@ func BenchmarkRoutes108Satellites(b *testing.B) {
 	recordSweepBench(b, "Routes108", 1, allocs, bytes)
 }
 
+// BenchmarkRoutesScratch108 converges Algorithm 1 on the SpaceGround-108
+// snapshots at the 100 DefaultServeConfig sample instants with one reused
+// scratch — the routing work of one RunServe day. The snapshots are built
+// before the timer starts, so an operation is routing only. Real snapshots
+// are mostly disconnected (about 88 components of 139 nodes on average),
+// unlike the connected random graphs of the routing package benchmarks.
+func BenchmarkRoutesScratch108(b *testing.B) {
+	sc, err := NewSpaceGround(108, DefaultParams())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var graphs []*routing.Graph
+	for _, at := range DefaultServeConfig().sampleTimes(sc.Params) {
+		g, err := sc.Graph(at)
+		if err != nil {
+			b.Fatal(err)
+		}
+		graphs = append(graphs, g)
+	}
+	// One warm-up pass sizes the scratch, as the first step of RunServe does.
+	var scratch routing.BellmanFordScratch
+	for _, g := range graphs {
+		scratch.Run(g, sc.Params.RoutingEpsilon)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var m allocMeter
+	m.start()
+	for i := 0; i < b.N; i++ {
+		for _, g := range graphs {
+			scratch.Run(g, sc.Params.RoutingEpsilon)
+		}
+	}
+	allocs, bytes := m.stop()
+	recordSweepBench(b, "RoutesScratch108", 1, allocs, bytes)
+}
+
 func BenchmarkCoverageHour108Satellites(b *testing.B) {
 	sc, err := NewSpaceGround(108, DefaultParams())
 	if err != nil {

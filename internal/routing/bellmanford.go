@@ -42,6 +42,13 @@ type BellmanFordScratch struct {
 	// are nbrs[off[u]:off[u+1]], ascending.
 	nbrs []int32
 	off  []int32
+	// Connected components of the current graph: comp[u] is u's component
+	// and component c's members, ascending, are
+	// members[compOff[c]:compOff[c+1]]. queue is the labelling BFS queue.
+	comp    []int32
+	members []int32
+	compOff []int32
+	queue   []int32
 	// rounds is the number of relaxation rounds the last Run executed
 	// before converging (early exit included).
 	rounds int
@@ -54,15 +61,20 @@ func (s *BellmanFordScratch) Rounds() int { return s.rounds }
 
 // BellmanFord runs the paper's Algorithm 1 on the graph: every node
 // initializes a table with cost 0 to itself, 1/(η+ε) to adjacent nodes and
-// +Inf elsewhere, then N−1 synchronous rounds of relaxation over all graph
-// edges update each table. Callers converging tables for many topology
-// snapshots should allocate a BellmanFordScratch and call Run instead.
+// +Inf elsewhere, then relaxation rounds over the graph edges update the
+// tables until a round improves nothing (at most N−1 rounds). Tables are
+// updated in place, so a row reads entries improved earlier in the same
+// round (Gauss–Seidel order) and sparse snapshots converge in a few rounds.
+// Callers converging tables for many topology snapshots should allocate a
+// BellmanFordScratch and call Run instead.
 func BellmanFord(g *Graph, epsilon float64) *Tables {
 	return new(BellmanFordScratch).Run(g, epsilon)
 }
 
-// Run converges the Algorithm 1 tables for g, reusing the scratch buffers.
-// The result is valid until the next Run call on the same scratch.
+// Run converges the Algorithm 1 tables for g, reusing the scratch buffers:
+// in-place (Gauss–Seidel) relaxation rounds, each restricted to the
+// connected components, until a round improves nothing or N−1 rounds have
+// run. The result is valid until the next Run call on the same scratch.
 func (s *BellmanFordScratch) Run(g *Graph, epsilon float64) *Tables {
 	if epsilon <= 0 {
 		epsilon = DefaultEpsilon
@@ -84,8 +96,13 @@ func (s *BellmanFordScratch) Run(g *Graph, epsilon float64) *Tables {
 	}
 
 	// Flatten the (ascending) neighbor lists once for deterministic,
-	// allocation-free iteration during the update rounds.
-	s.nbrs = s.nbrs[:0]
+	// allocation-free iteration during the update rounds. Every undirected
+	// edge appears in both endpoints' lists.
+	if cap(s.nbrs) >= 2*g.NumEdges() {
+		s.nbrs = s.nbrs[:0]
+	} else {
+		s.nbrs = make([]int32, 0, 2*g.NumEdges())
+	}
 	if cap(s.off) >= n+1 {
 		s.off = s.off[:1]
 	} else {
@@ -104,10 +121,19 @@ func (s *BellmanFordScratch) Run(g *Graph, epsilon float64) *Tables {
 		s.off = append(s.off, int32(len(s.nbrs)))
 	}
 
+	if cap(s.comp) >= n {
+		s.comp, s.members, s.queue = s.comp[:n], s.members[:n], s.queue[:n]
+		s.compOff = s.compOff[:n+1]
+	} else {
+		s.comp, s.members, s.queue = make([]int32, n), make([]int32, n), make([]int32, n)
+		s.compOff = make([]int32, n+1)
+	}
+	s.labelComponents()
+
 	s.initialize(g, epsilon)
 
-	// N−1 rounds of UPDATE (Algorithm 1), with early exit once a round
-	// improves nothing.
+	// Up to N−1 rounds of UPDATE (Algorithm 1), with early exit once a
+	// round improves nothing.
 	for round := 0; round < n-1; round++ {
 		s.rounds = round + 1
 		if !s.relax() {
@@ -149,9 +175,61 @@ func (s *BellmanFordScratch) initialize(g *Graph, epsilon float64) {
 	}
 }
 
-// relax runs one synchronous UPDATE round of Algorithm 1 — for every node
-// and every edge (u, v), try reaching u through v using v's table — and
-// reports whether any table entry improved.
+// labelComponents labels the connected components of the flattened
+// neighbor lists: components are numbered by their smallest member and
+// each one's members are listed in ascending order. Buffers are sized by
+// Run before the call.
+//
+//qntn:hotpath runs on every converged snapshot; buffers are pre-sized
+func (s *BellmanFordScratch) labelComponents() {
+	for i := range s.comp {
+		s.comp[i] = -1
+	}
+	// Breadth-first search from each unlabelled node in ascending order;
+	// compOff[c+1] is compOff[c] plus the size of component c.
+	s.compOff[0] = 0
+	nc := 0
+	for seed := range s.comp {
+		if s.comp[seed] >= 0 {
+			continue
+		}
+		c := int32(nc)
+		s.comp[seed] = c
+		s.queue[0] = int32(seed)
+		head, tail := 0, 1
+		for head < tail {
+			u := s.queue[head]
+			head++
+			for _, v := range s.nbrs[s.off[u]:s.off[u+1]] {
+				if s.comp[v] < 0 {
+					s.comp[v] = c
+					s.queue[tail] = v
+					tail++
+				}
+			}
+		}
+		s.compOff[nc+1] = s.compOff[nc] + int32(tail)
+		nc++
+	}
+	s.compOff = s.compOff[:nc+1]
+	// Place the nodes in ascending order into their components' slots;
+	// queue[c] is the next free slot of component c.
+	copy(s.queue[:nc], s.compOff[:nc])
+	for u, c := range s.comp {
+		s.members[s.queue[c]] = int32(u)
+		s.queue[c]++
+	}
+}
+
+// relax runs one UPDATE round of Algorithm 1 — for every node i and every
+// edge (u, v), try reaching u through v using v's table — and reports
+// whether any table entry improved. Entries are updated in place, so later
+// rows of the same round read earlier rows' improvements (Gauss–Seidel
+// order). Each row visits only u in its own connected component: for u
+// outside it, every neighbor v is outside it too, row[v] is +Inf, and the
+// candidate can never beat row[u]. Skipping those u leaves every effective
+// update, and so the tables and the round count, unchanged; rows of
+// singleton components have nothing to relax at all.
 //
 //qntn:hotpath the O(N·E) inner loop of every routing convergence
 func (s *BellmanFordScratch) relax() bool {
@@ -159,9 +237,15 @@ func (s *BellmanFordScratch) relax() bool {
 	n := t.n
 	changed := false
 	for i := 0; i < n; i++ {
+		c := s.comp[i]
+		members := s.members[s.compOff[c]:s.compOff[c+1]]
+		if len(members) == 1 {
+			continue
+		}
 		row := t.cost[i*n : (i+1)*n]
 		vrow := t.via[i*n : (i+1)*n]
-		for u := 0; u < n; u++ {
+		for _, m := range members {
+			u := int(m)
 			if u == i {
 				continue
 			}

@@ -5,8 +5,12 @@ import (
 	"testing"
 )
 
-// benchGraph approximates a QNTN snapshot: 31 ground nodes in three fiber
-// cliques plus relays with dynamic links.
+// benchGraph is a random graph of QNTN snapshot size — 31 ground nodes
+// plus relays — but not of its shape: randomConnectedGraph always yields a
+// single component, while real SpaceGround-108 snapshots split into about
+// 88 components, most of them isolated satellites. It therefore measures
+// the connected worst case of Algorithm 1; BenchmarkRoutesScratch108 in
+// internal/qntn converges real snapshots.
 func benchGraph(relays int) *Graph {
 	rng := rand.New(rand.NewSource(7))
 	g := randomConnectedGraph(rng, 31+relays, 4*(31+relays))
