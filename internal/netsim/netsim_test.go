@@ -10,151 +10,6 @@ import (
 	"qntn/internal/routing"
 )
 
-func TestSimulatorOrdersEvents(t *testing.T) {
-	s := NewSimulator()
-	var order []string
-	add := func(name string) func(*Simulator) {
-		return func(*Simulator) { order = append(order, name) }
-	}
-	if err := s.Schedule(30*time.Second, "b", add("b")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Schedule(10*time.Second, "a", add("a")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Schedule(30*time.Second, "c", add("c")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Run(time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 3 || order[0] != "a" || order[1] != "b" || order[2] != "c" {
-		t.Fatalf("execution order %v", order)
-	}
-	if s.Now() != time.Minute {
-		t.Fatalf("final time %v", s.Now())
-	}
-	if s.Processed != 3 {
-		t.Fatalf("processed %d", s.Processed)
-	}
-}
-
-func TestSimulatorSimultaneousEventsFIFO(t *testing.T) {
-	s := NewSimulator()
-	var order []int
-	for i := 0; i < 5; i++ {
-		i := i
-		if err := s.Schedule(time.Second, "e", func(*Simulator) { order = append(order, i) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Run(time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("FIFO violated: %v", order)
-		}
-	}
-}
-
-func TestSimulatorRejectsPastEvents(t *testing.T) {
-	s := NewSimulator()
-	if err := s.Schedule(time.Minute, "x", func(*Simulator) {}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Run(2 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Schedule(time.Second, "past", func(*Simulator) {}); err == nil {
-		t.Fatal("past event accepted")
-	}
-	if err := s.Schedule(time.Minute, "nil", nil); err == nil {
-		t.Fatal("nil event accepted")
-	}
-}
-
-func TestSimulatorRunUntilLeavesFutureEvents(t *testing.T) {
-	s := NewSimulator()
-	ran := 0
-	for _, at := range []time.Duration{time.Second, time.Hour} {
-		if err := s.Schedule(at, "e", func(*Simulator) { ran++ }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Run(time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	if ran != 1 || s.Pending() != 1 {
-		t.Fatalf("ran=%d pending=%d", ran, s.Pending())
-	}
-	// Resume.
-	if err := s.Run(2 * time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	if ran != 2 {
-		t.Fatalf("ran=%d after resume", ran)
-	}
-}
-
-func TestSimulatorStop(t *testing.T) {
-	s := NewSimulator()
-	ran := 0
-	_ = s.Schedule(time.Second, "a", func(sim *Simulator) { ran++; sim.Stop() })
-	_ = s.Schedule(2*time.Second, "b", func(*Simulator) { ran++ })
-	if err := s.Run(time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	if ran != 1 {
-		t.Fatalf("stop did not halt the loop, ran=%d", ran)
-	}
-	if s.Pending() != 1 {
-		t.Fatalf("pending=%d", s.Pending())
-	}
-}
-
-func TestSimulatorEventsCanSchedule(t *testing.T) {
-	s := NewSimulator()
-	var ticks []time.Duration
-	var tick func(*Simulator)
-	tick = func(sim *Simulator) {
-		ticks = append(ticks, sim.Now())
-		if sim.Now() < 90*time.Second {
-			_ = sim.Schedule(sim.Now()+30*time.Second, "tick", tick)
-		}
-	}
-	_ = s.Schedule(0, "tick", tick)
-	if err := s.Run(time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	want := []time.Duration{0, 30 * time.Second, 60 * time.Second, 90 * time.Second}
-	if len(ticks) != len(want) {
-		t.Fatalf("ticks %v", ticks)
-	}
-	for i := range want {
-		if ticks[i] != want[i] {
-			t.Fatalf("ticks %v", ticks)
-		}
-	}
-}
-
-func TestScheduleEvery(t *testing.T) {
-	s := NewSimulator()
-	n := 0
-	if err := s.ScheduleEvery(0, 30*time.Second, 5*time.Minute, "step", func(*Simulator) { n++ }); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Run(time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	if n != 11 {
-		t.Fatalf("step count %d, want 11", n)
-	}
-	if err := s.ScheduleEvery(0, 0, time.Minute, "bad", func(*Simulator) {}); err == nil {
-		t.Fatal("zero interval accepted")
-	}
-}
-
 func TestNodeKinds(t *testing.T) {
 	g := NewGroundHost("G1", "TTU", geo.LLA{LatDeg: 36.17, LonDeg: -85.5})
 	h := NewHAPNode("HAP-1", geo.LLA{LatDeg: 35.67, LonDeg: -85.07, AltM: 30e3})

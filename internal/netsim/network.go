@@ -1,3 +1,13 @@
+// Package netsim is the quantum-network model that replaces the paper's
+// upgraded QuNetSim: typed nodes (ground hosts, satellites, HAPs) with
+// time-dependent positions, dynamic link evaluation against a pluggable
+// link model, topology snapshots at any virtual instant (the paper's
+// 30-second satellite movement steps are taken by the run loops in
+// internal/qntn), link-churn tracking, and request/served bookkeeping.
+//
+// Where QuNetSim moves satellites with a background thread, netsim
+// evaluates positions as pure functions of virtual time, so runs are
+// exactly reproducible.
 package netsim
 
 import (

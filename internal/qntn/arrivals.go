@@ -216,18 +216,51 @@ func (ad *admission) drain(now time.Duration) (int, error) {
 	return ad.served - before, nil
 }
 
+// run merges the topology-update stream — instants 0, step, … ≤ horizon,
+// step = Params.TopologyStep — with the time-sorted arrivals, and returns
+// the number of updates run. At a time tie the update runs first, the
+// retired event heap's FIFO order when every update was enqueued before any
+// arrival. Each update rebuilds the topology (st as for refresh) and drains
+// the queue, then calls onUpdate, when non-nil, with the update's index,
+// its instant and the number of arrivals admitted before it.
+func (ad *admission) run(arrivals []trafficArrival, horizon time.Duration, st *netsim.SnapshotStats, onUpdate func(k int, at time.Duration, arrived int)) (int, error) {
+	step := ad.sc.Params.TopologyStep()
+	next := time.Duration(0) // next topology-update instant
+	i, k := 0, 0
+	for next <= horizon || i < len(arrivals) {
+		if next <= horizon && (i >= len(arrivals) || next <= arrivals[i].at) {
+			if err := ad.refresh(next, st); err != nil {
+				return 0, err
+			}
+			if _, err := ad.drain(next); err != nil {
+				return 0, err
+			}
+			if onUpdate != nil {
+				onUpdate(k, next, i)
+			}
+			next += step
+			k++
+		} else {
+			if err := ad.arrive(arrivals[i].at, arrivals[i].req); err != nil {
+				return 0, err
+			}
+			i++
+		}
+	}
+	return k, nil
+}
+
 // RunArrivals executes the arrival-driven experiment: Poisson arrivals
 // interleave with the periodic topology updates; each arrival is served
 // against the most recent topology or queued, and every topology update
 // drains the queue of newly reachable requests. All randomness is seeded;
 // runs are reproducible.
 //
-// The loop is a deterministic two-stream merge over the pooled-snapshot
-// fast path. It replays the retired event-heap implementation exactly —
-// same arrival draws, same update instants (0, step, … ≤ Horizon), and at
-// a time tie the update runs first, the heap's FIFO order when every
-// update was enqueued before any arrival — so results are byte-identical
-// to the reference (see the differential test in arrivals_ref_test.go).
+// The loop is admission.run's deterministic two-stream merge over the
+// pooled-snapshot fast path. It replays the retired event-heap
+// implementation exactly — same arrival draws, same update instants, same
+// update-first tie order — so results are byte-identical to the reference
+// (see the differential test in arrivals_ref_test.go).
 func (sc *Scenario) RunArrivals(cfg ArrivalConfig) (*ArrivalResult, error) {
 	if cfg.RatePerHour <= 0 {
 		return nil, fmt.Errorf("qntn: arrival rate must be positive")
@@ -243,40 +276,26 @@ func (sc *Scenario) RunArrivals(cfg ArrivalConfig) (*ArrivalResult, error) {
 	}
 
 	// Poisson arrival instants: exponential interarrivals, drawn in the
-	// exact order the event-heap implementation drew them.
+	// exact order the event-heap implementation drew them. Requests are
+	// drawn in arrival order, the order that implementation admitted them.
 	meanGapS := 3600 / cfg.RatePerHour
-	var arrivals []time.Duration
+	var arrivals []trafficArrival
 	for at := time.Duration(0); ; {
 		at += time.Duration(rng.ExpFloat64() * meanGapS * float64(time.Second))
 		if at >= cfg.Horizon {
 			break
 		}
-		arrivals = append(arrivals, at)
+		arrivals = append(arrivals, trafficArrival{at: at, req: wl.Next()})
 	}
 
 	ad := newAdmission(sc)
-	step := sc.Params.TopologyStep()
-	next := time.Duration(0) // next topology-update instant
-	i := 0
-	for next <= cfg.Horizon || i < len(arrivals) {
-		if next <= cfg.Horizon && (i >= len(arrivals) || next <= arrivals[i]) {
-			if err := ad.refresh(next, nil); err != nil {
-				return nil, err
-			}
-			if _, err := ad.drain(next); err != nil {
-				return nil, err
-			}
-			next += step
-		} else {
-			res.Arrivals++
-			if err := ad.arrive(arrivals[i], wl.Next()); err != nil {
-				return nil, err
-			}
-			i++
-		}
-		res.EventsProcessed++
+	updates, err := ad.run(arrivals, cfg.Horizon, nil, nil)
+	if err != nil {
+		return nil, err
 	}
 
+	res.Arrivals = len(arrivals)
+	res.EventsProcessed = updates + len(arrivals)
 	res.Served = ad.served
 	res.ServedImmediately = ad.immediate
 	res.RequestsEvaluated = ad.evaluated

@@ -14,8 +14,8 @@ import (
 
 // runArrivalsReference is the retired event-heap implementation of
 // RunArrivals, kept verbatim as the differential oracle for the pooled
-// fast-path rewrite: fresh sc.Graph per topology update, netsim.Simulator
-// event ordering, per-update Dijkstra memo. The only additions are the
+// fast-path rewrite: fresh sc.Graph per topology update, the event
+// ordering of simulator (simulator_test.go), per-update Dijkstra memo. The only additions are the
 // RequestsEvaluated counter and serve-site immediate classification, both
 // of which are provably identical to the old accounting under the heap's
 // update-before-arrival tie order.
@@ -30,7 +30,7 @@ func runArrivalsReference(sc *Scenario, cfg ArrivalConfig) (*ArrivalResult, erro
 		return nil, err
 	}
 
-	sim := netsim.NewSimulator()
+	sim := newSimulator()
 	var simErr error
 
 	var graph *routing.Graph
@@ -38,7 +38,7 @@ func runArrivalsReference(sc *Scenario, cfg ArrivalConfig) (*ArrivalResult, erro
 	var queue []queuedRequest
 	var waits, fids []float64
 
-	refreshTopology := func(s *netsim.Simulator) bool {
+	refreshTopology := func(s *simulator) bool {
 		g, err := sc.Graph(s.Now())
 		if err != nil {
 			simErr = err
@@ -87,7 +87,7 @@ func runArrivalsReference(sc *Scenario, cfg ArrivalConfig) (*ArrivalResult, erro
 	}
 
 	step := sc.Params.TopologyStep()
-	if err := sim.ScheduleEvery(0, step, cfg.Horizon, "topology-update", func(s *netsim.Simulator) {
+	if err := sim.ScheduleEvery(0, step, cfg.Horizon, "topology-update", func(s *simulator) {
 		if !refreshTopology(s) {
 			return
 		}
@@ -115,7 +115,7 @@ func runArrivalsReference(sc *Scenario, cfg ArrivalConfig) (*ArrivalResult, erro
 		if at >= cfg.Horizon {
 			break
 		}
-		if err := sim.Schedule(at, "arrival", func(s *netsim.Simulator) {
+		if err := sim.Schedule(at, "arrival", func(s *simulator) {
 			res.Arrivals++
 			q := queuedRequest{req: wl.Next(), arrived: s.Now()}
 			ok, err := tryServe(s.Now(), q, true)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"qntn/internal/netsim"
 	"qntn/internal/orbit"
 	"qntn/internal/routing"
 	"qntn/internal/telemetry"
@@ -51,8 +50,8 @@ func (sc *Scenario) Bridged(g *routing.Graph) bool {
 	return sc.bridgedInto(&unionFind{}, g)
 }
 
-// bridgedInto is Bridged with a caller-owned union-find, so per-step
-// callers (Coverage, DetailedCoverage) reuse one scratch across snapshots.
+// bridgedInto is Bridged with a caller-owned union-find, so the stepped
+// topology backend reuses one scratch across snapshots.
 func (sc *Scenario) bridgedInto(uf *unionFind, g *routing.Graph) bool {
 	uf.ensure(g.NumNodes())
 	g.EachEdge(func(i, j int, _ float64) { uf.union(i, j) })
@@ -86,63 +85,42 @@ func (sc *Scenario) bridgedInto(uf *unionFind, g *routing.Graph) bool {
 }
 
 // Coverage simulates the scenario for the given duration, updating the
-// topology every Params.StepInterval (the paper's 30 s satellite movement
-// step) through the discrete-event simulator, and returns the Eq. (6)-(7)
-// coverage metrics. Each covered step contributes one step interval to T_c.
+// topology every Params.TopologyStep (the paper's 30 s satellite movement
+// step), and returns the Eq. (6)-(7) coverage metrics. Each covered step
+// contributes one step interval to T_c.
 func (sc *Scenario) Coverage(duration time.Duration) (*CoverageResult, error) {
 	if duration <= 0 {
 		return nil, fmt.Errorf("qntn: non-positive coverage duration %v", duration)
 	}
-	if sc.Params.EventDriven && sc.tel == nil {
-		return sc.coverageEventDriven(duration)
+	step := sc.Params.TopologyStep()
+	grid := coverageGrid(step, duration)
+	ts, err := sc.newTopoStepper(grid, false)
+	if err != nil {
+		return nil, err
 	}
-	step := sc.Params.StepInterval
+	defer ts.close()
 	res := &CoverageResult{Total: duration}
-	sim := netsim.NewSimulator()
-	// One graph and one union-find are reused across every topology step.
-	g := routing.NewGraph()
-	uf := &unionFind{}
 	tel := sc.tel
 	var label string
 	if tel != nil {
 		label = sc.coverageLabel()
 	}
-	stepIndex := 0
-	var simErr error
-	err := sim.ScheduleEvery(0, step, duration-step, "topology-update", func(s *netsim.Simulator) {
-		var st netsim.SnapshotStats
-		if tel != nil {
-			if err := sc.Net.SnapshotIntoStats(g, s.Now(), &st); err != nil {
-				simErr = err
-				s.Stop()
-				return
-			}
-		} else if err := sc.GraphInto(g, s.Now()); err != nil {
-			simErr = err
-			s.Stop()
-			return
+	for k := 0; k < grid.steps; k++ {
+		if err := ts.step(k); err != nil {
+			return nil, err
 		}
-		covered := sc.bridgedInto(uf, g)
-		accumulate(res, s.Now(), step, covered)
+		at := grid.at(k)
+		covered := ts.bridged()
+		accumulate(res, at, step, covered)
 		if tel != nil {
 			tel.coverageSteps.Inc()
 			if covered {
 				tel.coverageCovered.Inc()
 			}
-			sc.recordStepEvent(label, stepIndex, s.Now(), &st, func(e *telemetry.Event) {
+			sc.recordStepEvent(label, k, at, ts.stats, func(e *telemetry.Event) {
 				e.Covered = covered
 			})
-			stepIndex++
 		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := sim.Run(duration); err != nil {
-		return nil, err
-	}
-	if simErr != nil {
-		return nil, simErr
 	}
 	return res, nil
 }

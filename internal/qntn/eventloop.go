@@ -1,23 +1,21 @@
 package qntn
 
 import (
-	"fmt"
-	"time"
-
 	"qntn/internal/fault"
 	"qntn/internal/netsim"
 	"qntn/internal/routing"
-	"qntn/internal/stats"
 )
 
-// This file implements the event engine that drives Coverage,
-// DetailedCoverage and RunServe from the precomputed visibility windows of
-// windows.go: instead of rebuilding the topology graph from scratch at every
-// step, the engine applies a sorted stream of window open/close, platform
-// down/up and weather on/off events as incremental graph deltas
+// This file implements the event-driven topology backend: the engine
+// behind topoStepper (stepper.go) when Params.EventDriven is set, so the
+// one per-step loop of Coverage, DetailedCoverage and RunServe (RunServeDES
+// included) runs on it unchanged. Instead of rebuilding the topology graph
+// from scratch at every step from the precomputed visibility windows of
+// windows.go, the engine applies a sorted stream of window open/close,
+// platform down/up and weather on/off events as incremental graph deltas
 // (AddEdgeByIndex / RemoveEdgeByIndex), and re-evaluates only the pairs
 // whose windows are currently open — with the exact stepEval physics, so
-// every emitted result is DeepEqual-identical to the stepped path's.
+// every snapshot is identical to the stepped backend's.
 
 // evKind orders simultaneous events deterministically. After coalescing, no
 // entity sees two events at the same step, so the order is a tiebreak for
@@ -103,9 +101,9 @@ type eventEngine struct {
 	evCounts  []int   // counting-sort bucket offsets, one per grid step
 	cursor    int
 
-	active []int   // pair ordinals with open windows
-	apos   []int   // pair ordinal -> index in active, -1 when closed
-	has    []bool  // pair ordinal -> edge currently in the graph
+	active []int  // pair ordinals with open windows
+	apos   []int  // pair ordinal -> index in active, -1 when closed
+	has    []bool // pair ordinal -> edge currently in the graph
 
 	stepChanges int
 	transitions int
@@ -475,135 +473,4 @@ func (eng *eventEngine) bridged() bool {
 		}
 	}
 	return true
-}
-
-// coverageEventDriven is Coverage on the event engine; the caller has
-// validated the duration.
-func (sc *Scenario) coverageEventDriven(duration time.Duration) (*CoverageResult, error) {
-	step := sc.Params.StepInterval
-	res := &CoverageResult{Total: duration}
-	grid := coverageGrid(step, duration)
-	if grid.steps == 0 {
-		return res, nil
-	}
-	eng, err := sc.newEventEngine(grid)
-	if err != nil {
-		return nil, err
-	}
-	defer eng.Close()
-	for k := 0; k < grid.steps; k++ {
-		if err := eng.runStep(k); err != nil {
-			return nil, err
-		}
-		accumulate(res, grid.at(k), step, eng.bridged())
-	}
-	return res, nil
-}
-
-// detailedCoverageEventDriven is DetailedCoverage on the event engine; the
-// caller has validated the duration. Link transitions come from the engine's
-// own delta accounting, which counts exactly the appear/disappear changes
-// the stepped tracker reports (transmissivity-only changes count for
-// neither).
-func (sc *Scenario) detailedCoverageEventDriven(duration time.Duration) (*CoverageDetail, error) {
-	step := sc.Params.StepInterval
-	detail := &CoverageDetail{All: CoverageResult{Total: duration}}
-	for i := 0; i < len(sc.LANs); i++ {
-		for j := i + 1; j < len(sc.LANs); j++ {
-			detail.Pairs = append(detail.Pairs, PairCoverage{
-				NetworkA: sc.LANs[i].Name,
-				NetworkB: sc.LANs[j].Name,
-				Result:   CoverageResult{Total: duration},
-			})
-		}
-	}
-	grid := coverageGrid(step, duration)
-	if grid.steps == 0 {
-		return detail, nil
-	}
-	eng, err := sc.newEventEngine(grid)
-	if err != nil {
-		return nil, err
-	}
-	defer eng.Close()
-	for k := 0; k < grid.steps; k++ {
-		if err := eng.runStep(k); err != nil {
-			return nil, err
-		}
-		at := grid.at(k)
-		pairs, all := sc.bridgedPairs(eng.g)
-		accumulate(&detail.All, at, step, all)
-		for pi := range detail.Pairs {
-			pc := &detail.Pairs[pi]
-			accumulate(&pc.Result, at, step, pairs[[2]string{pc.NetworkA, pc.NetworkB}])
-		}
-	}
-	detail.LinkTransitions = eng.transitions
-	return detail, nil
-}
-
-// runServeEventDriven is RunServe on the event engine; cfg has been
-// validated and defaulted by the caller.
-func (sc *Scenario) runServeEventDriven(cfg ServeConfig) (*ServeResult, error) {
-	res := &ServeResult{Config: cfg}
-	wl, err := NewWorkload(sc, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	grid := sampleGrid{gap: cfg.stepGap(sc.Params), steps: cfg.Steps}
-	eng, err := sc.newEventEngine(grid)
-	if err != nil {
-		return nil, err
-	}
-	defer eng.Close()
-	var scratch routing.BellmanFordScratch
-	pe := sc.newProtoEval()
-	var fids, etas []float64
-	for k := 0; k < grid.steps; k++ {
-		if err := eng.runStep(k); err != nil {
-			return nil, err
-		}
-		at := grid.at(k)
-		tables := scratch.Run(eng.g, sc.Params.RoutingEpsilon)
-		for _, req := range wl.Batch(cfg.RequestsPerStep) {
-			out := netsim.Outcome{Request: req, At: at}
-			if tables.Reachable(req.Src, req.Dst) {
-				path, err := tables.Path(req.Src, req.Dst)
-				if err != nil {
-					return nil, fmt.Errorf("qntn: step %d request %d: %w", k, req.ID, err)
-				}
-				if pe != nil {
-					po, err := pe.outcome(eng.g, path, req, at)
-					if err != nil {
-						return nil, fmt.Errorf("qntn: step %d request %d: %w", k, req.ID, err)
-					}
-					if po.served {
-						out.Served = true
-						out.Path = path
-						out.EndToEndEta = po.primaryEta
-						out.Fidelity = po.fidelity
-						fids = append(fids, out.Fidelity)
-						etas = append(etas, out.EndToEndEta)
-					}
-				} else {
-					hopEtas, err := eng.g.EdgeEtas(path)
-					if err != nil {
-						return nil, fmt.Errorf("qntn: step %d request %d: %w", k, req.ID, err)
-					}
-					out.Served = true
-					out.Path = path
-					out.EndToEndEta = product(hopEtas)
-					out.Fidelity = PathFidelity(hopEtas, sc.Params.FidelityModel)
-					fids = append(fids, out.Fidelity)
-					etas = append(etas, out.EndToEndEta)
-				}
-			}
-			res.Metrics.Record(out)
-		}
-	}
-	res.ServedPercent = 100 * res.Metrics.ServedFraction()
-	res.MeanFidelity = res.Metrics.MeanServedFidelity()
-	res.FidelitySummary = stats.Summarize(fids)
-	res.MeanPathEta = stats.Mean(etas)
-	return res, nil
 }

@@ -130,7 +130,7 @@ func TestEventDrivenCoverageSweepWorkers(t *testing.T) {
 	}
 }
 
-// TestEventDrivenRejectsTelemetry: instrumented scenarios must keep using
+// TestEventDrivenTelemetryFallsBackToStepped: instrumented scenarios must keep using
 // the stepped path (the engine records no telemetry), transparently — same
 // results, telemetry still collected.
 func TestEventDrivenTelemetryFallsBackToStepped(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"qntn/internal/netsim"
 	"qntn/internal/routing"
 )
 
@@ -64,15 +63,18 @@ func (sc *Scenario) bridgedPairs(g *routing.Graph) (map[[2]string]bool, bool) {
 }
 
 // DetailedCoverage runs the coverage analysis with per-pair breakdown and
-// link-churn accounting over the given duration.
+// link-churn accounting over the given duration, on Coverage's grid.
 func (sc *Scenario) DetailedCoverage(duration time.Duration) (*CoverageDetail, error) {
 	if duration <= 0 {
 		return nil, fmt.Errorf("qntn: non-positive coverage duration %v", duration)
 	}
-	if sc.Params.EventDriven && sc.tel == nil {
-		return sc.detailedCoverageEventDriven(duration)
+	step := sc.Params.TopologyStep()
+	grid := coverageGrid(step, duration)
+	ts, err := sc.newTopoStepper(grid, true)
+	if err != nil {
+		return nil, err
 	}
-	step := sc.Params.StepInterval
+	defer ts.close()
 	detail := &CoverageDetail{All: CoverageResult{Total: duration}}
 	for i := 0; i < len(sc.LANs); i++ {
 		for j := i + 1; j < len(sc.LANs); j++ {
@@ -83,26 +85,19 @@ func (sc *Scenario) DetailedCoverage(duration time.Duration) (*CoverageDetail, e
 			})
 		}
 	}
-	tracker := netsim.NewLinkTracker()
-	first := true
-	g := routing.NewGraph() // reused across steps; the tracker copies edges
-	for at := time.Duration(0); at+step <= duration; at += step {
-		if err := sc.GraphInto(g, at); err != nil {
+	for k := 0; k < grid.steps; k++ {
+		if err := ts.step(k); err != nil {
 			return nil, err
 		}
-		changes := tracker.Observe(at, g)
-		if !first {
-			detail.LinkTransitions += len(changes)
-		}
-		first = false
-
-		pairs, all := sc.bridgedPairs(g)
+		at := grid.at(k)
+		pairs, all := sc.bridgedPairs(ts.g)
 		accumulate(&detail.All, at, step, all)
-		for k := range detail.Pairs {
-			pc := &detail.Pairs[k]
+		for pi := range detail.Pairs {
+			pc := &detail.Pairs[pi]
 			accumulate(&pc.Result, at, step, pairs[[2]string{pc.NetworkA, pc.NetworkB}])
 		}
 	}
+	detail.LinkTransitions = ts.linkTransitions()
 	return detail, nil
 }
 

@@ -140,14 +140,16 @@ type Params struct {
 	// and the nil default costs nothing on any hot path.
 	Telemetry *telemetry.Collector
 
-	// EventDriven, when true, runs Coverage, DetailedCoverage and RunServe
-	// through the event-driven visibility-window engine (see windows.go and
-	// eventloop.go) instead of brute-force per-step snapshot rebuilds. The
-	// results are identical — the stepped path remains the semantic oracle,
-	// asserted by the differential test suite — only faster. Runtime wiring
-	// only, like Telemetry: excluded from the JSON codec, ParamsHash and
-	// Validate. Telemetry-instrumented runs always use the stepped path
-	// (per-step snapshot stats have no event-driven equivalent).
+	// EventDriven, when true, selects the event-driven visibility-window
+	// engine (windows.go, eventloop.go) as the topology backend of the one
+	// per-step loop behind Coverage, DetailedCoverage (and so WaitingTimes),
+	// RunServe and RunServeDES, instead of brute-force per-step snapshot
+	// rebuilds (stepper.go). The results are identical — the stepped
+	// backend remains the semantic oracle, asserted by the differential
+	// test suite — only faster. Runtime wiring only, like Telemetry:
+	// excluded from the JSON codec, ParamsHash and Validate.
+	// Telemetry-instrumented runs always use the stepped backend (per-step
+	// snapshot stats have no event-driven equivalent).
 	EventDriven bool
 
 	// DisableSpatialIndex forces dense n² candidate generation in both the
@@ -270,7 +272,7 @@ func (p Params) Validate() error {
 // constructor paths, but parameters assembled by hand or mutated after
 // construction (tests, zero-valued configs) still reach the run loops —
 // this single fallback is what keeps a zero interval from degenerating
-// into a rejected ScheduleEvery cadence or a divide-by-zero step index.
+// into an endless loop or a divide-by-zero step index.
 func (p Params) TopologyStep() time.Duration {
 	if p.StepInterval > 0 {
 		return p.StepInterval

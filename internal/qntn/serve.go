@@ -48,10 +48,10 @@ func (cfg ServeConfig) validate() error {
 // stepGap returns the spacing between this config's sample instants:
 // Horizon/Steps, falling back to the scenario's topology-update cadence
 // when the integer division underflows to zero (Horizon shorter than Steps
-// nanoseconds). Every sampleTimes-derived loop — RunServe, RunServeDES, the
-// event-driven serve grid — must use this single definition; duplicating
-// the fallback is how the DES path once drifted a step short (see the
-// shared regression test).
+// nanoseconds). The serve loop (RunServe and RunServeDES, on either
+// topology backend) and the sweeps' sampleTimes all use this single
+// definition; duplicating the fallback is how the DES path once drifted a
+// step short (see the shared regression test).
 func (cfg ServeConfig) stepGap(p Params) time.Duration {
 	cfg = cfg.withDefaults()
 	gap := cfg.Horizon / time.Duration(cfg.Steps)
@@ -95,30 +95,46 @@ type ServeResult struct {
 // path exists; its fidelity follows the scenario's FidelityModel applied to
 // the path's per-hop transmissivities.
 func (sc *Scenario) RunServe(cfg ServeConfig) (*ServeResult, error) {
-	if err := cfg.validate(); err != nil {
+	res := &ServeResult{}
+	if err := sc.runServe(cfg, res, nil); err != nil {
 		return nil, err
+	}
+	return res, nil
+}
+
+// runServe is the serve experiment's one per-step loop into res, shared by
+// RunServe and RunServeDES over either topology backend. timed is nil for
+// RunServe, whose fidelity is PathFidelity. RunServeDES passes its
+// heralding-latency evaluator, which scores a served protocol-off request
+// from its path, instant and per-hop transmissivities. It returns values
+// rather than filling the outcome so the per-request outcome stays off the
+// heap.
+func (sc *Scenario) runServe(cfg ServeConfig, res *ServeResult, timed func(path []string, at time.Duration, hopEtas []float64) (fidelity, lengthM float64, latency time.Duration, err error)) error {
+	if err := cfg.validate(); err != nil {
+		return err
 	}
 	cfg = cfg.withDefaults()
-	if sc.Params.EventDriven && sc.tel == nil {
-		return sc.runServeEventDriven(cfg)
-	}
-	res := &ServeResult{Config: cfg}
+	res.Config = cfg
 	wl, err := NewWorkload(sc, cfg.Seed)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
-	// sampleTimes is the single source of truth for the instants this run
-	// evaluates — sweeps precompute the same list to propagate ephemerides
-	// exactly there, so duplicating its stepGap fallback here would let the
-	// two drift apart.
-	times := cfg.sampleTimes(sc.Params)
+	// The grid's instants are exactly sampleTimes' — sweeps precompute that
+	// list to propagate ephemerides there, so both derive the spacing from
+	// the single stepGap definition.
+	grid := sampleGrid{gap: cfg.stepGap(sc.Params), steps: cfg.Steps}
+	ts, err := sc.newTopoStepper(grid, false)
+	if err != nil {
+		return err
+	}
+	defer ts.close()
 
-	// One graph and one Bellman-Ford scratch serve every step: the node
-	// set is fixed, so per-step work reuses their storage. pe is nil unless
-	// the entanglement-protocol layer is enabled; the nil branch below is
-	// the pre-protocol code verbatim.
-	graph := routing.NewGraph()
+	// One Bellman-Ford scratch serves every step: the node set is fixed,
+	// so per-step work reuses its storage. pe is nil unless the
+	// entanglement-protocol layer is enabled; with timed also nil, the nil
+	// branch below is the pre-protocol code verbatim.
+	graph := ts.g
 	var scratch routing.BellmanFordScratch
 	pe := sc.newProtoEval()
 
@@ -129,15 +145,11 @@ func (sc *Scenario) RunServe(cfg ServeConfig) (*ServeResult, error) {
 	}
 
 	var fids, etas []float64
-	for step, at := range times {
-		var st netsim.SnapshotStats
-		if tel != nil {
-			if err := sc.Net.SnapshotIntoStats(graph, at, &st); err != nil {
-				return nil, err
-			}
-		} else if err := sc.GraphInto(graph, at); err != nil {
-			return nil, err
+	for step := 0; step < grid.steps; step++ {
+		if err := ts.step(step); err != nil {
+			return err
 		}
+		at := grid.at(step)
 		tables := scratch.Run(graph, sc.Params.RoutingEpsilon)
 		stepServed, stepDropped := 0, 0
 		var stepFidSum float64
@@ -146,12 +158,12 @@ func (sc *Scenario) RunServe(cfg ServeConfig) (*ServeResult, error) {
 			if tables.Reachable(req.Src, req.Dst) {
 				path, err := tables.Path(req.Src, req.Dst)
 				if err != nil {
-					return nil, fmt.Errorf("qntn: step %d request %d: %w", step, req.ID, err)
+					return fmt.Errorf("qntn: step %d request %d: %w", step, req.ID, err)
 				}
 				if pe != nil {
 					po, err := pe.outcome(graph, path, req, at)
 					if err != nil {
-						return nil, fmt.Errorf("qntn: step %d request %d: %w", step, req.ID, err)
+						return fmt.Errorf("qntn: step %d request %d: %w", step, req.ID, err)
 					}
 					if tel != nil {
 						tel.addProto(&po)
@@ -174,12 +186,16 @@ func (sc *Scenario) RunServe(cfg ServeConfig) (*ServeResult, error) {
 				} else {
 					hopEtas, err := graph.EdgeEtas(path)
 					if err != nil {
-						return nil, fmt.Errorf("qntn: step %d request %d: %w", step, req.ID, err)
+						return fmt.Errorf("qntn: step %d request %d: %w", step, req.ID, err)
 					}
 					out.Served = true
 					out.Path = path
 					out.EndToEndEta = product(hopEtas)
-					out.Fidelity = PathFidelity(hopEtas, sc.Params.FidelityModel)
+					if timed == nil {
+						out.Fidelity = PathFidelity(hopEtas, sc.Params.FidelityModel)
+					} else if out.Fidelity, out.PathLengthM, out.Latency, err = timed(path, at, hopEtas); err != nil {
+						return err
+					}
 					fids = append(fids, out.Fidelity)
 					etas = append(etas, out.EndToEndEta)
 					stepServed++
@@ -198,7 +214,7 @@ func (sc *Scenario) RunServe(cfg ServeConfig) (*ServeResult, error) {
 			tel.relaxRounds.Add(uint64(rounds))
 			tel.requestsServed.Add(uint64(stepServed))
 			tel.requestsDropped.Add(uint64(stepDropped))
-			sc.recordStepEvent(label, step, at, &st, func(e *telemetry.Event) {
+			sc.recordStepEvent(label, step, at, ts.stats, func(e *telemetry.Event) {
 				e.RelaxRounds = int64(rounds)
 				e.Served = int64(stepServed)
 				e.Dropped = int64(stepDropped)
@@ -212,5 +228,5 @@ func (sc *Scenario) RunServe(cfg ServeConfig) (*ServeResult, error) {
 	res.MeanFidelity = res.Metrics.MeanServedFidelity()
 	res.FidelitySummary = stats.Summarize(fids)
 	res.MeanPathEta = stats.Mean(etas)
-	return res, nil
+	return nil
 }

@@ -1,0 +1,166 @@
+package qntn_test
+
+// The serve-loop reference suite: RunServe and RunServeDES both run
+// RunServe's one per-step loop over the topology stepper, and must be
+// reflect.DeepEqual to the retired bodies kept verbatim in serve_ref_test.go
+// — every archetype, faults off and on, on both topology backends, with
+// the protocol off and on for RunServe and with memory T2 ∈ {0, 10 ms} ×
+// per-hop processing delay ∈ {0, 5 ms} for RunServeDES.
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+	"time"
+
+	"qntn/internal/qntn"
+	"qntn/internal/qntn/oracletest"
+)
+
+// servedCount returns the number of served requests of one serve result.
+func servedCount(res *qntn.ServeResult) int {
+	n := 0
+	for _, o := range res.Metrics.Outcomes {
+		if o.Served {
+			n++
+		}
+	}
+	return n
+}
+
+func TestRunServeMatchesReference(t *testing.T) {
+	served := 0
+	for _, arch := range oracletest.Archetypes() {
+		for _, faults := range []bool{false, true} {
+			for _, proto := range []bool{false, true} {
+				arch, faults, proto := arch, faults, proto
+				t.Run(fmt.Sprintf("%s/faults=%v/protocol=%v", arch.Name, faults, proto), func(t *testing.T) {
+					p := arch.Params()
+					if faults {
+						p.Fault = oracletest.FaultConfig(11)
+					}
+					if proto {
+						p.Protocol = protocolOracleConfig()
+					}
+					cfg := oracleServeConfig(arch.Duration)
+					stepped, event := oracletest.Pair(t, arch.Build, p)
+					want, err := qntn.RunServeReference(stepped, cfg)
+					if err != nil {
+						t.Fatalf("reference: %v", err)
+					}
+					for _, sc := range []*qntn.Scenario{stepped, event} {
+						got, err := sc.RunServe(cfg)
+						if err != nil {
+							t.Fatalf("eventDriven=%v: %v", sc.Params.EventDriven, err)
+						}
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("eventDriven=%v: RunServe diverged from the reference\n got: %+v\nwant: %+v",
+								sc.Params.EventDriven, got, want)
+						}
+					}
+					served += servedCount(want)
+				})
+			}
+		}
+	}
+	if served == 0 {
+		t.Fatal("degenerate matrix: no archetype served a single request")
+	}
+}
+
+func TestRunServeDESMatchesReference(t *testing.T) {
+	served := 0
+	for _, arch := range oracletest.Archetypes() {
+		for _, faults := range []bool{false, true} {
+			for _, t2 := range []time.Duration{0, 10 * time.Millisecond} {
+				for _, delay := range []time.Duration{0, 5 * time.Millisecond} {
+					arch, faults, t2, delay := arch, faults, t2, delay
+					t.Run(fmt.Sprintf("%s/faults=%v/t2=%v/delay=%v", arch.Name, faults, t2, delay), func(t *testing.T) {
+						p := arch.Params()
+						if faults {
+							p.Fault = oracletest.FaultConfig(11)
+						}
+						p.MemoryT2 = t2
+						p.ProcessingDelayPerHop = delay
+						cfg := oracleServeConfig(arch.Duration)
+						stepped, event := oracletest.Pair(t, arch.Build, p)
+						want, err := qntn.RunServeDESReference(stepped, cfg)
+						if err != nil {
+							t.Fatalf("reference: %v", err)
+						}
+						for _, sc := range []*qntn.Scenario{stepped, event} {
+							got, err := sc.RunServeDES(cfg)
+							if err != nil {
+								t.Fatalf("eventDriven=%v: %v", sc.Params.EventDriven, err)
+							}
+							if !reflect.DeepEqual(got, want) {
+								t.Fatalf("eventDriven=%v: RunServeDES diverged from the reference\n got: %+v\nwant: %+v",
+									sc.Params.EventDriven, got, want)
+							}
+						}
+						served += servedCount(&want.ServeResult)
+					})
+				}
+			}
+		}
+	}
+	if served == 0 {
+		t.Fatal("degenerate matrix: no archetype served a single request")
+	}
+}
+
+// TestZeroStepIntervalAfterConstruction: a StepInterval zeroed after
+// construction (Validate only guards the constructors) must fall back to
+// Params.TopologyStep in every loop on both topology backends — every call
+// returns, and the backends agree.
+func TestZeroStepIntervalAfterConstruction(t *testing.T) {
+	build := func(p qntn.Params) (*qntn.Scenario, error) { return qntn.NewSpaceGround(24, p) }
+	p := qntn.DefaultParams()
+	p.Fault = oracletest.FaultConfig(3)
+	stepped, event := oracletest.Pair(t, build, p)
+	stepped.Params.StepInterval = 0
+	event.Params.StepInterval = 0
+	duration := 2 * time.Hour
+	run := func(sc *qntn.Scenario) []any {
+		cov, err := sc.Coverage(duration)
+		if err != nil {
+			t.Fatalf("eventDriven=%v coverage: %v", sc.Params.EventDriven, err)
+		}
+		if want := int(duration / qntn.DefaultParams().StepInterval); cov.Steps != want {
+			t.Fatalf("eventDriven=%v: %d coverage steps, want %d on the fallback cadence", sc.Params.EventDriven, cov.Steps, want)
+		}
+		detail, err := sc.DetailedCoverage(duration)
+		if err != nil {
+			t.Fatalf("eventDriven=%v detailed coverage: %v", sc.Params.EventDriven, err)
+		}
+		// A duration shorter than one step samples nothing on either backend.
+		short, err := sc.DetailedCoverage(10 * time.Second)
+		if err != nil {
+			t.Fatalf("eventDriven=%v short detailed coverage: %v", sc.Params.EventDriven, err)
+		}
+		if short.All.Steps != 0 {
+			t.Fatalf("eventDriven=%v: %d steps in a sub-step duration", sc.Params.EventDriven, short.All.Steps)
+		}
+		out := []any{cov, detail, short}
+		// The second config's Horizon/Steps gap underflows to zero, so its
+		// samples also take the fallback cadence.
+		for _, cfg := range []qntn.ServeConfig{
+			{RequestsPerStep: 10, Steps: 20, Horizon: duration, Seed: 2},
+			{RequestsPerStep: 10, Steps: 20, Horizon: 10 * time.Nanosecond, Seed: 2},
+		} {
+			res, err := sc.RunServe(cfg)
+			if err != nil {
+				t.Fatalf("eventDriven=%v serve: %v", sc.Params.EventDriven, err)
+			}
+			out = append(out, res)
+		}
+		return out
+	}
+	want := run(stepped)
+	got := run(event)
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("result %d: event-driven diverged from stepped at zero StepInterval\n got: %+v\nwant: %+v", i, got[i], want[i])
+		}
+	}
+}

@@ -1,0 +1,104 @@
+package qntn
+
+import (
+	"qntn/internal/netsim"
+	"qntn/internal/routing"
+)
+
+// topoStepper is the topology backend behind the one per-step loop of
+// Coverage, DetailedCoverage and RunServe (RunServeDES included). The loop
+// visits a sampleGrid in order; after step(k) the stepper's graph holds the
+// usable-link snapshot at grid.at(k). Two backends produce that snapshot,
+// DeepEqual-identical by the differential oracle suite:
+//
+//   - stepped (the semantic oracle): the pooled GraphInto/SnapshotIntoStats
+//     rebuild of the whole graph at every instant, a union-find bridged
+//     check, and a LinkTracker when link transitions are counted;
+//   - event-driven (Params.EventDriven): the eventEngine's incremental
+//     replay of precomputed visibility windows (eventloop.go).
+//
+// Telemetry-instrumented scenarios always step: per-step snapshot stats
+// have no event-driven equivalent.
+type topoStepper struct {
+	sc   *Scenario
+	grid sampleGrid
+	g    *routing.Graph
+	eng  *eventEngine // nil on the stepped backend
+
+	// Stepped backend state. stats receives each step's snapshot stats when
+	// the scenario is instrumented (nil otherwise); tracker is nil unless
+	// transitions count.
+	uf          unionFind
+	stats       *netsim.SnapshotStats
+	tracker     *netsim.LinkTracker
+	transitions int
+}
+
+// newTopoStepper picks the backend for a run over grid. trackLinks asks the
+// stepped backend to count link transitions (the event engine always does).
+// The caller must close the stepper.
+func (sc *Scenario) newTopoStepper(grid sampleGrid, trackLinks bool) (*topoStepper, error) {
+	ts := &topoStepper{sc: sc, grid: grid}
+	if sc.Params.EventDriven && sc.tel == nil {
+		eng, err := sc.newEventEngine(grid)
+		if err != nil {
+			return nil, err
+		}
+		ts.eng, ts.g = eng, eng.g
+		return ts, nil
+	}
+	ts.g = routing.NewGraph()
+	if sc.tel != nil {
+		ts.stats = new(netsim.SnapshotStats)
+	}
+	if trackLinks {
+		ts.tracker = netsim.NewLinkTracker()
+	}
+	return ts, nil
+}
+
+// step advances the topology to grid step k; steps must be visited in
+// order from 0.
+func (ts *topoStepper) step(k int) error {
+	if ts.eng != nil {
+		return ts.eng.runStep(k)
+	}
+	at := ts.grid.at(k)
+	if err := ts.sc.Net.SnapshotIntoStats(ts.g, at, ts.stats); err != nil {
+		return err
+	}
+	if ts.tracker != nil {
+		// The first topology is an observation, not a transition.
+		if changes := ts.tracker.Observe(at, ts.g); k > 0 {
+			ts.transitions += len(changes)
+		}
+	}
+	return nil
+}
+
+// bridged reports whether all LANs share one component in the current
+// topology.
+func (ts *topoStepper) bridged() bool {
+	if ts.eng != nil {
+		return ts.eng.bridged()
+	}
+	return ts.sc.bridgedInto(&ts.uf, ts.g)
+}
+
+// linkTransitions returns the link appear/disappear count over the steps
+// run so far, excluding the initial topology. The event engine's own delta
+// accounting counts exactly the changes the stepped LinkTracker reports;
+// transmissivity-only changes count for neither.
+func (ts *topoStepper) linkTransitions() int {
+	if ts.eng != nil {
+		return ts.eng.transitions
+	}
+	return ts.transitions
+}
+
+// close returns the event engine, if any, to the scenario's pool.
+func (ts *topoStepper) close() {
+	if ts.eng != nil {
+		ts.eng.Close()
+	}
+}

@@ -63,10 +63,11 @@ func CoverageSweepParallel(p Params, sizes []int, duration time.Duration, worker
 			maxN = n
 		}
 	}
-	step := p.StepInterval
-	var times []time.Duration
-	for at := time.Duration(0); at+step <= duration; at += step {
-		times = append(times, at)
+	step := p.TopologyStep()
+	grid := coverageGrid(step, duration)
+	times := make([]time.Duration, grid.steps)
+	for k := range times {
+		times[k] = grid.at(k)
 	}
 	cache, err := NewEphemerisCache(maxN, p, times)
 	if err != nil {

@@ -42,9 +42,9 @@ func (t *scenarioTelemetry) addProto(po *protoOutcome) {
 }
 
 // Instrument attaches a telemetry collector to the scenario: the network
-// gains per-snapshot counters, and RunServe/Coverage additionally record
-// per-step events (when the collector carries an event sink) and
-// scenario-level counters. Passing nil detaches instrumentation. Scenarios
+// gains per-snapshot counters, and RunServe (RunServeDES included, which
+// runs its loop) and Coverage additionally record per-step events (when the
+// collector carries an event sink) and scenario-level counters. Passing nil detaches instrumentation. Scenarios
 // assembled from Params with a non-nil Telemetry field are instrumented
 // automatically; sweeps re-instrument with per-task shards to stay
 // worker-count invariant.

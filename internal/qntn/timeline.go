@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"qntn/internal/netsim"
-	"qntn/internal/orbit"
 	"qntn/internal/quantum"
 	"qntn/internal/stats"
 )
@@ -22,7 +20,8 @@ type ServeDESResult struct {
 	// requests.
 	MeanLatency time.Duration
 	MaxLatency  time.Duration
-	// EventsProcessed is the number of discrete events executed.
+	// EventsProcessed is the number of topology-update events executed:
+	// one per step.
 	EventsProcessed int
 }
 
@@ -82,109 +81,44 @@ func TimeAwarePathFidelity(etas []float64, model FidelityModel, storage, t2 time
 	return quantum.StoredBellFidelity(left, right, storage, t2)
 }
 
-// RunServeDES executes the serve experiment through the discrete-event
-// simulator: topology-update events fire at each sampled step, requests
-// are attempted at the event instant, and each served request is charged a
-// heralding latency during which its memories dephase (when MemoryT2 is
-// set). With ideal memories the serving and fidelity results are identical
-// to RunServe; the DES adds the timing dimension.
+// RunServeDES executes the serve experiment with the timing dimension of
+// the discrete-event view: requests are attempted at each sampled topology
+// instant, and each served request is charged a heralding latency during
+// which its memories dephase (when MemoryT2 is set). It runs RunServe's
+// loop — either topology backend, per Params.EventDriven — with a timed
+// evaluator: path length → HeraldingLatency → TimeAwarePathFidelity. With
+// ideal memories the serving and fidelity results are identical to
+// RunServe. The protocol layer models memory dephasing itself, so a
+// scenario with Params.Protocol enabled is rejected rather than charged T2
+// twice.
 func (sc *Scenario) RunServeDES(cfg ServeConfig) (*ServeDESResult, error) {
-	if cfg.RequestsPerStep <= 0 || cfg.Steps <= 0 {
-		return nil, fmt.Errorf("qntn: serve config requires positive requests and steps")
+	if sc.Params.Protocol.Enabled() {
+		return nil, fmt.Errorf("qntn: RunServeDES dephases with Params.MemoryT2 and cannot stack the protocol layer's memory model; disable Params.Protocol")
 	}
-	if cfg.Horizon <= 0 {
-		cfg.Horizon = orbit.Day
-	}
-	res := &ServeDESResult{}
-	res.Config = cfg
-	wl, err := NewWorkload(sc, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	// sampleTimes is the shared source of the per-step instants; deriving
-	// the step gap locally once dropped every sample past the horizon when
-	// the Horizon/Steps division underflowed and the StepInterval fallback
-	// pushed the samples beyond it (see TestServeDESSamplesAllSteps).
-	times := cfg.sampleTimes(sc.Params)
-
-	var fids, etas, latencies []float64
-	var simErr error
-	sim := netsim.NewSimulator()
-	serveStep := func(s *netsim.Simulator) {
-		at := s.Now()
-		tables, graph, err := sc.Routes(at)
+	des := &ServeDESResult{}
+	var latencies []float64
+	timed := func(path []string, at time.Duration, hopEtas []float64) (float64, float64, time.Duration, error) {
+		length, err := sc.PathLengthM(path, at)
 		if err != nil {
-			simErr = err
-			s.Stop()
-			return
+			return 0, 0, 0, err
 		}
-		for _, req := range wl.Batch(cfg.RequestsPerStep) {
-			out := netsim.Outcome{Request: req, At: at}
-			if tables.Reachable(req.Src, req.Dst) {
-				path, err := tables.Path(req.Src, req.Dst)
-				if err != nil {
-					simErr = err
-					s.Stop()
-					return
-				}
-				hopEtas, err := graph.EdgeEtas(path)
-				if err != nil {
-					simErr = err
-					s.Stop()
-					return
-				}
-				length, err := sc.PathLengthM(path, at)
-				if err != nil {
-					simErr = err
-					s.Stop()
-					return
-				}
-				latency := sc.HeraldingLatency(length, len(hopEtas))
-				fid, err := TimeAwarePathFidelity(hopEtas, sc.Params.FidelityModel, latency, sc.Params.MemoryT2)
-				if err != nil {
-					simErr = err
-					s.Stop()
-					return
-				}
-				out.Served = true
-				out.Path = path
-				out.EndToEndEta = product(hopEtas)
-				out.PathLengthM = length
-				out.Latency = latency
-				out.Fidelity = fid
-				fids = append(fids, fid)
-				etas = append(etas, out.EndToEndEta)
-				latencies = append(latencies, latency.Seconds())
-				if latency > res.MaxLatency {
-					res.MaxLatency = latency
-				}
-			}
-			res.Metrics.Record(out)
+		latency := sc.HeraldingLatency(length, len(hopEtas))
+		fid, err := TimeAwarePathFidelity(hopEtas, sc.Params.FidelityModel, latency, sc.Params.MemoryT2)
+		if err != nil {
+			return 0, 0, 0, err
 		}
-	}
-	for _, at := range times {
-		if err := sim.Schedule(at, "serve-step", serveStep); err != nil {
-			return nil, err
+		latencies = append(latencies, latency.Seconds())
+		if latency > des.MaxLatency {
+			des.MaxLatency = latency
 		}
+		return fid, length, latency, nil
 	}
-	runUntil := cfg.Horizon
-	if last := times[len(times)-1]; last > runUntil {
-		runUntil = last
-	}
-	if err := sim.Run(runUntil); err != nil {
+	if err := sc.runServe(cfg, &des.ServeResult, timed); err != nil {
 		return nil, err
 	}
-	if simErr != nil {
-		return nil, simErr
-	}
-
-	res.ServedPercent = 100 * res.Metrics.ServedFraction()
-	res.MeanFidelity = res.Metrics.MeanServedFidelity()
-	res.FidelitySummary = stats.Summarize(fids)
-	res.MeanPathEta = stats.Mean(etas)
 	if len(latencies) > 0 {
-		res.MeanLatency = time.Duration(stats.Mean(latencies) * float64(time.Second))
+		des.MeanLatency = time.Duration(stats.Mean(latencies) * float64(time.Second))
 	}
-	res.EventsProcessed = sim.Processed
-	return res, nil
+	des.EventsProcessed = des.Config.Steps
+	return des, nil
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"qntn/internal/quantum/protocol"
 )
 
 func TestRunServeDESMatchesRunServeWithIdealMemory(t *testing.T) {
@@ -223,5 +225,23 @@ func TestHeraldingLatency(t *testing.T) {
 	want := time.Duration(seconds * float64(time.Second))
 	if got != want {
 		t.Fatalf("latency %v, want %v", got, want)
+	}
+}
+
+// TestRunServeDESRejectsProtocol: RunServeDES dephases memories with
+// Params.MemoryT2 itself, so a protocol-enabled scenario — whose own T2
+// model would stack on top — is rejected instead of silently ignored.
+func TestRunServeDESRejectsProtocol(t *testing.T) {
+	p := DefaultParams()
+	p.Protocol = protocol.Config{MemoryT2: 20 * time.Millisecond, SwapSuccess: 0.85, PurifyPaths: 3, Seed: 5}
+	sc, err := NewSpaceGround(24, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sc.RunServeDES(quickServeCfg()); err == nil {
+		t.Fatal("RunServeDES accepted a protocol-enabled scenario")
+	}
+	if _, err := sc.RunServe(quickServeCfg()); err != nil {
+		t.Fatalf("RunServe on the same scenario: %v", err)
 	}
 }

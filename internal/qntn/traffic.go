@@ -248,56 +248,37 @@ func (sc *Scenario) RunTraffic(cfg TrafficConfig) (*TrafficResult, error) {
 	}
 
 	ad := newAdmission(sc)
-	step := sc.Params.TopologyStep()
-	next := time.Duration(0)
-	i := 0
-	stepIdx := 0
-	lastServed, lastArrivals := 0, 0
-	var lastFidSum float64
-	for next <= cfg.Horizon || i < len(arrivals) {
-		// Updates run before same-instant arrivals, as in RunArrivals.
-		if next <= cfg.Horizon && (i >= len(arrivals) || next <= arrivals[i].at) {
-			var st netsim.SnapshotStats
-			var stp *netsim.SnapshotStats
-			if tel != nil {
-				stp = &st
-			}
-			if err := ad.refresh(next, stp); err != nil {
-				return nil, err
-			}
-			if _, err := ad.drain(next); err != nil {
-				return nil, err
-			}
-			if tel != nil {
-				// i arrivals ran strictly before this update (same-instant
-				// arrivals are still pending), so i - lastArrivals is the
-				// window count.
-				served := ad.served - lastServed
-				fidSum := ad.fidSum - lastFidSum
-				tel.requestsServed.Add(uint64(served))
-				sc.recordStepEvent(label, stepIdx, next, &st, func(e *telemetry.Event) {
-					e.Arrivals = int64(i - lastArrivals)
-					e.Served = int64(served)
-					e.QueueDepth = int64(len(ad.queue))
-					if served > 0 {
-						e.MeanFidelity = fidSum / float64(served)
-					}
-				})
-				lastServed = ad.served
-				lastArrivals = i
-				lastFidSum = ad.fidSum
-			}
-			next += step
-			stepIdx++
-		} else {
-			if err := ad.arrive(arrivals[i].at, arrivals[i].req); err != nil {
-				return nil, err
-			}
-			i++
+	var st *netsim.SnapshotStats
+	var onUpdate func(k int, at time.Duration, arrived int)
+	if tel != nil {
+		st = new(netsim.SnapshotStats)
+		lastServed, lastArrivals := 0, 0
+		var lastFidSum float64
+		onUpdate = func(k int, at time.Duration, arrived int) {
+			// Same-instant arrivals are still pending, so arrived -
+			// lastArrivals is the window count.
+			served := ad.served - lastServed
+			fidSum := ad.fidSum - lastFidSum
+			tel.requestsServed.Add(uint64(served))
+			sc.recordStepEvent(label, k, at, st, func(e *telemetry.Event) {
+				e.Arrivals = int64(arrived - lastArrivals)
+				e.Served = int64(served)
+				e.QueueDepth = int64(len(ad.queue))
+				if served > 0 {
+					e.MeanFidelity = fidSum / float64(served)
+				}
+			})
+			lastServed = ad.served
+			lastArrivals = arrived
+			lastFidSum = ad.fidSum
 		}
 	}
+	steps, err := ad.run(arrivals, cfg.Horizon, st, onUpdate)
+	if err != nil {
+		return nil, err
+	}
 
-	res.Steps = stepIdx
+	res.Steps = steps
 	res.Served = ad.served
 	res.ServedImmediately = ad.immediate
 	res.RequestsEvaluated = ad.evaluated

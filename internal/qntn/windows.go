@@ -52,9 +52,11 @@ func (g sampleGrid) ceilIndex(t time.Duration) int {
 
 // coverageGrid returns the grid Coverage and DetailedCoverage iterate: steps
 // at 0, step, …, the largest multiple with at(k)+step <= duration (zero
-// steps when the duration is shorter than one step). Both execution paths
-// derive their loop bounds from this single definition, pinning the
-// off-by-one behavior for durations that are not multiples of the step.
+// steps when the duration is shorter than one step). Both topology backends,
+// the coverage sweep and VisibilityWindows derive their loop bounds from
+// this single definition, pinning the off-by-one behavior for durations
+// that are not multiples of the step. step is always Params.TopologyStep,
+// never the raw StepInterval, so it is positive.
 func coverageGrid(step, duration time.Duration) sampleGrid {
 	g := sampleGrid{gap: step}
 	if duration >= step {
@@ -809,7 +811,7 @@ func (ws *windowScan) refinePair(p int, duration time.Duration) []Window {
 
 // VisibilityWindows computes the refined visibility windows of every node
 // pair that can link during the given horizon, on the scenario's coverage
-// grid (one sample per StepInterval). Windows are sorted and non-overlapping
+// grid (one sample per Params.TopologyStep). Windows are sorted and non-overlapping
 // per pair and lie within [0, duration]; pairs are sorted by ID. Fiber pairs
 // are omitted (their connectivity is static).
 func (sc *Scenario) VisibilityWindows(duration time.Duration) ([]PairWindows, error) {
@@ -817,7 +819,7 @@ func (sc *Scenario) VisibilityWindows(duration time.Duration) ([]PairWindows, er
 		return nil, fmt.Errorf("qntn: non-positive windows duration %v", duration)
 	}
 	nodes := sc.Net.Nodes()
-	ws := sc.scanWindows(nodes, coverageGrid(sc.Params.StepInterval, duration))
+	ws := sc.scanWindows(nodes, coverageGrid(sc.Params.TopologyStep(), duration))
 	var out []PairWindows
 	for p := range ws.pairs {
 		wins := ws.refinePair(p, duration)
