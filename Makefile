@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test perfbench-test race lint vet cover bench benchdiff profile clean
+.PHONY: all build test perfbench-test race lint vet fmt-check cover bench benchdiff profile clean
 
 all: build test lint
 
@@ -42,6 +42,11 @@ lint:
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails, listing the files, when any Go file in the repository
+# (perfbench included) differs from gofmt's formatting.
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needs to reformat:"; echo "$$out"; exit 1; fi
 
 # bench runs the sweep benchmarks once per worker count plus the hot-path
 # benchmarks (topology snapshot, routing, coverage) and writes the

@@ -64,20 +64,20 @@ func main() {
 }
 
 type options struct {
-	seed       int64
-	steps      int
-	requests   int
-	duration   time.Duration
-	quick      bool
-	csvDir     string
-	paramsPath string
-	parallel   int
-	cpuProfile string
-	memProfile string
-	faultMTBF  time.Duration
-	faultMTTR  time.Duration
-	faultSeed  int64
-	weatherP   float64
+	seed        int64
+	steps       int
+	requests    int
+	duration    time.Duration
+	quick       bool
+	csvDir      string
+	paramsPath  string
+	parallel    int
+	cpuProfile  string
+	memProfile  string
+	faultMTBF   time.Duration
+	faultMTTR   time.Duration
+	faultSeed   int64
+	weatherP    float64
 	telDir      string
 	events      bool
 	eventDriven bool

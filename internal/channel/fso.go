@@ -101,7 +101,7 @@ func (c FSOConfig) MaxUsableRangeM2(threshold float64) float64 {
 	}
 	var wmax2 float64
 	if threshold < 1 {
-		wmax2 = 2 * a * a / (-math.Log(1-threshold))
+		wmax2 = 2 * a * a / (-math.Log(1 - threshold))
 	}
 	r := wmax2/(w0*w0) - 1
 	if r <= 0 {

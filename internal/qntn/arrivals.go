@@ -88,7 +88,8 @@ type admission struct {
 	// request whose protocol attempt fails stays queued and redraws at the
 	// next drain instant (PairKey includes the evaluation time).
 	pe    *protoEval
-	proto protoOutcome // accumulated draw counters over the run
+	adj   routing.Adjacency // pe's snapshot of graph, loaded by refresh
+	proto protoOutcome      // accumulated draw counters over the run
 
 	served    int
 	immediate int
@@ -109,8 +110,9 @@ func newAdmission(sc *Scenario) *admission {
 	}
 }
 
-// refresh rebuilds the topology at t into the pooled graph and invalidates
-// the routing memo. A non-nil st routes the rebuild through
+// refresh rebuilds the topology at t into the pooled graph, loads the
+// protocol's snapshot of it when the layer is on, and invalidates the
+// routing memo. A non-nil st routes the rebuild through
 // SnapshotIntoStats so instrumented runs get per-step evaluator counters.
 func (ad *admission) refresh(t time.Duration, st *netsim.SnapshotStats) error {
 	if st != nil {
@@ -119,6 +121,9 @@ func (ad *admission) refresh(t time.Duration, st *netsim.SnapshotStats) error {
 		}
 	} else if err := ad.sc.GraphInto(ad.graph, t); err != nil {
 		return err
+	}
+	if ad.pe != nil {
+		ad.adj.Load(ad.graph)
 	}
 	clear(ad.memo)
 	return nil
@@ -151,7 +156,7 @@ func (ad *admission) tryServe(now time.Duration, q queuedRequest, onArrival bool
 	}
 	f := PathFidelity(etas, ad.sc.Params.FidelityModel)
 	if ad.pe != nil {
-		po, err := ad.pe.outcome(ad.graph, path, q.req, now)
+		po, err := ad.pe.outcome(&ad.adj, path, q.req, now)
 		if err != nil {
 			return false, err
 		}

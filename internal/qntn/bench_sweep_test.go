@@ -127,9 +127,9 @@ func flushSweepBench(path string) error {
 		NumCPU     int `json:"num_cpu"`
 		// Snapshot108PrePR and the two derived fields document the
 		// per-step fast path against the pinned pre-fast-path numbers.
-		Snapshot108PrePR        *sweepBenchRecord  `json:"snapshot108_pre_fast_path,omitempty"`
-		Snapshot108Speedup      float64            `json:"snapshot108_speedup_vs_pre_fast_path,omitempty"`
-		Snapshot108AllocsFactor float64            `json:"snapshot108_allocs_ratio_vs_pre_fast_path,omitempty"`
+		Snapshot108PrePR        *sweepBenchRecord `json:"snapshot108_pre_fast_path,omitempty"`
+		Snapshot108Speedup      float64           `json:"snapshot108_speedup_vs_pre_fast_path,omitempty"`
+		Snapshot108AllocsFactor float64           `json:"snapshot108_allocs_ratio_vs_pre_fast_path,omitempty"`
 		// CoverageDay108EventSpeedup documents the event-driven engine
 		// against the brute-force stepped path on the paper's hardest
 		// coverage run (108 satellites, full day).

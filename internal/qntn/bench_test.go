@@ -150,6 +150,71 @@ func BenchmarkRoutesScratch108(b *testing.B) {
 	recordSweepBench(b, "RoutesScratch108", 1, allocs, bytes)
 }
 
+// BenchmarkRoutesDisjoint108 is the protocol layer's route stage over one
+// RunServe day: at each of the 100 DefaultServeConfig SpaceGround-108
+// snapshots, one Adjacency load and then ExtractOn with k = 3 (the serve
+// benchmark's budget) for every served request's Algorithm 1 route. The
+// snapshots and routes are built before the timer starts, so an operation
+// is route extraction only.
+func BenchmarkRoutesDisjoint108(b *testing.B) {
+	sc, err := NewSpaceGround(108, DefaultParams())
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultServeConfig()
+	wl, err := NewWorkload(sc, cfg.Seed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	type snapshot struct {
+		g     *routing.Graph
+		paths [][]string
+	}
+	var snaps []snapshot
+	for _, at := range cfg.sampleTimes(sc.Params) {
+		tables, g, err := sc.Routes(at)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s := snapshot{g: g}
+		for _, req := range wl.Batch(cfg.RequestsPerStep) {
+			if !tables.Reachable(req.Src, req.Dst) {
+				continue
+			}
+			path, err := tables.Path(req.Src, req.Dst)
+			if err != nil {
+				b.Fatal(err)
+			}
+			s.paths = append(s.paths, path)
+		}
+		snaps = append(snaps, s)
+	}
+	var (
+		adj routing.Adjacency
+		ds  routing.DisjointScratch
+	)
+	pass := func() {
+		for _, s := range snaps {
+			adj.Load(s.g)
+			for _, path := range s.paths {
+				if _, err := ds.ExtractOn(&adj, path, 3); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	pass() // size the buffers, as the first step of RunServe does
+	b.ReportAllocs()
+	b.ResetTimer()
+	var m allocMeter
+	m.start()
+	for i := 0; i < b.N; i++ {
+		pass()
+	}
+	allocs, bytes := m.stop()
+	recordSweepBench(b, "RoutesDisjoint108", 1, allocs, bytes)
+}
+
 func BenchmarkCoverageHour108Satellites(b *testing.B) {
 	sc, err := NewSpaceGround(108, DefaultParams())
 	if err != nil {

@@ -107,13 +107,13 @@ func refDistill(att []float64, chainSeed int64) (w float64, ok bool, rounds, acc
 	return bank, valid, rounds, accepted
 }
 
-// refDisjointPaths is clone-and-delete disjoint route extraction, the same
-// procedure the routing package's scratch differential test uses as its
-// reference: the primary path first, then repeatedly delete every incident
-// edge of consumed interior vertices (and the direct src–dst edge when the
-// consumed path is a single hop) and re-run the baseline Dijkstra on −log η
-// until the budget is filled or the endpoints disconnect.
-func refDisjointPaths(g *routing.Graph, primary []string, k int) ([][]string, error) {
+// DisjointPathsReference is clone-and-delete disjoint route extraction, the
+// same procedure the routing package's scratch differential test uses as
+// its reference: the primary path first, then repeatedly delete every
+// incident edge of consumed interior vertices (and the direct src–dst edge
+// when the consumed path is a single hop) and re-run the baseline Dijkstra
+// on −log η until the budget is filled or the endpoints disconnect.
+func DisjointPathsReference(g *routing.Graph, primary []string, k int) ([][]string, error) {
 	work := g.Clone()
 	src, dst := primary[0], primary[len(primary)-1]
 	consume := func(path []string) {
@@ -160,7 +160,7 @@ func refProtocolVerdict(sc *qntn.Scenario, g *routing.Graph, path []string, req 
 		return true, qntn.PathFidelity(etas, model), refProduct(etas), nil
 	}
 	chainSeed := protocol.ChainSeed(cfg.Seed, protocol.PairKey(req.Src, req.Dst, req.ID, int64(at)))
-	paths, err := refDisjointPaths(g, path, cfg.Paths())
+	paths, err := DisjointPathsReference(g, path, cfg.Paths())
 	if err != nil {
 		return false, 0, 0, err
 	}

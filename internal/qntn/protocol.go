@@ -71,7 +71,9 @@ func (pe *protoEval) pairKey(req netsim.Request, at time.Duration) uint64 {
 }
 
 // outcome runs the full protocol pipeline for one request routed over the
-// primary path at topology instant at:
+// primary path at topology instant at, on the step's snapshot a (loaded
+// once per topology rebuild by the caller, so every request of the step
+// shares its flattened rows):
 //
 //  1. Zero-swap routes (a single edge, e.g. same-LAN fiber) bypass the
 //     layer entirely — no heralding wait, no draws, fidelity exactly the
@@ -90,8 +92,9 @@ func (pe *protoEval) pairKey(req netsim.Request, at time.Duration) uint64 {
 // The scalar reference in oracletest reimplements this pipeline naively
 // (cloned graphs, map Dijkstra, verbatim formulas); the differential matrix
 // pins the two DeepEqual-identical.
-func (pe *protoEval) outcome(g *routing.Graph, path []string, req netsim.Request, at time.Duration) (protoOutcome, error) {
+func (pe *protoEval) outcome(a *routing.Adjacency, path []string, req netsim.Request, at time.Duration) (protoOutcome, error) {
 	var out protoOutcome
+	g := a.Graph()
 	model := pe.sc.Params.FidelityModel
 	if len(path) <= 2 {
 		etas, err := g.EdgeEtasInto(pe.etaBuf[:0], path)
@@ -105,7 +108,7 @@ func (pe *protoEval) outcome(g *routing.Graph, path []string, req netsim.Request
 		return out, nil
 	}
 	chainSeed := protocol.ChainSeed(pe.cfg.Seed, pe.pairKey(req, at))
-	paths, err := pe.ds.Extract(g, path, pe.k)
+	paths, err := pe.ds.ExtractOn(a, path, pe.k)
 	if err != nil {
 		return out, err
 	}

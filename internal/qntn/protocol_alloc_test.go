@@ -40,7 +40,9 @@ func TestProtocolZeroHopBypass(t *testing.T) {
 	}
 	path := []string{"lanA-host", "lanA-switch"}
 	req := netsim.Request{ID: 3, Src: path[0], Dst: path[1]}
-	po, err := pe.outcome(g, path, req, 90*time.Minute)
+	var adj routing.Adjacency
+	adj.Load(g)
+	po, err := pe.outcome(&adj, path, req, 90*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,19 +116,21 @@ func TestProtocolOutcomeDeterministic(t *testing.T) {
 	at, g, attempts := protoTestTopology(t, sc)
 	pe := sc.newProtoEval()
 	fresh := sc.newProtoEval()
+	var adj routing.Adjacency
+	adj.Load(g)
 	for _, a := range attempts {
-		first, err := pe.outcome(g, a.path, a.req, at)
+		first, err := pe.outcome(&adj, a.path, a.req, at)
 		if err != nil {
 			t.Fatal(err)
 		}
-		second, err := pe.outcome(g, a.path, a.req, at)
+		second, err := pe.outcome(&adj, a.path, a.req, at)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(first, second) {
 			t.Fatalf("request %d: reused evaluator diverged: %+v vs %+v", a.req.ID, first, second)
 		}
-		viaFresh, err := fresh.outcome(g, a.path, a.req, at)
+		viaFresh, err := fresh.outcome(&adj, a.path, a.req, at)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,9 +140,10 @@ func TestProtocolOutcomeDeterministic(t *testing.T) {
 	}
 }
 
-// TestProtocolOutcomeZeroAllocs: the per-request protocol evaluation —
-// disjoint extraction, swap chain, dephasing, distillation — must be
-// allocation-free once the evaluator's buffers are warm, so the pooled
+// TestProtocolOutcomeZeroAllocs: the per-step snapshot load and the
+// per-request protocol evaluation — disjoint extraction, swap chain,
+// dephasing, distillation — must be allocation-free once the evaluator's
+// and the snapshot's buffers are warm, so the pooled
 // GraphInto/SnapshotInto serving fast path survives protocol enablement.
 func TestProtocolOutcomeZeroAllocs(t *testing.T) {
 	if raceEnabled {
@@ -152,18 +157,71 @@ func TestProtocolOutcomeZeroAllocs(t *testing.T) {
 	}
 	at, g, attempts := protoTestTopology(t, sc)
 	pe := sc.newProtoEval()
+	var adj routing.Adjacency
+	adj.Load(g)
 	for _, a := range attempts { // warm every buffer across path shapes
-		if _, err := pe.outcome(g, a.path, a.req, at); err != nil {
+		if _, err := pe.outcome(&adj, a.path, a.req, at); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if n := testing.AllocsPerRun(20, func() {
+		adj.Load(g) // a new snapshot per batch, as each topology step loads one
 		for _, a := range attempts {
-			if _, err := pe.outcome(g, a.path, a.req, at); err != nil {
+			if _, err := pe.outcome(&adj, a.path, a.req, at); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}); n != 0 {
 		t.Fatalf("warm protocol evaluation allocates %v times per batch", n)
+	}
+}
+
+// TestAdmissionRefreshReloadsProtocolSnapshot: admission rebuilds one
+// pooled graph in place at every topology update, so refresh must load a
+// new protocol snapshot each time; rows flattened at an earlier instant
+// would route disjoint alternatives over edges that no longer exist. At
+// each update, extraction over the admission's snapshot must equal
+// extraction over a freshly loaded one for every edge as a direct-edge
+// primary, which reaches every row that has an edge.
+func TestAdmissionRefreshReloadsProtocolSnapshot(t *testing.T) {
+	p := DefaultParams()
+	p.Protocol = protoTestConfig()
+	sc, err := NewSpaceGround(24, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ad := newAdmission(sc)
+	var (
+		fresh     routing.Adjacency
+		got, want routing.DisjointScratch
+		multi     int
+	)
+	for _, at := range []time.Duration{0, 6 * time.Hour, 12 * time.Hour, 18 * time.Hour} {
+		if err := ad.refresh(at, nil); err != nil {
+			t.Fatal(err)
+		}
+		fresh.Load(ad.graph)
+		for _, a := range ad.graph.Nodes() {
+			for _, b := range ad.graph.Neighbors(a) {
+				primary := []string{a, b}
+				w, err := want.ExtractOn(&fresh, primary, 4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				g, err := got.ExtractOn(&ad.adj, primary, 4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(g, w) {
+					t.Fatalf("t=%v primary %v: admission snapshot %v, fresh snapshot %v", at, primary, g, w)
+				}
+				if len(w) > 1 {
+					multi++
+				}
+			}
+		}
+	}
+	if multi == 0 {
+		t.Fatal("no edge had a disjoint alternative; the check cannot see stale rows")
 	}
 }

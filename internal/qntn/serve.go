@@ -2,6 +2,7 @@ package qntn
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"qntn/internal/netsim"
@@ -41,6 +42,9 @@ func (cfg ServeConfig) withDefaults() ServeConfig {
 func (cfg ServeConfig) validate() error {
 	if cfg.RequestsPerStep <= 0 || cfg.Steps <= 0 {
 		return fmt.Errorf("qntn: serve config requires positive requests and steps")
+	}
+	if cfg.Steps > math.MaxInt/cfg.RequestsPerStep {
+		return fmt.Errorf("qntn: serve config of %d steps × %d requests overflows the request count", cfg.Steps, cfg.RequestsPerStep)
 	}
 	return nil
 }
@@ -115,6 +119,9 @@ func (sc *Scenario) runServe(cfg ServeConfig, res *ServeResult, timed func(path 
 	}
 	cfg = cfg.withDefaults()
 	res.Config = cfg
+	// Every request records exactly one outcome; validate bounded the
+	// product.
+	res.Metrics.Outcomes = make([]netsim.Outcome, 0, cfg.Steps*cfg.RequestsPerStep)
 	wl, err := NewWorkload(sc, cfg.Seed)
 	if err != nil {
 		return err
@@ -133,10 +140,12 @@ func (sc *Scenario) runServe(cfg ServeConfig, res *ServeResult, timed func(path 
 	// One Bellman-Ford scratch serves every step: the node set is fixed,
 	// so per-step work reuses its storage. pe is nil unless the
 	// entanglement-protocol layer is enabled; with timed also nil, the nil
-	// branch below is the pre-protocol code verbatim.
+	// branch below is the pre-protocol code verbatim. adj is the protocol's
+	// per-step snapshot of graph, loaded only when pe is non-nil.
 	graph := ts.g
 	var scratch routing.BellmanFordScratch
 	pe := sc.newProtoEval()
+	var adj routing.Adjacency
 
 	tel := sc.tel
 	var label string
@@ -148,6 +157,9 @@ func (sc *Scenario) runServe(cfg ServeConfig, res *ServeResult, timed func(path 
 	for step := 0; step < grid.steps; step++ {
 		if err := ts.step(step); err != nil {
 			return err
+		}
+		if pe != nil {
+			adj.Load(graph)
 		}
 		at := grid.at(step)
 		tables := scratch.Run(graph, sc.Params.RoutingEpsilon)
@@ -161,7 +173,7 @@ func (sc *Scenario) runServe(cfg ServeConfig, res *ServeResult, timed func(path 
 					return fmt.Errorf("qntn: step %d request %d: %w", step, req.ID, err)
 				}
 				if pe != nil {
-					po, err := pe.outcome(graph, path, req, at)
+					po, err := pe.outcome(&adj, path, req, at)
 					if err != nil {
 						return fmt.Errorf("qntn: step %d request %d: %w", step, req.ID, err)
 					}

@@ -48,6 +48,7 @@ func runServeReference(sc *Scenario, cfg ServeConfig) (*ServeResult, error) {
 	graph := routing.NewGraph()
 	var scratch routing.BellmanFordScratch
 	pe := sc.newProtoEval()
+	var adj routing.Adjacency
 
 	tel := sc.tel
 	var label string
@@ -65,6 +66,7 @@ func runServeReference(sc *Scenario, cfg ServeConfig) (*ServeResult, error) {
 		} else if err := sc.GraphInto(graph, at); err != nil {
 			return nil, err
 		}
+		adj.Load(graph)
 		tables := scratch.Run(graph, sc.Params.RoutingEpsilon)
 		stepServed, stepDropped := 0, 0
 		var stepFidSum float64
@@ -76,7 +78,7 @@ func runServeReference(sc *Scenario, cfg ServeConfig) (*ServeResult, error) {
 					return nil, fmt.Errorf("qntn: step %d request %d: %w", step, req.ID, err)
 				}
 				if pe != nil {
-					po, err := pe.outcome(graph, path, req, at)
+					po, err := pe.outcome(&adj, path, req, at)
 					if err != nil {
 						return nil, fmt.Errorf("qntn: step %d request %d: %w", step, req.ID, err)
 					}

@@ -145,6 +145,39 @@ func TestServeRejectsBadConfig(t *testing.T) {
 	if _, err := sc.RunServe(ServeConfig{RequestsPerStep: 10, Steps: 0}); err == nil {
 		t.Fatal("zero steps accepted")
 	}
+	// The outcome count Steps × RequestsPerStep must fit an int; before the
+	// check such a config was accepted and never finished.
+	if _, err := sc.RunServe(ServeConfig{RequestsPerStep: 2, Steps: math.MaxInt/2 + 1}); err == nil {
+		t.Fatal("overflowing request count accepted")
+	}
+	if _, err := sc.RunServe(ServeConfig{RequestsPerStep: math.MaxInt, Steps: math.MaxInt}); err == nil {
+		t.Fatal("overflowing request count accepted")
+	}
+}
+
+// TestRunServePresizesOutcomes: every request records exactly one outcome,
+// so RunServe sizes the outcome slice once, protocol off and on, and never
+// grows it.
+func TestRunServePresizesOutcomes(t *testing.T) {
+	for _, proto := range []bool{false, true} {
+		p := DefaultParams()
+		if proto {
+			p.Protocol = protoTestConfig()
+		}
+		sc, err := NewSpaceGround(24, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := quickServeCfg()
+		res, err := sc.RunServe(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs := res.Metrics.Outcomes
+		if want := cfg.Steps * cfg.RequestsPerStep; len(outs) != want || cap(outs) != want {
+			t.Fatalf("protocol=%v: %d outcomes in capacity %d, want %d in %d", proto, len(outs), cap(outs), want, want)
+		}
+	}
 }
 
 // TestRunServeEvaluatesSampleTimes is the regression test for the

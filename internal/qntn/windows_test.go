@@ -173,12 +173,12 @@ func TestCoverageGridBoundaries(t *testing.T) {
 		steps    int
 	}{
 		{0, 0},
-		{step - 1, 0},                // shorter than one step: no samples
-		{step, 1},                    // exactly one step
-		{step + 1, 1},                // a fraction past one step
-		{2*step + step/2, 2},         // mid-step remainder is dropped
-		{10 * step, 10},              // exact multiple
-		{10*step - 1, 9},             // one short of the multiple
+		{step - 1, 0},        // shorter than one step: no samples
+		{step, 1},            // exactly one step
+		{step + 1, 1},        // a fraction past one step
+		{2*step + step/2, 2}, // mid-step remainder is dropped
+		{10 * step, 10},      // exact multiple
+		{10*step - 1, 9},     // one short of the multiple
 	}
 	for _, c := range cases {
 		g := coverageGrid(step, c.duration)
@@ -332,9 +332,9 @@ func TestRefinePairRunBoundaries(t *testing.T) {
 // no orbital elements, so the scan has no speed bound and must fall back to
 // the dense pairwise walk.
 type linearNode struct {
-	id   string
-	pos  geo.Vec3
-	vel  geo.Vec3 // meters per second along each axis
+	id  string
+	pos geo.Vec3
+	vel geo.Vec3 // meters per second along each axis
 }
 
 func (n *linearNode) ID() string            { return n.id }

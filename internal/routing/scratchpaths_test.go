@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -13,20 +14,8 @@ import (
 // nearly every source.
 func tieGraph(t *testing.T, rng *rand.Rand, n int, p float64) *Graph {
 	t.Helper()
-	etas := []float64{0.25, 0.5, 0.5, 1.0} // repeats skew toward ties
 	g := NewGraph()
-	for i := 0; i < n; i++ {
-		g.AddNode(nodeName(i))
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if rng.Float64() < p {
-				if err := g.AddEdge(nodeName(i), nodeName(j), etas[rng.Intn(len(etas))]); err != nil {
-					t.Fatalf("AddEdge: %v", err)
-				}
-			}
-		}
-	}
+	buildComponentTieGraph(t, rng, g, n, 1, p)
 	return g
 }
 
@@ -36,41 +25,65 @@ func nodeName(i int) string {
 
 // TestDijkstraScratchMatchesBaseline pins the scratch replica against the
 // map-packed heap baseline: bit-identical distances AND predecessors, on
-// tie-heavy graphs, from every source, under both cost metrics.
+// tie-heavy graphs, from every source, under both cost metrics — −log η,
+// the Adjacency's own cost, and 1/(η+ε) through its test-only cost hook.
+// Run to completion it must match everywhere; stopped at a destination it
+// must match at that destination and along its predecessor chain.
 func TestDijkstraScratchMatchesBaseline(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	costs := map[string]CostFunc{
-		"neglog":  NegLogEtaCost(0),
-		"inverse": InverseEtaCost(0),
+	arms := []struct {
+		name string
+		hook CostFunc // Adjacency.cost; nil is the production −log η
+		cost CostFunc // the baseline's cost
+	}{
+		{"neglog", nil, NegLogEtaCost(0)},
+		{"inverse", InverseEtaCost(0), InverseEtaCost(0)},
 	}
 	var scratch DijkstraScratch
+	var adj Adjacency
 	for trial := 0; trial < 30; trial++ {
 		n := 4 + rng.Intn(24)
 		g := tieGraph(t, rng, n, 0.3)
-		for name, cost := range costs {
+		for _, arm := range arms {
+			adj.cost = arm.hook
+			adj.Load(g)
 			for si := 0; si < n; si++ {
 				src := nodeName(si)
-				want, err := Dijkstra(g, src, cost)
+				want, err := Dijkstra(g, src, arm.cost)
 				if err != nil {
 					t.Fatalf("Dijkstra: %v", err)
 				}
-				scratch.run(g, si, cost, nil, -1, -1)
-				for i, id := range g.ids {
-					if scratch.dist[i] != want.Dist[id] && !(math.IsInf(scratch.dist[i], 1) && math.IsInf(want.Dist[id], 1)) {
-						t.Fatalf("trial %d cost %s src %s: dist[%s] = %v, baseline %v",
-							trial, name, src, id, scratch.dist[i], want.Dist[id])
-					}
-					var wantPrev string
-					if p := scratch.prev[i]; p >= 0 {
-						wantPrev = g.ids[p]
-					}
-					if wantPrev != want.Prev[id] {
-						t.Fatalf("trial %d cost %s src %s: prev[%s] = %q, baseline %q",
-							trial, name, src, id, wantPrev, want.Prev[id])
+				scratch.run(&adj, si, -1, nil, -1, -1)
+				label := fmt.Sprintf("trial %d cost %s src %s", trial, arm.name, src)
+				for i := range g.ids {
+					requireScratchNode(t, g, &scratch, want, i, label)
+				}
+				for di := 0; di < n; di++ {
+					scratch.run(&adj, si, di, nil, -1, -1)
+					label := fmt.Sprintf("trial %d cost %s src %s stopped at %s", trial, arm.name, src, nodeName(di))
+					for cur := di; cur >= 0; cur = scratch.prev[cur] {
+						requireScratchNode(t, g, &scratch, want, cur, label)
 					}
 				}
 			}
 		}
+	}
+}
+
+// requireScratchNode fails unless the scratch's distance and predecessor of
+// dense node i equal the baseline's bit for bit.
+func requireScratchNode(t *testing.T, g *Graph, s *DijkstraScratch, want *SingleSourceResult, i int, label string) {
+	t.Helper()
+	id := g.ids[i]
+	if s.dist[i] != want.Dist[id] && !(math.IsInf(s.dist[i], 1) && math.IsInf(want.Dist[id], 1)) {
+		t.Fatalf("%s: dist[%s] = %v, baseline %v", label, id, s.dist[i], want.Dist[id])
+	}
+	var gotPrev string
+	if p := s.prev[i]; p >= 0 {
+		gotPrev = g.ids[p]
+	}
+	if gotPrev != want.Prev[id] {
+		t.Fatalf("%s: prev[%s] = %q, baseline %q", label, id, gotPrev, want.Prev[id])
 	}
 }
 
@@ -206,6 +219,100 @@ func TestDisjointScratchReuse(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("query %d: reused %v, fresh %v", qi, got, want)
 		}
+	}
+}
+
+// buildComponentTieGraph rebuilds g in place as a tie-heavy graph of n
+// nodes split into comps components (node i joins component i mod comps),
+// so extraction both stops at reachable destinations and exhausts the heap
+// on unreachable ones. With comps = 1 it draws exactly tieGraph's graph.
+func buildComponentTieGraph(t *testing.T, rng *rand.Rand, g *Graph, n, comps int, p float64) {
+	t.Helper()
+	etas := []float64{0.25, 0.5, 0.5, 1.0} // repeats skew toward ties
+	g.Reset()
+	for i := 0; i < n; i++ {
+		g.AddNode(nodeName(i))
+	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if i%comps == j%comps && rng.Float64() < p {
+				if err := g.AddEdge(nodeName(i), nodeName(j), etas[rng.Intn(len(etas))]); err != nil {
+					t.Fatalf("AddEdge: %v", err)
+				}
+			}
+		}
+	}
+}
+
+// TestDisjointExtractMatchesDenseReference pins ExtractOn and Extract
+// reflect.DeepEqual to the retired dense-row extraction
+// (scratchpaths_ref_test.go) on tie-heavy multi-component graphs, for every
+// budget k ∈ {1,2,3,4}, over best-path and direct-edge primaries. One
+// Adjacency and one scratch serve every graph, and every other graph is
+// rebuilt in place into the same pooled *Graph with a new size and edge
+// set, so a row kept across Load — or a cache keyed on the graph pointer —
+// would return stale neighbours.
+func TestDisjointExtractMatchesDenseReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var (
+		adj        Adjacency
+		on, whole  DisjointScratch
+		ref        denseDisjointRef
+		pooled     = NewGraph()
+		checked    int
+		directEdge int
+	)
+	for trial := 0; trial < 60; trial++ {
+		g := pooled
+		if trial%2 == 0 {
+			g = NewGraph()
+		}
+		n := 5 + rng.Intn(40)
+		buildComponentTieGraph(t, rng, g, n, 1+rng.Intn(4), 0.15+0.3*rng.Float64())
+		adj.Load(g)
+		var primaries [][]string
+		for pair := 0; pair < 8; pair++ {
+			src, dst := nodeName(rng.Intn(n)), nodeName(rng.Intn(n))
+			if src == dst {
+				continue
+			}
+			if p, _, err := BestTransmissivityPath(g, src, dst); err == nil {
+				primaries = append(primaries, p)
+			}
+		}
+		for e := 0; e < 4; e++ {
+			a := nodeName(rng.Intn(n))
+			if nbrs := g.Neighbors(a); len(nbrs) > 0 {
+				primaries = append(primaries, []string{a, nbrs[rng.Intn(len(nbrs))]})
+				directEdge++
+			}
+		}
+		for _, primary := range primaries {
+			for k := 1; k <= 4; k++ {
+				want, err := ref.Extract(g, primary, k)
+				if err != nil {
+					t.Fatalf("reference Extract: %v", err)
+				}
+				got, err := on.ExtractOn(&adj, primary, k)
+				if err != nil {
+					t.Fatalf("ExtractOn: %v", err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d primary %v k=%d: ExtractOn %v, dense reference %v", trial, primary, k, got, want)
+				}
+				got, err = whole.Extract(g, primary, k)
+				if err != nil {
+					t.Fatalf("Extract: %v", err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d primary %v k=%d: Extract %v, dense reference %v", trial, primary, k, got, want)
+				}
+				checked++
+			}
+		}
+	}
+	if checked < 1000 || directEdge < 100 {
+		t.Fatalf("only %d extractions (%d direct-edge primaries) exercised; generator too sparse", checked, directEdge)
 	}
 }
 
