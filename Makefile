@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test perfbench-test race lint vet fmt-check cover bench benchdiff profile clean
+.PHONY: all build test perfbench-test bench-align race lint vet fmt-check cover bench benchdiff profile clean
 
 all: build test lint
 
@@ -20,6 +20,18 @@ test:
 # use) against SnapshotInto and RunServe.
 perfbench-test:
 	cd perfbench && $(GO) test -count=1 ./...
+
+# bench-align builds perfbench with the environment perfbench/run.sh sets
+# and prints where the linker put its calibration reference loop. The
+# reference runs ~15-20% faster at 32 than at 0 mod 64, and every scaled
+# figure moves with it, so compare this value between two commits before
+# comparing their perfbench runs.
+bench-align:
+	@out="$(CURDIR)/.bench_build"; mkdir -p "$$out/gocache" "$$out/gopath" "$$out/tmp" && \
+	(cd perfbench && GOCACHE="$$out/gocache" GOPATH="$$out/gopath" GOTMPDIR="$$out/tmp" TMPDIR="$$out/tmp" \
+		GOTOOLCHAIN=local GOPROXY=off GOFLAGS=-mod=mod GOWORK=off $(GO) build -o "$$out/perfbench" .) && \
+	addr="$$($(GO) tool nm "$$out/perfbench" | awk '$$3 == "main.(*calibrator).run" { print $$1 }')" && \
+	test -n "$$addr" && echo "main.(*calibrator).run at 0x$$addr: $$((0x$$addr % 64)) mod 64"
 
 # race covers the whole module; the parallel sweep engine (internal/runner
 # and its internal/qntn call sites) and the event-driven/stepped equivalence
@@ -53,13 +65,13 @@ fmt-check:
 # machine-readable report — timings, allocs/op, parallel speedups — to
 # BENCH_sweep.json.
 bench:
-	$(GO) test -bench='Sweep|Snapshot|Routes|CoverageHour|CoverageDay|Walker|Qntnlint|ServeDaemon|ServeProtocol' -benchtime=1x -benchmem -run '^$$' ./internal/qntn -args -benchjson=$(CURDIR)/BENCH_sweep.json
+	$(GO) test -bench='Sweep|Snapshot|Routes|CoverageHour|CoverageDay|WindowScan|Walker|Qntnlint|ServeDaemon|ServeProtocol' -benchtime=1x -benchmem -run '^$$' ./internal/qntn -args -benchjson=$(CURDIR)/BENCH_sweep.json
 	@cat BENCH_sweep.json
 
 # benchdiff compares a fresh bench run against the committed baseline
 # (report-only; never fails).
 benchdiff:
-	$(GO) test -bench='Sweep|Snapshot|Routes|CoverageHour|CoverageDay|Walker|Qntnlint|ServeDaemon|ServeProtocol' -benchtime=1x -benchmem -run '^$$' ./internal/qntn -args -benchjson=$(CURDIR)/BENCH_new.json
+	$(GO) test -bench='Sweep|Snapshot|Routes|CoverageHour|CoverageDay|WindowScan|Walker|Qntnlint|ServeDaemon|ServeProtocol' -benchtime=1x -benchmem -run '^$$' ./internal/qntn -args -benchjson=$(CURDIR)/BENCH_new.json
 	$(GO) run ./cmd/benchdiff BENCH_sweep.json BENCH_new.json
 
 # profile runs a quick full-figure workload under the CPU and heap

@@ -289,6 +289,40 @@ func BenchmarkCoverageDay108(b *testing.B) {
 	}
 }
 
+// BenchmarkWindowScan108 times the window layer alone: the candidate-run
+// scan behind the event-driven engine over SpaceGround-108's full-day grid,
+// rescanning into one reused windowScan as the pooled engine does. "gated"
+// is production (every satellite pair is analytic, so the mover-pair sweep
+// is skipped); "forced" runs the sweep anyway, for the sweep's cost.
+func BenchmarkWindowScan108(b *testing.B) {
+	p := DefaultParams()
+	sc, err := NewSpaceGround(108, p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	nodes := sc.Net.Nodes()
+	grid := coverageGrid(p.TopologyStep(), orbit.Day)
+	for _, mode := range []struct {
+		name  string
+		force bool
+	}{{"gated", false}, {"forced", true}} {
+		b.Run("sweep="+mode.name, func(b *testing.B) {
+			defer func(old bool) { moverSweepForce = old }(moverSweepForce)
+			moverSweepForce = mode.force
+			ws := sc.scanWindows(nodes, grid)
+			b.ReportAllocs()
+			b.ResetTimer()
+			var m allocMeter
+			m.start()
+			for i := 0; i < b.N; i++ {
+				ws.scan(sc, nodes, grid)
+			}
+			allocs, bytes := m.stop()
+			recordSweepBench(b, "WindowScan108/"+mode.name, 1, allocs, bytes)
+		})
+	}
+}
+
 // walker1kPairsVisitedRatio is captured by BenchmarkCoverageDayWalker1k's
 // 1008-satellite case and emitted by flushSweepBench.
 var walker1kPairsVisitedRatio float64

@@ -2,6 +2,7 @@ package qntn
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -38,6 +39,16 @@ type Daemon struct {
 	mu     sync.Mutex
 	caches map[string]*EphemerisCache
 }
+
+// Daemon query limits. A query's ephemeris cache holds the whole catalog at
+// every topology instant of its horizon and is kept for the daemon's
+// lifetime, so the horizon is capped at one day (the engine's default); a
+// traffic query is a few hundred bytes of JSON, so bodies past
+// maxQueryBytes are refused before decoding.
+const (
+	maxQueryHorizon = orbit.Day
+	maxQueryBytes   = 64 << 10
+)
 
 // NewDaemon validates the parameters and assembles the daemon's routes.
 // clock supplies wall time for the throughput gauge; pass time.Now from
@@ -145,8 +156,14 @@ func (d *Daemon) prepare(q TrafficQuery) (*Scenario, TrafficConfig, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, cfg, err
 	}
+	if cfg.Horizon > maxQueryHorizon {
+		return nil, cfg, fmt.Errorf("qntn: traffic horizon %v exceeds the daemon limit %v", cfg.Horizon, maxQueryHorizon)
+	}
 	switch q.Arch {
 	case "", "space-ground":
+		if q.Satellites < 1 || q.Satellites > orbit.MaxPaperSatellites {
+			return nil, cfg, fmt.Errorf("qntn: space-ground size %d outside [1, %d]", q.Satellites, orbit.MaxPaperSatellites)
+		}
 		cache, err := d.ephemeris(cfg.Horizon)
 		if err != nil {
 			return nil, cfg, err
@@ -182,11 +199,16 @@ func (d *Daemon) handleTraffic(w http.ResponseWriter, r *http.Request) {
 	defer d.inflight.Add(-1)
 	d.queries.Inc()
 
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBytes))
 	dec.DisallowUnknownFields()
 	var q TrafficQuery
 	if err := dec.Decode(&q); err != nil {
-		d.fail(w, http.StatusBadRequest, fmt.Errorf("qntn: traffic query: %w", err))
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		d.fail(w, code, fmt.Errorf("qntn: traffic query: %w", err))
 		return
 	}
 	sc, cfg, err := d.prepare(q)

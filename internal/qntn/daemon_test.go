@@ -184,32 +184,60 @@ func TestDaemonMetrics(t *testing.T) {
 }
 
 // TestDaemonRejectsBadQueries covers the 4xx surface: malformed JSON,
-// unknown fields (strict decoding), unknown architectures, bad horizons
-// and invalid traffic shapes — all recorded on the error counter.
+// unknown fields (strict decoding), unknown architectures, bad or
+// over-long horizons, invalid traffic shapes and oversized bodies — all
+// recorded on the error counter. No rejected query may build an ephemeris
+// cache; a horizon past one day would otherwise hold the catalog at up to
+// millions of instants.
 func TestDaemonRejectsBadQueries(t *testing.T) {
+	propagations := 0
+	propagationHook = func(int) { propagations++ }
+	defer func() { propagationHook = nil }()
+
 	d := newTestDaemon(t)
 	srv := httptest.NewServer(d.Handler())
 	defer srv.Close()
 
-	bad := []string{
-		`{`,
-		`{"arch":"air-ground","rate_per_hour_per_site":10,"bogus":1}`,
-		`{"arch":"submarine","rate_per_hour_per_site":10}`,
-		`{"arch":"air-ground","rate_per_hour_per_site":10,"horizon":"soon"}`,
-		`{"arch":"air-ground","rate_per_hour_per_site":0}`,
-		`{"arch":"space-ground","satellites":0,"rate_per_hour_per_site":10}`,
-		`{"arch":"air-ground","rate_per_hour_per_site":10,"diurnal_amplitude":1.5}`,
+	bad := []struct {
+		body string
+		code int
+	}{
+		{`{`, http.StatusBadRequest},
+		{`{"arch":"air-ground","rate_per_hour_per_site":10,"bogus":1}`, http.StatusBadRequest},
+		{`{"arch":"submarine","rate_per_hour_per_site":10}`, http.StatusBadRequest},
+		{`{"arch":"air-ground","rate_per_hour_per_site":10,"horizon":"soon"}`, http.StatusBadRequest},
+		{`{"arch":"air-ground","rate_per_hour_per_site":0}`, http.StatusBadRequest},
+		{`{"arch":"space-ground","satellites":0,"rate_per_hour_per_site":10}`, http.StatusBadRequest},
+		{`{"arch":"space-ground","satellites":109,"rate_per_hour_per_site":10}`, http.StatusBadRequest},
+		{`{"arch":"air-ground","rate_per_hour_per_site":10,"diurnal_amplitude":1.5}`, http.StatusBadRequest},
+		{`{"arch":"space-ground","satellites":108,"rate_per_hour_per_site":10,"horizon":"8760h"}`, http.StatusBadRequest},
+		{`{"arch":"space-ground","satellites":6,"rate_per_hour_per_site":10,"horizon":"24h0m0.000000001s"}`, http.StatusBadRequest},
+		{`{"arch":"hybrid","satellites":6,"rate_per_hour_per_site":10,"horizon":"48h"}`, http.StatusBadRequest},
+		{`{"arch":"air-ground","rate_per_hour_per_site":10,"horizon":"25h"}`, http.StatusBadRequest},
+		{`{"arch":"` + strings.Repeat("a", maxQueryBytes) + `","rate_per_hour_per_site":10}`, http.StatusRequestEntityTooLarge},
+		{`{` + strings.Repeat(" ", 2*maxQueryBytes) + `}`, http.StatusRequestEntityTooLarge},
 	}
-	for _, body := range bad {
-		resp := postTraffic(t, srv.URL, body)
+	for _, tc := range bad {
+		resp := postTraffic(t, srv.URL, tc.body)
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("query %s: status %d, want 400", body, resp.StatusCode)
+		if resp.StatusCode != tc.code {
+			t.Fatalf("query %.80s: status %d, want %d", tc.body, resp.StatusCode, tc.code)
 		}
 	}
 	if got := d.reg.Counter("daemon_query_errors_total").Value(); got != uint64(len(bad)) {
 		t.Fatalf("error counter %d, want %d", got, len(bad))
+	}
+	if propagations != 0 || len(d.caches) != 0 {
+		t.Fatalf("rejected queries propagated the catalog %d times and left %d caches", propagations, len(d.caches))
+	}
+
+	// The horizon limit is inclusive: exactly one day is served.
+	resp := postTraffic(t, srv.URL, `{"arch":"air-ground","rate_per_hour_per_site":1,"horizon":"24h"}`)
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("one-day horizon: status %d, want 200", resp.StatusCode)
 	}
 
 	// GET on the traffic route is method-not-allowed, not a panic.

@@ -3,10 +3,10 @@ package qntn
 import (
 	"bytes"
 	"fmt"
-	"hash/fnv"
 	"time"
 
 	"qntn/internal/netsim"
+	"qntn/internal/runner"
 	"qntn/internal/telemetry"
 )
 
@@ -130,7 +130,5 @@ func ParamsHash(p Params) string {
 	if err := SaveParams(&buf, p); err != nil {
 		return ""
 	}
-	h := fnv.New64a()
-	h.Write(buf.Bytes())
-	return fmt.Sprintf("%016x", h.Sum64())
+	return fmt.Sprintf("%016x", runner.FNV64aBytes(buf.Bytes()))
 }

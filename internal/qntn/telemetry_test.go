@@ -444,13 +444,15 @@ func TestInstrumentDetach(t *testing.T) {
 	}
 }
 
-// TestParamsHash: stable across calls, sensitive to parameter changes, and
-// blind to the runtime-only Telemetry field.
+// TestParamsHash: stable across calls and releases, sensitive to parameter
+// changes, and blind to the runtime-only Telemetry field. The literal pins
+// the default parameters' hash: manifests written by earlier builds must
+// keep matching, so a change here means the codec or the hash changed.
 func TestParamsHash(t *testing.T) {
 	p := DefaultParams()
 	h1 := ParamsHash(p)
-	if len(h1) != 16 {
-		t.Fatalf("hash %q is not 16 hex chars", h1)
+	if want := "097853f3676ca929"; h1 != want {
+		t.Fatalf("ParamsHash(DefaultParams()) = %q, want %q", h1, want)
 	}
 	if h2 := ParamsHash(p); h2 != h1 {
 		t.Fatalf("hash unstable: %q vs %q", h1, h2)

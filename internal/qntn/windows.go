@@ -457,12 +457,16 @@ func (ws *windowScan) scanMovingStatic() {
 
 // scanMovingMoving windows the relay↔relay pairs: analytically for circular
 // same-altitude two-body satellite pairs (the paper's constellations),
-// otherwise by a pairwise Lipschitz walk. At constellation scale the spatial
-// sweep first marks the pairs that ever come near range; unmarked pairs of
-// speed-bounded movers are provably windowless and are skipped, which turns
-// the quadratic per-pair scan into work near-linear in visible pairs.
+// otherwise by a pairwise Lipschitz walk. When some pair takes the walk and
+// the constellation is large enough, the spatial sweep first marks the pairs
+// that ever come near range; unmarked pairs of speed-bounded movers are
+// provably windowless and are skipped, which turns the quadratic per-pair
+// walk into work near-linear in visible pairs. When every pair is analytic
+// (one circular two-body shell, e.g. SpaceGround-108) the sweep is skipped:
+// analyticRuns rejects a windowless pair in O(1) from memoized samples, far
+// cheaper than propagating every mover along the sweep's stride.
 func (ws *windowScan) scanMovingMoving() {
-	swept := ws.sweepMoverPairs()
+	swept := (moverSweepForce || ws.moverPairWalks()) && ws.sweepMoverPairs()
 	for a := 0; a < len(ws.movers); a++ {
 		for b := a + 1; b < len(ws.movers); b++ {
 			if swept && !ws.wild[a] && !ws.wild[b] && !ws.pairMarked(a, b) {
@@ -475,11 +479,46 @@ func (ws *windowScan) scanMovingMoving() {
 
 // moverSweepMinMovers is the mover count below which scanMovingMoving keeps
 // the plain quadratic loop — the sweep's setup costs more than it saves.
-// Package variable so tests can force the sweep on small scenarios.
-var moverSweepMinMovers = 24
+// moverSweepForce runs the sweep even when moverPairWalks reports that no
+// pair needs it. Package variables so tests can force the sweep on small
+// scenarios and on all-analytic ones.
+var (
+	moverSweepMinMovers = 24
+	moverSweepForce     = false
+)
+
+// moverPairWalks reports whether any mover pair takes scanMovingPair's
+// pairwiseRuns walk, in O(m) from the movers' kinds and elements and
+// before any propagation. A satellite↔moving-HAP pair always walks; a
+// satellite pair walks unless analyticCircularPair holds for it, and that
+// holds for every satellite pair exactly when all satellites are circular
+// two-body orbits sharing one semi-major axis (the pairwise test is an
+// equivalence on that class). HAP↔HAP pairs never link. Pairs the ISL grid
+// forbids are counted as walking, which only keeps the sweep on.
+func (ws *windowScan) moverPairWalks() bool {
+	sats, haps := 0, 0
+	oneClass := true
+	var first orbit.Elements
+	for _, i := range ws.movers {
+		switch ws.nodes[i].Kind() {
+		case netsim.HAP:
+			haps++
+		case netsim.Satellite:
+			e, ok := nodeElements(ws.nodes[i])
+			if sats == 0 {
+				first = e
+			}
+			oneClass = oneClass && ok && analyticCircularPair(first, e)
+			sats++
+		}
+	}
+	return (sats > 0 && haps > 0) || (sats > 1 && !oneClass)
+}
 
 // sweepMoverPairs runs the strided spatial sweep and reports whether the
-// pairMark bitmap is valid.
+// pairMark bitmap is valid. scanMovingMoving calls it only when some pair
+// walks (moverPairWalks): the screen skips pairwiseRuns walks, and on an
+// all-analytic constellation it would only skip O(1) closed-form checks.
 //
 // Correctness: suppose a speed-bounded mover pair produces a run. Then some
 // instant t* ∈ [−padS, durS+padS] (seconds) has pair distance within

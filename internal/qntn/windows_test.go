@@ -458,14 +458,22 @@ func TestWindowClippingAtScenarioBounds(t *testing.T) {
 // the resulting window sets — down to refined endpoint times — to be
 // DeepEqual to a dense scan with the sweep and index disabled. The sweep
 // may only skip pairs that provably never enter range, so window sets must
-// be identical.
+// be identical. The single-shell scenarios enable J2 so their satellite
+// pairs take the pairwise walk and the walk gate lets the sweep run; every
+// case asserts that it did.
 func TestMoverSweepMatchesDenseWindows(t *testing.T) {
 	defer func(old int) { moverSweepMinMovers = old }(moverSweepMinMovers)
 	moverSweepMinMovers = 2
 
 	builders := map[string]func(p Params) (*Scenario, error){
-		"space-ground-24": func(p Params) (*Scenario, error) { return NewSpaceGround(24, p) },
-		"hybrid-12":       func(p Params) (*Scenario, error) { return NewHybrid(12, p) },
+		"space-ground-24": func(p Params) (*Scenario, error) {
+			p.UseJ2 = true
+			return NewSpaceGround(24, p)
+		},
+		"hybrid-12": func(p Params) (*Scenario, error) {
+			p.UseJ2 = true
+			return NewHybrid(12, p)
+		},
 		"walker-96-global": func(p Params) (*Scenario, error) {
 			return NewWalker(walkerTestSpec(), p)
 		},
@@ -484,6 +492,10 @@ func TestMoverSweepMatchesDenseWindows(t *testing.T) {
 				t.Fatal(err)
 			}
 			duration := 3 * time.Hour
+			ws := swept.scanWindows(swept.Net.Nodes(), coverageGrid(p.TopologyStep(), duration))
+			if len(ws.pairMark) == 0 {
+				t.Fatal("the mover-pair sweep did not run")
+			}
 			got, err := swept.VisibilityWindows(duration)
 			if err != nil {
 				t.Fatal(err)
@@ -497,6 +509,125 @@ func TestMoverSweepMatchesDenseWindows(t *testing.T) {
 			}
 			if len(want) == 0 {
 				t.Fatal("degenerate sweep run: no pair windows")
+			}
+		})
+	}
+}
+
+// drifterHAP is a test HAP that moves: a linearNode reporting the HAP kind,
+// so its pairs with satellites take the pairwise walk.
+type drifterHAP struct{ linearNode }
+
+func (n *drifterHAP) Kind() netsim.NodeKind { return netsim.HAP }
+
+// TestMoverSweepGate pins the walk gate in front of the mover-pair sweep.
+// The sweep is skipped exactly when no mover pair takes the pairwise walk
+// (one circular two-body shell: SpaceGround-108, a one-shell Walker) and
+// runs otherwise (two shells, J2, a mover without elements, a moving HAP
+// beside satellites). Either way the candidate pairs, their runs and the
+// refined windows equal those of a scan with the sweep forced on and of a
+// dense scan — on the full SpaceGround-108 day included.
+func TestMoverSweepGate(t *testing.T) {
+	paperSats := func(n int, p Params) []netsim.Node {
+		sc, err := NewSpaceGround(n, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sats []netsim.Node
+		for _, nd := range sc.Net.Nodes() {
+			if nd.Kind() == netsim.Satellite {
+				sats = append(sats, nd)
+			}
+		}
+		return sats
+	}
+	oneShell := WalkerSpec{
+		Shells:  walkerTestSpec().Shells[:1],
+		ISLGrid: true,
+		Ground:  GlobalGroundNetworks(),
+	}
+	anchor := geo.Vec3{X: geo.EarthRadiusM + 20e3}
+	cases := []struct {
+		name     string
+		build    func(p Params) (*Scenario, error)
+		duration time.Duration
+		walks    bool
+	}{
+		{"space-ground-108-day", func(p Params) (*Scenario, error) { return NewSpaceGround(108, p) }, 24 * time.Hour, false},
+		{"walker-48-one-shell", func(p Params) (*Scenario, error) { return NewWalker(oneShell, p) }, 3 * time.Hour, false},
+		{"walker-96-two-shells", func(p Params) (*Scenario, error) { return NewWalker(walkerTestSpec(), p) }, 3 * time.Hour, true},
+		{"space-ground-24-j2", func(p Params) (*Scenario, error) {
+			p.UseJ2 = true
+			return NewSpaceGround(24, p)
+		}, 3 * time.Hour, true},
+		{"space-ground-24-wild", func(p Params) (*Scenario, error) {
+			relays := append(paperSats(24, p), &linearNode{id: "WILD", pos: anchor, vel: geo.Vec3{Y: 100}})
+			return assemble(SpaceGround, p, relays)
+		}, 3 * time.Hour, true},
+		{"space-ground-24-moving-hap", func(p Params) (*Scenario, error) {
+			relays := append(paperSats(24, p), &drifterHAP{linearNode{id: "DRIFT", pos: anchor, vel: geo.Vec3{Y: 10}}})
+			return assemble(SpaceGround, p, relays)
+		}, 3 * time.Hour, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := DefaultParams()
+			sc, err := tc.build(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pd := p
+			pd.DisableSpatialIndex = true
+			dense, err := tc.build(pd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			grid := coverageGrid(p.TopologyStep(), tc.duration)
+			scan := func(s *Scenario, force bool) *windowScan {
+				defer func(old bool) { moverSweepForce = old }(moverSweepForce)
+				moverSweepForce = force
+				return s.scanWindows(s.Net.Nodes(), grid)
+			}
+			gated, forced, dn := scan(sc, false), scan(sc, true), scan(dense, false)
+			if got := gated.moverPairWalks(); got != tc.walks {
+				t.Fatalf("moverPairWalks = %v, want %v", got, tc.walks)
+			}
+			if ran := len(gated.pairMark) > 0; ran != tc.walks {
+				t.Fatalf("gated scan ran the sweep: %v, want %v", ran, tc.walks)
+			}
+			if len(forced.pairMark) == 0 {
+				t.Fatal("forced scan did not run the sweep")
+			}
+			if len(dn.pairMark) != 0 {
+				t.Fatal("dense scan ran the sweep")
+			}
+			if len(gated.pairs) == 0 {
+				t.Fatal("degenerate scan: no candidate pairs")
+			}
+			for name, other := range map[string]*windowScan{"forced": forced, "dense": dn} {
+				if !reflect.DeepEqual(gated.pairs, other.pairs) {
+					t.Fatalf("gated pairs diverged from the %s scan: %d vs %d", name, len(gated.pairs), len(other.pairs))
+				}
+				if !reflect.DeepEqual(gated.runs, other.runs) {
+					t.Fatalf("gated runs diverged from the %s scan", name)
+				}
+			}
+
+			windows := func(s *Scenario, force bool) []PairWindows {
+				defer func(old bool) { moverSweepForce = old }(moverSweepForce)
+				moverSweepForce = force
+				w, err := s.VisibilityWindows(tc.duration)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return w
+			}
+			want := windows(sc, false)
+			if got := windows(sc, true); !reflect.DeepEqual(got, want) {
+				t.Fatalf("forced-sweep windows diverged from gated: %d vs %d pairs", len(got), len(want))
+			}
+			if got := windows(dense, false); !reflect.DeepEqual(got, want) {
+				t.Fatalf("dense windows diverged from gated: %d vs %d pairs", len(got), len(want))
 			}
 		})
 	}
