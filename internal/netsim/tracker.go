@@ -40,15 +40,15 @@ func NewLinkTracker() *LinkTracker {
 // changes relative to the previous observation. The first observation
 // records every existing link as an Up event at t.
 func (lt *LinkTracker) Observe(t time.Duration, g *routing.Graph) []LinkChange {
-	current := make(map[[2]string]float64)
-	for _, a := range g.Nodes() {
-		for _, b := range g.Neighbors(a) {
-			if a < b {
-				eta, _ := g.Eta(a, b)
-				current[[2]string{a, b}] = eta
-			}
+	ids := g.Nodes()
+	current := make(map[[2]string]float64, g.NumEdges())
+	g.EachEdge(func(i, j int, eta float64) {
+		a, b := ids[i], ids[j]
+		if a > b {
+			a, b = b, a
 		}
-	}
+		current[[2]string{a, b}] = eta
+	})
 	var batch []LinkChange
 	for key, eta := range current {
 		if _, existed := lt.prev[key]; !existed {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"qntn/internal/netsim"
+	"qntn/internal/orbit"
 	"qntn/internal/routing"
 	"qntn/internal/telemetry"
 )
@@ -75,6 +76,54 @@ func BenchmarkSnapshotInto108TelemetrySatellites(b *testing.B) {
 	}
 	allocs, bytes := m.stop()
 	recordSweepBench(b, "SnapshotInto108Telemetry", 1, allocs, bytes)
+}
+
+// BenchmarkSnapshotIntoWalker1k measures one stepped topology step of the
+// walker1k-coverage backbone: two 504-satellite +grid shells over the
+// global ground set, 1,059 nodes and about 1,465 links per step. An
+// operation is a snapshot into one reused graph plus the union-find
+// bridged check, cycling over the 20 instants of a 10-minute slice that
+// the warm-up visits once first, so every neighbour row already has its
+// capacity and the steady state allocates nothing. Run it with -cpu 1 to
+// see 0 allocs/op: with more Ps, the goroutine can migrate between the
+// Close and the next checkout of the scenario's per-P evaluator pool, and
+// the miss rebuilds an evaluator.
+func BenchmarkSnapshotIntoWalker1k(b *testing.B) {
+	shell := func(inclinationDeg, altitudeM float64) orbit.WalkerShell {
+		return orbit.WalkerShell{TotalSats: 504, Planes: 12, Phasing: 1,
+			InclinationDeg: inclinationDeg, AltitudeM: altitudeM}
+	}
+	spec := WalkerSpec{
+		Shells:  []orbit.WalkerShell{shell(53, 550e3), shell(70, 600e3)},
+		ISLGrid: true,
+		Ground:  GlobalGroundNetworks(),
+	}
+	sc, err := NewWalker(spec, DefaultParams())
+	if err != nil {
+		b.Fatal(err)
+	}
+	const instants = 20
+	step := sc.Params.TopologyStep()
+	g := routing.NewGraph()
+	var uf unionFind
+	run := func(k int) {
+		if err := sc.GraphInto(g, time.Duration(k%instants)*step); err != nil {
+			b.Fatal(err)
+		}
+		sc.bridgedInto(&uf, g)
+	}
+	for k := 0; k < instants; k++ {
+		run(k)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var m allocMeter
+	m.start()
+	for i := 0; i < b.N; i++ {
+		run(i)
+	}
+	allocs, bytes := m.stop()
+	recordSweepBench(b, "SnapshotIntoWalker1k", 1, allocs, bytes)
 }
 
 func BenchmarkRoutesAirGround(b *testing.B) {

@@ -213,6 +213,11 @@ func TestDaemonRejectsBadQueries(t *testing.T) {
 		{`{"arch":"space-ground","satellites":108,"rate_per_hour_per_site":10,"horizon":"8760h"}`, http.StatusBadRequest},
 		{`{"arch":"space-ground","satellites":6,"rate_per_hour_per_site":10,"horizon":"24h0m0.000000001s"}`, http.StatusBadRequest},
 		{`{"arch":"hybrid","satellites":6,"rate_per_hour_per_site":10,"horizon":"48h"}`, http.StatusBadRequest},
+		// hybrid sizes follow the paper constellation's: multiples of 6 in
+		// [6,108].
+		{`{"arch":"hybrid","satellites":0,"rate_per_hour_per_site":10}`, http.StatusBadRequest},
+		{`{"arch":"hybrid","satellites":7,"rate_per_hour_per_site":10}`, http.StatusBadRequest},
+		{`{"arch":"hybrid","satellites":114,"rate_per_hour_per_site":10}`, http.StatusBadRequest},
 		{`{"arch":"air-ground","rate_per_hour_per_site":10,"horizon":"25h"}`, http.StatusBadRequest},
 		{`{"arch":"` + strings.Repeat("a", maxQueryBytes) + `","rate_per_hour_per_site":10}`, http.StatusRequestEntityTooLarge},
 		{`{` + strings.Repeat(" ", 2*maxQueryBytes) + `}`, http.StatusRequestEntityTooLarge},

@@ -15,6 +15,7 @@ import (
 
 	"qntn/internal/qntn"
 	"qntn/internal/qntn/oracletest"
+	"qntn/internal/routing"
 	"qntn/internal/telemetry"
 )
 
@@ -38,6 +39,47 @@ func TestEventDrivenMatchesSteppedOracle(t *testing.T) {
 			p.Fault = oracletest.FaultConfig(11)
 			oracletest.AssertAllEqual(t, arch.Build, p, arch.Duration, oracleServeConfig(arch.Duration))
 		})
+	}
+}
+
+// TestEventGraphDeepEqualsSteppedSnapshot compares the topology itself, not
+// the results computed from it: at every grid instant, the graph the event
+// engine maintains by adding and removing links in event order must be
+// reflect.DeepEqual to the stepped snapshot, which admits links in
+// ascending pair order — same nodes, same neighbour rows in the same order,
+// bit-identical transmissivities. Every archetype runs, faults off and on,
+// over at most two hours.
+func TestEventGraphDeepEqualsSteppedSnapshot(t *testing.T) {
+	for _, arch := range oracletest.Archetypes() {
+		duration := min(arch.Duration, 2*time.Hour)
+		for _, faults := range []bool{false, true} {
+			name, p := arch.Name, arch.Params()
+			if faults {
+				name += "-faults"
+				p.Fault = oracletest.FaultConfig(11)
+			}
+			t.Run(name, func(t *testing.T) {
+				stepped, event := oracletest.Pair(t, arch.Build, p)
+				ref := routing.NewGraph()
+				steps, edges := 0, 0
+				err := qntn.EachEventGraph(event, duration, func(at time.Duration, g *routing.Graph) {
+					if err := stepped.GraphInto(ref, at); err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(g, ref) {
+						t.Fatalf("t=%v: event-engine graph (%d edges) != stepped snapshot (%d edges)", at, g.NumEdges(), ref.NumEdges())
+					}
+					steps++
+					edges += ref.NumEdges()
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if steps == 0 || edges == 0 {
+					t.Fatalf("degenerate run: %d steps, %d edges", steps, edges)
+				}
+			})
+		}
 	}
 }
 

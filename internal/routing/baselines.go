@@ -1,7 +1,6 @@
 package routing
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -70,9 +69,9 @@ func ClassicBellmanFord(g *Graph, src string, cost CostFunc) (*SingleSourceResul
 			if math.IsInf(dist[u], 1) {
 				continue
 			}
-			for _, v := range g.neighborIndices(u) {
-				eta, _ := g.etaAt(u, v)
-				c := cost(eta)
+			for _, e := range g.rows[u] {
+				v := int(e.to)
+				c := cost(e.eta)
 				if c < 0 {
 					return nil, fmt.Errorf("routing: negative edge cost %g", c)
 				}
@@ -106,24 +105,24 @@ func Dijkstra(g *Graph, src string, cost CostFunc) (*SingleSourceResult, error) 
 		prev[i] = -1
 	}
 	dist[si] = 0
-	pq := &nodeHeap{items: []heapItem{{node: si, dist: 0}}}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(heapItem)
-		u := it.node
+	pq := make(nodeHeap, 0, n)
+	pq.push(heapItem{node: si, dist: 0})
+	for len(pq) > 0 {
+		u := pq.pop().node
 		if done[u] {
 			continue
 		}
 		done[u] = true
-		for _, v := range g.neighborIndices(u) {
-			eta, _ := g.etaAt(u, v)
-			c := cost(eta)
+		for _, e := range g.rows[u] {
+			v := int(e.to)
+			c := cost(e.eta)
 			if c < 0 {
 				return nil, fmt.Errorf("routing: negative edge cost %g", c)
 			}
 			if dist[u]+c < dist[v] {
 				dist[v] = dist[u] + c
 				prev[v] = u
-				heap.Push(pq, heapItem{node: v, dist: dist[v]})
+				pq.push(heapItem{node: v, dist: dist[v]})
 			}
 		}
 	}
@@ -199,16 +198,53 @@ type heapItem struct {
 	dist float64
 }
 
-type nodeHeap struct{ items []heapItem }
+// nodeHeap is a binary min-heap on dist with container/heap's exact sift
+// arithmetic, so pop order — and with it which equal-cost predecessor wins
+// a tie — is what heap.Push and heap.Pop would give, without boxing every
+// pushed item in an interface.
+type nodeHeap []heapItem
 
-func (h *nodeHeap) Len() int           { return len(h.items) }
-func (h *nodeHeap) Less(i, j int) bool { return h.items[i].dist < h.items[j].dist }
-func (h *nodeHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *nodeHeap) Push(x any)         { h.items = append(h.items, x.(heapItem)) }
-func (h *nodeHeap) Pop() any {
-	old := h.items
-	n := len(old)
-	it := old[n-1]
-	h.items = old[:n-1]
+// push appends and sifts up (heap.Push: append, then up(n−1)).
+//
+//qntn:hotpath heap insertion inside every Dijkstra relaxation loop
+func (h *nodeHeap) push(it heapItem) {
+	//qntn:coldpath amortized growth: callers reuse or pre-size the heap
+	*h = append(*h, it)
+	q := *h
+	j := len(q) - 1
+	for {
+		i := (j - 1) / 2
+		if i == j || !(q[j].dist < q[i].dist) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+// pop removes the minimum (heap.Pop: swap(0, n−1), down(0, n−1), then pop
+// the tail).
+func (h *nodeHeap) pop() heapItem {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	i := 0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n {
+			break
+		}
+		j := j1
+		if j2 := j1 + 1; j2 < n && q[j2].dist < q[j1].dist {
+			j = j2
+		}
+		if !(q[j].dist < q[i].dist) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	it := q[n]
+	*h = q[:n]
 	return it
 }

@@ -18,7 +18,8 @@ func CostFromEta(eta, epsilon float64) float64 {
 // Tables holds the converged routing table of every node: for each (node,
 // destination) pair the minimal total cost and the Algorithm 1 Via waypoint
 // needed to reconstruct the path. Storage is dense (one cost and one
-// waypoint index per pair), matching the dense Graph it is computed from.
+// waypoint index per pair): Algorithm 1 keeps a full table at every node,
+// so the tables are n×n whatever the Graph's edge count.
 type Tables struct {
 	Epsilon float64
 
@@ -95,9 +96,9 @@ func (s *BellmanFordScratch) Run(g *Graph, epsilon float64) *Tables {
 		t.via = make([]int32, n*n)
 	}
 
-	// Flatten the (ascending) neighbor lists once for deterministic,
-	// allocation-free iteration during the update rounds. Every undirected
-	// edge appears in both endpoints' lists.
+	// Flatten the graph's (ascending) neighbour rows once into compact
+	// index lists for the update rounds. Every undirected edge appears in
+	// both endpoints' lists.
 	if cap(s.nbrs) >= 2*g.NumEdges() {
 		s.nbrs = s.nbrs[:0]
 	} else {
@@ -109,14 +110,9 @@ func (s *BellmanFordScratch) Run(g *Graph, epsilon float64) *Tables {
 		s.off = make([]int32, 1, n+1)
 	}
 	s.off[0] = 0
-	for u := 0; u < n; u++ {
-		if u < g.matN {
-			row := g.mat[u*g.matN : (u+1)*g.matN]
-			for v, eta := range row {
-				if eta >= 0 {
-					s.nbrs = append(s.nbrs, int32(v))
-				}
-			}
+	for _, row := range g.rows {
+		for _, e := range row {
+			s.nbrs = append(s.nbrs, e.to)
 		}
 		s.off = append(s.off, int32(len(s.nbrs)))
 	}
@@ -155,22 +151,14 @@ func (s *BellmanFordScratch) initialize(g *Graph, epsilon float64) {
 	for i := 0; i < n; i++ {
 		row := t.cost[i*n : (i+1)*n]
 		vrow := t.via[i*n : (i+1)*n]
-		var arow []float64
-		if i < g.matN {
-			arow = g.mat[i*g.matN : (i+1)*g.matN]
+		for j := range row {
+			row[j] = inf
+			vrow[j] = -1
 		}
-		for j := 0; j < n; j++ {
-			switch {
-			case i == j:
-				row[j] = 0
-				vrow[j] = -1
-			case j < len(arow) && arow[j] >= 0:
-				row[j] = CostFromEta(arow[j], epsilon)
-				vrow[j] = int32(j)
-			default:
-				row[j] = inf
-				vrow[j] = -1
-			}
+		row[i] = 0
+		for _, e := range g.rows[i] {
+			row[e.to] = CostFromEta(e.eta, epsilon)
+			vrow[e.to] = e.to
 		}
 	}
 }

@@ -2,6 +2,7 @@ package routing
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -9,11 +10,12 @@ import (
 )
 
 // runFullSweep is the Algorithm 1 solver as it was before relaxation rounds
-// were restricted to connected components, kept verbatim as the
-// differential oracle for that change: every row sweeps every node u
-// against all of u's neighbors. It shares the table seeding (initialize)
-// and label handling (setIDs) with Run; only the relaxation differs.
-func (s *BellmanFordScratch) runFullSweep(g *Graph, epsilon float64) *Tables {
+// were restricted to connected components and before the graph became
+// sparse, kept verbatim as the differential oracle for both changes: it
+// reads the dense reference matrix (densegraph_ref_test.go), and every row
+// sweeps every node u against all of u's neighbors. It shares only the
+// label handling (setIDs) with Run.
+func (s *BellmanFordScratch) runFullSweep(g *denseGraph, epsilon float64) *Tables {
 	if epsilon <= 0 {
 		epsilon = DefaultEpsilon
 	}
@@ -52,7 +54,7 @@ func (s *BellmanFordScratch) runFullSweep(g *Graph, epsilon float64) *Tables {
 		s.off = append(s.off, int32(len(s.nbrs)))
 	}
 
-	s.initialize(g, epsilon)
+	s.initializeDense(g, epsilon)
 
 	for round := 0; round < n-1; round++ {
 		s.rounds = round + 1
@@ -61,6 +63,37 @@ func (s *BellmanFordScratch) runFullSweep(g *Graph, epsilon float64) *Tables {
 		}
 	}
 	return t
+}
+
+// initializeDense is INITIALIZE over the dense reference matrix, verbatim:
+// it seeds the tables per Algorithm 1's INITIALIZE, cost 0 to self,
+// 1/(η+ε) to adjacent nodes, +Inf elsewhere. Buffers are sized before the
+// call.
+func (s *BellmanFordScratch) initializeDense(g *denseGraph, epsilon float64) {
+	t := &s.t
+	n := t.n
+	inf := math.Inf(1)
+	for i := 0; i < n; i++ {
+		row := t.cost[i*n : (i+1)*n]
+		vrow := t.via[i*n : (i+1)*n]
+		var arow []float64
+		if i < g.matN {
+			arow = g.mat[i*g.matN : (i+1)*g.matN]
+		}
+		for j := 0; j < n; j++ {
+			switch {
+			case i == j:
+				row[j] = 0
+				vrow[j] = -1
+			case j < len(arow) && arow[j] >= 0:
+				row[j] = CostFromEta(arow[j], epsilon)
+				vrow[j] = int32(j)
+			default:
+				row[j] = inf
+				vrow[j] = -1
+			}
+		}
+	}
 }
 
 // relaxFullSweep is the full-sweep UPDATE round, verbatim.
@@ -102,7 +135,7 @@ func RequireFullSweepEqual(tb testing.TB, s *BellmanFordScratch, g *Graph, epsil
 	tb.Helper()
 	got := &s.t
 	var ref BellmanFordScratch
-	want := ref.runFullSweep(g, epsilon)
+	want := ref.runFullSweep(denseOf(g), epsilon)
 	if got.n != want.n || !slices.Equal(got.ids, want.ids) {
 		tb.Fatalf("%s: ids differ:\ngot  %v\nwant %v", label, got.ids, want.ids)
 	}

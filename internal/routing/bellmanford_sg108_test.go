@@ -35,3 +35,30 @@ func TestRunMatchesFullSweepOnSpaceGround108(t *testing.T) {
 		routing.RequireFullSweepEqual(t, &s, g, sc.Params.RoutingEpsilon, fmt.Sprintf("step %d (t=%v)", step, at))
 	}
 }
+
+// TestKernelsMatchDenseOnSpaceGround108 pins the shortest-path kernels that
+// read the sparse neighbour rows — Dijkstra and the protocol's
+// disjoint-route extraction over an Adjacency — to the dense-matrix
+// reference kernels on all 100 DefaultServeConfig SpaceGround-108
+// snapshots, from every ground node to every other one, rebuilding one
+// pooled graph in place as RunServe does.
+func TestKernelsMatchDenseOnSpaceGround108(t *testing.T) {
+	sc, err := qntn.NewSpaceGround(108, qntn.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ground []string
+	for _, lan := range sc.LANs {
+		ground = append(ground, sc.GroundIDs[lan.Name]...)
+	}
+	cfg := qntn.DefaultServeConfig()
+	gap := cfg.Horizon / time.Duration(cfg.Steps)
+	g := routing.NewGraph()
+	for step := 0; step < cfg.Steps; step++ {
+		at := time.Duration(step) * gap
+		if err := sc.GraphInto(g, at); err != nil {
+			t.Fatal(err)
+		}
+		routing.RequireKernelsMatchDense(t, g, ground, fmt.Sprintf("step %d (t=%v)", step, at))
+	}
+}

@@ -12,27 +12,31 @@ import (
 	"sort"
 )
 
-// absentEdge is the adjacency-matrix sentinel for "no edge". Valid
-// transmissivities live in [0,1], so any negative value is unambiguous.
-const absentEdge = -1
+// neighbor is one entry of a node's neighbour row: the adjacent node's
+// dense index and the edge's transmissivity.
+type neighbor struct {
+	to  int32
+	eta float64
+}
 
 // Graph is an undirected graph whose edges carry a transmissivity
 // η ∈ [0, 1]. Nodes are identified by string IDs.
 //
-// The adjacency is a dense n×n matrix backed by a single slice, sized for
-// the simulator's topology snapshots (O(100) nodes, re-evaluated at
-// thousands of instants). Reset and ResetEdges let callers reuse one Graph
-// across snapshots without reallocating; see those methods for the
-// invariants.
+// The adjacency is one neighbour row per node, kept in ascending neighbour
+// index order, so a topology snapshot costs O(nodes + edges) to build,
+// reset and scan however many nodes it has: the simulator's backbones run
+// from about a hundred nodes to over a thousand, with only a few links per
+// node at any instant. Every undirected edge appears in both endpoints'
+// rows. Reset and ResetEdges let callers reuse one Graph across snapshots
+// without reallocating; see those methods for the invariants.
 type Graph struct {
 	ids   []string
 	index map[string]int
-	// mat[i*matN+j] holds the transmissivity of edge i-j, or absentEdge.
-	// The matrix is materialized lazily on the first edge operation and
-	// covers the first matN nodes; nodes added after that have no edges
-	// until the next edge operation re-strides it.
-	mat   []float64
-	matN  int
+	// rows[i] lists node i's neighbours in ascending index order. Rows are
+	// never nil, so a reused graph and a fresh one with the same contents
+	// are DeepEqual; truncated rows keep their capacity for the next
+	// snapshot.
+	rows  [][]neighbor
 	edges int
 }
 
@@ -51,44 +55,17 @@ func (g *Graph) AddNode(id string) int {
 	i := len(g.ids)
 	g.ids = append(g.ids, id)
 	g.index[id] = i
-	return i
-}
-
-// ensureMat sizes the adjacency matrix for the current node count.
-//
-//qntn:hotpath steady state (matN == n) returns immediately
-func (g *Graph) ensureMat() {
-	n := len(g.ids)
-	if g.matN == n && g.mat != nil {
-		return
-	}
-	need := n * n
-	if g.edges > 0 && g.matN > 0 {
-		// Re-striding with live edges: build a fresh matrix and copy the
-		// old rows into place (growing in-place would alias old and new
-		// strides).
-		old, oldN := g.mat, g.matN
-		//qntn:coldpath re-stride happens only when nodes were added
-		m := make([]float64, need)
-		for i := range m {
-			m[i] = absentEdge
-		}
-		for i := 0; i < oldN; i++ {
-			copy(m[i*n:i*n+oldN], old[i*oldN:(i+1)*oldN])
-		}
-		g.mat = m
+	if i < cap(g.rows) {
+		// Recycle the row a node at this index held before Reset.
+		g.rows = g.rows[:i+1]
+		g.rows[i] = g.rows[i][:0]
 	} else {
-		if cap(g.mat) >= need {
-			g.mat = g.mat[:need]
-		} else {
-			//qntn:coldpath amortized capacity growth
-			g.mat = make([]float64, need)
-		}
-		for i := range g.mat {
-			g.mat[i] = absentEdge
-		}
+		g.rows = append(g.rows, nil)
 	}
-	g.matN = n
+	if g.rows[i] == nil {
+		g.rows[i] = []neighbor{}
+	}
+	return i
 }
 
 // Reset empties the graph (nodes and edges) while keeping the allocated
@@ -97,41 +74,98 @@ func (g *Graph) ensureMat() {
 func (g *Graph) Reset() {
 	g.ids = g.ids[:0]
 	clear(g.index)
-	g.mat = g.mat[:0]
-	g.matN = 0
+	g.rows = g.rows[:0]
 	g.edges = 0
 }
 
-// ResetEdges removes every edge while keeping the node set, re-striding the
-// matrix for nodes added since the last edge operation. This is the
-// per-snapshot reuse entry point for topologies whose node set is fixed.
+// ResetEdges removes every edge while keeping the node set: it truncates
+// every row and keeps its capacity, so it costs O(nodes) and allocates
+// nothing. This is the per-snapshot reuse entry point for topologies whose
+// node set is fixed.
 //
-//qntn:hotpath once per snapshot; steady state reuses the backing array
+//qntn:hotpath once per snapshot; rows keep their capacity
 func (g *Graph) ResetEdges() {
-	n := len(g.ids)
-	need := n * n
-	if cap(g.mat) >= need {
-		g.mat = g.mat[:need]
-	} else {
-		//qntn:coldpath amortized capacity growth
-		g.mat = make([]float64, need)
+	for i := range g.rows {
+		g.rows[i] = g.rows[i][:0]
 	}
-	for i := range g.mat {
-		g.mat[i] = absentEdge
-	}
-	g.matN = n
 	g.edges = 0
 }
 
-// setEdge stores eta on the undirected edge i-j; indices must be < matN.
+// searchRow scans row backwards from its end for neighbour to and returns
+// its position, or where it would be inserted, and whether it is present.
+// A neighbour above the row's last one — every add of a snapshot that
+// admits pairs in (i, j) order — is answered at once, and the event
+// engine's per-step updates mostly touch a node's highest neighbours
+// (ground rows list fiber peers first, satellites last). On rows of a few
+// dozen entries this beats a binary search, whose branches do not predict;
+// inserts and removals move the row's tail anyway.
+//
+//qntn:hotpath
+func searchRow(row []neighbor, to int32) (int, bool) {
+	k := len(row)
+	for k > 0 && row[k-1].to > to {
+		k--
+	}
+	if k > 0 && row[k-1].to == to {
+		return k - 1, true
+	}
+	return k, false
+}
+
+// insert puts neighbour j with transmissivity eta at position k of row i,
+// as returned by searchRow; k = len(row) appends.
+//
+//qntn:hotpath
+func (g *Graph) insert(i, k, j int, eta float64) {
+	//qntn:coldpath amortized growth: rows keep their capacity across snapshots
+	row := append(g.rows[i], neighbor{})
+	copy(row[k+1:], row[k:])
+	row[k] = neighbor{to: int32(j), eta: eta}
+	g.rows[i] = row
+}
+
+// unlink deletes j from row i and reports whether it was present.
+//
+//qntn:hotpath
+func (g *Graph) unlink(i, j int) bool {
+	row := g.rows[i]
+	k, ok := searchRow(row, int32(j))
+	if !ok {
+		return false
+	}
+	copy(row[k:], row[k+1:])
+	g.rows[i] = row[:len(row)-1]
+	return true
+}
+
+// setEdge stores eta on the undirected edge i-j; indices must be valid. An
+// edge is in both rows or in neither, so one search per row finds either
+// both entries to update or both insertion points.
 //
 //qntn:hotpath
 func (g *Graph) setEdge(i, j int, eta float64) {
-	if g.mat[i*g.matN+j] < 0 {
-		g.edges++
+	ri, rj := g.rows[i], g.rows[j]
+	ki, found := searchRow(ri, int32(j))
+	kj, _ := searchRow(rj, int32(i))
+	if found {
+		ri[ki].eta = eta
+		rj[kj].eta = eta
+		return
 	}
-	g.mat[i*g.matN+j] = eta
-	g.mat[j*g.matN+i] = eta
+	g.insert(i, ki, j, eta)
+	g.insert(j, kj, i, eta)
+	g.edges++
+}
+
+// removeEdge deletes the undirected edge i-j if present; indices must be
+// valid.
+//
+//qntn:hotpath
+func (g *Graph) removeEdge(i, j int) {
+	if g.unlink(i, j) {
+		g.unlink(j, i)
+		g.edges--
+	}
 }
 
 // AddEdge inserts (or updates) the undirected edge a-b with the given
@@ -144,7 +178,6 @@ func (g *Graph) AddEdge(a, b string, eta float64) error {
 		return fmt.Errorf("routing: transmissivity %g outside [0,1] for edge %s-%s", eta, a, b)
 	}
 	i, j := g.AddNode(a), g.AddNode(b)
-	g.ensureMat()
 	g.setEdge(i, j, eta)
 	return nil
 }
@@ -164,7 +197,6 @@ func (g *Graph) AddEdgeByIndex(i, j int, eta float64) error {
 	if eta < 0 || eta > 1 || math.IsNaN(eta) {
 		return fmt.Errorf("routing: transmissivity %g outside [0,1] for edge %s-%s", eta, g.ids[i], g.ids[j])
 	}
-	g.ensureMat()
 	g.setEdge(i, j, eta)
 	return nil
 }
@@ -173,31 +205,23 @@ func (g *Graph) AddEdgeByIndex(i, j int, eta float64) error {
 func (g *Graph) RemoveEdge(a, b string) {
 	i, oki := g.index[a]
 	j, okj := g.index[b]
-	if !oki || !okj || i >= g.matN || j >= g.matN {
+	if !oki || !okj {
 		return
 	}
-	if g.mat[i*g.matN+j] >= 0 {
-		g.edges--
-	}
-	g.mat[i*g.matN+j] = absentEdge
-	g.mat[j*g.matN+i] = absentEdge
+	g.removeEdge(i, j)
 }
 
 // RemoveEdgeByIndex deletes the undirected edge between the nodes at dense
 // indices i and j if present, skipping the ID lookups of RemoveEdge — the
 // fast path for incremental (event-driven) snapshot maintenance. Indices
-// outside the materialized matrix are a no-op, matching RemoveEdge.
+// outside the node set are a no-op, matching RemoveEdge.
 //
 //qntn:hotpath once per closed link of every topology event
 func (g *Graph) RemoveEdgeByIndex(i, j int) {
-	if i < 0 || j < 0 || i >= g.matN || j >= g.matN {
+	if i < 0 || j < 0 || i >= len(g.ids) || j >= len(g.ids) {
 		return
 	}
-	if g.mat[i*g.matN+j] >= 0 {
-		g.edges--
-	}
-	g.mat[i*g.matN+j] = absentEdge
-	g.mat[j*g.matN+i] = absentEdge
+	g.removeEdge(i, j)
 }
 
 // NumNodes returns the node count.
@@ -227,20 +251,6 @@ func (g *Graph) IndexOf(id string) (int, bool) {
 	return i, ok
 }
 
-// etaAt returns the transmissivity between dense indices i and j and
-// whether that edge exists.
-//
-//qntn:hotpath
-func (g *Graph) etaAt(i, j int) (float64, bool) {
-	if i >= g.matN || j >= g.matN {
-		return 0, false
-	}
-	if v := g.mat[i*g.matN+j]; v >= 0 {
-		return v, true
-	}
-	return 0, false
-}
-
 // Eta returns the transmissivity of edge a-b and whether the edge exists.
 func (g *Graph) Eta(a, b string) (float64, bool) {
 	i, oki := g.index[a]
@@ -248,7 +258,10 @@ func (g *Graph) Eta(a, b string) (float64, bool) {
 	if !oki || !okj {
 		return 0, false
 	}
-	return g.etaAt(i, j)
+	if k, ok := searchRow(g.rows[i], int32(j)); ok {
+		return g.rows[i][k].eta, true
+	}
+	return 0, false
 }
 
 // EachEdge calls fn for every undirected edge (i < j) in deterministic
@@ -256,45 +269,27 @@ func (g *Graph) Eta(a, b string) (float64, bool) {
 //
 //qntn:hotpath
 func (g *Graph) EachEdge(fn func(i, j int, eta float64)) {
-	for i := 0; i < g.matN; i++ {
-		row := g.mat[i*g.matN : (i+1)*g.matN]
-		for j := i + 1; j < g.matN; j++ {
-			if row[j] >= 0 {
-				fn(i, j, row[j])
+	for i, row := range g.rows {
+		for _, e := range row {
+			if int(e.to) > i {
+				fn(i, int(e.to), e.eta)
 			}
 		}
 	}
 }
 
-// Neighbors returns the IDs adjacent to id, sorted for determinism.
+// Neighbors returns the IDs adjacent to id, sorted for determinism, or nil
+// when id is unknown or isolated.
 func (g *Graph) Neighbors(id string) []string {
 	i, ok := g.index[id]
-	if !ok || i >= g.matN {
+	if !ok || len(g.rows[i]) == 0 {
 		return nil
 	}
-	row := g.mat[i*g.matN : (i+1)*g.matN]
-	out := make([]string, 0, 8)
-	for j, v := range row {
-		if v >= 0 {
-			out = append(out, g.ids[j])
-		}
+	out := make([]string, 0, len(g.rows[i]))
+	for _, e := range g.rows[i] {
+		out = append(out, g.ids[e.to])
 	}
 	sort.Strings(out)
-	return out
-}
-
-// neighborIndices returns adjacent dense indices in ascending order.
-func (g *Graph) neighborIndices(i int) []int {
-	if i >= g.matN {
-		return nil
-	}
-	row := g.mat[i*g.matN : (i+1)*g.matN]
-	var out []int
-	for j, v := range row {
-		if v >= 0 {
-			out = append(out, j)
-		}
-	}
 	return out
 }
 

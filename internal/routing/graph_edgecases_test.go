@@ -8,7 +8,7 @@ import (
 // TestResetAfterGrowth drives Reset through graphs that grew to different
 // sizes first: the recycled storage must behave exactly like a fresh graph
 // for every subsequent shape, including shrinking back below the old
-// capacity (where the matrix slice is reused) and growing past it.
+// capacity (where the old rows are reused) and growing past it.
 func TestResetAfterGrowth(t *testing.T) {
 	cases := []struct {
 		name          string
@@ -76,9 +76,9 @@ func TestResetAfterGrowth(t *testing.T) {
 }
 
 // TestAddEdgeByIndexAliasingAcrossRestride grows the node set after edges
-// exist — forcing ensureMat's live-edge re-stride — and checks that no edge
-// moves, appears or disappears under the new stride. A buggy in-place
-// re-stride would alias old rows onto new ones.
+// exist and checks that no edge moves, appears or disappears when the
+// graph's storage grows for the new nodes: storage that aliased old rows
+// onto new ones would show up here.
 func TestAddEdgeByIndexAliasingAcrossRestride(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -98,8 +98,8 @@ func TestAddEdgeByIndexAliasingAcrossRestride(t *testing.T) {
 				g.AddNode(fmt.Sprintf("n%d", i))
 			}
 			want := map[[2]int]float64{}
-			// A dense clique over the base nodes maximizes the rows the
-			// re-stride has to move.
+			// A clique over the base nodes maximizes the live rows when
+			// the graph grows.
 			for i := 0; i < tc.base; i++ {
 				for j := i + 1; j < tc.base; j++ {
 					eta := tc.first - 0.01*float64(i*tc.base+j)
@@ -115,8 +115,8 @@ func TestAddEdgeByIndexAliasingAcrossRestride(t *testing.T) {
 					g.AddNode(fmt.Sprintf("n%d", n+k))
 				}
 				n += extra
-				// The first index-based edge after growth triggers the
-				// re-stride with live edges.
+				// The first index-based edge after growth touches the
+				// newest node's row while the old edges are live.
 				eta := 0.5 / float64(n)
 				if err := g.AddEdgeByIndex(0, n-1, eta); err != nil {
 					t.Fatal(err)
@@ -133,7 +133,7 @@ func TestAddEdgeByIndexAliasingAcrossRestride(t *testing.T) {
 				}
 				for key, eta := range want {
 					if got[key] != eta {
-						t.Fatalf("edge %v = %v after re-stride, want %v", key, got[key], eta)
+						t.Fatalf("edge %v = %v after growth, want %v", key, got[key], eta)
 					}
 				}
 			}
@@ -142,8 +142,8 @@ func TestAddEdgeByIndexAliasingAcrossRestride(t *testing.T) {
 }
 
 // TestIndexOfAfterEviction pins what IndexOf, Eta, Neighbors and RemoveEdge
-// report for nodes that were evicted by Reset, never materialized into the
-// matrix, or simply never existed.
+// report for nodes that were evicted by Reset, added after the last edge
+// operation, or simply never existed.
 func TestIndexOfAfterEviction(t *testing.T) {
 	g := NewGraph()
 	g.AddNode("a")
@@ -191,23 +191,23 @@ func TestIndexOfAfterEviction(t *testing.T) {
 		t.Fatalf("NumEdges = %d after removing an evicted edge", g.NumEdges())
 	}
 
-	// A node added after the last edge operation is indexed but not yet in
-	// the matrix: edge queries must treat it as isolated, not out of range.
+	// A node added after the last edge operation is indexed and isolated:
+	// edge queries must treat it as isolated, not out of range.
 	g.AddNode("late")
 	if i, ok := g.IndexOf("late"); !ok || i != 1 {
 		t.Fatalf("IndexOf(late) = %d,%v", i, ok)
 	}
 	if _, ok := g.Eta("b", "late"); ok {
-		t.Error("unmaterialized node has an edge")
+		t.Error("late node has an edge")
 	}
 	if nbrs := g.Neighbors("late"); nbrs != nil {
 		t.Errorf("Neighbors(late) = %v before any edge op", nbrs)
 	}
-	g.RemoveEdge("b", "late") // indices beyond matN: must be a no-op
+	g.RemoveEdge("b", "late") // absent edge to an isolated node: must be a no-op
 	if err := g.AddEdge("b", "late", 0.25); err != nil {
 		t.Fatal(err)
 	}
 	if eta, ok := g.Eta("b", "late"); !ok || eta != 0.25 {
-		t.Fatalf("Eta(b,late) = %v,%v after materialization", eta, ok)
+		t.Fatalf("Eta(b,late) = %v,%v after adding the edge", eta, ok)
 	}
 }

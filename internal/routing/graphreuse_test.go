@@ -106,8 +106,8 @@ func TestReusedGraphDeepEqualsFreshGraph(t *testing.T) {
 
 func TestAddNodeAfterEdgesRestrides(t *testing.T) {
 	g := buildTriangle(t)
-	// Adding a node after edges exist must preserve them across the
-	// matrix re-stride triggered by the next edge operation.
+	// Adding a node after edges exist must preserve them through the next
+	// edge operation.
 	g.AddNode("d")
 	if err := g.AddEdge("d", "a", 0.95); err != nil {
 		t.Fatal(err)

@@ -5,15 +5,11 @@ import "fmt"
 // Clone returns a deep copy of the graph.
 func (g *Graph) Clone() *Graph {
 	c := NewGraph()
-	for _, id := range g.ids {
+	for i, id := range g.ids {
 		c.AddNode(id)
+		c.rows[i] = append(c.rows[i], g.rows[i]...)
 	}
-	if g.edges > 0 {
-		c.ensureMat()
-		g.EachEdge(func(i, j int, eta float64) {
-			c.setEdge(i, j, eta)
-		})
-	}
+	c.edges = g.edges
 	return c
 }
 

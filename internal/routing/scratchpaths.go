@@ -9,21 +9,21 @@ import (
 // −log η with the default clamp, the same function as NegLogEtaCost(0).
 var negLogEta = NegLogEtaCost(0)
 
-// adjEdge is one flattened adjacency entry: the neighbour's dense index and
-// the edge's cost, evaluated once when its row is flattened.
+// adjEdge is one cost-annotated adjacency entry: the neighbour's dense
+// index and the edge's cost, evaluated once when its row is first read.
 type adjEdge struct {
 	to   int
 	cost float64
 }
 
-// Adjacency is a per-snapshot flattened view of a Graph for repeated
+// Adjacency is a per-snapshot cost-annotated view of a Graph for repeated
 // shortest-path queries over one topology: every served request of a step
-// runs several Dijkstras on the same snapshot, and a Graph's dense matrix
-// makes each of them scan a full n-entry row per popped node and re-evaluate
-// −log η on every relaxed edge. A row here is flattened the first time a
-// query reaches it — the dense row scanned once, neighbours kept in
-// ascending index order, each edge's −log η stored beside it — and reused
-// until the next Load. Rows no query reaches are never flattened.
+// runs several Dijkstras on the same snapshot, and reading the Graph's rows
+// directly would re-evaluate −log η on every relaxed edge of every one of
+// them. A row here is copied from the Graph's neighbour row the first time
+// a query reaches it — neighbours in the same ascending index order, each
+// edge's −log η stored beside it — and reused until the next Load. Rows no
+// query reaches are never copied.
 //
 // The view does not observe later changes to the graph: call Load again
 // after every rebuild or edge edit. It holds no state on the Graph and is
@@ -31,7 +31,7 @@ type adjEdge struct {
 // every step is handled like a fresh one.
 type Adjacency struct {
 	g *Graph
-	// Row u is edges[lo[u]:hi[u]] once flattened; hi[u] < 0 until then.
+	// Row u is edges[lo[u]:hi[u]] once copied; hi[u] < 0 until then.
 	lo, hi []int32
 	edges  []adjEdge
 	// cost overrides the stored per-edge cost; nil means −log η. Only the
@@ -39,8 +39,8 @@ type Adjacency struct {
 	cost CostFunc
 }
 
-// Load starts a new snapshot of g: it only marks every row unflattened, so
-// its cost is one pass over n markers whatever the edge count.
+// Load starts a new snapshot of g: it only marks every row uncopied, so its
+// cost is one pass over n markers whatever the edge count.
 //
 //qntn:hotpath once per topology snapshot with the protocol layer on
 func (a *Adjacency) Load(g *Graph) {
@@ -64,8 +64,7 @@ func (a *Adjacency) Load(g *Graph) {
 func (a *Adjacency) Graph() *Graph { return a.g }
 
 // row returns u's neighbours in ascending index order with their costs,
-// flattening the dense row on first use since the last Load. Nodes added
-// after the matrix was last sized have no edges, as in the Graph itself.
+// copying the Graph's row on first use since the last Load.
 //
 //qntn:hotpath once per node settled by the disjoint-route Dijkstra
 func (a *Adjacency) row(u int) []adjEdge {
@@ -78,14 +77,9 @@ func (a *Adjacency) row(u int) []adjEdge {
 		cost = negLogEta
 	}
 	lo := len(a.edges)
-	if u < g.matN {
-		for v, eta := range g.mat[u*g.matN : (u+1)*g.matN] {
-			if eta < 0 {
-				continue
-			}
-			//qntn:coldpath amortized growth: the edge buffer is reused across snapshots
-			a.edges = append(a.edges, adjEdge{to: v, cost: cost(eta)})
-		}
+	for _, e := range g.rows[u] {
+		//qntn:coldpath amortized growth: the edge buffer is reused across snapshots
+		a.edges = append(a.edges, adjEdge{to: int(e.to), cost: cost(e.eta)})
 	}
 	a.lo[u], a.hi[u] = int32(lo), int32(len(a.edges))
 	return a.edges[lo:]
@@ -93,19 +87,18 @@ func (a *Adjacency) row(u int) []adjEdge {
 
 // DijkstraScratch is a reusable, allocation-free (after warm-up) replica of
 // Dijkstra over an Adjacency. It must stay BIT-IDENTICAL to the map-packed
-// baseline: same relaxation order (ascending neighbour index, matching
-// neighborIndices' dense-row scan), the same float costs, the same
-// strict-improvement rule, and a binary heap transliterating
-// container/heap's exact sift arithmetic — so that predecessor choices
-// agree even on cost ties, where which equal-cost parent wins is decided
-// purely by heap pop order. The differential suite in scratchpaths_test.go
-// pins this against routing.Dijkstra on randomized tie-heavy graphs, and
-// against the retired dense-row kernel (scratchpaths_ref_test.go).
+// baseline: same relaxation order (ascending neighbour index, the order of
+// the Graph's rows), the same float costs, the same strict-improvement
+// rule, and the same nodeHeap — so that predecessor choices agree even on
+// cost ties, where which equal-cost parent wins is decided purely by heap
+// pop order. The differential suite in scratchpaths_test.go pins this
+// against routing.Dijkstra on randomized tie-heavy graphs, and against the
+// retired dense-matrix kernel (scratchpaths_ref_test.go).
 type DijkstraScratch struct {
 	dist []float64
 	prev []int
 	done []bool
-	heap []heapItem
+	heap nodeHeap
 }
 
 // run computes shortest paths from dense index src over the snapshot a,
@@ -142,9 +135,9 @@ func (s *DijkstraScratch) run(a *Adjacency, src, dst int, blocked []bool, skipA,
 	}
 	s.dist[src] = 0
 	s.heap = s.heap[:0]
-	s.push(heapItem{node: src, dist: 0})
+	s.heap.push(heapItem{node: src, dist: 0})
 	for len(s.heap) > 0 {
-		u := s.pop().node
+		u := s.heap.pop().node
 		if s.done[u] {
 			continue
 		}
@@ -164,54 +157,10 @@ func (s *DijkstraScratch) run(a *Adjacency, src, dst int, blocked []bool, skipA,
 			if c := du + e.cost; c < s.dist[v] {
 				s.dist[v] = c
 				s.prev[v] = u
-				s.push(heapItem{node: v, dist: c})
+				s.heap.push(heapItem{node: v, dist: c})
 			}
 		}
 	}
-}
-
-// push appends and sifts up with container/heap's exact arithmetic
-// (heap.Push: append, then up(n−1)).
-//
-//qntn:hotpath heap insertion inside the scratch Dijkstra relaxation loop
-func (s *DijkstraScratch) push(it heapItem) {
-	//qntn:coldpath amortized growth: the heap buffer is reused across runs
-	s.heap = append(s.heap, it)
-	j := len(s.heap) - 1
-	for {
-		i := (j - 1) / 2
-		if i == j || !(s.heap[j].dist < s.heap[i].dist) {
-			break
-		}
-		s.heap[i], s.heap[j] = s.heap[j], s.heap[i]
-		j = i
-	}
-}
-
-// pop removes the minimum with container/heap's exact arithmetic
-// (heap.Pop: swap(0, n−1), down(0, n−1), then pop the tail).
-func (s *DijkstraScratch) pop() heapItem {
-	n := len(s.heap) - 1
-	s.heap[0], s.heap[n] = s.heap[n], s.heap[0]
-	i := 0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n {
-			break
-		}
-		j := j1
-		if j2 := j1 + 1; j2 < n && s.heap[j2].dist < s.heap[j1].dist {
-			j = j2
-		}
-		if !(s.heap[j].dist < s.heap[i].dist) {
-			break
-		}
-		s.heap[i], s.heap[j] = s.heap[j], s.heap[i]
-		i = j
-	}
-	it := s.heap[n]
-	s.heap = s.heap[:n]
-	return it
 }
 
 // DisjointScratch extracts, without steady-state allocation, the route set
@@ -250,8 +199,8 @@ func (s *DisjointScratch) Extract(g *Graph, primary []string, k int) ([][]string
 // last change. The returned slices are valid only until the next Extract or
 // ExtractOn call on the same scratch. k ≤ 1 returns just the primary.
 //
-// The result is exact, bit for bit, against extraction over the dense
-// matrix: each Dijkstra relaxes neighbours in the dense row's ascending
+// The result is exact, bit for bit, against the retired extraction over a
+// dense matrix: each Dijkstra relaxes neighbours in the same ascending
 // order with the same float costs and the same heap, and stopping once dst
 // settles leaves dist[dst] and dst's predecessor chain — all this reads —
 // as a full run would.

@@ -5,8 +5,9 @@ package routing
 // the full dense matrix row of every popped node, evaluates the cost
 // function on every relaxed edge and runs until the heap is empty, plus the
 // Extract loop over it. Only the type names differ (DijkstraScratch →
-// denseDijkstraRef, DisjointScratch → denseDisjointRef), so both can live
-// in one package. scratchpaths_test.go pins ExtractOn and Extract
+// denseDijkstraRef, DisjointScratch → denseDisjointRef, Graph → the dense
+// reference denseGraph of densegraph_ref_test.go), so all can live in one
+// package. scratchpaths_test.go pins ExtractOn and Extract
 // reflect.DeepEqual to it.
 
 import (
@@ -37,7 +38,7 @@ type denseDijkstraRef struct {
 // from a cloned graph. cost must be nonnegative, as the baseline requires.
 //
 //qntn:hotpath once per redundant protocol route of every served request
-func (s *denseDijkstraRef) run(g *Graph, src int, cost CostFunc, blocked []bool, skipA, skipB int) {
+func (s *denseDijkstraRef) run(g *denseGraph, src int, cost CostFunc, blocked []bool, skipA, skipB int) {
 	n := g.NumNodes()
 	if cap(s.dist) < n {
 		//qntn:coldpath warm-up sizing
@@ -156,7 +157,7 @@ type denseDisjointRef struct {
 // primary itself first, then up to k−1 disjoint alternatives in greedy
 // order. The returned slices are valid only until the next Extract call on
 // the same scratch. k ≤ 1 returns just the primary.
-func (s *denseDisjointRef) Extract(g *Graph, primary []string, k int) ([][]string, error) {
+func (s *denseDisjointRef) Extract(g *denseGraph, primary []string, k int) ([][]string, error) {
 	if len(primary) < 2 {
 		return nil, fmt.Errorf("routing: disjoint extraction needs a path, got %d nodes", len(primary))
 	}
@@ -213,7 +214,7 @@ func (s *denseDisjointRef) Extract(g *Graph, primary []string, k int) ([][]strin
 // block marks a consumed path's interior vertices unusable. A single-edge
 // path has no interior, so its direct src–dst edge is retired instead —
 // otherwise the identical path would be re-extracted forever.
-func (s *denseDisjointRef) block(g *Graph, path []string) error {
+func (s *denseDisjointRef) block(g *denseGraph, path []string) error {
 	for i := 1; i+1 < len(path); i++ {
 		idx, ok := g.IndexOf(path[i])
 		if !ok {

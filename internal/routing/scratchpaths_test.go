@@ -270,6 +270,7 @@ func TestDisjointExtractMatchesDenseReference(t *testing.T) {
 		n := 5 + rng.Intn(40)
 		buildComponentTieGraph(t, rng, g, n, 1+rng.Intn(4), 0.15+0.3*rng.Float64())
 		adj.Load(g)
+		dense := denseOf(g)
 		var primaries [][]string
 		for pair := 0; pair < 8; pair++ {
 			src, dst := nodeName(rng.Intn(n)), nodeName(rng.Intn(n))
@@ -289,7 +290,7 @@ func TestDisjointExtractMatchesDenseReference(t *testing.T) {
 		}
 		for _, primary := range primaries {
 			for k := 1; k <= 4; k++ {
-				want, err := ref.Extract(g, primary, k)
+				want, err := ref.Extract(dense, primary, k)
 				if err != nil {
 					t.Fatalf("reference Extract: %v", err)
 				}
