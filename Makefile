@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test perfbench-test bench-align race lint vet fmt-check cover bench benchdiff profile clean
+.PHONY: all build test perfbench-test bench-align race lint vet fmt-check cover bench profile clean
 
 all: build test lint
 
@@ -60,19 +60,12 @@ vet:
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needs to reformat:"; echo "$$out"; exit 1; fi
 
-# bench runs the sweep benchmarks once per worker count plus the hot-path
-# benchmarks (topology snapshot, routing, coverage) and writes the
-# machine-readable report — timings, allocs/op, parallel speedups — to
-# BENCH_sweep.json.
+# bench runs the per-layer micro-benchmarks (sweeps, topology snapshot,
+# routing, coverage, window scan, serve daemon, protocol) five times each,
+# so two runs compare with benchstat. End-to-end figures come from
+# perfbench (see BENCHMARK.json).
 bench:
-	$(GO) test -bench='Sweep|Snapshot|Routes|CoverageHour|CoverageDay|WindowScan|Walker|Qntnlint|ServeDaemon|ServeProtocol' -benchtime=1x -benchmem -run '^$$' ./internal/qntn -args -benchjson=$(CURDIR)/BENCH_sweep.json
-	@cat BENCH_sweep.json
-
-# benchdiff compares a fresh bench run against the committed baseline
-# (report-only; never fails).
-benchdiff:
-	$(GO) test -bench='Sweep|Snapshot|Routes|CoverageHour|CoverageDay|WindowScan|Walker|Qntnlint|ServeDaemon|ServeProtocol' -benchtime=1x -benchmem -run '^$$' ./internal/qntn -args -benchjson=$(CURDIR)/BENCH_new.json
-	$(GO) run ./cmd/benchdiff BENCH_sweep.json BENCH_new.json
+	$(GO) test -bench='Sweep|Snapshot|Routes|CoverageHour|CoverageDay|WindowScan|Walker|Qntnlint|ServeDaemon|ServeProtocol' -benchtime=1x -count 5 -benchmem -run '^$$' ./internal/qntn
 
 # profile runs a quick full-figure workload under the CPU and heap
 # profilers and prints the top CPU consumers. Explore interactively with:
@@ -85,4 +78,4 @@ profile:
 
 clean:
 	$(GO) clean ./...
-	rm -rf profiles BENCH_new.json coverage.out
+	rm -rf profiles coverage.out

@@ -51,7 +51,7 @@ func BenchmarkFig6Coverage(b *testing.B) {
 	p := qntn.DefaultParams()
 	var at108 float64
 	for i := 0; i < b.N; i++ {
-		points, err := experiments.Fig6(p, orbit.Day)
+		points, err := experiments.Fig6(p, orbit.Day, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func BenchmarkFig7ServedRequests(b *testing.B) {
 	p := qntn.DefaultParams()
 	var served float64
 	for i := 0; i < b.N; i++ {
-		points, err := experiments.Fig7And8(p, paperServeConfig())
+		points, err := experiments.Fig7And8(p, paperServeConfig(), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -82,7 +82,7 @@ func BenchmarkFig8Fidelity(b *testing.B) {
 	p := qntn.DefaultParams()
 	var fid float64
 	for i := 0; i < b.N; i++ {
-		points, err := experiments.Fig7And8(p, paperServeConfig())
+		points, err := experiments.Fig7And8(p, paperServeConfig(), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func BenchmarkTable3Comparison(b *testing.B) {
 	var rows []experiments.Table3Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.Table3(p, paperServeConfig(), orbit.Day)
+		rows, err = experiments.Table3(p, paperServeConfig(), orbit.Day, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -124,7 +124,7 @@ func BenchmarkAblationRoutingMetric(b *testing.B) {
 	var rows []experiments.RoutingMetricResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.AblationRoutingMetric(p, orbit.MaxPaperSatellites, ablationServeConfig())
+		rows, err = experiments.AblationRoutingMetric(p, orbit.MaxPaperSatellites, ablationServeConfig(), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -148,7 +148,7 @@ func BenchmarkAblationFidelityConvention(b *testing.B) {
 	var rows []experiments.ConventionResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.AblationFidelityConvention(p, orbit.MaxPaperSatellites, ablationServeConfig())
+		rows, err = experiments.AblationFidelityConvention(p, orbit.MaxPaperSatellites, ablationServeConfig(), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -165,7 +165,7 @@ func BenchmarkAblationTurbulence(b *testing.B) {
 	var rows []experiments.TurbulenceResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.AblationTurbulence(p, orbit.MaxPaperSatellites, cfg, []float64{0, 0.1, 0.5})
+		rows, err = experiments.AblationTurbulence(p, orbit.MaxPaperSatellites, cfg, []float64{0, 0.1, 0.5}, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -182,7 +182,7 @@ func BenchmarkAblationElevationMask(b *testing.B) {
 	var rows []experiments.MaskResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.AblationElevationMask(p, orbit.MaxPaperSatellites, 6*time.Hour, []float64{10, 20, 30})
+		rows, err = experiments.AblationElevationMask(p, orbit.MaxPaperSatellites, 6*time.Hour, []float64{10, 20, 30}, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -206,7 +206,7 @@ func BenchmarkAblationSourcePlacement(b *testing.B) {
 	var rows []experiments.PlacementResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.AblationSourcePlacement(p, orbit.MaxPaperSatellites, ablationServeConfig())
+		rows, err = experiments.AblationSourcePlacement(p, orbit.MaxPaperSatellites, ablationServeConfig(), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -293,7 +293,7 @@ func BenchmarkExtensionMultipathStudy(b *testing.B) {
 	var rows []experiments.MultipathRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.ExtensionMultipathStudy(p, orbit.MaxPaperSatellites, cfg, 3)
+		rows, err = experiments.ExtensionMultipathStudy(p, orbit.MaxPaperSatellites, cfg, 3, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -309,7 +309,7 @@ func BenchmarkExtensionStatewide(b *testing.B) {
 	var rows []experiments.StatewideRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.ExtensionStatewideStudy(p, cfg, 2*time.Hour, []int{3})
+		rows, err = experiments.ExtensionStatewideStudy(p, cfg, 2*time.Hour, []int{3}, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -408,7 +408,7 @@ func runFig5(w io.Writer, opt options) error {
 }
 
 func runFig6(w io.Writer, p qntn.Params, duration time.Duration, opt options) error {
-	points, err := experiments.Fig6Parallel(p, duration, opt.parallel)
+	points, err := experiments.Fig6(p, duration, opt.parallel)
 	if err != nil {
 		return err
 	}
@@ -436,7 +436,7 @@ func runFig6(w io.Writer, p qntn.Params, duration time.Duration, opt options) er
 }
 
 func runFig78(w io.Writer, p qntn.Params, cfg qntn.ServeConfig, which string, opt options) error {
-	points, err := experiments.Fig7And8Parallel(p, cfg, opt.parallel)
+	points, err := experiments.Fig7And8(p, cfg, opt.parallel)
 	if err != nil {
 		return err
 	}
@@ -473,7 +473,7 @@ func runFig78(w io.Writer, p qntn.Params, cfg qntn.ServeConfig, which string, op
 }
 
 func runTable3(w io.Writer, p qntn.Params, cfg qntn.ServeConfig, duration time.Duration, opt options) error {
-	rows, err := experiments.Table3Parallel(p, cfg, duration, opt.parallel)
+	rows, err := experiments.Table3(p, cfg, duration, opt.parallel)
 	if err != nil {
 		return err
 	}
@@ -496,7 +496,7 @@ func runTable3(w io.Writer, p qntn.Params, cfg qntn.ServeConfig, duration time.D
 func runAblations(w io.Writer, p qntn.Params, cfg qntn.ServeConfig, duration time.Duration, parallel int) error {
 	const nSats = orbit.MaxPaperSatellites
 
-	routing, err := experiments.AblationRoutingMetricParallel(p, nSats, cfg, parallel)
+	routing, err := experiments.AblationRoutingMetric(p, nSats, cfg, parallel)
 	if err != nil {
 		return err
 	}
@@ -511,7 +511,7 @@ func runAblations(w io.Writer, p qntn.Params, cfg qntn.ServeConfig, duration tim
 	}
 	fmt.Fprintln(w)
 
-	conv, err := experiments.AblationFidelityConventionParallel(p, nSats, cfg, parallel)
+	conv, err := experiments.AblationFidelityConvention(p, nSats, cfg, parallel)
 	if err != nil {
 		return err
 	}
@@ -525,7 +525,7 @@ func runAblations(w io.Writer, p qntn.Params, cfg qntn.ServeConfig, duration tim
 	}
 	fmt.Fprintln(w)
 
-	masks, err := experiments.AblationElevationMaskParallel(p, nSats, duration, []float64{10, 15, 20, 25, 30}, parallel)
+	masks, err := experiments.AblationElevationMask(p, nSats, duration, []float64{10, 15, 20, 25, 30}, parallel)
 	if err != nil {
 		return err
 	}
@@ -539,7 +539,7 @@ func runAblations(w io.Writer, p qntn.Params, cfg qntn.ServeConfig, duration tim
 	}
 	fmt.Fprintln(w)
 
-	placement, err := experiments.AblationSourcePlacementParallel(p, nSats, cfg, parallel)
+	placement, err := experiments.AblationSourcePlacement(p, nSats, cfg, parallel)
 	if err != nil {
 		return err
 	}
@@ -553,7 +553,7 @@ func runAblations(w io.Writer, p qntn.Params, cfg qntn.ServeConfig, duration tim
 	}
 	fmt.Fprintln(w)
 
-	turb, err := experiments.AblationTurbulenceParallel(p, nSats, cfg, []float64{0, 0.05, 0.1, 0.25, 0.5, 1}, parallel)
+	turb, err := experiments.AblationTurbulence(p, nSats, cfg, []float64{0, 0.05, 0.1, 0.25, 0.5, 1}, parallel)
 	if err != nil {
 		return err
 	}
@@ -571,7 +571,7 @@ func runAblations(w io.Writer, p qntn.Params, cfg qntn.ServeConfig, duration tim
 	}
 	fmt.Fprintln(w)
 
-	design, err := experiments.AblationOrbitDesignParallel(p, nSats, duration,
+	design, err := experiments.AblationOrbitDesign(p, nSats, duration,
 		[]float64{400, 500, 700, 1000}, []float64{40, 53, 70}, parallel)
 	if err != nil {
 		return err
@@ -711,7 +711,7 @@ func runStatewide(w io.Writer, p qntn.Params, cfg qntn.ServeConfig, duration tim
 	}
 	fmt.Fprintln(w)
 
-	rows, err := experiments.ExtensionStatewideStudyParallel(p, cfg, duration, []int{1, 2, 3}, parallel)
+	rows, err := experiments.ExtensionStatewideStudy(p, cfg, duration, []int{1, 2, 3}, parallel)
 	if err != nil {
 		return err
 	}
@@ -736,14 +736,14 @@ func runOutage(w io.Writer, p qntn.Params, cfg qntn.ServeConfig, duration time.D
 	cells := make([][]string, len(rows))
 	for i, r := range rows {
 		cells[i] = []string{
-			fmt.Sprintf("%.0f%%", 100*r.OutageProbability),
+			fmt.Sprintf("%.0f%%", 100*r.Unavailability),
 			experiments.FormatPercent(r.CoveragePercent),
 			experiments.FormatPercent(r.ServedPercent),
 			strconv.Itoa(r.Intervals),
 		}
 	}
 	return experiments.RenderTable(w, "Extension — HAP outage sensitivity (air-ground)",
-		[]string{"outage prob/step", "coverage", "served", "intervals"}, cells)
+		[]string{"HAP unavailability", "coverage", "served", "intervals"}, cells)
 }
 
 func runDegrade(w io.Writer, p qntn.Params, cfg qntn.ServeConfig, opt options) error {
@@ -753,7 +753,7 @@ func runDegrade(w io.Writer, p qntn.Params, cfg qntn.ServeConfig, opt options) e
 		sizes = []int{6, 24}
 		levels = []float64{0, 0.2}
 	}
-	rows, err := experiments.DegradationStudyParallel(p, cfg, opt.duration, sizes, levels, opt.parallel)
+	rows, err := experiments.DegradationStudy(p, cfg, opt.duration, sizes, levels, opt.parallel)
 	if err != nil {
 		return err
 	}
@@ -780,7 +780,7 @@ func runDegrade(w io.Writer, p qntn.Params, cfg qntn.ServeConfig, opt options) e
 }
 
 func runMultipath(w io.Writer, p qntn.Params, cfg qntn.ServeConfig, parallel int) error {
-	rows, err := experiments.ExtensionMultipathStudyParallel(p, orbit.MaxPaperSatellites, cfg, 3, parallel)
+	rows, err := experiments.ExtensionMultipathStudy(p, orbit.MaxPaperSatellites, cfg, 3, parallel)
 	if err != nil {
 		return err
 	}
@@ -809,7 +809,7 @@ func runProtocol(w io.Writer, p qntn.Params, cfg qntn.ServeConfig, opt options) 
 		t2s = []time.Duration{10 * time.Millisecond, 100 * time.Millisecond}
 		budgets = []int{1, 3}
 	}
-	rows, err := experiments.ProtocolStudyParallel(p, cfg, base, sizes, t2s, budgets, opt.parallel)
+	rows, err := experiments.ProtocolStudy(p, cfg, base, sizes, t2s, budgets, opt.parallel)
 	if err != nil {
 		return err
 	}

@@ -161,7 +161,7 @@ func TestRunOutageQuick(t *testing.T) {
 	if err := run([]string{"-quick", "outage"}, &b); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(b.String(), "outage prob/step") {
+	if !strings.Contains(b.String(), "HAP unavailability") {
 		t.Fatalf("outage output:\n%s", b.String())
 	}
 }

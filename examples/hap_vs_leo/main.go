@@ -24,7 +24,7 @@ func main() {
 	}
 	// 3-hour coverage window keeps the example fast; cmd/qntnsim table3
 	// runs the full day.
-	rows, err := experiments.Table3(params, cfg, 3*time.Hour)
+	rows, err := experiments.Table3(params, cfg, 3*time.Hour, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -31,15 +31,12 @@ type RoutingMetricResult struct {
 // path; the hybrid offers genuine route diversity (HAP vs best satellite)
 // and exposes the metrics' different choices. The same request workload is
 // replayed for every metric.
-func AblationRoutingMetric(p qntn.Params, nSats int, cfg qntn.ServeConfig) ([]RoutingMetricResult, error) {
-	return AblationRoutingMetricParallel(p, nSats, cfg, 0)
-}
-
-// AblationRoutingMetricParallel fans the three metrics out over the worker
-// pool. The scenario is shared (its link evaluation is pure) and each
-// metric owns its workload generator and output slot, so the comparison is
-// identical for any worker count.
-func AblationRoutingMetricParallel(p qntn.Params, nSats int, cfg qntn.ServeConfig, workers int) ([]RoutingMetricResult, error) {
+//
+// It fans the three metrics out over the worker pool. The scenario is shared
+// (its link evaluation is pure) and each metric owns its workload generator
+// and output slot, so the comparison is identical for any worker count.
+// workers <= 0 selects GOMAXPROCS.
+func AblationRoutingMetric(p qntn.Params, nSats int, cfg qntn.ServeConfig, workers int) ([]RoutingMetricResult, error) {
 	sc, err := qntn.NewHybrid(nSats, p)
 	if err != nil {
 		return nil, err
@@ -132,13 +129,10 @@ type ConventionResult struct {
 // AblationFidelityConvention re-scores both architectures' served requests
 // under the root and squared Uhlmann conventions — quantifying the
 // discrepancy documented in DESIGN.md.
-func AblationFidelityConvention(p qntn.Params, nSats int, cfg qntn.ServeConfig) ([]ConventionResult, error) {
-	return AblationFidelityConventionParallel(p, nSats, cfg, 0)
-}
-
-// AblationFidelityConventionParallel fans the two architectures out over
-// the worker pool; each task owns its scenario and output slot.
-func AblationFidelityConventionParallel(p qntn.Params, nSats int, cfg qntn.ServeConfig, workers int) ([]ConventionResult, error) {
+//
+// It fans the two architectures out over the worker pool; each task owns its
+// scenario and output slot. workers <= 0 selects GOMAXPROCS.
+func AblationFidelityConvention(p qntn.Params, nSats int, cfg qntn.ServeConfig, workers int) ([]ConventionResult, error) {
 	space, err := qntn.NewSpaceGround(nSats, p)
 	if err != nil {
 		return nil, err
@@ -187,17 +181,13 @@ type TurbulenceResult struct {
 }
 
 // AblationTurbulence sweeps turbulence strength (0 = the paper's ideal
-// assumption; 1 = nominal HV5/7; above 1 = degraded weather), addressing
-// the paper's future-work question of how weather affects each
-// architecture.
-func AblationTurbulence(p qntn.Params, nSats int, cfg qntn.ServeConfig, scales []float64) ([]TurbulenceResult, error) {
-	return AblationTurbulenceParallel(p, nSats, cfg, scales, 0)
-}
-
-// AblationTurbulenceParallel fans the turbulence scales out over the worker
-// pool; each scale builds its own pair of scenarios and owns its output
-// slot.
-func AblationTurbulenceParallel(p qntn.Params, nSats int, cfg qntn.ServeConfig, scales []float64, workers int) ([]TurbulenceResult, error) {
+// assumption; 1 = nominal HV5/7; above 1 = degraded weather), addressing the
+// paper's future-work question of how weather affects each architecture.
+//
+// It fans the turbulence scales out over the worker pool; each scale builds
+// its own pair of scenarios and owns its output slot. workers <= 0 selects
+// GOMAXPROCS.
+func AblationTurbulence(p qntn.Params, nSats int, cfg qntn.ServeConfig, scales []float64, workers int) ([]TurbulenceResult, error) {
 	out := make([]TurbulenceResult, len(scales))
 	err := runner.Map(context.Background(), len(scales), workers, func(_ context.Context, i int) error {
 		s := scales[i]
@@ -248,19 +238,16 @@ type MaskResult struct {
 // AblationElevationMask sweeps the ground-terminal elevation mask,
 // quantifying how strongly the paper's π/9 choice drives the coverage
 // result.
-func AblationElevationMask(p qntn.Params, nSats int, duration time.Duration, masksDeg []float64) ([]MaskResult, error) {
-	return AblationElevationMaskParallel(p, nSats, duration, masksDeg, 0)
-}
-
-// AblationElevationMaskParallel fans the masks out over the worker pool.
-// The inner coverage sweep runs single-worker: the outer fan-out already
-// saturates the pool, and nesting pools would oversubscribe the CPUs.
-func AblationElevationMaskParallel(p qntn.Params, nSats int, duration time.Duration, masksDeg []float64, workers int) ([]MaskResult, error) {
+//
+// It fans the masks out over the worker pool. The inner coverage sweep runs
+// single-worker: the outer fan-out already saturates the pool, and nesting
+// pools would oversubscribe the CPUs. workers <= 0 selects GOMAXPROCS.
+func AblationElevationMask(p qntn.Params, nSats int, duration time.Duration, masksDeg []float64, workers int) ([]MaskResult, error) {
 	out := make([]MaskResult, len(masksDeg))
 	err := runner.Map(context.Background(), len(masksDeg), workers, func(_ context.Context, i int) error {
 		pm := p
 		pm.MinElevationRad = geo.Rad(masksDeg[i])
-		points, err := qntn.CoverageSweepParallel(pm, []int{nSats}, duration, 1)
+		points, err := qntn.CoverageSweep(pm, []int{nSats}, duration, 1)
 		if err != nil {
 			return err
 		}
@@ -281,17 +268,14 @@ type PlacementResult struct {
 }
 
 // AblationSourcePlacement contrasts the platform-source (best-split,
-// Micius-style) model with keeping the entanglement source at the
-// requesting endpoint.
-func AblationSourcePlacement(p qntn.Params, nSats int, cfg qntn.ServeConfig) ([]PlacementResult, error) {
-	return AblationSourcePlacementParallel(p, nSats, cfg, 0)
-}
-
-// AblationSourcePlacementParallel fans the model × architecture grid out
-// over the worker pool; every cell builds its own scenario and owns its
-// output slot, preserving the sequential row order (per model: space, then
-// air).
-func AblationSourcePlacementParallel(p qntn.Params, nSats int, cfg qntn.ServeConfig, workers int) ([]PlacementResult, error) {
+// Micius-style) model with keeping the entanglement source at the requesting
+// endpoint.
+//
+// It fans the model × architecture grid out over the worker pool; every cell
+// builds its own scenario and owns its output slot, preserving the
+// sequential row order (per model: space, then air). workers <= 0 selects
+// GOMAXPROCS.
+func AblationSourcePlacement(p qntn.Params, nSats int, cfg qntn.ServeConfig, workers int) ([]PlacementResult, error) {
 	models := []qntn.FidelityModel{qntn.SourceAtBestSplit, qntn.SourceAtEndpoint}
 	out := make([]PlacementResult, 2*len(models))
 	err := runner.Grid(context.Background(), len(models), 2, workers, func(_ context.Context, mi, arch int) error {
@@ -337,20 +321,18 @@ type OrbitDesignResult struct {
 // paper's 500 km / 53° choice trades footprint size against link budget:
 // higher orbits see more of Tennessee but their longer slant ranges push
 // links below the transmissivity threshold.
-func AblationOrbitDesign(p qntn.Params, nSats int, duration time.Duration, altitudesKM, inclinationsDeg []float64) ([]OrbitDesignResult, error) {
-	return AblationOrbitDesignParallel(p, nSats, duration, altitudesKM, inclinationsDeg, 0)
-}
-
-// AblationOrbitDesignParallel fans the altitude × inclination grid out over
-// the worker pool; each design point owns its output slot and runs its
-// inner coverage sweep single-worker (the grid saturates the pool).
-func AblationOrbitDesignParallel(p qntn.Params, nSats int, duration time.Duration, altitudesKM, inclinationsDeg []float64, workers int) ([]OrbitDesignResult, error) {
+//
+// It fans the altitude × inclination grid out over the worker pool; each
+// design point owns its output slot and runs its inner coverage sweep
+// single-worker (the grid saturates the pool). workers <= 0 selects
+// GOMAXPROCS.
+func AblationOrbitDesign(p qntn.Params, nSats int, duration time.Duration, altitudesKM, inclinationsDeg []float64, workers int) ([]OrbitDesignResult, error) {
 	out := make([]OrbitDesignResult, len(altitudesKM)*len(inclinationsDeg))
 	err := runner.Grid(context.Background(), len(altitudesKM), len(inclinationsDeg), workers, func(_ context.Context, ai, ii int) error {
 		pp := p
 		pp.SatelliteAltitudeM = altitudesKM[ai] * 1000
 		pp.InclinationDeg = inclinationsDeg[ii]
-		points, err := qntn.CoverageSweepParallel(pp, []int{nSats}, duration, 1)
+		points, err := qntn.CoverageSweep(pp, []int{nSats}, duration, 1)
 		if err != nil {
 			return err
 		}

@@ -28,13 +28,14 @@ type DegradationPoint struct {
 	MeanFidelity  float64
 }
 
-// DegradationStudyParallel quantifies graceful degradation under the fault
-// model: for each fault intensity it re-runs the paper's coverage and
-// serving experiments across the space-ground constellation sizes (through
-// the parallel sweep engine, so one catalog propagation serves every size)
-// and the air-ground architecture. The fault seed in p is kept, so the
-// study is deterministic for fixed inputs and worker-count independent.
-func DegradationStudyParallel(p qntn.Params, cfg qntn.ServeConfig, window time.Duration, sizes []int, levels []float64, workers int) ([]DegradationPoint, error) {
+// DegradationStudy quantifies graceful degradation under the fault model:
+// for each fault intensity it re-runs the paper's coverage and serving
+// experiments across the space-ground constellation sizes (through the
+// parallel sweep engine, so one catalog propagation serves every size) and
+// the air-ground architecture. The fault seed in p is kept, so the study is
+// deterministic for fixed inputs and worker-count independent. workers <= 0
+// selects GOMAXPROCS.
+func DegradationStudy(p qntn.Params, cfg qntn.ServeConfig, window time.Duration, sizes []int, levels []float64, workers int) ([]DegradationPoint, error) {
 	if len(sizes) == 0 || len(levels) == 0 {
 		return nil, fmt.Errorf("experiments: degradation study requires sizes and fault levels")
 	}
@@ -42,11 +43,11 @@ func DegradationStudyParallel(p qntn.Params, cfg qntn.ServeConfig, window time.D
 	for _, u := range levels {
 		pp := p
 		pp.Fault = fault.AtIntensity(u, p.Fault.Seed)
-		cov, err := qntn.CoverageSweepParallel(pp, sizes, window, workers)
+		cov, err := qntn.CoverageSweep(pp, sizes, window, workers)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: degradation study (u=%g): %w", u, err)
 		}
-		srv, err := qntn.ServeSweepParallel(pp, sizes, cfg, workers)
+		srv, err := qntn.ServeSweep(pp, sizes, cfg, workers)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: degradation study (u=%g): %w", u, err)
 		}

@@ -23,7 +23,7 @@ func TestDegradationStudySmoke(t *testing.T) {
 	sizes := []int{6}
 	levels := []float64{0, 0.5}
 
-	rows, err := DegradationStudyParallel(p, cfg, window, sizes, levels, 2)
+	rows, err := DegradationStudy(p, cfg, window, sizes, levels, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,11 +68,11 @@ func TestDegradationStudyWorkerCountInvariance(t *testing.T) {
 	sizes := []int{6, 12}
 	levels := []float64{0.2}
 
-	a, err := DegradationStudyParallel(p, cfg, window, sizes, levels, 1)
+	a, err := DegradationStudy(p, cfg, window, sizes, levels, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := DegradationStudyParallel(p, cfg, window, sizes, levels, 8)
+	b, err := DegradationStudy(p, cfg, window, sizes, levels, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,10 +83,10 @@ func TestDegradationStudyWorkerCountInvariance(t *testing.T) {
 
 func TestDegradationStudyRejectsEmptyAxes(t *testing.T) {
 	p, cfg, window := degradationInputs()
-	if _, err := DegradationStudyParallel(p, cfg, window, nil, []float64{0}, 1); err == nil {
+	if _, err := DegradationStudy(p, cfg, window, nil, []float64{0}, 1); err == nil {
 		t.Error("empty sizes accepted")
 	}
-	if _, err := DegradationStudyParallel(p, cfg, window, []int{6}, nil, 1); err == nil {
+	if _, err := DegradationStudy(p, cfg, window, []int{6}, nil, 1); err == nil {
 		t.Error("empty levels accepted")
 	}
 }

@@ -80,7 +80,7 @@ func TestFig5RejectsBadStep(t *testing.T) {
 }
 
 func TestFig6ShortWindow(t *testing.T) {
-	points, err := Fig6(qntn.DefaultParams(), time.Hour)
+	points, err := Fig6(qntn.DefaultParams(), time.Hour, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestFig6ShortWindow(t *testing.T) {
 
 func TestTable3ShortRun(t *testing.T) {
 	cfg := qntn.ServeConfig{RequestsPerStep: 10, Steps: 5, Horizon: 24 * time.Hour, Seed: 2}
-	rows, err := Table3(qntn.DefaultParams(), cfg, time.Hour)
+	rows, err := Table3(qntn.DefaultParams(), cfg, time.Hour, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestFormatHelpers(t *testing.T) {
 
 func TestAblationRoutingMetric(t *testing.T) {
 	cfg := qntn.ServeConfig{RequestsPerStep: 10, Steps: 4, Horizon: 24 * time.Hour, Seed: 3}
-	rows, err := AblationRoutingMetric(qntn.DefaultParams(), 36, cfg)
+	rows, err := AblationRoutingMetric(qntn.DefaultParams(), 36, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestAblationRoutingMetric(t *testing.T) {
 
 func TestAblationFidelityConvention(t *testing.T) {
 	cfg := qntn.ServeConfig{RequestsPerStep: 10, Steps: 3, Horizon: 24 * time.Hour, Seed: 3}
-	rows, err := AblationFidelityConvention(qntn.DefaultParams(), 36, cfg)
+	rows, err := AblationFidelityConvention(qntn.DefaultParams(), 36, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestAblationFidelityConvention(t *testing.T) {
 }
 
 func TestAblationElevationMask(t *testing.T) {
-	rows, err := AblationElevationMask(qntn.DefaultParams(), 108, time.Hour, []float64{10, 20, 30})
+	rows, err := AblationElevationMask(qntn.DefaultParams(), 108, time.Hour, []float64{10, 20, 30}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestAblationElevationMask(t *testing.T) {
 
 func TestAblationSourcePlacement(t *testing.T) {
 	cfg := qntn.ServeConfig{RequestsPerStep: 8, Steps: 3, Horizon: 24 * time.Hour, Seed: 4}
-	rows, err := AblationSourcePlacement(qntn.DefaultParams(), 36, cfg)
+	rows, err := AblationSourcePlacement(qntn.DefaultParams(), 36, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestAblationSourcePlacement(t *testing.T) {
 
 func TestAblationTurbulence(t *testing.T) {
 	cfg := qntn.ServeConfig{RequestsPerStep: 6, Steps: 2, Horizon: 24 * time.Hour, Seed: 4}
-	rows, err := AblationTurbulence(qntn.DefaultParams(), 36, cfg, []float64{0, 1})
+	rows, err := AblationTurbulence(qntn.DefaultParams(), 36, cfg, []float64{0, 1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

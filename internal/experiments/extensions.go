@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"qntn/internal/fault"
 	"qntn/internal/qntn"
 	"qntn/internal/quantum"
 )
@@ -167,23 +168,27 @@ func ExtensionNightStudy(p qntn.Params, nSats int, cfg qntn.ServeConfig, coverag
 
 // OutageRow reports one HAP reliability level.
 type OutageRow struct {
-	OutageProbability float64
-	CoveragePercent   float64
-	ServedPercent     float64
-	Intervals         int
+	// Unavailability is the long-run fraction of time the HAP is down.
+	Unavailability  float64
+	CoveragePercent float64
+	ServedPercent   float64
+	Intervals       int
 }
 
-// ExtensionOutageStudy sweeps the HAP outage probability — the paper's
-// §II-D stability/maintenance concern made quantitative. Each step the
-// platform is independently unavailable with the given probability;
-// coverage tracks availability and the day fragments into many short
+// ExtensionOutageStudy sweeps the HAP's long-run unavailability u — the
+// paper's §II-D stability/maintenance concern made quantitative. Each point
+// runs the air-ground network under a HAP-only fault schedule whose repairs
+// take one topology step on average (MTBF = MTTR·(1−u)/u), seeded from
+// p.Fault.Seed and spanning both the coverage window and the serve horizon.
+// Coverage tracks availability and the day fragments into many short
 // connected intervals, which is what a downstream application would
 // actually experience.
-func ExtensionOutageStudy(p qntn.Params, cfg qntn.ServeConfig, window time.Duration, probs []float64) ([]OutageRow, error) {
+func ExtensionOutageStudy(p qntn.Params, cfg qntn.ServeConfig, window time.Duration, unavailability []float64) ([]OutageRow, error) {
+	horizon := max(window, cfg.Horizon, fault.DefaultHorizon)
 	var rows []OutageRow
-	for _, prob := range probs {
+	for _, u := range unavailability {
 		pp := p
-		pp.HAPOutageProbability = prob
+		pp.Fault = fault.HAPUnavailability(u, p.TopologyStep(), horizon, p.Fault.Seed)
 		sc, err := qntn.NewAirGround(pp)
 		if err != nil {
 			return nil, err
@@ -197,10 +202,10 @@ func ExtensionOutageStudy(p qntn.Params, cfg qntn.ServeConfig, window time.Durat
 			return nil, err
 		}
 		rows = append(rows, OutageRow{
-			OutageProbability: prob,
-			CoveragePercent:   cov.Percent(),
-			ServedPercent:     serve.ServedPercent,
-			Intervals:         len(cov.Intervals),
+			Unavailability:  u,
+			CoveragePercent: cov.Percent(),
+			ServedPercent:   serve.ServedPercent,
+			Intervals:       len(cov.Intervals),
 		})
 	}
 	return rows, nil

@@ -117,7 +117,7 @@ func TestCSVEmitters(t *testing.T) {
 		t.Fatalf("fig5 csv lines %d", lines)
 	}
 
-	points, err := qntn.CoverageSweep(qntn.DefaultParams(), []int{6}, time.Hour)
+	points, err := qntn.CoverageSweep(qntn.DefaultParams(), []int{6}, time.Hour, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestCSVEmitters(t *testing.T) {
 	}
 
 	serve, err := qntn.ServeSweep(qntn.DefaultParams(), []int{6},
-		qntn.ServeConfig{RequestsPerStep: 5, Steps: 2, Horizon: 24 * time.Hour, Seed: 1})
+		qntn.ServeConfig{RequestsPerStep: 5, Steps: 2, Horizon: 24 * time.Hour, Seed: 1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,31 +10,24 @@ import (
 )
 
 // Fig6 computes the paper's Fig. 6: coverage percentage of the space-ground
-// network as a function of the number of satellites (6..108), over the
-// given period (the paper uses a full day). Work is fanned out over the
-// default worker pool; see Fig6Parallel to pin the worker count.
-func Fig6(p qntn.Params, duration time.Duration) ([]qntn.CoveragePoint, error) {
-	return Fig6Parallel(p, duration, 0)
-}
-
-// Fig6Parallel is Fig6 with an explicit worker count (<= 0 selects one per
-// CPU). The result is identical for any worker count.
-func Fig6Parallel(p qntn.Params, duration time.Duration, workers int) ([]qntn.CoveragePoint, error) {
-	return qntn.CoverageSweepParallel(p, qntn.PaperSweepSizes(), duration, workers)
+// network as a function of the number of satellites (6..108), over the given
+// period (the paper uses a full day).
+//
+// workers bounds the pool (0 = GOMAXPROCS); the result is identical for
+// any worker count.
+func Fig6(p qntn.Params, duration time.Duration, workers int) ([]qntn.CoveragePoint, error) {
+	return qntn.CoverageSweep(p, qntn.PaperSweepSizes(), duration, workers)
 }
 
 // Fig7And8 computes the paper's Fig. 7 (served entanglement distribution
 // requests) and Fig. 8 (average entanglement fidelity of resolved requests)
-// in one pass: both figures share the same workload of 100 random
-// inter-LAN requests over 100 satellite-movement steps.
-func Fig7And8(p qntn.Params, cfg qntn.ServeConfig) ([]qntn.ServePoint, error) {
-	return Fig7And8Parallel(p, cfg, 0)
-}
-
-// Fig7And8Parallel is Fig7And8 with an explicit worker count (<= 0 selects
-// one per CPU). The result is identical for any worker count.
-func Fig7And8Parallel(p qntn.Params, cfg qntn.ServeConfig, workers int) ([]qntn.ServePoint, error) {
-	return qntn.ServeSweepParallel(p, qntn.PaperSweepSizes(), cfg, workers)
+// in one pass: both figures share the same workload of 100 random inter-LAN
+// requests over 100 satellite-movement steps.
+//
+// workers bounds the pool (0 = GOMAXPROCS); the result is identical for
+// any worker count.
+func Fig7And8(p qntn.Params, cfg qntn.ServeConfig, workers int) ([]qntn.ServePoint, error) {
+	return qntn.ServeSweep(p, qntn.PaperSweepSizes(), cfg, workers)
 }
 
 // Fig7And8Stats runs the Fig. 7/8 sweep over independent workload replicas,
@@ -55,16 +48,12 @@ type Table3Row struct {
 // Table3 reproduces the paper's Table III: the space-ground architecture
 // with 108 satellites versus the air-ground architecture, compared on
 // full-day coverage, served requests, and average entanglement fidelity.
-func Table3(p qntn.Params, cfg qntn.ServeConfig, coverageDuration time.Duration) ([]Table3Row, error) {
-	return Table3Parallel(p, cfg, coverageDuration, 0)
-}
-
-// Table3Parallel is Table3 with an explicit worker count. The four cells —
-// coverage and serve for each architecture — are independent, so they fan
-// out over the pool; each writes only its own slot and both cells of an
-// architecture share one immutable scenario, so the table is identical for
-// any worker count.
-func Table3Parallel(p qntn.Params, cfg qntn.ServeConfig, coverageDuration time.Duration, workers int) ([]Table3Row, error) {
+//
+// The four cells — coverage and serve for each architecture — are
+// independent, so they fan out over the pool; each writes only its own slot
+// and both cells of an architecture share one immutable scenario, so the
+// table is identical for any worker count. workers <= 0 selects GOMAXPROCS.
+func Table3(p qntn.Params, cfg qntn.ServeConfig, coverageDuration time.Duration, workers int) ([]Table3Row, error) {
 	if coverageDuration <= 0 {
 		coverageDuration = orbit.Day
 	}

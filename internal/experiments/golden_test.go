@@ -73,7 +73,7 @@ func TestGoldenFig6CSV(t *testing.T) {
 	p := goldenParams()
 	for _, workers := range goldenWorkerCounts {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			points, err := Fig6Parallel(p, 90*time.Minute, workers)
+			points, err := Fig6(p, 90*time.Minute, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,7 +91,7 @@ func TestGoldenFig78CSV(t *testing.T) {
 	cfg := goldenServeConfig()
 	for _, workers := range goldenWorkerCounts {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			points, err := Fig7And8Parallel(p, cfg, workers)
+			points, err := Fig7And8(p, cfg, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,7 +111,7 @@ func TestGoldenDegradationCSV(t *testing.T) {
 	levels := []float64{0, 0.25}
 	for _, workers := range goldenWorkerCounts {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			rows, err := DegradationStudyParallel(p, cfg, 90*time.Minute, sizes, levels, workers)
+			rows, err := DegradationStudy(p, cfg, 90*time.Minute, sizes, levels, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -133,7 +133,7 @@ func TestGoldenProtocolCSV(t *testing.T) {
 	budgets := []int{1, 3}
 	for _, workers := range goldenWorkerCounts {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			rows, err := ProtocolStudyParallel(p, cfg, base, sizes, t2s, budgets, workers)
+			rows, err := ProtocolStudy(p, cfg, base, sizes, t2s, budgets, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -151,7 +151,7 @@ func TestGoldenTable3CSV(t *testing.T) {
 	cfg := goldenServeConfig()
 	for _, workers := range goldenWorkerCounts {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			rows, err := Table3Parallel(p, cfg, time.Hour, workers)
+			rows, err := Table3(p, cfg, time.Hour, workers)
 			if err != nil {
 				t.Fatal(err)
 			}

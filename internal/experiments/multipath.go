@@ -27,20 +27,16 @@ type MultipathRow struct {
 
 // ExtensionMultipathStudy measures what path redundancy buys on the hybrid
 // topology (HAP + constellation, the only QNTN variant with genuine route
-// diversity): for each request the k best edge-disjoint paths are
-// extracted and the combined delivery probability computed. k = 1 is the
-// paper's single-path routing.
-func ExtensionMultipathStudy(p qntn.Params, nSats int, cfg qntn.ServeConfig, maxPaths int) ([]MultipathRow, error) {
-	return ExtensionMultipathStudyParallel(p, nSats, cfg, maxPaths, 0)
-}
-
-// ExtensionMultipathStudyParallel is ExtensionMultipathStudy with an
-// explicit worker count. The request batches are drawn sequentially up
-// front (the workload RNG is a serial stream), then the per-step disjoint
-// path extraction — the expensive part — fans out over the pool; per-step
-// sample lists are concatenated in step order, so the result is identical
-// for any worker count.
-func ExtensionMultipathStudyParallel(p qntn.Params, nSats int, cfg qntn.ServeConfig, maxPaths int, workers int) ([]MultipathRow, error) {
+// diversity): for each request the k best edge-disjoint paths are extracted
+// and the combined delivery probability computed. k = 1 is the paper's
+// single-path routing.
+//
+// The request batches are drawn sequentially up front (the workload RNG is a
+// serial stream), then the per-step disjoint path extraction — the expensive
+// part — fans out over the pool; per-step sample lists are concatenated in
+// step order, so the result is identical for any worker count. workers <= 0
+// selects GOMAXPROCS.
+func ExtensionMultipathStudy(p qntn.Params, nSats int, cfg qntn.ServeConfig, maxPaths, workers int) ([]MultipathRow, error) {
 	sc, err := qntn.NewHybrid(nSats, p)
 	if err != nil {
 		return nil, err

@@ -40,21 +40,22 @@ type ProtocolPoint struct {
 // informative.
 const protocolHybridRelays = 12
 
-// ProtocolStudyParallel quantifies the fidelity/served tradeoff of the
+// ProtocolStudy quantifies the fidelity/served tradeoff of the
 // entanglement-protocol layer: for every space-ground constellation size
 // plus the hybrid architecture it runs the serve experiment once with the
 // protocol disabled (the paper's seed model) and once per (memory T2,
 // purification budget) grid cell, all sweep rows through the parallel sweep
 // engine. base carries the grid-invariant protocol knobs — swap success
-// probability and draw seed; its MemoryT2 and PurifyPaths are overridden
-// per cell. Deterministic for fixed inputs and worker-count invariant (the
-// sweep engine's guarantee, pinned by the worker-matrix golden test).
-func ProtocolStudyParallel(p qntn.Params, cfg qntn.ServeConfig, base protocol.Config, sizes []int, t2s []time.Duration, budgets []int, workers int) ([]ProtocolPoint, error) {
+// probability and draw seed; its MemoryT2 and PurifyPaths are overridden per
+// cell. Deterministic for fixed inputs and worker-count invariant (the sweep
+// engine's guarantee, pinned by the worker-matrix golden test). workers <= 0
+// selects GOMAXPROCS.
+func ProtocolStudy(p qntn.Params, cfg qntn.ServeConfig, base protocol.Config, sizes []int, t2s []time.Duration, budgets []int, workers int) ([]ProtocolPoint, error) {
 	if len(sizes) == 0 || len(t2s) == 0 || len(budgets) == 0 {
 		return nil, fmt.Errorf("experiments: protocol study requires sizes, T2 levels and purify budgets")
 	}
 	cell := func(pc qntn.Params, point ProtocolPoint) ([]ProtocolPoint, error) {
-		srv, err := qntn.ServeSweepParallel(pc, sizes, cfg, workers)
+		srv, err := qntn.ServeSweep(pc, sizes, cfg, workers)
 		if err != nil {
 			return nil, err
 		}

@@ -31,15 +31,12 @@ type StatewideRow struct {
 // Memphis (no 30 km platform footprint spans the ≈290 km gap west of
 // Nashville and there is no intermediate LAN to chain through), while the
 // constellation serves all fifteen pairs whenever a satellite is up.
-func ExtensionStatewideStudy(p qntn.Params, cfg qntn.ServeConfig, window time.Duration, fleetSizes []int) ([]StatewideRow, error) {
-	return ExtensionStatewideStudyParallel(p, cfg, window, fleetSizes, 0)
-}
-
-// ExtensionStatewideStudyParallel fans the architecture options — one task
-// per HAP fleet size plus one for the constellation — out over the worker
-// pool. Every option builds its own scenario and writes only its own row,
-// so the table is identical for any worker count.
-func ExtensionStatewideStudyParallel(p qntn.Params, cfg qntn.ServeConfig, window time.Duration, fleetSizes []int, workers int) ([]StatewideRow, error) {
+//
+// It fans the architecture options — one task per HAP fleet size plus one
+// for the constellation — out over the worker pool. Every option builds its
+// own scenario and writes only its own row, so the table is identical for
+// any worker count. workers <= 0 selects GOMAXPROCS.
+func ExtensionStatewideStudy(p qntn.Params, cfg qntn.ServeConfig, window time.Duration, fleetSizes []int, workers int) ([]StatewideRow, error) {
 	lans := qntn.ExtendedNetworks()
 	totalPairs := len(lans) * (len(lans) - 1) / 2
 	rows := make([]StatewideRow, len(fleetSizes)+1)

@@ -9,7 +9,7 @@ import (
 
 func TestExtensionStatewideStudy(t *testing.T) {
 	cfg := qntn.ServeConfig{RequestsPerStep: 20, Steps: 5, Horizon: 24 * time.Hour, Seed: 9}
-	rows, err := ExtensionStatewideStudy(qntn.DefaultParams(), cfg, 90*time.Minute, []int{1, 3})
+	rows, err := ExtensionStatewideStudy(qntn.DefaultParams(), cfg, 90*time.Minute, []int{1, 3}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestStatewidePlacement(t *testing.T) {
 
 func TestExtensionMultipathStudy(t *testing.T) {
 	cfg := qntn.ServeConfig{RequestsPerStep: 10, Steps: 5, Horizon: 24 * time.Hour, Seed: 4}
-	rows, err := ExtensionMultipathStudy(qntn.DefaultParams(), 36, cfg, 3)
+	rows, err := ExtensionMultipathStudy(qntn.DefaultParams(), 36, cfg, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

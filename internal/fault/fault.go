@@ -152,3 +152,19 @@ func AtIntensity(u float64, seed int64) Config {
 		Seed:     seed,
 	}
 }
+
+// HAPUnavailability returns a HAP-only config whose long-run unavailability
+// is u in [0, 1): repairs take mttr on average, so MTBF = MTTR·(1−u)/u, and
+// the schedule covers horizon. Satellites, ground stations and the weather
+// stay fault-free. u <= 0 returns a disabled config (only the seed set).
+func HAPUnavailability(u float64, mttr, horizon time.Duration, seed int64) Config {
+	if u <= 0 {
+		return Config{Seed: seed}
+	}
+	return Config{
+		HAPMTBF: time.Duration(float64(mttr) * (1 - u) / u),
+		HAPMTTR: mttr,
+		Seed:    seed,
+		Horizon: horizon,
+	}
+}

@@ -95,6 +95,26 @@ func TestAtIntensity(t *testing.T) {
 	}
 }
 
+func TestHAPUnavailability(t *testing.T) {
+	if cfg := HAPUnavailability(0, time.Minute, time.Hour, 5); cfg.Enabled() || cfg.Seed != 5 {
+		t.Fatalf("HAPUnavailability(0) should disable faults and keep the seed, got %+v", cfg)
+	}
+	cfg := HAPUnavailability(0.2, 30*time.Second, 12*time.Hour, 1)
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	u := float64(cfg.HAPMTTR) / float64(cfg.HAPMTBF+cfg.HAPMTTR)
+	if math.Abs(u-0.2) > 1e-9 {
+		t.Errorf("implied unavailability %g, want 0.2", u)
+	}
+	if cfg.SatMTBF != 0 || cfg.GroundMTBF != 0 || cfg.WeatherP != 0 {
+		t.Errorf("only HAPs may fail: %+v", cfg)
+	}
+	if cfg.Horizon != 12*time.Hour {
+		t.Errorf("horizon %v, want 12h", cfg.Horizon)
+	}
+}
+
 // TestScheduleDeterminism: the schedule is a pure function of (Config, node
 // IDs) — rebuilding it, and rebuilding it from a reordered node list, gives
 // identical spans.

@@ -14,8 +14,6 @@ import (
 func BenchmarkQntnlint(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
-	var m allocMeter
-	m.start()
 	for i := 0; i < b.N; i++ {
 		pkgs, err := lint.Load("qntn/...")
 		if err != nil {
@@ -29,6 +27,4 @@ func BenchmarkQntnlint(b *testing.B) {
 			b.Fatalf("qntnlint reported %d diagnostics on the tree; first: %+v", len(diags), diags[0])
 		}
 	}
-	allocs, bytes := m.stop()
-	recordSweepBench(b, "Qntnlint", 1, allocs, bytes)
 }

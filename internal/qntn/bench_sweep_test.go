@@ -1,16 +1,11 @@
 package qntn
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"runtime"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -19,195 +14,6 @@ import (
 	"qntn/internal/quantum/protocol"
 	"qntn/internal/routing"
 )
-
-// benchJSONPath, when set, makes TestMain write every sweep benchmark
-// result (plus derived parallel speedups) to the given file as JSON:
-//
-//	go test -bench=Sweep -benchtime=1x -run='^$' ./internal/qntn -args -benchjson=BENCH_sweep.json
-//
-// The emitter only records; it never asserts a speedup, because the
-// attainable speedup is a property of the host (on a single-CPU box it is
-// 1x by construction). CI archives the file so multi-core runs document
-// the scaling.
-var benchJSONPath = flag.String("benchjson", "", "write sweep benchmark results to this JSON file")
-
-type sweepBenchRecord struct {
-	// Name is the benchmark family ("CoverageSweep", "ServeSweep").
-	Name string `json:"name"`
-	// Workers is the pool size the family ran with.
-	Workers int `json:"workers"`
-	// Iterations and NsPerOp mirror the standard benchmark output.
-	Iterations int     `json:"iterations"`
-	NsPerOp    float64 `json:"ns_per_op"`
-	// AllocsPerOp and BytesPerOp mirror -benchmem, measured as monotonic
-	// runtime.MemStats deltas (Mallocs, TotalAlloc) around the b.N loop.
-	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
-	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
-	// SpeedupVs1 is NsPerOp(workers=1) / NsPerOp, filled in at flush time
-	// when the single-worker baseline was benchmarked in the same run.
-	SpeedupVs1 float64 `json:"speedup_vs_1,omitempty"`
-}
-
-var sweepBench struct {
-	sync.Mutex
-	records []sweepBenchRecord
-}
-
-// allocMeter measures allocation totals across a benchmark loop via
-// monotonic runtime.MemStats counters. testing.B does not expose its
-// -benchmem accounting programmatically, so the emitter meters itself; the
-// numbers track the standard output closely for loops long enough to
-// amortize the two ReadMemStats calls.
-type allocMeter struct {
-	mallocs uint64
-	bytes   uint64
-}
-
-func (m *allocMeter) start() {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	m.mallocs, m.bytes = ms.Mallocs, ms.TotalAlloc
-}
-
-// stop returns the allocation count and byte delta since start.
-func (m *allocMeter) stop() (allocs, bytes uint64) {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.Mallocs - m.mallocs, ms.TotalAlloc - m.bytes
-}
-
-// recordSweepBench captures a finished benchmark's timing and allocation
-// counts for the JSON emitter. Call it after the b.N loop, with the deltas
-// from an allocMeter started just before the loop.
-func recordSweepBench(b *testing.B, family string, workers int, allocs, bytes uint64) {
-	b.Helper()
-	rec := sweepBenchRecord{
-		Name:        family,
-		Workers:     workers,
-		Iterations:  b.N,
-		NsPerOp:     float64(b.Elapsed().Nanoseconds()) / float64(b.N),
-		AllocsPerOp: float64(allocs) / float64(b.N),
-		BytesPerOp:  float64(bytes) / float64(b.N),
-	}
-	sweepBench.Lock()
-	sweepBench.records = append(sweepBench.records, rec)
-	sweepBench.Unlock()
-}
-
-// snapshot108PrePR pins the last measurement of
-// BenchmarkSnapshot108Satellites before the per-step fast path (map-backed
-// graphs, scalar per-pair link physics; Intel Xeon @ 2.10 GHz), so the
-// emitted report documents the gain next to the fresh numbers.
-var snapshot108PrePR = sweepBenchRecord{
-	Name:        "Snapshot108/pre-fast-path",
-	Workers:     1,
-	Iterations:  1,
-	NsPerOp:     3344511,
-	AllocsPerOp: 340,
-	BytesPerOp:  52472,
-}
-
-// flushSweepBench derives speedups and writes the JSON report.
-func flushSweepBench(path string) error {
-	sweepBench.Lock()
-	defer sweepBench.Unlock()
-	baseline := make(map[string]float64)
-	for _, r := range sweepBench.records {
-		if r.Workers == 1 {
-			baseline[r.Name] = r.NsPerOp
-		}
-	}
-	for i, r := range sweepBench.records {
-		if base, ok := baseline[r.Name]; ok && r.NsPerOp > 0 {
-			sweepBench.records[i].SpeedupVs1 = base / r.NsPerOp
-		}
-	}
-	report := struct {
-		GOMAXPROCS int `json:"gomaxprocs"`
-		NumCPU     int `json:"num_cpu"`
-		// Snapshot108PrePR and the two derived fields document the
-		// per-step fast path against the pinned pre-fast-path numbers.
-		Snapshot108PrePR        *sweepBenchRecord `json:"snapshot108_pre_fast_path,omitempty"`
-		Snapshot108Speedup      float64           `json:"snapshot108_speedup_vs_pre_fast_path,omitempty"`
-		Snapshot108AllocsFactor float64           `json:"snapshot108_allocs_ratio_vs_pre_fast_path,omitempty"`
-		// CoverageDay108EventSpeedup documents the event-driven engine
-		// against the brute-force stepped path on the paper's hardest
-		// coverage run (108 satellites, full day).
-		CoverageDay108EventSpeedup float64 `json:"coverage_day108_event_speedup_vs_stepped,omitempty"`
-		// Walker1kPairsVisitedRatio is the fraction of the n(n-1)/2 node
-		// pairs the spatial index actually visits per step on the
-		// 1008-satellite Walker run (dense generation visits 1.0);
-		// Walker1kDayCostRatio is NsPerOp(n=1008)/NsPerOp(n=504) over the
-		// same daylong grid — ~2 when per-step cost is linear in the
-		// satellite count, ~4 if it were quadratic.
-		Walker1kPairsVisitedRatio float64 `json:"walker1k_pairs_visited_ratio,omitempty"`
-		Walker1kDayCostRatio      float64 `json:"walker1k_day_cost_ratio,omitempty"`
-		// ServeDaemonEvalPerSec is the serve daemon's end-to-end admission
-		// throughput — requests evaluated per wall-clock second across the
-		// HTTP round trip, captured by BenchmarkServeDaemonThroughput.
-		ServeDaemonEvalPerSec float64            `json:"serve_daemon_requests_evaluated_per_sec,omitempty"`
-		Benchmarks            []sweepBenchRecord `json:"benchmarks"`
-	}{
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Benchmarks: sweepBench.records,
-	}
-	for _, r := range sweepBench.records {
-		if r.Name == "Snapshot108" && r.Workers == 1 && r.NsPerOp > 0 {
-			pre := snapshot108PrePR
-			report.Snapshot108PrePR = &pre
-			report.Snapshot108Speedup = pre.NsPerOp / r.NsPerOp
-			if pre.AllocsPerOp > 0 {
-				report.Snapshot108AllocsFactor = r.AllocsPerOp / pre.AllocsPerOp
-			}
-			break
-		}
-	}
-	var day108Stepped, day108Event float64
-	for _, r := range sweepBench.records {
-		switch r.Name {
-		case "CoverageDay108/stepped":
-			day108Stepped = r.NsPerOp
-		case "CoverageDay108/event":
-			day108Event = r.NsPerOp
-		}
-	}
-	if day108Stepped > 0 && day108Event > 0 {
-		report.CoverageDay108EventSpeedup = day108Stepped / day108Event
-	}
-	report.Walker1kPairsVisitedRatio = walker1kPairsVisitedRatio
-	var walker504, walker1008 float64
-	for _, r := range sweepBench.records {
-		switch r.Name {
-		case "CoverageDayWalker1k/n=504":
-			walker504 = r.NsPerOp
-		case "CoverageDayWalker1k/n=1008":
-			walker1008 = r.NsPerOp
-		}
-	}
-	if walker504 > 0 && walker1008 > 0 {
-		report.Walker1kDayCostRatio = walker1008 / walker504
-	}
-	report.ServeDaemonEvalPerSec = serveDaemonEvalPerSec
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-func TestMain(m *testing.M) {
-	code := m.Run()
-	if *benchJSONPath != "" {
-		if err := flushSweepBench(*benchJSONPath); err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-			if code == 0 {
-				code = 1
-			}
-		}
-	}
-	os.Exit(code)
-}
 
 // benchWorkerCounts are the pool sizes each sweep family is measured at.
 var benchWorkerCounts = []int{1, 2, 4}
@@ -219,15 +25,11 @@ func BenchmarkCoverageSweep(b *testing.B) {
 	for _, workers := range benchWorkerCounts {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
-			var m allocMeter
-			m.start()
 			for i := 0; i < b.N; i++ {
-				if _, err := CoverageSweepParallel(p, PaperSweepSizes(), 2*time.Hour, workers); err != nil {
+				if _, err := CoverageSweep(p, PaperSweepSizes(), 2*time.Hour, workers); err != nil {
 					b.Fatal(err)
 				}
 			}
-			allocs, bytes := m.stop()
-			recordSweepBench(b, "CoverageSweep", workers, allocs, bytes)
 		})
 	}
 }
@@ -240,15 +42,11 @@ func BenchmarkServeSweep(b *testing.B) {
 	for _, workers := range benchWorkerCounts {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
-			var m allocMeter
-			m.start()
 			for i := 0; i < b.N; i++ {
-				if _, err := ServeSweepParallel(p, PaperSweepSizes(), cfg, workers); err != nil {
+				if _, err := ServeSweep(p, PaperSweepSizes(), cfg, workers); err != nil {
 					b.Fatal(err)
 				}
 			}
-			allocs, bytes := m.stop()
-			recordSweepBench(b, "ServeSweep", workers, allocs, bytes)
 		})
 	}
 }
@@ -276,15 +74,11 @@ func BenchmarkCoverageDay108(b *testing.B) {
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
-			var m allocMeter
-			m.start()
 			for i := 0; i < b.N; i++ {
 				if _, err := sc.FullDayCoverage(); err != nil {
 					b.Fatal(err)
 				}
 			}
-			allocs, bytes := m.stop()
-			recordSweepBench(b, "CoverageDay108/"+mode.name, 1, allocs, bytes)
 		})
 	}
 }
@@ -312,28 +106,20 @@ func BenchmarkWindowScan108(b *testing.B) {
 			ws := sc.scanWindows(nodes, grid)
 			b.ReportAllocs()
 			b.ResetTimer()
-			var m allocMeter
-			m.start()
 			for i := 0; i < b.N; i++ {
 				ws.scan(sc, nodes, grid)
 			}
-			allocs, bytes := m.stop()
-			recordSweepBench(b, "WindowScan108/"+mode.name, 1, allocs, bytes)
 		})
 	}
 }
-
-// walker1kPairsVisitedRatio is captured by BenchmarkCoverageDayWalker1k's
-// 1008-satellite case and emitted by flushSweepBench.
-var walker1kPairsVisitedRatio float64
 
 // BenchmarkCoverageDayWalker1k measures daylong stepped coverage of
 // global-scale Walker constellations over the multi-continent ground set —
 // the regime the spatial index targets. The two sizes pin the scaling: with
 // dense n² candidate generation the per-step cost would quadruple from
-// n=504 to n=1008; with the index it roughly doubles (the JSON report
-// derives the ratio). The 1008-satellite case also records the index's
-// selectivity — the fraction of node pairs visited per step.
+// n=504 to n=1008; with the index it roughly doubles. Each case also
+// reports the index's selectivity — the fraction of node pairs visited per
+// step — as pairs-visited/step.
 func BenchmarkCoverageDayWalker1k(b *testing.B) {
 	shell := func(inclinationDeg, altitudeM float64) orbit.WalkerShell {
 		return orbit.WalkerShell{TotalSats: 504, Planes: 12, Phasing: 1,
@@ -358,35 +144,26 @@ func BenchmarkCoverageDayWalker1k(b *testing.B) {
 			if err := sc.Net.SnapshotIntoStats(g, 0, &st); err != nil {
 				b.Fatal(err)
 			}
-			if tc.name == "n=1008" && st.Pairs > 0 {
-				walker1kPairsVisitedRatio = float64(int64(st.Pairs)-st.IndexCulled) / float64(st.Pairs)
+			if st.Pairs > 0 {
+				b.ReportMetric(float64(int64(st.Pairs)-st.IndexCulled)/float64(st.Pairs), "pairs-visited/step")
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
-			var m allocMeter
-			m.start()
 			for i := 0; i < b.N; i++ {
 				if _, err := sc.FullDayCoverage(); err != nil {
 					b.Fatal(err)
 				}
 			}
-			allocs, bytes := m.stop()
-			recordSweepBench(b, "CoverageDayWalker1k/"+tc.name, 1, allocs, bytes)
 		})
 	}
 }
-
-// serveDaemonEvalPerSec is captured by BenchmarkServeDaemonThroughput and
-// emitted by flushSweepBench: admission attempts per wall-clock second
-// through the daemon's full HTTP round trip.
-var serveDaemonEvalPerSec float64
 
 // BenchmarkServeDaemonThroughput measures the serve daemon end to end: each
 // iteration posts one fixed space-ground traffic query over HTTP and drains
 // the NDJSON response. One warmup query before the timed loop populates the
 // shared ephemeris cache, so the loop measures steady-state query cost —
 // the figure an operator sizing a deployment cares about. The derived
-// requests-evaluated/sec rate lands in the JSON report.
+// requests-evaluated/sec rate is reported as evals/s.
 func BenchmarkServeDaemonThroughput(b *testing.B) {
 	d, err := NewDaemon(DefaultParams(), testClock())
 	if err != nil {
@@ -414,18 +191,13 @@ func BenchmarkServeDaemonThroughput(b *testing.B) {
 	evalBefore := d.RequestsEvaluated()
 	b.ReportAllocs()
 	b.ResetTimer()
-	var m allocMeter
-	m.start()
 	for i := 0; i < b.N; i++ {
 		post()
 	}
-	allocs, bytes := m.stop()
 	evaluated := d.RequestsEvaluated() - evalBefore
 	if secs := b.Elapsed().Seconds(); secs > 0 {
-		serveDaemonEvalPerSec = float64(evaluated) / secs
-		b.ReportMetric(serveDaemonEvalPerSec, "evals/s")
+		b.ReportMetric(float64(evaluated)/secs, "evals/s")
 	}
-	recordSweepBench(b, "ServeDaemonThroughput", 1, allocs, bytes)
 }
 
 // BenchmarkEphemerisCache measures building the shared 108-satellite cache
@@ -449,8 +221,8 @@ func BenchmarkEphemerisCache(b *testing.B) {
 // on the paper's largest constellation: the same RunServe workload with the
 // entanglement protocol disabled (the seed model's hot path, byte-identical
 // to pre-protocol behavior) and enabled (disjoint-route extraction, swap
-// draws, dephasing and distillation per served request). The off/on pair in
-// BENCH_sweep.json is the documented cost of protocol realism.
+// draws, dephasing and distillation per served request). The off/on pair is
+// the cost of protocol realism.
 func BenchmarkServeProtocol108(b *testing.B) {
 	cfg := ServeConfig{RequestsPerStep: 25, Steps: 25, Seed: 1}
 	variants := []struct {
@@ -478,15 +250,11 @@ func BenchmarkServeProtocol108(b *testing.B) {
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
-			var m allocMeter
-			m.start()
 			for i := 0; i < b.N; i++ {
 				if _, err := sc.RunServe(cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
-			allocs, bytes := m.stop()
-			recordSweepBench(b, "ServeProtocol108/"+v.name, 1, allocs, bytes)
 		})
 	}
 }

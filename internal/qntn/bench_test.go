@@ -17,15 +17,11 @@ func BenchmarkSnapshot108Satellites(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	var m allocMeter
-	m.start()
 	for i := 0; i < b.N; i++ {
 		if _, err := sc.Graph(time.Duration(i) * 30 * time.Second); err != nil {
 			b.Fatal(err)
 		}
 	}
-	allocs, bytes := m.stop()
-	recordSweepBench(b, "Snapshot108", 1, allocs, bytes)
 }
 
 // BenchmarkSnapshotInto108Satellites measures the arena-reuse path: the
@@ -39,22 +35,18 @@ func BenchmarkSnapshotInto108Satellites(b *testing.B) {
 	g := routing.NewGraph()
 	b.ReportAllocs()
 	b.ResetTimer()
-	var m allocMeter
-	m.start()
 	for i := 0; i < b.N; i++ {
 		if err := sc.GraphInto(g, time.Duration(i)*30*time.Second); err != nil {
 			b.Fatal(err)
 		}
 	}
-	allocs, bytes := m.stop()
-	recordSweepBench(b, "SnapshotInto108", 1, allocs, bytes)
 }
 
 // BenchmarkSnapshotInto108TelemetrySatellites is the enabled half of the
 // telemetry overhead pair: the same steady-state loop as
 // BenchmarkSnapshotInto108Satellites (the nil-sink baseline), but with a
-// metrics-only collector attached, so BENCH_sweep.json documents the cost
-// of instrumentation — a handful of atomic adds per step — next to the
+// metrics-only collector attached, so the pair shows the cost of
+// instrumentation — a handful of atomic adds per step — next to the
 // uninstrumented numbers.
 func BenchmarkSnapshotInto108TelemetrySatellites(b *testing.B) {
 	p := DefaultParams()
@@ -67,15 +59,11 @@ func BenchmarkSnapshotInto108TelemetrySatellites(b *testing.B) {
 	var st netsim.SnapshotStats
 	b.ReportAllocs()
 	b.ResetTimer()
-	var m allocMeter
-	m.start()
 	for i := 0; i < b.N; i++ {
 		if err := sc.Net.SnapshotIntoStats(g, time.Duration(i)*30*time.Second, &st); err != nil {
 			b.Fatal(err)
 		}
 	}
-	allocs, bytes := m.stop()
-	recordSweepBench(b, "SnapshotInto108Telemetry", 1, allocs, bytes)
 }
 
 // BenchmarkSnapshotIntoWalker1k measures one stepped topology step of the
@@ -117,13 +105,9 @@ func BenchmarkSnapshotIntoWalker1k(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	var m allocMeter
-	m.start()
 	for i := 0; i < b.N; i++ {
 		run(i)
 	}
-	allocs, bytes := m.stop()
-	recordSweepBench(b, "SnapshotIntoWalker1k", 1, allocs, bytes)
 }
 
 func BenchmarkRoutesAirGround(b *testing.B) {
@@ -133,15 +117,11 @@ func BenchmarkRoutesAirGround(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	var m allocMeter
-	m.start()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := sc.Routes(0); err != nil {
 			b.Fatal(err)
 		}
 	}
-	allocs, bytes := m.stop()
-	recordSweepBench(b, "RoutesAirGround", 1, allocs, bytes)
 }
 
 func BenchmarkRoutes108Satellites(b *testing.B) {
@@ -151,15 +131,11 @@ func BenchmarkRoutes108Satellites(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	var m allocMeter
-	m.start()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := sc.Routes(time.Duration(i) * 30 * time.Second); err != nil {
 			b.Fatal(err)
 		}
 	}
-	allocs, bytes := m.stop()
-	recordSweepBench(b, "Routes108", 1, allocs, bytes)
 }
 
 // BenchmarkRoutesScratch108 converges Algorithm 1 on the SpaceGround-108
@@ -188,15 +164,11 @@ func BenchmarkRoutesScratch108(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	var m allocMeter
-	m.start()
 	for i := 0; i < b.N; i++ {
 		for _, g := range graphs {
 			scratch.Run(g, sc.Params.RoutingEpsilon)
 		}
 	}
-	allocs, bytes := m.stop()
-	recordSweepBench(b, "RoutesScratch108", 1, allocs, bytes)
 }
 
 // BenchmarkRoutesDisjoint108 is the protocol layer's route stage over one
@@ -255,13 +227,9 @@ func BenchmarkRoutesDisjoint108(b *testing.B) {
 	pass() // size the buffers, as the first step of RunServe does
 	b.ReportAllocs()
 	b.ResetTimer()
-	var m allocMeter
-	m.start()
 	for i := 0; i < b.N; i++ {
 		pass()
 	}
-	allocs, bytes := m.stop()
-	recordSweepBench(b, "RoutesDisjoint108", 1, allocs, bytes)
 }
 
 func BenchmarkCoverageHour108Satellites(b *testing.B) {
@@ -271,15 +239,11 @@ func BenchmarkCoverageHour108Satellites(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	var m allocMeter
-	m.start()
 	for i := 0; i < b.N; i++ {
 		if _, err := sc.Coverage(time.Hour); err != nil {
 			b.Fatal(err)
 		}
 	}
-	allocs, bytes := m.stop()
-	recordSweepBench(b, "CoverageHour108", 1, allocs, bytes)
 }
 
 func BenchmarkPathFidelityBestSplit(b *testing.B) {

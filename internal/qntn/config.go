@@ -38,8 +38,6 @@ type paramsJSON struct {
 	ProcessingDelayPerHopS  float64    `json:"processing_delay_per_hop_s"`
 	RequireDarkness         bool       `json:"require_darkness"`
 	TwilightDeg             float64    `json:"twilight_deg"`
-	HAPOutageProbability    float64    `json:"hap_outage_probability"`
-	OutageSeed              int64      `json:"outage_seed"`
 	Fault                   *faultJSON `json:"fault,omitempty"`
 	FidelityModel           string     `json:"fidelity_model"`
 	RoutingEpsilon          float64    `json:"routing_epsilon"`
@@ -160,8 +158,6 @@ func SaveParams(w io.Writer, p Params) error {
 		ProcessingDelayPerHopS:  p.ProcessingDelayPerHop.Seconds(),
 		RequireDarkness:         p.RequireDarkness,
 		TwilightDeg:             p.TwilightRad * degPerRad,
-		HAPOutageProbability:    p.HAPOutageProbability,
-		OutageSeed:              p.OutageSeed,
 		FidelityModel:           p.FidelityModel.String(),
 		RoutingEpsilon:          p.RoutingEpsilon,
 	}
@@ -233,8 +229,6 @@ func LoadParams(r io.Reader) (Params, error) {
 		ProcessingDelayPerHop:   time.Duration(j.ProcessingDelayPerHopS * float64(time.Second)),
 		RequireDarkness:         j.RequireDarkness,
 		TwilightRad:             j.TwilightDeg / degPerRad,
-		HAPOutageProbability:    j.HAPOutageProbability,
-		OutageSeed:              j.OutageSeed,
 		RoutingEpsilon:          j.RoutingEpsilon,
 	}
 	switch j.FidelityModel {

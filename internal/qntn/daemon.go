@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
 	"strconv"
 	"sync"
 	"time"
@@ -37,17 +38,25 @@ type Daemon struct {
 	evalPerSec  *telemetry.Gauge
 
 	mu     sync.Mutex
-	caches map[string]*EphemerisCache
+	caches []horizonCache // least recently used first
+}
+
+// horizonCache is one ephemeris cache of the daemon's LRU, keyed by the
+// query horizon it was propagated for.
+type horizonCache struct {
+	horizon time.Duration
+	cache   *EphemerisCache
 }
 
 // Daemon query limits. A query's ephemeris cache holds the whole catalog at
-// every topology instant of its horizon and is kept for the daemon's
-// lifetime, so the horizon is capped at one day (the engine's default); a
-// traffic query is a few hundred bytes of JSON, so bodies past
-// maxQueryBytes are refused before decoding.
+// every topology instant of its horizon, so the horizon is capped at one
+// day (the engine's default) and only the maxEphemerisCaches most recently
+// queried horizons keep their cache; a traffic query is a few hundred bytes
+// of JSON, so bodies past maxQueryBytes are refused before decoding.
 const (
-	maxQueryHorizon = orbit.Day
-	maxQueryBytes   = 64 << 10
+	maxQueryHorizon    = orbit.Day
+	maxQueryBytes      = 64 << 10
+	maxEphemerisCaches = 4
 )
 
 // NewDaemon validates the parameters and assembles the daemon's routes.
@@ -110,13 +119,20 @@ type TrafficQuery struct {
 
 // ephemeris returns the shared satellite cache for the given horizon,
 // building it on first use: the full catalog propagated at every topology
-// instant the query will evaluate.
+// instant the query will evaluate. Past maxEphemerisCaches horizons the
+// least recently used cache is dropped.
 func (d *Daemon) ephemeris(horizon time.Duration) (*EphemerisCache, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	key := horizon.String()
-	if c, ok := d.caches[key]; ok {
-		return c, nil
+	for i, e := range d.caches {
+		if e.horizon == horizon {
+			// Shift the hit to the most recently used end.
+			for ; i+1 < len(d.caches); i++ {
+				d.caches[i] = d.caches[i+1]
+			}
+			d.caches[i] = e
+			return e.cache, nil
+		}
 	}
 	step := d.params.TopologyStep()
 	var times []time.Duration
@@ -127,10 +143,11 @@ func (d *Daemon) ephemeris(horizon time.Duration) (*EphemerisCache, error) {
 	if err != nil {
 		return nil, err
 	}
-	if d.caches == nil {
-		d.caches = make(map[string]*EphemerisCache)
+	if len(d.caches) == maxEphemerisCaches {
+		copy(d.caches, d.caches[1:])
+		d.caches = d.caches[:len(d.caches)-1]
 	}
-	d.caches[key] = c
+	d.caches = append(d.caches, horizonCache{horizon: horizon, cache: c})
 	return c, nil
 }
 
@@ -158,6 +175,9 @@ func (d *Daemon) prepare(q TrafficQuery) (*Scenario, TrafficConfig, error) {
 	}
 	if cfg.Horizon > maxQueryHorizon {
 		return nil, cfg, fmt.Errorf("qntn: traffic horizon %v exceeds the daemon limit %v", cfg.Horizon, maxQueryHorizon)
+	}
+	if maxWorkers := runtime.GOMAXPROCS(0); q.Workers < 0 || q.Workers > maxWorkers {
+		return nil, cfg, fmt.Errorf("qntn: traffic workers %d outside [0, %d]", q.Workers, maxWorkers)
 	}
 	switch q.Arch {
 	case "", "space-ground":

@@ -3,9 +3,11 @@ package qntn
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -52,20 +54,22 @@ func TestDaemonMatchesLibrary(t *testing.T) {
 	srv := httptest.NewServer(d.Handler())
 	defer srv.Close()
 
+	// The daemon refuses more workers than GOMAXPROCS.
+	workers := min(2, runtime.GOMAXPROCS(0))
 	queries := []struct {
 		body  string
 		build func() (*Scenario, error)
 		cfg   TrafficConfig
 	}{
 		{
-			body:  `{"arch":"space-ground","satellites":36,"rate_per_hour_per_site":10,"diurnal_amplitude":0.5,"peak_hour":18,"horizon":"1h","seed":4,"workers":2}`,
+			body:  fmt.Sprintf(`{"arch":"space-ground","satellites":36,"rate_per_hour_per_site":10,"diurnal_amplitude":0.5,"peak_hour":18,"horizon":"1h","seed":4,"workers":%d}`, workers),
 			build: func() (*Scenario, error) { return NewSpaceGround(36, DefaultParams()) },
 			cfg: TrafficConfig{
 				RatePerHourPerSite: 10,
 				Diurnal:            DiurnalProfile{Amplitude: 0.5, PeakHour: 18},
 				Horizon:            time.Hour,
 				Seed:               4,
-				Workers:            2,
+				Workers:            workers,
 			},
 		},
 		{
@@ -221,6 +225,8 @@ func TestDaemonRejectsBadQueries(t *testing.T) {
 		{`{"arch":"air-ground","rate_per_hour_per_site":10,"horizon":"25h"}`, http.StatusBadRequest},
 		{`{"arch":"` + strings.Repeat("a", maxQueryBytes) + `","rate_per_hour_per_site":10}`, http.StatusRequestEntityTooLarge},
 		{`{` + strings.Repeat(" ", 2*maxQueryBytes) + `}`, http.StatusRequestEntityTooLarge},
+		{`{"arch":"space-ground","satellites":6,"rate_per_hour_per_site":10,"workers":-1}`, http.StatusBadRequest},
+		{fmt.Sprintf(`{"arch":"space-ground","satellites":6,"rate_per_hour_per_site":10,"workers":%d}`, runtime.GOMAXPROCS(0)+1), http.StatusBadRequest},
 	}
 	for _, tc := range bad {
 		resp := postTraffic(t, srv.URL, tc.body)
@@ -292,6 +298,53 @@ func TestDaemonSharedEphemerisCache(t *testing.T) {
 	}
 	if propagations != 2 {
 		t.Fatalf("expected a second propagation for a new horizon, got %d", propagations)
+	}
+}
+
+// TestDaemonEphemerisCacheBound pins the LRU behind the shared cache: past
+// maxEphemerisCaches distinct horizons the least recently used cache is
+// dropped, and re-querying a retained horizon reuses its cache instead of
+// propagating again.
+func TestDaemonEphemerisCacheBound(t *testing.T) {
+	propagations := 0
+	propagationHook = func(int) { propagations++ }
+	defer func() { propagationHook = nil }()
+
+	d := newTestDaemon(t)
+	horizon := func(i int) time.Duration { return time.Duration(i+1) * time.Minute }
+	query := func(i int) *EphemerisCache {
+		t.Helper()
+		c, err := d.ephemeris(horizon(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(d.caches) > maxEphemerisCaches {
+			t.Fatalf("%d caches, want at most %d", len(d.caches), maxEphemerisCaches)
+		}
+		return c
+	}
+	built := make([]*EphemerisCache, maxEphemerisCaches+1)
+	for i := range built {
+		built[i] = query(i)
+	}
+	if propagations != maxEphemerisCaches+1 {
+		t.Fatalf("%d propagations for %d distinct horizons", propagations, maxEphemerisCaches+1)
+	}
+
+	// Horizon 1 is now the least recently used; re-querying it is a hit
+	// and makes horizon 2 the next to go.
+	if query(1) != built[1] || propagations != maxEphemerisCaches+1 {
+		t.Fatalf("re-queried horizon %v missed the cache", horizon(1))
+	}
+	// Horizon 0 was evicted, so it propagates again and evicts horizon 2.
+	if query(0) == built[0] || propagations != maxEphemerisCaches+2 {
+		t.Fatalf("evicted horizon %v was not rebuilt", horizon(0))
+	}
+	if query(1) != built[1] || query(maxEphemerisCaches) != built[maxEphemerisCaches] {
+		t.Fatal("a recently used horizon lost its cache")
+	}
+	if query(2) == built[2] || propagations != maxEphemerisCaches+3 {
+		t.Fatalf("least recently used horizon %v survived", horizon(2))
 	}
 }
 

@@ -363,7 +363,7 @@ func (eng *eventEngine) apply(ev event) {
 
 // ensureFresh refreshes node i's evaluator caches for grid step k: moving
 // nodes replay the scan's memoized positions (bit-identical to PositionAt),
-// everything else re-derives its per-step bits (darkness, HAP availability).
+// everything else re-derives its per-step bits (darkness).
 //
 //qntn:hotpath twice per active pair per step, deduplicated by stamp
 func (eng *eventEngine) ensureFresh(i, k int) {

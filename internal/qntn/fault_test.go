@@ -94,8 +94,12 @@ func TestFaultSnapshotFastPathMatchesReference(t *testing.T) {
 		assertStepEquivalence(t, sc, 80, 5*time.Minute)
 	})
 	t.Run("air-ground", func(t *testing.T) {
+		// The HAP fails as in the outage study (u = 0.2, one-step
+		// repairs), toggling its links far more often than faultyParams'
+		// 30-minute repairs; ground outages and weather stay on.
 		p := faultyParams(3)
-		p.HAPOutageProbability = 0.2 // stack the legacy outage model under the fault layer
+		hap := fault.HAPUnavailability(0.2, p.TopologyStep(), 0, 3)
+		p.Fault.HAPMTBF, p.Fault.HAPMTTR = hap.HAPMTBF, hap.HAPMTTR
 		sc, err := NewAirGround(p)
 		if err != nil {
 			t.Fatal(err)
@@ -118,24 +122,24 @@ func TestFaultSweepWorkerCountInvariance(t *testing.T) {
 	p := faultyParams(11)
 	sizes := []int{6, 24}
 
-	covBase, err := CoverageSweepParallel(p, sizes, 4*time.Hour, 1)
+	covBase, err := CoverageSweep(p, sizes, 4*time.Hour, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := ServeConfig{RequestsPerStep: 6, Steps: 5, Horizon: 2 * time.Hour, Seed: 2}
-	srvBase, err := ServeSweepParallel(p, sizes, cfg, 1)
+	srvBase, err := ServeSweep(p, sizes, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
-		cov, err := CoverageSweepParallel(p, sizes, 4*time.Hour, workers)
+		cov, err := CoverageSweep(p, sizes, 4*time.Hour, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(covBase, cov) {
 			t.Errorf("faulted coverage sweep at %d workers diverged from 1 worker", workers)
 		}
-		srv, err := ServeSweepParallel(p, sizes, cfg, workers)
+		srv, err := ServeSweep(p, sizes, cfg, workers)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -135,7 +135,7 @@ func FuzzParamsRoundTrip(f *testing.F) {
 		p.WavelengthM = wavelengthNM * 1e-9
 		p.MinElevationRad = minElevDeg / degPerRad
 		p.StepInterval = time.Duration(stepS * float64(time.Second))
-		p.OutageSeed = seed
+		p.Fault.Seed = seed
 		p.UseJ2 = j2
 		if p.Validate() != nil {
 			return

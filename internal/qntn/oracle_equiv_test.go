@@ -115,14 +115,14 @@ func TestEventDrivenServeSweepWorkers(t *testing.T) {
 	sizes := []int{6, 24}
 	cfg := qntn.ServeConfig{RequestsPerStep: 15, Steps: 30, Horizon: 6 * time.Hour, Seed: 3}
 	p := qntn.DefaultParams()
-	want, err := qntn.ServeSweepParallel(p, sizes, cfg, 1)
+	want, err := qntn.ServeSweep(p, sizes, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 8} {
 		pe := p
 		pe.EventDriven = true
-		got, err := qntn.ServeSweepParallel(pe, sizes, cfg, workers)
+		got, err := qntn.ServeSweep(pe, sizes, cfg, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -132,7 +132,7 @@ func TestEventDrivenServeSweepWorkers(t *testing.T) {
 		if workers == 1 {
 			continue
 		}
-		gotStepped, err := qntn.ServeSweepParallel(p, sizes, cfg, workers)
+		gotStepped, err := qntn.ServeSweep(p, sizes, cfg, workers)
 		if err != nil {
 			t.Fatalf("workers=%d stepped: %v", workers, err)
 		}
@@ -153,7 +153,7 @@ func TestEventDrivenCoverageSweepWorkers(t *testing.T) {
 	p := qntn.DefaultParams()
 	var want []qntn.CoveragePoint
 	for _, workers := range []int{1, 2, 8} {
-		pts, err := qntn.CoverageSweepParallel(p, sizes, duration, workers)
+		pts, err := qntn.CoverageSweep(p, sizes, duration, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -40,17 +40,16 @@ type Archetype struct {
 	// Darkness enables the night-only operation constraint, exercising
 	// darkness boundaries where ground stations join and leave service.
 	Darkness bool
-	// HAPOutage is the HAP availability loss probability (0 disables).
-	HAPOutage float64
 }
 
 // Archetypes returns the suite's scenario catalog: the paper's SpaceGround
 // constellation sizes (6/24/54/108), the AirGround HAP architecture, the
 // Hybrid future-work mix, and a two-shell Walker constellation with the
 // +grid inter-satellite-link topology — the global-scale regime the spatial
-// index targets (96 satellites, over the index's node cutoff). Darkness and
-// HAP-outage settings mirror the snapshot equivalence suite so both
-// harnesses stress the same regimes.
+// index targets (96 satellites, over the index's node cutoff). Darkness
+// settings mirror the snapshot equivalence suite so both harnesses stress
+// the same regimes; HAP downtime comes from the faults-on pass
+// (FaultConfig).
 func Archetypes() []Archetype {
 	spaceGround := func(n int) Builder {
 		return func(p qntn.Params) (*qntn.Scenario, error) { return qntn.NewSpaceGround(n, p) }
@@ -67,20 +66,19 @@ func Archetypes() []Archetype {
 		{Name: "space-ground-24", Build: spaceGround(24), Duration: 8 * time.Hour},
 		{Name: "space-ground-54-darkness", Build: spaceGround(54), Duration: 6 * time.Hour, Darkness: true},
 		{Name: "space-ground-108", Build: spaceGround(108), Duration: 4 * time.Hour},
-		{Name: "air-ground", Build: qntn.NewAirGround, Duration: 12 * time.Hour, Darkness: true, HAPOutage: 0.3},
+		{Name: "air-ground", Build: qntn.NewAirGround, Duration: 12 * time.Hour, Darkness: true},
 		{Name: "hybrid-12", Build: func(p qntn.Params) (*qntn.Scenario, error) { return qntn.NewHybrid(12, p) },
-			Duration: 8 * time.Hour, Darkness: true, HAPOutage: 0.25},
+			Duration: 8 * time.Hour, Darkness: true},
 		{Name: "walker-96-islgrid", Build: func(p qntn.Params) (*qntn.Scenario, error) { return qntn.NewWalker(walker, p) },
 			Duration: 3 * time.Hour},
 	}
 }
 
 // Params returns the archetype's parameter set: defaults plus its darkness
-// and HAP-outage settings.
+// setting.
 func (a Archetype) Params() qntn.Params {
 	p := qntn.DefaultParams()
 	p.RequireDarkness = a.Darkness
-	p.HAPOutageProbability = a.HAPOutage
 	return p
 }
 

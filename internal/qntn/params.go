@@ -90,16 +90,6 @@ type Params struct {
 	// assumptions).
 	ProcessingDelayPerHop time.Duration
 
-	// HAPOutageProbability is the per-step probability that a HAP is
-	// unavailable (station-keeping vibration, gusts, maintenance) — the
-	// reliability weakness the paper's §II-D discussion attributes to the
-	// air-ground architecture. Outages are derived deterministically from
-	// (platform, step, OutageSeed) so runs stay reproducible. Zero (the
-	// paper's ideal assumption) disables outages.
-	HAPOutageProbability float64
-	// OutageSeed varies the deterministic outage pattern.
-	OutageSeed int64
-
 	// Fault configures the deterministic fault-injection layer: satellite
 	// outages, HAP station-keeping gaps, ground-station downtime and
 	// weather blackouts, precomputed from Fault.Seed into an immutable
@@ -254,8 +244,6 @@ func (p Params) Validate() error {
 		return fmt.Errorf("qntn: negative per-hop processing delay")
 	case p.TwilightRad < 0 || p.TwilightRad >= math.Pi/2:
 		return fmt.Errorf("qntn: twilight angle %g outside [0, π/2)", p.TwilightRad)
-	case p.HAPOutageProbability < 0 || p.HAPOutageProbability > 1:
-		return fmt.Errorf("qntn: HAP outage probability %g outside [0,1]", p.HAPOutageProbability)
 	}
 	if err := p.Fault.Validate(); err != nil {
 		return fmt.Errorf("qntn: %w", err)

@@ -75,7 +75,7 @@ func TestProtocolServeSweepWorkers(t *testing.T) {
 	cfg := qntn.ServeConfig{RequestsPerStep: 15, Steps: 30, Horizon: 6 * time.Hour, Seed: 3}
 	p := qntn.DefaultParams()
 	p.Protocol = protocolOracleConfig()
-	want, err := qntn.ServeSweepParallel(p, sizes, cfg, 1)
+	want, err := qntn.ServeSweep(p, sizes, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestProtocolServeSweepWorkers(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{2, 8} {
-		got, err := qntn.ServeSweepParallel(p, sizes, cfg, workers)
+		got, err := qntn.ServeSweep(p, sizes, cfg, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -104,7 +104,7 @@ func TestProtocolServeSweepWorkers(t *testing.T) {
 	pe := p
 	pe.EventDriven = true
 	for _, workers := range []int{1, 2, 8} {
-		got, err := qntn.ServeSweepParallel(pe, sizes, cfg, workers)
+		got, err := qntn.ServeSweep(pe, sizes, cfg, workers)
 		if err != nil {
 			t.Fatalf("event-driven workers=%d: %v", workers, err)
 		}

@@ -430,9 +430,6 @@ func (sc *Scenario) groundSpaceLink(ground, relay netsim.Node, t time.Duration, 
 	if sc.Params.RequireDarkness && !sc.sun.IsDark(gh.LLA(), t, sc.Params.twilight()) {
 		return 0, false
 	}
-	if relay.Kind() == netsim.HAP && !sc.hapAvailable(relay, t) {
-		return 0, false
-	}
 	relayPos := relay.PositionAt(t)
 	look := geo.Look(gh.LLA(), relayPos)
 	if look.ElevationRad < sc.Params.MinElevationRad {

@@ -106,9 +106,8 @@ func TestSnapshotFastPathMatchesReference(t *testing.T) {
 }
 
 func TestSnapshotFastPathMatchesReferenceAirGround(t *testing.T) {
-	p := DefaultParams()
+	p := hapOutageParams(0.3, 24*time.Hour, 0)
 	p.RequireDarkness = true
-	p.HAPOutageProbability = 0.3
 	sc, err := NewAirGround(p)
 	if err != nil {
 		t.Fatal(err)
@@ -117,9 +116,8 @@ func TestSnapshotFastPathMatchesReferenceAirGround(t *testing.T) {
 }
 
 func TestSnapshotFastPathMatchesReferenceHybrid(t *testing.T) {
-	p := DefaultParams()
+	p := hapOutageParams(0.25, 15*time.Hour, 0)
 	p.RequireDarkness = true
-	p.HAPOutageProbability = 0.25
 	sc, err := NewHybrid(12, p)
 	if err != nil {
 		t.Fatal(err)

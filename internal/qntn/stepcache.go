@@ -48,12 +48,12 @@ func (sc *Scenario) beginStep(nodes []netsim.Node, t time.Duration) *stepEval {
 
 // stepEval is the per-instant link-evaluation fast path: it hoists every
 // per-node quantity out of the O(N²) pair loop — each relay's position,
-// geodetic conversion and observation frame, each ground host's darkness
-// and each HAP's availability are computed exactly once per timestep — and
-// then answers pair queries from the cache. Cheap conservative prefilters
-// (horizon test, squared-range gate) reject most pairs before the full FSO
-// evaluation; pairs that survive run the exact reference computation, so
-// results are bit-identical to Scenario.evaluateLink.
+// geodetic conversion and observation frame and each ground host's darkness
+// are computed exactly once per timestep — and then answers pair queries
+// from the cache. Cheap conservative prefilters (horizon test,
+// squared-range gate) reject most pairs before the full FSO evaluation;
+// pairs that survive run the exact reference computation, so results are
+// bit-identical to Scenario.evaluateLink.
 type stepEval struct {
 	sc    *Scenario
 	nodes []netsim.Node
@@ -73,7 +73,6 @@ type stepEval struct {
 	lla   []geo.LLA   // relays: geo.ToLLA(pos)
 	frame []geo.Frame // relays: observation frame at lla
 	dark  []bool      // ground hosts: IsDark (when RequireDarkness)
-	avail []bool      // HAPs: hapAvailable(t)
 
 	// Spatial index (geometry and static assignments valid while the node
 	// set is unchanged; see spatialindex.go). staticCell holds the cell of
@@ -223,7 +222,6 @@ func (se *stepEval) init(nodes []netsim.Node) {
 	se.lla = grow(se.lla, n)
 	se.frame = grow(se.frame, n)
 	se.dark = grow(se.dark, n)
-	se.avail = grow(se.avail, n)
 	for i, node := range nodes {
 		se.kind[i] = node.Kind()
 		se.network[i] = node.Network()
@@ -346,7 +344,7 @@ func growZero(s [][]int32, n int) [][]int32 {
 
 // reset recomputes the per-step caches for instant t: one position, norm,
 // geodetic conversion and frame per relay; one darkness bit per ground
-// host; one availability bit per HAP.
+// host.
 //
 //qntn:hotpath
 func (se *stepEval) reset(t time.Duration) {
@@ -374,9 +372,6 @@ func (se *stepEval) reset(t time.Duration) {
 		l := geo.ToLLA(p)
 		se.lla[i] = l
 		se.frame[i] = geo.NewFrame(l)
-		if se.kind[i] == netsim.HAP {
-			se.avail[i] = sc.hapAvailable(node, t)
-		}
 	}
 }
 
@@ -415,9 +410,6 @@ func (se *stepEval) refreshRelayAt(i int, p geo.Vec3) {
 	l := geo.ToLLA(p)
 	se.lla[i] = l
 	se.frame[i] = geo.NewFrame(l)
-	if se.kind[i] == netsim.HAP {
-		se.avail[i] = se.sc.hapAvailable(se.nodes[i], se.t)
-	}
 }
 
 // Close implements netsim.StepEvaluator, returning the evaluator to its
@@ -480,9 +472,6 @@ func (se *stepEval) groundRelayPair(a, b int, cfg *channel.FSOConfig, maxRangeM2
 	}
 	sc := se.sc
 	if sc.Params.RequireDarkness && !se.dark[a] {
-		return 0, false
-	}
-	if se.kind[b] == netsim.HAP && !se.avail[b] {
 		return 0, false
 	}
 	f := &se.gFrame[a]

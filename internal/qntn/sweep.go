@@ -25,22 +25,16 @@ func PaperSweepSizes() []int {
 	return sizes
 }
 
-// CoverageSweep computes the Fig. 6 curve with the default worker count
-// (one per CPU). See CoverageSweepParallel.
-func CoverageSweep(p Params, sizes []int, duration time.Duration) ([]CoveragePoint, error) {
-	return CoverageSweepParallel(p, sizes, duration, 0)
-}
-
 // coverageChunkSteps is the number of topology steps one worker task
 // evaluates. The partition is fixed (independent of the worker count), so
 // the chunk merge — and therefore the result — is bit-identical for any
 // parallelism.
 const coverageChunkSteps = 32
 
-// CoverageSweepParallel computes the Fig. 6 curve — full-period coverage
-// percentage as a function of constellation size — for every requested
-// prefix of the Table II catalog, fanning the time axis out over a bounded
-// worker pool (workers <= 0 selects one per CPU).
+// CoverageSweep computes the Fig. 6 curve — full-period coverage percentage
+// as a function of constellation size — for every requested prefix of the
+// Table II catalog, fanning the time axis out over a bounded worker pool
+// (workers <= 0 selects GOMAXPROCS).
 //
 // Because the paper's constellations are nested prefixes of Table II, the
 // sweep propagates the full catalog once (EphemerisCache), caches which
@@ -50,7 +44,7 @@ const coverageChunkSteps = 32
 // contiguous chunks by the worker pool and the per-chunk partial results
 // are merged in time order — exactly equivalent to running
 // Scenario.Coverage per size sequentially, which the test suite asserts.
-func CoverageSweepParallel(p Params, sizes []int, duration time.Duration, workers int) ([]CoveragePoint, error) {
+func CoverageSweep(p Params, sizes []int, duration time.Duration, workers int) ([]CoveragePoint, error) {
 	if len(sizes) == 0 {
 		return nil, fmt.Errorf("qntn: empty size list")
 	}
@@ -237,21 +231,15 @@ type ServePoint struct {
 	Result     ServeResult
 }
 
-// ServeSweep runs the serve sweep with the default worker count (one per
-// CPU). See ServeSweepParallel.
-func ServeSweep(p Params, sizes []int, cfg ServeConfig) ([]ServePoint, error) {
-	return ServeSweepParallel(p, sizes, cfg, 0)
-}
-
-// ServeSweepParallel runs the serve experiment (Fig. 7: served percentage;
-// Fig. 8: average fidelity) for each constellation size, fanning sizes out
-// over a bounded worker pool (workers <= 0 selects one per CPU). Sizes are
+// ServeSweep runs the serve experiment (Fig. 7: served percentage; Fig. 8:
+// average fidelity) for each constellation size, fanning sizes out over a
+// bounded worker pool (workers <= 0 selects GOMAXPROCS). Sizes are
 // evaluated independently with identical workload seeds so the request
 // sequences match across sizes — which is also what makes the fan-out
 // trivially deterministic: every size owns its output slot and its own
 // Workload generator, and all sizes share one immutable propagated
 // ephemeris instead of re-propagating the constellation per point.
-func ServeSweepParallel(p Params, sizes []int, cfg ServeConfig, workers int) ([]ServePoint, error) {
+func ServeSweep(p Params, sizes []int, cfg ServeConfig, workers int) ([]ServePoint, error) {
 	if len(sizes) == 0 {
 		return nil, nil
 	}

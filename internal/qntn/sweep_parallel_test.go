@@ -34,7 +34,7 @@ func TestServeSweepMatchesSequentialRuns(t *testing.T) {
 	cfg := ServeConfig{RequestsPerStep: 8, Steps: 6, Horizon: 2 * time.Hour, Seed: 11}
 	sizes := []int{6, 18, 36}
 
-	got, err := ServeSweepParallel(p, sizes, cfg, 4)
+	got, err := ServeSweep(p, sizes, cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,12 +60,12 @@ func TestServeSweepWorkerCountInvariance(t *testing.T) {
 	cfg := ServeConfig{RequestsPerStep: 8, Steps: 6, Horizon: 2 * time.Hour, Seed: 3}
 	sizes := []int{6, 12, 24, 48}
 
-	base, err := ServeSweepParallel(p, sizes, cfg, 1)
+	base, err := ServeSweep(p, sizes, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
-		got, err := ServeSweepParallel(p, sizes, cfg, workers)
+		got, err := ServeSweep(p, sizes, cfg, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,12 +83,12 @@ func TestCoverageSweepWorkerCountInvariance(t *testing.T) {
 	sizes := []int{6, 30, 60}
 	duration := 6 * time.Hour
 
-	base, err := CoverageSweepParallel(p, sizes, duration, 1)
+	base, err := CoverageSweep(p, sizes, duration, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
-		got, err := CoverageSweepParallel(p, sizes, duration, workers)
+		got, err := CoverageSweep(p, sizes, duration, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +106,7 @@ func TestServeSweepPropagatesOnce(t *testing.T) {
 	p := fastSweepParams()
 	cfg := ServeConfig{RequestsPerStep: 4, Steps: 3, Horizon: time.Hour, Seed: 1}
 
-	if _, err := ServeSweepParallel(p, []int{6, 12, 24}, cfg, 2); err != nil {
+	if _, err := ServeSweep(p, []int{6, 12, 24}, cfg, 2); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(*calls, []int{24}) {
@@ -119,7 +119,7 @@ func TestCoverageSweepPropagatesOnce(t *testing.T) {
 	calls := installPropagationHook(t)
 	p := fastSweepParams()
 
-	if _, err := CoverageSweepParallel(p, []int{6, 12, 18}, 2*time.Hour, 2); err != nil {
+	if _, err := CoverageSweep(p, []int{6, 12, 18}, 2*time.Hour, 2); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(*calls, []int{18}) {
@@ -188,7 +188,7 @@ func TestServeSweepReplicated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := ServeSweepParallel(p, sizes, cfg, 1)
+	plain, err := ServeSweep(p, sizes, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ func TestCoverageSweepMatchesPerSizeCoverage(t *testing.T) {
 	p := DefaultParams()
 	sizes := []int{6, 36, 108}
 	const window = 90 * time.Minute
-	points, err := CoverageSweep(p, sizes, window)
+	points, err := CoverageSweep(p, sizes, window, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestCoverageSweepMatchesPerSizeCoverage(t *testing.T) {
 func TestCoverageSweepMoreSatellitesNeverWorse(t *testing.T) {
 	// Adding satellites can only add links, so coverage is monotone in the
 	// catalog prefix length.
-	points, err := CoverageSweep(DefaultParams(), PaperSweepSizes(), 2*time.Hour)
+	points, err := CoverageSweep(DefaultParams(), PaperSweepSizes(), 2*time.Hour, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,13 +59,13 @@ func TestCoverageSweepMoreSatellitesNeverWorse(t *testing.T) {
 }
 
 func TestCoverageSweepRejectsBadInput(t *testing.T) {
-	if _, err := CoverageSweep(DefaultParams(), nil, time.Hour); err == nil {
+	if _, err := CoverageSweep(DefaultParams(), nil, time.Hour, 0); err == nil {
 		t.Fatal("empty sizes accepted")
 	}
-	if _, err := CoverageSweep(DefaultParams(), []int{6}, 0); err == nil {
+	if _, err := CoverageSweep(DefaultParams(), []int{6}, 0, 0); err == nil {
 		t.Fatal("zero duration accepted")
 	}
-	if _, err := CoverageSweep(DefaultParams(), []int{7}, time.Hour); err == nil {
+	if _, err := CoverageSweep(DefaultParams(), []int{7}, time.Hour, 0); err == nil {
 		t.Fatal("invalid size accepted")
 	}
 }
@@ -84,7 +84,7 @@ func TestPaperSweepSizes(t *testing.T) {
 
 func TestServeSweepShape(t *testing.T) {
 	cfg := ServeConfig{RequestsPerStep: 10, Steps: 6, Horizon: 24 * time.Hour, Seed: 5}
-	points, err := ServeSweep(DefaultParams(), []int{6, 108}, cfg)
+	points, err := ServeSweep(DefaultParams(), []int{6, 108}, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

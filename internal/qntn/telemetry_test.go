@@ -193,7 +193,7 @@ func TestServeSweepTelemetryWorkerInvariance(t *testing.T) {
 		col := telemetry.NewCollector()
 		pw := p
 		pw.Telemetry = col
-		points, err := ServeSweepParallel(pw, sizes, cfg, workers)
+		points, err := ServeSweep(pw, sizes, cfg, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +229,7 @@ func TestCoverageSweepTelemetryWorkerInvariance(t *testing.T) {
 		col := telemetry.NewCollector()
 		pw := p
 		pw.Telemetry = col
-		if _, err := CoverageSweepParallel(pw, sizes, duration, workers); err != nil {
+		if _, err := CoverageSweep(pw, sizes, duration, workers); err != nil {
 			t.Fatal(err)
 		}
 		metrics, events := telemetryDump(t, col)
@@ -451,7 +451,7 @@ func TestInstrumentDetach(t *testing.T) {
 func TestParamsHash(t *testing.T) {
 	p := DefaultParams()
 	h1 := ParamsHash(p)
-	if want := "097853f3676ca929"; h1 != want {
+	if want := "a1237872a6c2a6df"; h1 != want {
 		t.Fatalf("ParamsHash(DefaultParams()) = %q, want %q", h1, want)
 	}
 	if h2 := ParamsHash(p); h2 != h1 {
