@@ -54,14 +54,26 @@ func BenchmarkServeSweep(b *testing.B) {
 // BenchmarkCoverageDay108 measures the paper's hardest coverage run — the
 // 108-satellite constellation over a full day — on both execution paths:
 // the brute-force stepped simulation and the event-driven visibility-window
-// engine (identical results; see the oracle equivalence suite). One warmup
-// run precedes the timed loop so both paths are measured at their reusable
-// steady state.
+// engine (identical results; see the oracle equivalence suite). "event" is
+// FullDayCoverage, whose bridged check evaluates open pairs on demand;
+// "event-detailed" is DetailedCoverage on the same engine, which still
+// re-evaluates every open pair and maintains the graph. One warmup run
+// precedes the timed loop so every path is measured at its reusable steady
+// state.
 func BenchmarkCoverageDay108(b *testing.B) {
+	fullDay := func(sc *Scenario) error {
+		_, err := sc.FullDayCoverage()
+		return err
+	}
+	detailed := func(sc *Scenario) error {
+		_, err := sc.DetailedCoverage(orbit.Day)
+		return err
+	}
 	for _, mode := range []struct {
 		name  string
 		event bool
-	}{{"stepped", false}, {"event", true}} {
+		run   func(*Scenario) error
+	}{{"stepped", false, fullDay}, {"event", true, fullDay}, {"event-detailed", true, detailed}} {
 		b.Run(mode.name, func(b *testing.B) {
 			p := DefaultParams()
 			p.EventDriven = mode.event
@@ -69,13 +81,13 @@ func BenchmarkCoverageDay108(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := sc.FullDayCoverage(); err != nil {
+			if err := mode.run(sc); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := sc.FullDayCoverage(); err != nil {
+				if err := mode.run(sc); err != nil {
 					b.Fatal(err)
 				}
 			}

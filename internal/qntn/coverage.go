@@ -106,11 +106,11 @@ func (sc *Scenario) Coverage(duration time.Duration) (*CoverageResult, error) {
 		label = sc.coverageLabel()
 	}
 	for k := 0; k < grid.steps; k++ {
-		if err := ts.step(k); err != nil {
+		covered, err := ts.bridgedStep(k)
+		if err != nil {
 			return nil, err
 		}
 		at := grid.at(k)
-		covered := ts.bridged()
 		accumulate(res, at, step, covered)
 		if tel != nil {
 			tel.coverageSteps.Inc()
@@ -148,6 +148,7 @@ func newUnionFind(n int) *unionFind {
 // ensure resizes the union-find to exactly n fresh singleton elements,
 // reusing the backing arrays when possible.
 func (uf *unionFind) ensure(n int) {
+	//qntn:coldpath grows only when the node count does
 	if cap(uf.parent) < n {
 		uf.parent = make([]int, n)
 		uf.size = make([]int, n)
@@ -163,6 +164,7 @@ func (uf *unionFind) ensure(n int) {
 // static fiber edges.
 func (uf *unionFind) copyFrom(src *unionFind) {
 	n := len(src.parent)
+	//qntn:coldpath grows only when the node count does
 	if cap(uf.parent) < n {
 		uf.parent = make([]int, n)
 		uf.size = make([]int, n)

@@ -37,6 +37,10 @@ type Daemon struct {
 	inflight    *telemetry.Gauge
 	evalPerSec  *telemetry.Gauge
 
+	// slots admits at most cap(slots) traffic queries at once; the rest
+	// get 503 before their body is read.
+	slots chan struct{}
+
 	mu     sync.Mutex
 	caches []horizonCache // least recently used first
 }
@@ -52,11 +56,15 @@ type horizonCache struct {
 // every topology instant of its horizon, so the horizon is capped at one
 // day (the engine's default) and only the maxEphemerisCaches most recently
 // queried horizons keep their cache; a traffic query is a few hundred bytes
-// of JSON, so bodies past maxQueryBytes are refused before decoding.
+// of JSON, so bodies past maxQueryBytes are refused before decoding. Queries
+// are CPU-bound, so past inflightPerProc running queries per GOMAXPROCS the
+// daemon answers 503 with retryAfter instead of queueing unbounded work.
 const (
 	maxQueryHorizon    = orbit.Day
 	maxQueryBytes      = 64 << 10
 	maxEphemerisCaches = 4
+	inflightPerProc    = 2
+	retryAfter         = "1"
 )
 
 // NewDaemon validates the parameters and assembles the daemon's routes.
@@ -81,6 +89,7 @@ func NewDaemon(p Params, clock func() time.Time) (*Daemon, error) {
 		served:      reg.Counter("daemon_requests_served_total"),
 		inflight:    reg.Gauge("daemon_inflight_queries"),
 		evalPerSec:  reg.Gauge("daemon_requests_evaluated_per_sec"),
+		slots:       make(chan struct{}, inflightPerProc*runtime.GOMAXPROCS(0)),
 	}
 	d.mux.HandleFunc("POST /v1/traffic", d.handleTraffic)
 	d.mux.HandleFunc("GET /metrics", d.handleMetrics)
@@ -215,9 +224,17 @@ func (d *Daemon) fail(w http.ResponseWriter, code int, err error) {
 // flush uses, so daemon output is byte-identical to an in-process run.
 // Summary figures ride in X-Qntn-* response headers.
 func (d *Daemon) handleTraffic(w http.ResponseWriter, r *http.Request) {
+	d.queries.Inc()
+	select {
+	case d.slots <- struct{}{}:
+		defer func() { <-d.slots }()
+	default:
+		w.Header().Set("Retry-After", retryAfter)
+		d.fail(w, http.StatusServiceUnavailable, errors.New("qntn: too many traffic queries in flight; retry later"))
+		return
+	}
 	d.inflight.Add(1)
 	defer d.inflight.Add(-1)
-	d.queries.Inc()
 
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBytes))
 	dec.DisallowUnknownFields()

@@ -9,6 +9,8 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,11 +19,11 @@ import (
 
 // testClock is a deterministic wall clock advancing one second per read,
 // so throughput gauges get a nonzero elapsed time without real sleeping.
+// Concurrent handlers read it, as they would time.Now.
 func testClock() func() time.Time {
-	var ticks int
+	var ticks atomic.Int64
 	return func() time.Time {
-		ticks++
-		return time.Unix(int64(ticks), 0)
+		return time.Unix(ticks.Add(1), 0)
 	}
 }
 
@@ -184,6 +186,100 @@ func TestDaemonMetrics(t *testing.T) {
 	hresp.Body.Close()
 	if hresp.StatusCode != http.StatusOK || string(hb) != "ok\n" {
 		t.Fatalf("/healthz: %d %q", hresp.StatusCode, hb)
+	}
+}
+
+// TestDaemonInflightGate fills the daemon's query slots by hand, so the
+// gate is full without racing real queries: a traffic query then gets 503
+// with Retry-After before its body is read — a malformed body would
+// otherwise be a 400 — and counts as a query error. Freeing one slot admits
+// the next query. The gate must admit at least one query, or a single
+// client could never be served.
+func TestDaemonInflightGate(t *testing.T) {
+	d := newTestDaemon(t)
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+
+	if got, want := cap(d.slots), inflightPerProc*runtime.GOMAXPROCS(0); got != want || got < 1 {
+		t.Fatalf("gate admits %d queries, want %d (and at least 1)", got, want)
+	}
+	for i := 0; i < cap(d.slots); i++ {
+		d.slots <- struct{}{}
+	}
+	for _, body := range []string{`{`, `{"arch":"air-ground","rate_per_hour_per_site":1,"horizon":"10m"}`} {
+		resp := postTraffic(t, srv.URL, body)
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("query %s with the gate full: status %d, want 503", body, resp.StatusCode)
+		}
+		if got := resp.Header.Get("Retry-After"); got != retryAfter {
+			t.Fatalf("Retry-After %q, want %q", got, retryAfter)
+		}
+	}
+	if got := d.reg.Counter("daemon_query_errors_total").Value(); got != 2 {
+		t.Fatalf("error counter %d, want 2", got)
+	}
+	if got := d.reg.Gauge("daemon_inflight_queries").Value(); got != 0 {
+		t.Fatalf("refused queries left the in-flight gauge at %d", got)
+	}
+
+	<-d.slots
+	resp := postTraffic(t, srv.URL, `{"arch":"air-ground","rate_per_hour_per_site":1,"horizon":"10m"}`)
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("query after a slot freed: status %d, want 200", resp.StatusCode)
+	}
+	if got := len(d.slots); got != cap(d.slots)-1 {
+		t.Fatalf("served query did not return its slot: %d of %d held", got, cap(d.slots))
+	}
+}
+
+// TestDaemonInflightGateConcurrent sends twice as many cheap queries as
+// the gate admits, all at once: each gets 200 or 503, the 503s are exactly
+// the counted errors, and every slot and the in-flight gauge are released
+// afterwards.
+func TestDaemonInflightGateConcurrent(t *testing.T) {
+	d := newTestDaemon(t)
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+
+	n := 2 * cap(d.slots)
+	codes := make(chan int, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(srv.URL+"/v1/traffic", "application/json",
+				strings.NewReader(`{"arch":"air-ground","rate_per_hour_per_site":1,"horizon":"10m"}`))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			codes <- resp.StatusCode
+		}()
+	}
+	wg.Wait()
+	close(codes)
+	refused := 0
+	for code := range codes {
+		switch code {
+		case http.StatusOK:
+		case http.StatusServiceUnavailable:
+			refused++
+		default:
+			t.Fatalf("status %d, want 200 or 503", code)
+		}
+	}
+	if got := d.reg.Counter("daemon_query_errors_total").Value(); got != uint64(refused) {
+		t.Fatalf("error counter %d, %d queries refused", got, refused)
+	}
+	if len(d.slots) != 0 || d.reg.Gauge("daemon_inflight_queries").Value() != 0 {
+		t.Fatalf("%d slots still held, in-flight gauge %d", len(d.slots), d.reg.Gauge("daemon_inflight_queries").Value())
 	}
 }
 

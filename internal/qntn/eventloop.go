@@ -15,7 +15,9 @@ import (
 // platform down/up and weather on/off events as incremental graph deltas
 // (AddEdgeByIndex / RemoveEdgeByIndex), and re-evaluates only the pairs
 // whose windows are currently open — with the exact stepEval physics, so
-// every snapshot is identical to the stepped backend's.
+// every snapshot is identical to the stepped backend's. Coverage, which
+// reads only the bridged answer, skips the graph: its bridged check
+// evaluates just the open pairs that could still join two components.
 
 // evKind orders simultaneous events deterministically. After coalescing, no
 // entity sees two events at the same step, so the order is a tiebreak for
@@ -107,6 +109,7 @@ type eventEngine struct {
 
 	stepChanges int
 	transitions int
+	pairEvals   int // evalPair calls since the engine was built
 
 	baseUF *unionFind // fiber-only template, rebuilt when ufDirty
 	uf     *unionFind
@@ -148,7 +151,7 @@ func (sc *Scenario) newEventEngine(grid sampleGrid) (*eventEngine, error) {
 	eng.events = eng.events[:0]
 	eng.cursor = 0
 	eng.active = eng.active[:0]
-	eng.stepChanges, eng.transitions = 0, 0
+	eng.stepChanges, eng.transitions, eng.pairEvals = 0, 0, 0
 	eng.lanIdx = eng.lanIdx[:0]
 	eng.lanBad = false
 	eng.fm, _ = sc.Net.Model().(*fault.Model)
@@ -343,6 +346,7 @@ func (eng *eventEngine) apply(ev event) {
 		}
 	case evPairOpen:
 		eng.apos[ev.pair] = len(eng.active)
+		//qntn:coldpath amortized growth: the pooled engine keeps its capacity
 		eng.active = append(eng.active, ev.pair)
 	case evPairClose:
 		at := eng.apos[ev.pair]
@@ -382,8 +386,9 @@ func (eng *eventEngine) ensureFresh(i, k int) {
 // fault decoration, replicating fault.Model's step evaluator: down gate,
 // inner physics, weather gate.
 //
-//qntn:hotpath once per active pair per step
+//qntn:hotpath at most once per active pair per step
 func (eng *eventEngine) evalPair(i, j int) (float64, bool) {
+	eng.pairEvals++
 	if eng.down[i] || eng.down[j] {
 		return 0, false
 	}
@@ -397,17 +402,27 @@ func (eng *eventEngine) evalPair(i, j int) (float64, bool) {
 	return eta, true
 }
 
-// runStep advances the engine to grid step k (steps must be visited in
-// order): pending events are applied, then every open-window pair is
-// re-evaluated and the graph delta applied. After the call eng.g holds
-// exactly the snapshot GraphInto would build at at(k).
-func (eng *eventEngine) runStep(k int) error {
+// advance moves the engine to grid step k (steps must be visited in
+// order): the evaluator is rebound to the step's instant and the step's
+// window, outage and weather events are applied. Open-window pairs are not
+// evaluated: runStep goes on to re-evaluate them all, Coverage's bridged
+// check only those it needs.
+//
+//qntn:hotpath once per grid step
+func (eng *eventEngine) advance(k int) {
 	eng.stepChanges = 0
 	eng.se.setInstant(eng.grid.at(k))
 	for eng.cursor < len(eng.events) && eng.events[eng.cursor].step == k {
 		eng.apply(eng.events[eng.cursor])
 		eng.cursor++
 	}
+}
+
+// runStep advances the engine to grid step k, then re-evaluates every
+// open-window pair and applies the graph delta. After the call eng.g holds
+// exactly the snapshot GraphInto would build at at(k).
+func (eng *eventEngine) runStep(k int) error {
+	eng.advance(k)
 	for _, p := range eng.active {
 		pr := &eng.ws.pairs[p]
 		eng.ensureFresh(pr.i, k)
@@ -435,13 +450,9 @@ func (eng *eventEngine) runStep(k int) error {
 	return nil
 }
 
-// bridged reports whether all LANs are connected in the current topology,
-// equivalently to Scenario.bridgedInto on the engine's graph: a precomputed
-// fiber-only union-find template is copied and the open FSO edges unioned in.
-func (eng *eventEngine) bridged() bool {
-	if eng.lanBad {
-		return false
-	}
+// fiberTemplate returns the union-find over the currently installed fiber
+// edges, rebuilt only after an outage event changed them.
+func (eng *eventEngine) fiberTemplate() *unionFind {
 	if eng.ufDirty {
 		eng.baseUF.ensure(eng.g.NumNodes())
 		for _, fe := range eng.fiber {
@@ -451,25 +462,68 @@ func (eng *eventEngine) bridged() bool {
 		}
 		eng.ufDirty = false
 	}
-	eng.uf.copyFrom(eng.baseUF)
+	return eng.baseUF
+}
+
+// bridged reports whether all LANs share one component at grid step k,
+// which advance must have reached. It evaluates pairs on demand, without
+// reading or updating eng.g: starting from the fiber-only union-find, it
+// walks the open-window pairs (those with a ground endpoint first), skips
+// every pair whose endpoints already share a root, evaluates the rest with
+// the exact step physics, unions the usable ones, and returns as soon as
+// the LANs meet. The answer equals a check over the full snapshot: the
+// final partition does not depend on the union order, and a skipped pair
+// could only have joined two nodes already joined.
+//
+//qntn:hotpath once per grid step of Coverage
+func (eng *eventEngine) bridged(k int) bool {
+	if eng.lanBad {
+		return false
+	}
+	eng.uf.copyFrom(eng.fiberTemplate())
+	return eng.lansJoined() || eng.joinOpenPairs(k, true) || eng.joinOpenPairs(k, false)
+}
+
+// joinOpenPairs is one pass of the bridged check over the open-window
+// pairs with a ground endpoint (ground) or without one (!ground). It
+// reports whether the LANs met.
+//
+//qntn:hotpath twice per grid step of Coverage at most
+func (eng *eventEngine) joinOpenPairs(k int, ground bool) bool {
 	for _, p := range eng.active {
-		if eng.has[p] {
-			pr := &eng.ws.pairs[p]
-			eng.uf.union(pr.i, pr.j)
+		pr := &eng.ws.pairs[p]
+		if (eng.isGround[pr.i] || eng.isGround[pr.j]) != ground {
+			continue
+		}
+		if eng.uf.find(pr.i) == eng.uf.find(pr.j) {
+			continue
+		}
+		eng.ensureFresh(pr.i, k)
+		eng.ensureFresh(pr.j, k)
+		if _, ok := eng.evalPair(pr.i, pr.j); !ok {
+			continue
+		}
+		eng.uf.union(pr.i, pr.j)
+		if eng.lansJoined() {
+			return true
 		}
 	}
-	root := -1
+	return false
+}
+
+// lansJoined reports whether every LAN node shares one root in eng.uf.
+//
+//qntn:hotpath after every union of the bridged check
+func (eng *eventEngine) lansJoined() bool {
+	if len(eng.lanIdx) == 0 {
+		return true
+	}
+	root := eng.uf.find(eng.lanIdx[0][0])
 	for _, lan := range eng.lanIdx {
-		r := eng.uf.find(lan[0])
-		for _, ii := range lan[1:] {
-			if eng.uf.find(ii) != r {
+		for _, ii := range lan {
+			if eng.uf.find(ii) != root {
 				return false
 			}
-		}
-		if root == -1 {
-			root = r
-		} else if r != root {
-			return false
 		}
 	}
 	return true

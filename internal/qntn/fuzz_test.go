@@ -2,15 +2,20 @@ package qntn
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"qntn/internal/netsim"
 	"qntn/internal/orbit"
+	"qntn/internal/telemetry"
 )
 
 // FuzzLoadParams exercises the JSON parameter loader: it must never panic,
@@ -301,6 +306,81 @@ func FuzzVisibilityWindow(f *testing.F) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("event-driven coverage diverged from stepped oracle\nplanes=%d alt=%.1fkm inc=%.1f phase=%g step=%gs j2=%v\n got: %+v\nwant: %+v",
 				planes, altKm, incDeg, phaseRad, stepS, j2, got, want)
+		}
+	})
+}
+
+// fuzzMaxRate bounds the per-site arrival rate of the traffic queries
+// FuzzTrafficQuery runs: the daemon does not cap the rate, and a query's
+// work grows with it, so a fuzzed rate in the billions would only measure
+// the host's memory.
+const fuzzMaxRate = 1000
+
+// FuzzTrafficQuery drives the daemon's traffic route with arbitrary
+// bodies: every body must get either a 200 whose NDJSON the strict event
+// codec parses, one record per reported step, or a 4xx — never a panic or
+// a 5xx. The seeds are the benchmark's query mix plus malformed, oversized
+// and out-of-range bodies.
+func FuzzTrafficQuery(f *testing.F) {
+	mix := []string{
+		`"arch":"space-ground","satellites":6,"horizon":"10m"`,
+		`"arch":"space-ground","satellites":24,"horizon":"20m"`,
+		`"arch":"space-ground","satellites":54,"horizon":"10m"`,
+		`"arch":"space-ground","satellites":54,"horizon":"20m"`,
+		`"arch":"space-ground","satellites":108,"horizon":"10m"`,
+		`"arch":"space-ground","satellites":108,"horizon":"20m"`,
+		`"arch":"space-ground","satellites":24,"horizon":"30m"`,
+		`"arch":"air-ground","horizon":"10m"`,
+		`"arch":"hybrid","satellites":12,"horizon":"10m"`,
+	}
+	for i, shape := range mix {
+		f.Add(fmt.Sprintf(`{%s,"rate_per_hour_per_site":30,"diurnal_amplitude":0.3,"peak_hour":14,"seed":%d}`, shape, i+1))
+	}
+	for _, body := range []string{
+		``, `{`, `}`, `null`, `[]`, `"air-ground"`, `{"arch":1}`,
+		`{"arch":"air-ground","rate_per_hour_per_site":10,"bogus":1}`,
+		`{"arch":"air-ground","rate_per_hour_per_site":10,"horizon":"10m"} trailing`,
+		`{"arch":"air-ground","rate_per_hour_per_site":10,"horizon":"10m","seed":1.5}`,
+		`{"arch":"` + strings.Repeat("a", maxQueryBytes) + `","rate_per_hour_per_site":10}`,
+		`{"arch":"space-ground","satellites":109,"rate_per_hour_per_site":10,"horizon":"10m"}`,
+		`{"arch":"space-ground","satellites":-6,"rate_per_hour_per_site":10,"horizon":"10m"}`,
+		`{"arch":"hybrid","satellites":7,"rate_per_hour_per_site":10,"horizon":"10m"}`,
+		`{"arch":"air-ground","rate_per_hour_per_site":-1,"horizon":"10m"}`,
+		`{"arch":"air-ground","rate_per_hour_per_site":10,"diurnal_amplitude":1,"horizon":"10m"}`,
+		`{"arch":"air-ground","rate_per_hour_per_site":10,"peak_hour":24,"horizon":"10m"}`,
+		`{"arch":"air-ground","rate_per_hour_per_site":10,"horizon":"25h"}`,
+		`{"arch":"air-ground","rate_per_hour_per_site":10,"horizon":"9223372036854775807ns"}`,
+		`{"arch":"air-ground","rate_per_hour_per_site":10,"horizon":"-10m"}`,
+		`{"arch":"air-ground","rate_per_hour_per_site":10,"horizon":"10m","workers":-1}`,
+		`{"arch":"air-ground","rate_per_hour_per_site":10,"horizon":"10m","workers":1000000}`,
+		`{"arch":"air-ground","rate_per_hour_per_site":1e400}`,
+	} {
+		f.Add(body)
+	}
+	d, err := NewDaemon(DefaultParams(), testClock())
+	if err != nil {
+		f.Fatal(err)
+	}
+	h := d.Handler()
+	f.Fuzz(func(t *testing.T, body string) {
+		var q TrafficQuery
+		if json.NewDecoder(strings.NewReader(body)).Decode(&q) == nil && q.RatePerHourPerSite > fuzzMaxRate {
+			t.Skipf("rate %g per hour per site is past the harness budget", q.RatePerHourPerSite)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/traffic", strings.NewReader(body)))
+		switch code := rec.Code; {
+		case code == http.StatusOK:
+			events, err := telemetry.ReadNDJSON(rec.Body)
+			if err != nil {
+				t.Fatalf("200 body fails the strict NDJSON reader: %v", err)
+			}
+			steps, err := strconv.Atoi(rec.Header().Get("X-Qntn-Steps"))
+			if err != nil || len(events) != steps {
+				t.Fatalf("%d NDJSON records for X-Qntn-Steps %q", len(events), rec.Header().Get("X-Qntn-Steps"))
+			}
+		case code < 400 || code >= 500:
+			t.Fatalf("status %d, want 200 or 4xx: %s", code, rec.Body.String())
 		}
 	})
 }

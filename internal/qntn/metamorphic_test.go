@@ -2,10 +2,12 @@ package qntn
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
 	"qntn/internal/fault"
+	"qntn/internal/orbit"
 )
 
 // TestStricterParamsOnlyRemoveEdges is a metamorphic check on the link
@@ -98,6 +100,98 @@ func TestStricterParamsOnlyRemoveEdges(t *testing.T) {
 	for _, v := range variants {
 		if v.fault && faultDropped[v.name] == 0 {
 			t.Errorf("%s: no link dropped in any fault scenario; the check is vacuous", v.name)
+		}
+	}
+}
+
+// TestPrefixConstellationsNest is the prefix metamorphic property the
+// daemon's shared ephemeris cache and the coverage sweep rely on. The
+// paper's constellations are prefixes of one catalog, and a link's verdict
+// depends only on its two endpoints, so adding satellites may only add
+// links and covered steps. Scenarios of 6, 24, 54 and 108 satellites are
+// built from one EphemerisCache. At the instants of
+// TestStricterParamsOnlyRemoveEdges each smaller graph must equal the
+// larger graph restricted to the smaller one's nodes — the pairwise
+// dependence itself, bit-identical transmissivities included — so the edge
+// sets nest. Then the covered steps of a one-day Coverage must nest as
+// satellites are added, on both engines, and grow somewhere so the check is
+// not vacuous. The event-vs-stepped oracle cannot see this property: both
+// paths share the link physics.
+func TestPrefixConstellationsNest(t *testing.T) {
+	sizes := []int{6, 24, 54, 108}
+	instants := []time.Duration{0, 150 * time.Minute, 7 * time.Hour, 13*time.Hour + 30*time.Minute, 19 * time.Hour, 23 * time.Hour}
+	grid := coverageGrid(DefaultParams().TopologyStep(), orbit.Day)
+	times := append([]time.Duration(nil), instants...)
+	for k := 0; k < grid.steps; k++ {
+		times = append(times, grid.at(k))
+	}
+	for _, eventDriven := range []bool{false, true} {
+		p := DefaultParams()
+		p.EventDriven = eventDriven
+		cache, err := NewEphemerisCache(sizes[len(sizes)-1], p, times)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scs := make([]*Scenario, len(sizes))
+		for i, n := range sizes {
+			if scs[i], err = cache.Scenario(n); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !eventDriven {
+			for _, at := range instants {
+				for i := 1; i < len(sizes); i++ {
+					small, err := scs[i-1].Graph(at)
+					if err != nil {
+						t.Fatal(err)
+					}
+					large, err := scs[i].Graph(at)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := edgeSet(small)
+					present := make(map[string]bool)
+					for _, id := range small.Nodes() {
+						present[id] = true
+					}
+					got := make(map[[2]string]float64)
+					for key, eta := range edgeSet(large) {
+						if present[key[0]] && present[key[1]] {
+							got[key] = eta
+						}
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("t=%v: %d-satellite graph restricted to the %d-satellite nodes has %d links, the %d-satellite graph %d",
+							at, sizes[i], sizes[i-1], len(got), sizes[i-1], len(want))
+					}
+				}
+			}
+		}
+		var prev map[time.Duration]bool
+		for i, sc := range scs {
+			res, err := sc.Coverage(orbit.Day)
+			if err != nil {
+				t.Fatal(err)
+			}
+			covered := make(map[time.Duration]bool)
+			for _, iv := range res.Intervals {
+				for at := iv.Start; at < iv.End; at += grid.gap {
+					covered[at] = true
+				}
+			}
+			if len(covered) != res.CoveredSteps {
+				t.Fatalf("%d satellites: %d covered instants from the intervals, %d covered steps", sizes[i], len(covered), res.CoveredSteps)
+			}
+			for at := range prev {
+				if !covered[at] {
+					t.Fatalf("event-driven=%v: t=%v covered with %d satellites but not with %d", eventDriven, at, sizes[i-1], sizes[i])
+				}
+			}
+			if prev != nil && len(covered) == len(prev) {
+				t.Errorf("event-driven=%v: %d and %d satellites cover the same %d steps; the check is vacuous here",
+					eventDriven, sizes[i-1], sizes[i], len(covered))
+			}
+			prev = covered
 		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"qntn/internal/orbit"
 	"qntn/internal/qntn"
 	"qntn/internal/qntn/oracletest"
 	"qntn/internal/routing"
@@ -77,6 +78,68 @@ func TestEventGraphDeepEqualsSteppedSnapshot(t *testing.T) {
 				}
 				if steps == 0 || edges == 0 {
 					t.Fatalf("degenerate run: %d steps, %d edges", steps, edges)
+				}
+			})
+		}
+	}
+}
+
+// TestDemandBridgedMatchesFullReevaluation pins Coverage's demand-driven
+// bridged check, which evaluates only the open pairs that could still join
+// two components and stops once the LANs meet, against the retired full
+// re-evaluation of every open pair: the answers must agree at every grid
+// step of every archetype, faults off and on. The Tennessee LANs are close
+// enough that one relay in view of all three decides every archetype, so
+// a 504-satellite +grid Walker over the global ground sites, where only
+// inter-satellite chains bridge the LANs, runs as well. On SpaceGround-108
+// without faults (about 45% today) the check must also evaluate at most
+// 60% of the open-pair steps, so a regression to evaluating every open
+// pair fails here even though the answers agree.
+func TestDemandBridgedMatchesFullReevaluation(t *testing.T) {
+	global := qntn.WalkerSpec{
+		Shells:  []orbit.WalkerShell{{TotalSats: 504, Planes: 12, Phasing: 1, InclinationDeg: 53, AltitudeM: 550e3}},
+		ISLGrid: true,
+		Ground:  qntn.GlobalGroundNetworks(),
+	}
+	archs := append(oracletest.Archetypes(), oracletest.Archetype{
+		Name:     "walker-504-islgrid-global",
+		Build:    func(p qntn.Params) (*qntn.Scenario, error) { return qntn.NewWalker(global, p) },
+		Duration: time.Hour,
+	})
+	for _, arch := range archs {
+		for _, faults := range []bool{false, true} {
+			name, p := arch.Name, arch.Params()
+			if faults {
+				name += "-faults"
+				p.Fault = oracletest.FaultConfig(11)
+			}
+			p.EventDriven = true
+			t.Run(name, func(t *testing.T) {
+				sc, err := arch.Build(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				covered := 0
+				c, err := qntn.CompareBridgedSteps(sc, arch.Duration, func(at time.Duration, demand, full bool) {
+					if demand != full {
+						t.Fatalf("t=%v: demand-driven bridged %v, full re-evaluation %v", at, demand, full)
+					}
+					if full {
+						covered++
+					}
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if c.FullEvals != c.OpenPairSteps {
+					t.Fatalf("reference evaluated %d pairs over %d open-pair steps", c.FullEvals, c.OpenPairSteps)
+				}
+				t.Logf("%d steps, %d covered; pair evaluations %d demand-driven, %d full", c.Steps, covered, c.DemandEvals, c.FullEvals)
+				if c.DemandEvals > c.FullEvals {
+					t.Fatalf("demand-driven check evaluated %d pairs, more than the %d open-pair steps", c.DemandEvals, c.FullEvals)
+				}
+				if arch.Name == "space-ground-108" && !faults && 5*c.DemandEvals > 3*c.FullEvals {
+					t.Fatalf("demand-driven check evaluated %d of %d open-pair steps; want at most 60%%", c.DemandEvals, c.FullEvals)
 				}
 			})
 		}

@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"qntn/internal/fault"
+	"qntn/internal/geo"
+	"qntn/internal/netsim"
 	"qntn/internal/routing"
 )
 
@@ -184,6 +186,47 @@ func TestSnapshotIndexMatchesDense(t *testing.T) {
 					t.Fatal("degenerate dense-vs-index run: no edges at any step")
 				}
 			})
+		}
+	}
+}
+
+// TestRelayFrameFollowsRefresh pins the lazily built relay frames: after
+// a reset or a refreshRelayAt, relayFrame must return the frame of the new
+// position, never one built for an earlier position. The event engine
+// refreshes relays with refreshRelayAt, and on the paper's scenarios a
+// stale frame would not show in any link (static HAPs own the frame of
+// their satellite links; inter-satellite links above the atmosphere ignore
+// the elevation), so the frame is checked directly.
+func TestRelayFrameFollowsRefresh(t *testing.T) {
+	sc, err := NewSpaceGround(6, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := sc.Net.Nodes()
+	se := sc.beginStep(nodes, 0)
+	defer se.Close()
+	relays := 0
+	for i, nd := range nodes {
+		if se.kind[i] == netsim.Ground {
+			continue
+		}
+		relays++
+		want := func(at time.Duration) geo.Frame { return geo.NewFrame(geo.ToLLA(nd.PositionAt(at))) }
+		if got := *se.relayFrame(i); got != want(0) {
+			t.Fatalf("%s: frame at t=0 is not the frame of its position", nd.ID())
+		}
+		se.refreshRelayAt(i, nd.PositionAt(time.Hour))
+		if got := *se.relayFrame(i); got != want(time.Hour) {
+			t.Fatalf("%s: frame after refreshRelayAt is stale", nd.ID())
+		}
+	}
+	if relays == 0 {
+		t.Fatal("scenario has no relays")
+	}
+	se.reset(2 * time.Hour)
+	for i, nd := range nodes {
+		if se.kind[i] != netsim.Ground && *se.relayFrame(i) != geo.NewFrame(geo.ToLLA(nd.PositionAt(2*time.Hour))) {
+			t.Fatalf("%s: frame after reset is stale", nd.ID())
 		}
 	}
 }

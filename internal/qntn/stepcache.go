@@ -47,13 +47,13 @@ func (sc *Scenario) beginStep(nodes []netsim.Node, t time.Duration) *stepEval {
 }
 
 // stepEval is the per-instant link-evaluation fast path: it hoists every
-// per-node quantity out of the O(N²) pair loop — each relay's position,
-// geodetic conversion and observation frame and each ground host's darkness
-// are computed exactly once per timestep — and then answers pair queries
-// from the cache. Cheap conservative prefilters (horizon test,
-// squared-range gate) reject most pairs before the full FSO evaluation;
-// pairs that survive run the exact reference computation, so results are
-// bit-identical to Scenario.evaluateLink.
+// per-node quantity out of the O(N²) pair loop — each relay's position and
+// geodetic conversion and each ground host's darkness are computed exactly
+// once per timestep, each relay's observation frame at most once — and then
+// answers pair queries from the cache. Cheap conservative prefilters
+// (horizon test, squared-range gate) reject most pairs before the full FSO
+// evaluation; pairs that survive run the exact reference computation, so
+// results are bit-identical to Scenario.evaluateLink.
 type stepEval struct {
 	sc    *Scenario
 	nodes []netsim.Node
@@ -71,8 +71,13 @@ type stepEval struct {
 	pos   []geo.Vec3  // relays: PositionAt(t)
 	normM []float64   // relays: pos.Norm()
 	lla   []geo.LLA   // relays: geo.ToLLA(pos)
-	frame []geo.Frame // relays: observation frame at lla
+	frame []geo.Frame // relays: observation frame at lla, see relayFrame
 	dark  []bool      // ground hosts: IsDark (when RequireDarkness)
+
+	// frameOK[i] reports whether frame[i] was built for the current
+	// position; refreshes clear it and relayFrame builds the frame on the
+	// first read, so relays no pair looks at never pay for the trig.
+	frameOK []bool
 
 	// Spatial index (geometry and static assignments valid while the node
 	// set is unchanged; see spatialindex.go). staticCell holds the cell of
@@ -221,6 +226,7 @@ func (se *stepEval) init(nodes []netsim.Node) {
 	se.normM = grow(se.normM, n)
 	se.lla = grow(se.lla, n)
 	se.frame = grow(se.frame, n)
+	se.frameOK = grow(se.frameOK, n)
 	se.dark = grow(se.dark, n)
 	for i, node := range nodes {
 		se.kind[i] = node.Kind()
@@ -342,9 +348,9 @@ func growZero(s [][]int32, n int) [][]int32 {
 	return out
 }
 
-// reset recomputes the per-step caches for instant t: one position, norm,
-// geodetic conversion and frame per relay; one darkness bit per ground
-// host.
+// reset recomputes the per-step caches for instant t: one position, norm
+// and geodetic conversion per relay (frames follow on demand); one darkness
+// bit per ground host.
 //
 //qntn:hotpath
 func (se *stepEval) reset(t time.Duration) {
@@ -369,9 +375,8 @@ func (se *stepEval) reset(t time.Duration) {
 		p := node.PositionAt(t)
 		se.pos[i] = p
 		se.normM[i] = p.Norm()
-		l := geo.ToLLA(p)
-		se.lla[i] = l
-		se.frame[i] = geo.NewFrame(l)
+		se.lla[i] = geo.ToLLA(p)
+		se.frameOK[i] = false
 	}
 }
 
@@ -407,9 +412,21 @@ func (se *stepEval) refreshNode(i int) {
 func (se *stepEval) refreshRelayAt(i int, p geo.Vec3) {
 	se.pos[i] = p
 	se.normM[i] = p.Norm()
-	l := geo.ToLLA(p)
-	se.lla[i] = l
-	se.frame[i] = geo.NewFrame(l)
+	se.lla[i] = geo.ToLLA(p)
+	se.frameOK[i] = false
+}
+
+// relayFrame returns relay i's observation frame at the current instant,
+// building it from the cached geodetic position on the first read after a
+// refresh. geo.NewFrame is pure, so the frame equals an eager build.
+//
+//qntn:hotpath at most once per relay per step builds the frame
+func (se *stepEval) relayFrame(i int) *geo.Frame {
+	if !se.frameOK[i] {
+		se.frame[i] = geo.NewFrame(se.lla[i])
+		se.frameOK[i] = true
+	}
+	return &se.frame[i]
 }
 
 // Close implements netsim.StepEvaluator, returning the evaluator to its
@@ -526,7 +543,7 @@ func (se *stepEval) islPair(a, b int) (float64, bool) {
 	}
 	eta := sc.spaceFSO.Transmissivity(channel.FSOGeometry{
 		RangeM:       pa.Distance(pb),
-		ElevationRad: se.frame[lo].Look(se.pos[hi]).ElevationRad,
+		ElevationRad: se.relayFrame(lo).Look(se.pos[hi]).ElevationRad,
 		LoAltM:       se.lla[a].AltM,
 		HiAltM:       se.lla[b].AltM,
 	})
@@ -566,7 +583,7 @@ func (se *stepEval) satHAPPair(a, b int) (float64, bool) {
 	if se.normM[lo] > se.normM[hi] {
 		lo, hi = hi, lo
 	}
-	elev := se.frame[lo].Look(se.pos[hi]).ElevationRad
+	elev := se.relayFrame(lo).Look(se.pos[hi]).ElevationRad
 	if elev < sc.Params.MinElevationRad {
 		return 0, false
 	}

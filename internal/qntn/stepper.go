@@ -17,6 +17,11 @@ import (
 //   - event-driven (Params.EventDriven): the eventEngine's incremental
 //     replay of precomputed visibility windows (eventloop.go).
 //
+// Coverage calls bridgedStep instead of step: it needs only the bridged
+// answer, so the event backend leaves the graph alone and evaluates the
+// open pairs on demand, stopping once the LANs meet; the stepped backend
+// builds the snapshot and runs the union-find over it as usual.
+//
 // Telemetry-instrumented scenarios always step: per-step snapshot stats
 // have no event-driven equivalent.
 type topoStepper struct {
@@ -76,13 +81,18 @@ func (ts *topoStepper) step(k int) error {
 	return nil
 }
 
-// bridged reports whether all LANs share one component in the current
-// topology.
-func (ts *topoStepper) bridged() bool {
+// bridgedStep advances to grid step k, like step, and reports whether all
+// LANs share one component there. On the event backend the graph is not
+// maintained, so a run must use either step or bridgedStep throughout.
+func (ts *topoStepper) bridgedStep(k int) (bool, error) {
 	if ts.eng != nil {
-		return ts.eng.bridged()
+		ts.eng.advance(k)
+		return ts.eng.bridged(k), nil
 	}
-	return ts.sc.bridgedInto(&ts.uf, ts.g)
+	if err := ts.step(k); err != nil {
+		return false, err
+	}
+	return ts.sc.bridgedInto(&ts.uf, ts.g), nil
 }
 
 // linkTransitions returns the link appear/disappear count over the steps
