@@ -66,41 +66,49 @@ func BenchmarkSnapshotInto108TelemetrySatellites(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotIntoWalker1k measures one stepped topology step of the
-// walker1k-coverage backbone: two 504-satellite +grid shells over the
-// global ground set, 1,059 nodes and about 1,465 links per step. An
-// operation is a snapshot into one reused graph plus the union-find
-// bridged check, cycling over the 20 instants of a 10-minute slice that
-// the warm-up visits once first, so every neighbour row already has its
-// capacity and the steady state allocates nothing. Run it with -cpu 1 to
-// see 0 allocs/op: with more Ps, the goroutine can migrate between the
-// Close and the next checkout of the scenario's per-P evaluator pool, and
-// the miss rebuilds an evaluator.
-func BenchmarkSnapshotIntoWalker1k(b *testing.B) {
+// walker1kSpec is the walker1k-coverage backbone: two 504-satellite +grid
+// shells of 12 planes (53° at 550 km, 70° at 600 km) with phasing factor 1,
+// over the global ground set.
+func walker1kSpec() WalkerSpec {
 	shell := func(inclinationDeg, altitudeM float64) orbit.WalkerShell {
 		return orbit.WalkerShell{TotalSats: 504, Planes: 12, Phasing: 1,
 			InclinationDeg: inclinationDeg, AltitudeM: altitudeM}
 	}
-	spec := WalkerSpec{
+	return WalkerSpec{
 		Shells:  []orbit.WalkerShell{shell(53, 550e3), shell(70, 600e3)},
 		ISLGrid: true,
 		Ground:  GlobalGroundNetworks(),
 	}
-	sc, err := NewWalker(spec, DefaultParams())
+}
+
+// walker1kInstants is the number of topology steps in the 10-minute slice
+// one walker1k-coverage pass covers.
+const walker1kInstants = 20
+
+// BenchmarkSnapshotIntoWalker1k measures one stepped topology step of the
+// walker1k-coverage backbone (walker1kSpec): 1,059 nodes, about 2,900
+// candidate pairs and 1,465 links per step. An operation is a snapshot
+// into one reused graph plus the union-find bridged check, cycling over
+// the 20 instants of a 10-minute slice that the warm-up visits once first,
+// so every neighbour row already has its capacity and the steady state
+// allocates nothing. Run it with -cpu 1 to see 0 allocs/op: with more Ps,
+// the goroutine can migrate between the Close and the next checkout of the
+// scenario's per-P evaluator pool, and the miss rebuilds an evaluator.
+func BenchmarkSnapshotIntoWalker1k(b *testing.B) {
+	sc, err := NewWalker(walker1kSpec(), DefaultParams())
 	if err != nil {
 		b.Fatal(err)
 	}
-	const instants = 20
 	step := sc.Params.TopologyStep()
 	g := routing.NewGraph()
 	var uf unionFind
 	run := func(k int) {
-		if err := sc.GraphInto(g, time.Duration(k%instants)*step); err != nil {
+		if err := sc.GraphInto(g, time.Duration(k%walker1kInstants)*step); err != nil {
 			b.Fatal(err)
 		}
 		sc.bridgedInto(&uf, g)
 	}
-	for k := 0; k < instants; k++ {
+	for k := 0; k < walker1kInstants; k++ {
 		run(k)
 	}
 	b.ReportAllocs()
@@ -108,6 +116,40 @@ func BenchmarkSnapshotIntoWalker1k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		run(i)
 	}
+}
+
+// BenchmarkCandidatePairsWalker1k measures the candidates layer of the
+// walker1k-coverage backbone on its own: an operation is one BeginStep
+// (the per-step ephemeris refresh) plus the CandidatePairs build, cycling
+// over the same 20 instants as BenchmarkSnapshotIntoWalker1k, and the
+// candidates/step metric is the length of the list the physics loop would
+// walk.
+func BenchmarkCandidatePairsWalker1k(b *testing.B) {
+	sc, err := NewWalker(walker1kSpec(), DefaultParams())
+	if err != nil {
+		b.Fatal(err)
+	}
+	step := sc.Params.TopologyStep()
+	total := 0
+	run := func(k int) {
+		ev := sc.Net.BeginStep(time.Duration(k%walker1kInstants) * step)
+		cand, ok := ev.(netsim.PairEnumerator).CandidatePairs()
+		if !ok {
+			b.Fatal("spatial index inactive on the walker1k backbone")
+		}
+		total += len(cand)
+		ev.Close()
+	}
+	for k := 0; k < walker1kInstants; k++ {
+		run(k)
+	}
+	total = 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run(i)
+	}
+	b.ReportMetric(float64(total)/float64(b.N), "candidates/step")
 }
 
 func BenchmarkRoutesAirGround(b *testing.B) {

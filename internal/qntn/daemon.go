@@ -59,9 +59,15 @@ type horizonCache struct {
 // of JSON, so bodies past maxQueryBytes are refused before decoding. Queries
 // are CPU-bound, so past inflightPerProc running queries per GOMAXPROCS the
 // daemon answers 503 with retryAfter instead of queueing unbounded work.
+// RunTraffic materializes every arrival before admission, so a query whose
+// expected arrival count at the diurnal peak rate exceeds maxQueryArrivals
+// (about 11 MB of arrivals) is refused before any is generated. At 30 per
+// hour per site and diurnal amplitude 0.3, the 31 sites expect at most
+// about 600 arrivals over a 30-minute horizon and 29,000 over a day.
 const (
 	maxQueryHorizon    = orbit.Day
 	maxQueryBytes      = 64 << 10
+	maxQueryArrivals   = 200_000
 	maxEphemerisCaches = 4
 	inflightPerProc    = 2
 	retryAfter         = "1"
@@ -187,6 +193,15 @@ func (d *Daemon) prepare(q TrafficQuery) (*Scenario, TrafficConfig, error) {
 	}
 	if maxWorkers := runtime.GOMAXPROCS(0); q.Workers < 0 || q.Workers > maxWorkers {
 		return nil, cfg, fmt.Errorf("qntn: traffic workers %d outside [0, %d]", q.Workers, maxWorkers)
+	}
+	// Every architecture the daemon serves stands on the paper's LANs, so
+	// the site count is known before any scenario is built.
+	sites := 0
+	for _, lan := range GroundNetworks() {
+		sites += len(lan.Nodes)
+	}
+	if want := cfg.RatePerHourPerSite * (1 + cfg.Diurnal.Amplitude) * cfg.Horizon.Hours() * float64(sites); !(want <= maxQueryArrivals) {
+		return nil, cfg, fmt.Errorf("qntn: traffic query expects up to %.3g arrivals, over the daemon limit %d", want, maxQueryArrivals)
 	}
 	switch q.Arch {
 	case "", "space-ground":

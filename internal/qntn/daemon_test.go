@@ -283,10 +283,20 @@ func TestDaemonInflightGateConcurrent(t *testing.T) {
 	}
 }
 
+// groundSites is the number of ground hosts on the paper's LANs, the site
+// count of every daemon query.
+func groundSites() int {
+	n := 0
+	for _, lan := range GroundNetworks() {
+		n += len(lan.Nodes)
+	}
+	return n
+}
+
 // TestDaemonRejectsBadQueries covers the 4xx surface: malformed JSON,
 // unknown fields (strict decoding), unknown architectures, bad or
-// over-long horizons, invalid traffic shapes and oversized bodies — all
-// recorded on the error counter. No rejected query may build an ephemeris
+// over-long horizons, invalid traffic shapes, arrival counts past the cap
+// and oversized bodies — all recorded on the error counter. No rejected query may build an ephemeris
 // cache; a horizon past one day would otherwise hold the catalog at up to
 // millions of instants.
 func TestDaemonRejectsBadQueries(t *testing.T) {
@@ -323,6 +333,11 @@ func TestDaemonRejectsBadQueries(t *testing.T) {
 		{`{` + strings.Repeat(" ", 2*maxQueryBytes) + `}`, http.StatusRequestEntityTooLarge},
 		{`{"arch":"space-ground","satellites":6,"rate_per_hour_per_site":10,"workers":-1}`, http.StatusBadRequest},
 		{fmt.Sprintf(`{"arch":"space-ground","satellites":6,"rate_per_hour_per_site":10,"workers":%d}`, runtime.GOMAXPROCS(0)+1), http.StatusBadRequest},
+		// Expected arrivals past maxQueryArrivals: refused before any
+		// arrival or ephemeris is generated.
+		{`{"arch":"space-ground","satellites":6,"rate_per_hour_per_site":1e300}`, http.StatusBadRequest},
+		{fmt.Sprintf(`{"arch":"air-ground","rate_per_hour_per_site":%g,"diurnal_amplitude":0.5,"horizon":"1h"}`,
+			1.01*maxQueryArrivals/(1.5*float64(groundSites()))), http.StatusBadRequest},
 	}
 	for _, tc := range bad {
 		resp := postTraffic(t, srv.URL, tc.body)

@@ -25,3 +25,9 @@ func EachEventGraph(sc *Scenario, duration time.Duration, fn func(at time.Durati
 	}
 	return nil
 }
+
+// Walker1kSpec and WalkerTestSpec expose the white-box tests' Walker
+// constellations (the walker1k-coverage backbone and walker-96-global) to
+// the external differential tests.
+func Walker1kSpec() WalkerSpec   { return walker1kSpec() }
+func WalkerTestSpec() WalkerSpec { return walkerTestSpec() }

@@ -195,3 +195,58 @@ func TestPrefixConstellationsNest(t *testing.T) {
 		}
 	}
 }
+
+// TestPrefixConstellationsServeNest carries the prefix property through
+// RunServe. With the protocol off a request is served when a path exists,
+// and each larger constellation only adds links to the smaller one's graph
+// (TestPrefixConstellationsNest), so on both engines every request that
+// SpaceGround-6/24/54/108, built from one EphemerisCache, serves must be
+// served by every larger size under the same ServeConfig, and the served
+// count must grow somewhere.
+func TestPrefixConstellationsServeNest(t *testing.T) {
+	sizes := []int{6, 24, 54, 108}
+	cfg := DefaultServeConfig()
+	for _, eventDriven := range []bool{false, true} {
+		p := DefaultParams()
+		p.EventDriven = eventDriven
+		cache, err := NewEphemerisCache(sizes[len(sizes)-1], p, cfg.sampleTimes(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var prev *ServeResult
+		grew := false
+		for i, n := range sizes {
+			sc, err := cache.Scenario(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sc.RunServe(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if prev != nil {
+				small, large := prev.Metrics.Outcomes, res.Metrics.Outcomes
+				if len(small) != len(large) {
+					t.Fatalf("event-driven=%v: %d outcomes with %d satellites, %d with %d", eventDriven, len(small), sizes[i-1], len(large), n)
+				}
+				for k, o := range small {
+					if large[k].Request != o.Request || large[k].At != o.At {
+						t.Fatalf("event-driven=%v: outcome %d is request %+v at %v with %d satellites, %+v at %v with %d",
+							eventDriven, k, o.Request, o.At, sizes[i-1], large[k].Request, large[k].At, n)
+					}
+					if o.Served && !large[k].Served {
+						t.Fatalf("event-driven=%v: request %+v at %v served with %d satellites but not with %d",
+							eventDriven, o.Request, o.At, sizes[i-1], n)
+					}
+				}
+				if res.ServedPercent > prev.ServedPercent {
+					grew = true
+				}
+			}
+			prev = res
+		}
+		if !grew {
+			t.Errorf("event-driven=%v: served count never grows from 6 to 108 satellites; the check is vacuous", eventDriven)
+		}
+	}
+}

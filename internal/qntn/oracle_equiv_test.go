@@ -27,20 +27,100 @@ func oracleServeConfig(horizon time.Duration) qntn.ServeConfig {
 }
 
 // TestEventDrivenMatchesSteppedOracle is the core differential matrix:
-// every archetype, faults off and on.
+// every archetype, faults off and on; CoverageOnly archetypes skip the
+// serve leg.
 func TestEventDrivenMatchesSteppedOracle(t *testing.T) {
 	for _, arch := range oracletest.Archetypes() {
 		arch := arch
-		t.Run(arch.Name, func(t *testing.T) {
-			p := arch.Params()
+		check := func(t *testing.T, p qntn.Params) {
+			if arch.CoverageOnly {
+				oracletest.AssertCoverageEqual(t, arch.Build, p, arch.Duration)
+				oracletest.AssertDetailedCoverageEqual(t, arch.Build, p, arch.Duration)
+				return
+			}
 			oracletest.AssertAllEqual(t, arch.Build, p, arch.Duration, oracleServeConfig(arch.Duration))
+		}
+		t.Run(arch.Name, func(t *testing.T) {
+			check(t, arch.Params())
 		})
 		t.Run(arch.Name+"-faults", func(t *testing.T) {
 			p := arch.Params()
 			p.Fault = oracletest.FaultConfig(11)
-			oracletest.AssertAllEqual(t, arch.Build, p, arch.Duration, oracleServeConfig(arch.Duration))
+			check(t, p)
 		})
 	}
+}
+
+// islChainArchetype returns the catalog's ISL-chain archetype.
+func islChainArchetype(t *testing.T) oracletest.Archetype {
+	t.Helper()
+	for _, a := range oracletest.Archetypes() {
+		if a.Name == "walker-480-islgrid-global" {
+			return a
+		}
+	}
+	t.Fatal("ISL-chain archetype missing from the catalog")
+	return oracletest.Archetype{}
+}
+
+// TestISLChainArchetypeDecidedByRelayLinks pins what the ISL-chain
+// archetype is for: its stepped coverage lies strictly between 0% and
+// 100%, no relay links to every LAN at any covered step, so only
+// relay↔relay links bridge them, and the same constellation without the
+// +grid allowlist covers strictly more steps (the allowlist only removes
+// links, so it can never cover fewer).
+func TestISLChainArchetypeDecidedByRelayLinks(t *testing.T) {
+	arch := islChainArchetype(t)
+	sc, err := arch.Build(arch.Params())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sc.Coverage(arch.Duration)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CoveredSteps == 0 || res.CoveredSteps == res.Steps {
+		t.Fatalf("covered %d of %d steps; want strictly between none and all", res.CoveredSteps, res.Steps)
+	}
+	lanOf := make(map[string]string)
+	for lan, ids := range sc.GroundIDs {
+		for _, id := range ids {
+			lanOf[id] = lan
+		}
+	}
+	g := routing.NewGraph()
+	for _, iv := range res.Intervals {
+		for at := iv.Start; at < iv.End; at += sc.Params.TopologyStep() {
+			if err := sc.GraphInto(g, at); err != nil {
+				t.Fatal(err)
+			}
+			for _, relay := range sc.RelayIDs {
+				seen := make(map[string]bool)
+				for _, nb := range g.Neighbors(relay) {
+					if lan, ok := lanOf[nb]; ok {
+						seen[lan] = true
+					}
+				}
+				if len(seen) == len(sc.LANs) {
+					t.Fatalf("t=%v: relay %s links to all %d LANs", at, relay, len(seen))
+				}
+			}
+		}
+	}
+	spec := oracletest.ISLChainSpec()
+	spec.ISLGrid = false
+	unrestricted, err := qntn.NewWalker(spec, arch.Params())
+	if err != nil {
+		t.Fatal(err)
+	}
+	resOpen, err := unrestricted.Coverage(arch.Duration)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resOpen.CoveredSteps <= res.CoveredSteps {
+		t.Fatalf("without the +grid allowlist %d steps covered, with it %d; want strictly more without", resOpen.CoveredSteps, res.CoveredSteps)
+	}
+	t.Logf("covered %d of %d steps with the +grid allowlist, %d without", res.CoveredSteps, res.Steps, resOpen.CoveredSteps)
 }
 
 // TestEventGraphDeepEqualsSteppedSnapshot compares the topology itself, not
@@ -88,10 +168,10 @@ func TestEventGraphDeepEqualsSteppedSnapshot(t *testing.T) {
 // bridged check, which evaluates only the open pairs that could still join
 // two components and stops once the LANs meet, against the retired full
 // re-evaluation of every open pair: the answers must agree at every grid
-// step of every archetype, faults off and on. The Tennessee LANs are close
-// enough that one relay in view of all three decides every archetype, so
-// a 504-satellite +grid Walker over the global ground sites, where only
-// inter-satellite chains bridge the LANs, runs as well. On SpaceGround-108
+// step of every archetype, faults off and on. A 504-satellite +grid
+// Walker over the global ground sites runs as well: like the ISL-chain
+// archetype, only inter-satellite chains bridge its LANs, and over its
+// hour it crosses more coverage transitions. On SpaceGround-108
 // without faults (about 45% today) the check must also evaluate at most
 // 60% of the open-pair steps, so a regression to evaluating every open
 // pair fails here even though the answers agree.

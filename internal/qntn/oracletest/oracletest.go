@@ -40,16 +40,39 @@ type Archetype struct {
 	// Darkness enables the night-only operation constraint, exercising
 	// darkness boundaries where ground stations join and leave service.
 	Darkness bool
+	// CoverageOnly keeps the archetype out of the serve matrices: on its
+	// thousand-odd nodes Algorithm 1's Bellman-Ford tables cost about 0.2 s
+	// per serve step, which the matrices' dozens of serve runs cannot
+	// afford in tier-1 time.
+	CoverageOnly bool
+}
+
+// ISLChainSpec is the +grid Walker of the "walker-480-islgrid-global"
+// archetype: one 480-satellite shell of 12 planes (53° at 550 km) over
+// GlobalGroundNetworks. The LANs lie on five continents, so no relay sees
+// them all and only inter-satellite chains can bridge them; at 40
+// satellites per plane the ring neighbours sit just inside the ISL range,
+// and over the archetype's 10 minutes the grid bridges the LANs at some
+// steps but not all.
+func ISLChainSpec() qntn.WalkerSpec {
+	return qntn.WalkerSpec{
+		Shells:  []orbit.WalkerShell{{TotalSats: 480, Planes: 12, Phasing: 1, InclinationDeg: 53, AltitudeM: 550e3}},
+		ISLGrid: true,
+		Ground:  qntn.GlobalGroundNetworks(),
+	}
 }
 
 // Archetypes returns the suite's scenario catalog: the paper's SpaceGround
 // constellation sizes (6/24/54/108), the AirGround HAP architecture, the
-// Hybrid future-work mix, and a two-shell Walker constellation with the
-// +grid inter-satellite-link topology — the global-scale regime the spatial
-// index targets (96 satellites, over the index's node cutoff). Darkness
-// settings mirror the snapshot equivalence suite so both harnesses stress
-// the same regimes; HAP downtime comes from the faults-on pass
-// (FaultConfig).
+// Hybrid future-work mix, a two-shell Walker constellation with the +grid
+// inter-satellite-link topology — the global-scale regime the spatial
+// index targets (96 satellites, over the index's node cutoff) — and the
+// ISLChainSpec Walker. In every other archetype one relay in view of all
+// three Tennessee LANs decides bridging; in the last only relay↔relay
+// links can, and it runs in the coverage matrices only (CoverageOnly).
+// Darkness settings mirror the snapshot equivalence suite so both
+// harnesses stress the same regimes; HAP downtime comes from the faults-on
+// pass (FaultConfig).
 func Archetypes() []Archetype {
 	spaceGround := func(n int) Builder {
 		return func(p qntn.Params) (*qntn.Scenario, error) { return qntn.NewSpaceGround(n, p) }
@@ -71,6 +94,8 @@ func Archetypes() []Archetype {
 			Duration: 8 * time.Hour, Darkness: true},
 		{Name: "walker-96-islgrid", Build: func(p qntn.Params) (*qntn.Scenario, error) { return qntn.NewWalker(walker, p) },
 			Duration: 3 * time.Hour},
+		{Name: "walker-480-islgrid-global", Build: func(p qntn.Params) (*qntn.Scenario, error) { return qntn.NewWalker(ISLChainSpec(), p) },
+			Duration: 10 * time.Minute, CoverageOnly: true},
 	}
 }
 

@@ -31,6 +31,9 @@ func servedCount(res *qntn.ServeResult) int {
 func TestRunServeMatchesReference(t *testing.T) {
 	served := 0
 	for _, arch := range oracletest.Archetypes() {
+		if arch.CoverageOnly {
+			continue
+		}
 		for _, faults := range []bool{false, true} {
 			for _, proto := range []bool{false, true} {
 				arch, faults, proto := arch, faults, proto
@@ -71,6 +74,9 @@ func TestRunServeMatchesReference(t *testing.T) {
 func TestRunServeDESMatchesReference(t *testing.T) {
 	served := 0
 	for _, arch := range oracletest.Archetypes() {
+		if arch.CoverageOnly {
+			continue
+		}
 		for _, faults := range []bool{false, true} {
 			for _, t2 := range []time.Duration{0, 10 * time.Millisecond} {
 				for _, delay := range []time.Duration{0, 5 * time.Millisecond} {

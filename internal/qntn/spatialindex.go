@@ -187,6 +187,22 @@ func (g *pairGrid) neighborsAfter(i int32, dst []int32) []int32 {
 	return dst
 }
 
+// adjacent reports whether cell b lies in the 3×3×3 neighborhood of cell
+// a, i.e. whether neighborsAfter's scan from a node in cell a visits the
+// nodes of cell b. Every cell coordinate is already within [0, dim-1], so
+// the scan's clamping never excludes a cell one step away.
+//
+//qntn:hotpath
+func (g *pairGrid) adjacent(a, b int32) bool {
+	dim := g.dim
+	return near(a%dim, b%dim) && near((a/dim)%dim, (b/dim)%dim) && near(a/(dim*dim), b/(dim*dim))
+}
+
+// near reports whether two cell coordinates differ by at most one.
+//
+//qntn:hotpath
+func near(x, y int32) bool { return x-y <= 1 && y-x <= 1 }
+
 // insertionSortI32 sorts s ascending in place without allocating. Candidate
 // gathers are small (tens of entries), where insertion sort beats the
 // allocation and indirection of sort.Slice.

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -250,31 +252,44 @@ func TestCandidatePairsDisabled(t *testing.T) {
 }
 
 // TestSnapshotZeroAllocsSpatialIndex: the index-backed snapshot must stay
-// allocation-free in steady state, with the index demonstrably active.
+// allocation-free in steady state, with the index demonstrably active, on
+// SpaceGround-108 and on the walker-96 +grid constellation, whose
+// satellites gather their candidates from the ISL allowlist.
 func TestSnapshotZeroAllocsSpatialIndex(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector bookkeeping allocates; AllocsPerRun is meaningless")
 	}
-	sc, err := NewSpaceGround(108, DefaultParams())
-	if err != nil {
-		t.Fatal(err)
+	builders := []struct {
+		name  string
+		build func(Params) (*Scenario, error)
+	}{
+		{"space-ground-108", func(p Params) (*Scenario, error) { return NewSpaceGround(108, p) }},
+		{"walker-96-global", func(p Params) (*Scenario, error) { return NewWalker(walkerTestSpec(), p) }},
 	}
-	g := routing.NewGraph()
-	var st netsim.SnapshotStats
-	for i := 0; i < 3; i++ {
-		if err := sc.Net.SnapshotIntoStats(g, time.Duration(i)*time.Minute, &st); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st.IndexCulled <= 0 {
-		t.Fatalf("spatial index culled nothing at 108 satellites: %+v", st)
-	}
-	if n := testing.AllocsPerRun(20, func() {
-		if err := sc.Net.SnapshotIntoStats(g, 5*time.Minute, &st); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Fatalf("index-backed snapshot allocates %v times per step", n)
+	for _, b := range builders {
+		t.Run(b.name, func(t *testing.T) {
+			sc, err := b.build(DefaultParams())
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := routing.NewGraph()
+			var st netsim.SnapshotStats
+			for i := 0; i < 3; i++ {
+				if err := sc.Net.SnapshotIntoStats(g, time.Duration(i)*time.Minute, &st); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if st.IndexCulled <= 0 {
+				t.Fatalf("spatial index culled nothing: %+v", st)
+			}
+			if n := testing.AllocsPerRun(20, func() {
+				if err := sc.Net.SnapshotIntoStats(g, 5*time.Minute, &st); err != nil {
+					t.Fatal(err)
+				}
+			}); n != 0 {
+				t.Fatalf("index-backed snapshot allocates %v times per step", n)
+			}
+		})
 	}
 }
 
@@ -330,5 +345,60 @@ func TestWalkerGridAdjacency(t *testing.T) {
 				t.Fatalf("grid edge crosses shells: %s ~ %s", id, nb)
 			}
 		}
+	}
+}
+
+// TestISLCandidatesKeepTrailingHAP covers the one case where a satellite
+// under an ISL allowlist still needs the grid: a HAP that follows the
+// satellites in node order. No public constructor builds such a scenario,
+// so it is assembled here from the walker-96 satellites plus a HAP over
+// Knoxville, with the walker's +grid allowlist installed before warm-up.
+// The candidate list must equal the retired gather's minus the forbidden
+// satellite pairs, and must hold satellite↔HAP pairs.
+func TestISLCandidatesKeepTrailingHAP(t *testing.T) {
+	spec := walkerTestSpec()
+	elems, err := orbit.WalkerShells(spec.Shells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]string, len(elems))
+	relays := make([]netsim.Node, 0, len(elems)+1)
+	for i, e := range elems {
+		ids[i] = fmt.Sprintf("SAT-%04d", i+1)
+		relays = append(relays, netsim.NewSatelliteNode(ids[i], e))
+	}
+	p := DefaultParams()
+	relays = append(relays, netsim.NewHAPNode(HAPID, geo.LLA{LatDeg: p.HAPLatDeg, LonDeg: p.HAPLonDeg, AltM: p.HAPAltM}))
+	sc, err := assembleWith(Hybrid, p, spec.Ground, relays)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.islAdj = walkerGridAdjacency(spec.Shells, ids)
+	sc.warm()
+	hap := sc.Net.NumNodes() - 1
+	instants := make([]time.Duration, 20)
+	for k := range instants {
+		instants[k] = time.Duration(k) * 9 * time.Minute
+	}
+	satHAP, removed := 0, 0
+	err = CompareCandidateSteps(sc, instants, func(st CandidateStep) {
+		if !slices.Equal(st.Cand, st.Allowed) {
+			t.Fatalf("t=%v: %d candidates, reference minus forbidden ISL pairs %d", st.At, len(st.Cand), len(st.Allowed))
+		}
+		if !reflect.DeepEqual(st.Graph, st.RefGraph) {
+			t.Fatalf("t=%v: graph != reference graph", st.At)
+		}
+		for _, c := range st.Cand {
+			if _, j := c.Unpack(); j == hap {
+				satHAP++
+			}
+		}
+		removed += st.Removed
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if satHAP == 0 || removed == 0 {
+		t.Fatalf("degenerate run: %d HAP candidates, %d forbidden pairs removed", satHAP, removed)
 	}
 }

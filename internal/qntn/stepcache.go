@@ -85,12 +85,16 @@ type stepEval struct {
 	// step; -1 marks a mover. fiberStart/fiberList are the CSR adjacency of
 	// same-network ground pairs (j > i), which are not FSO-range-gated and
 	// therefore bypass the grid. islNbr, when non-nil, restricts
-	// satellite↔satellite links to the scenario's ISL grid topology.
+	// satellite↔satellite links to the scenario's ISL grid topology; each
+	// row is ascending. lastNonSat is the highest index of a node that is
+	// not a satellite (-1 if none): a satellite after it has no grid
+	// partner left once its satellite partners come from islNbr.
 	grid       pairGrid
 	staticCell []int32
 	fiberStart []int32
 	fiberList  []int32
 	islNbr     [][]int32
+	lastNonSat int32
 
 	// Per-step candidate list, built lazily on the first CandidatePairs
 	// call so callers that evaluate targeted pairs (the sweep engine, the
@@ -138,8 +142,10 @@ func (se *stepEval) CandidatePairs() ([]netsim.PackedPair, bool) {
 // candidate partners j > i: static fiber partners plus grid neighbors
 // within one cell. Ground↔ground grid hits are dropped — same-network pairs
 // came from the fiber list and cross-network pairs can never link — so the
-// gather is duplicate-free. Emitting per-i sorted runs yields a globally
-// ascending packed list, i.e. exact dense-loop order.
+// gather is duplicate-free. Under an ISL allowlist a satellite gathers with
+// islCandidates instead, which leaves out exactly the satellite pairs the
+// allowlist forbids. Emitting per-i sorted runs yields a globally ascending
+// packed list, i.e. exact dense-loop order.
 //
 //qntn:hotpath
 func (se *stepEval) buildCandidates() {
@@ -158,24 +164,28 @@ func (se *stepEval) buildCandidates() {
 	se.cand = se.cand[:0]
 	for i := 0; i < n; i++ {
 		s := se.scratch[:0]
-		for _, j := range se.fiberList[se.fiberStart[i]:se.fiberStart[i+1]] {
-			//qntn:coldpath amortized growth: scratch capacity is stable
-			s = append(s, j)
-		}
-		nf := len(s)
-		s = g.neighborsAfter(int32(i), s)
-		if se.kind[i] == netsim.Ground {
-			// Drop ground↔ground grid hits: they landed after the fiber
-			// prefix, which already holds the only linkable ones.
-			w := nf
-			for _, j := range s[nf:] {
-				if se.kind[j] == netsim.Ground {
-					continue
-				}
-				s[w] = j
-				w++
+		if se.islNbr != nil && se.kind[i] == netsim.Satellite {
+			s = se.islCandidates(int32(i), s)
+		} else {
+			for _, j := range se.fiberList[se.fiberStart[i]:se.fiberStart[i+1]] {
+				//qntn:coldpath amortized growth: scratch capacity is stable
+				s = append(s, j)
 			}
-			s = s[:w]
+			nf := len(s)
+			s = g.neighborsAfter(int32(i), s)
+			if se.kind[i] == netsim.Ground {
+				// Drop ground↔ground grid hits: they landed after the fiber
+				// prefix, which already holds the only linkable ones.
+				w := nf
+				for _, j := range s[nf:] {
+					if se.kind[j] == netsim.Ground {
+						continue
+					}
+					s[w] = j
+					w++
+				}
+				s = s[:w]
+			}
 		}
 		insertionSortI32(s)
 		for _, j := range s {
@@ -185,6 +195,43 @@ func (se *stepEval) buildCandidates() {
 		se.scratch = s
 	}
 	se.indexCulled = int64(n)*int64(n-1)/2 - int64(len(se.cand))
+}
+
+// islCandidates appends satellite i's candidate partners j > i to s when
+// the scenario has an ISL allowlist. Satellite partners come from i's
+// static ISL row, each kept only when its cell lies in the 3×3×3
+// neighborhood of i's cell: that is exactly the set of allowed pairs the
+// grid gather offers, so every pair that reaches the physics loop, and
+// with it every prefilter count, is unchanged, and only the forbidden
+// pairs move into IndexCulled. Non-satellite partners (HAPs) still come
+// from the grid, scanned only when such a node follows i.
+//
+//qntn:hotpath
+func (se *stepEval) islCandidates(i int32, s []int32) []int32 {
+	g := &se.grid
+	ci := g.cell[i]
+	for _, j := range se.islNbr[i] {
+		if j > i && g.adjacent(ci, g.cell[j]) {
+			//qntn:coldpath amortized growth: scratch capacity is stable
+			s = append(s, j)
+		}
+	}
+	if i < se.lastNonSat {
+		ns := len(s)
+		s = g.neighborsAfter(i, s)
+		// Satellite grid hits are either already in the ISL prefix or
+		// forbidden by the allowlist.
+		w := ns
+		for _, j := range s[ns:] {
+			if se.kind[j] == netsim.Satellite {
+				continue
+			}
+			s[w] = j
+			w++
+		}
+		s = s[:w]
+	}
+	return s
 }
 
 // sameNodes reports whether the evaluator's static caches were built for
@@ -265,7 +312,15 @@ func (se *stepEval) initSpatial(nodes []netsim.Node) {
 					nbr = append(nbr, int32(j))
 				}
 			}
+			insertionSortI32(nbr)
 			se.islNbr[i] = nbr
+		}
+	}
+	se.lastNonSat = -1
+	for i := n - 1; i >= 0; i-- {
+		if se.kind[i] != netsim.Satellite {
+			se.lastNonSat = int32(i)
+			break
 		}
 	}
 	se.grid.ok = false
