@@ -18,12 +18,12 @@ import (
 // blocks until SIGINT/SIGTERM, then drains in-flight queries before
 // returning. The listen address is printed once the socket is bound, so
 // scripts using -addr :0 can scrape the chosen port.
-func runServeDaemon(w io.Writer, p qntn.Params, addr string) error {
+func runServeDaemon(w io.Writer, p qntn.Params, _ qntn.ServeConfig, opt options) error {
 	d, err := qntn.NewDaemon(p, time.Now)
 	if err != nil {
 		return err
 	}
-	ln, err := net.Listen("tcp", addr)
+	ln, err := net.Listen("tcp", opt.addr)
 	if err != nil {
 		return err
 	}

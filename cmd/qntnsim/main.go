@@ -44,6 +44,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strconv"
+	"strings"
 	"time"
 
 	"qntn/internal/experiments"
@@ -141,6 +142,40 @@ func (o options) writeCSV(name string, fn func(io.Writer) error) error {
 	return cerr
 }
 
+// runFunc runs one subcommand against the assembled parameters, the serve
+// workload and the parsed flags.
+type runFunc func(w io.Writer, p qntn.Params, cfg qntn.ServeConfig, opt options) error
+
+// subcommands is the ordered subcommand table. The usage line lists the
+// names in this order, then all; all runs the inAll entries in this order,
+// each followed by a blank line.
+var subcommands = []struct {
+	name  string
+	inAll bool
+	run   runFunc
+}{
+	{"fig5", true, runFig5},
+	{"fig6", true, runFig6},
+	{"fig7", true, runFig78("fig7")},
+	{"fig8", true, runFig78("fig8")},
+	{"table3", true, runTable3},
+	{"ablations", true, runAblations},
+	{"latency", true, runLatency},
+	{"purify", true, runPurify},
+	{"qkd", true, runQKD},
+	{"night", true, runNight},
+	{"statewide", true, runStatewide},
+	{"outage", true, runOutage},
+	{"degrade", true, runDegrade},
+	{"multipath", true, runMultipath},
+	{"protocol", true, runProtocol},
+	{"throughput", true, runThroughput},
+	{"arrivals", true, runArrivals},
+	{"serve-daemon", false, runServeDaemon},
+	{"walker", false, runWalker},
+	{"params", false, func(w io.Writer, p qntn.Params, _ qntn.ServeConfig, _ options) error { return qntn.SaveParams(w, p) }},
+}
+
 func run(args []string, w io.Writer) (err error) {
 	fs := flag.NewFlagSet("qntnsim", flag.ContinueOnError)
 	fs.SetOutput(w)
@@ -161,14 +196,18 @@ func run(args []string, w io.Writer) (err error) {
 	fs.Float64Var(&opt.weatherP, "weather-p", 0, "long-run fraction of time a regional weather blackout affects ground FSO links, in [0,1)")
 	fs.StringVar(&opt.telDir, "telemetry-dir", "", "instrument the run and write manifest.json, metrics.txt and metrics.prom into this directory")
 	fs.BoolVar(&opt.events, "events", false, "with -telemetry-dir, also collect per-step NDJSON event traces into events.ndjson")
-	fs.BoolVar(&opt.eventDriven, "event-driven", false, "drive coverage and serve runs from precomputed visibility windows instead of brute-force stepping (results are identical; telemetry-instrumented runs always step)")
+	fs.BoolVar(&opt.eventDriven, "event-driven", false, "drive coverage, serve, arrivals and traffic runs from precomputed visibility windows instead of brute-force stepping (results are identical; telemetry-instrumented runs always step; waiting times: the arrivals subcommand)")
 	fs.StringVar(&opt.walkerShells, "walker-shells", "1008/24/1@550:53", "walker subcommand: multi-shell constellation spec t/p/f@altkm:incdeg[,...]")
 	fs.BoolVar(&opt.islGrid, "isl-grid", false, "walker subcommand: restrict inter-satellite links to the +grid topology (intra-plane ring + adjacent planes)")
 	fs.StringVar(&opt.ground, "ground", "paper", "walker subcommand: ground set, paper (Table I Tennessee LANs) or global (plus five metro LANs on other continents)")
 	fs.BoolVar(&opt.noSpatialIndex, "no-spatial-index", false, "force dense n² candidate generation instead of the spatial index (results are identical; differential-testing escape hatch)")
 	fs.StringVar(&opt.addr, "addr", "127.0.0.1:9641", "serve-daemon subcommand: HTTP listen address")
 	fs.Usage = func() {
-		fmt.Fprintln(w, "usage: qntnsim [flags] fig5|fig6|fig7|fig8|table3|ablations|latency|purify|qkd|night|statewide|outage|degrade|multipath|throughput|arrivals|protocol|serve-daemon|walker|params|all")
+		names := make([]string, 0, len(subcommands)+1)
+		for _, sub := range subcommands {
+			names = append(names, sub.name)
+		}
+		fmt.Fprintln(w, "usage: qntnsim [flags] "+strings.Join(append(names, "all"), "|"))
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -268,75 +307,25 @@ func run(args []string, w io.Writer) (err error) {
 	}
 
 	runErr := func() error {
-		switch cmd {
-		case "fig5":
-			return runFig5(w, opt)
-		case "fig6":
-			return runFig6(w, params, opt.duration, opt)
-		case "fig7", "fig8":
-			return runFig78(w, params, serveCfg, cmd, opt)
-		case "table3":
-			return runTable3(w, params, serveCfg, opt.duration, opt)
-		case "ablations":
-			return runAblations(w, params, serveCfg, opt.duration, opt.parallel)
-		case "latency":
-			return runLatency(w, params, serveCfg, opt)
-		case "purify":
-			return runPurify(w, opt)
-		case "qkd":
-			return runQKD(w, params, opt)
-		case "night":
-			return runNight(w, params, serveCfg, opt.duration, opt)
-		case "params":
-			return qntn.SaveParams(w, params)
-		case "statewide":
-			return runStatewide(w, params, serveCfg, opt.duration, opt.parallel)
-		case "outage":
-			return runOutage(w, params, serveCfg, opt.duration)
-		case "degrade":
-			return runDegrade(w, params, serveCfg, opt)
-		case "multipath":
-			return runMultipath(w, params, serveCfg, opt.parallel)
-		case "protocol":
-			return runProtocol(w, params, serveCfg, opt)
-		case "throughput":
-			return runThroughput(w, params, serveCfg)
-		case "arrivals":
-			return runArrivals(w, params, opt.duration, opt.seed)
-		case "serve-daemon":
-			return runServeDaemon(w, params, opt.addr)
-		case "walker":
-			return runWalker(w, params, opt)
-		case "all":
-			for _, f := range []func() error{
-				func() error { return runFig5(w, opt) },
-				func() error { return runFig6(w, params, opt.duration, opt) },
-				func() error { return runFig78(w, params, serveCfg, "fig7", opt) },
-				func() error { return runFig78(w, params, serveCfg, "fig8", opt) },
-				func() error { return runTable3(w, params, serveCfg, opt.duration, opt) },
-				func() error { return runAblations(w, params, serveCfg, opt.duration, opt.parallel) },
-				func() error { return runLatency(w, params, serveCfg, opt) },
-				func() error { return runPurify(w, opt) },
-				func() error { return runQKD(w, params, opt) },
-				func() error { return runNight(w, params, serveCfg, opt.duration, opt) },
-				func() error { return runStatewide(w, params, serveCfg, opt.duration, opt.parallel) },
-				func() error { return runOutage(w, params, serveCfg, opt.duration) },
-				func() error { return runDegrade(w, params, serveCfg, opt) },
-				func() error { return runMultipath(w, params, serveCfg, opt.parallel) },
-				func() error { return runProtocol(w, params, serveCfg, opt) },
-				func() error { return runThroughput(w, params, serveCfg) },
-				func() error { return runArrivals(w, params, opt.duration, opt.seed) },
-			} {
-				if err := f(); err != nil {
+		if cmd == "all" {
+			for _, sub := range subcommands {
+				if !sub.inAll {
+					continue
+				}
+				if err := sub.run(w, params, serveCfg, opt); err != nil {
 					return err
 				}
 				fmt.Fprintln(w)
 			}
 			return nil
-		default:
-			fs.Usage()
-			return fmt.Errorf("unknown subcommand %q", cmd)
 		}
+		for _, sub := range subcommands {
+			if sub.name == cmd {
+				return sub.run(w, params, serveCfg, opt)
+			}
+		}
+		fs.Usage()
+		return fmt.Errorf("unknown subcommand %q", cmd)
 	}()
 	if runErr != nil {
 		return runErr
@@ -382,7 +371,7 @@ func writeHeapProfile(path string) error {
 	return cerr
 }
 
-func runFig5(w io.Writer, opt options) error {
+func runFig5(w io.Writer, _ qntn.Params, _ qntn.ServeConfig, opt options) error {
 	points, err := experiments.Fig5(0.01)
 	if err != nil {
 		return err
@@ -407,8 +396,8 @@ func runFig5(w io.Writer, opt options) error {
 	return nil
 }
 
-func runFig6(w io.Writer, p qntn.Params, duration time.Duration, opt options) error {
-	points, err := experiments.Fig6(p, duration, opt.parallel)
+func runFig6(w io.Writer, p qntn.Params, _ qntn.ServeConfig, opt options) error {
+	points, err := experiments.Fig6(p, opt.duration, opt.parallel)
 	if err != nil {
 		return err
 	}
@@ -427,7 +416,7 @@ func runFig6(w io.Writer, p qntn.Params, duration time.Duration, opt options) er
 		}
 		xs[i], ys[i] = float64(pt.Satellites), pt.Result.Percent()
 	}
-	title := fmt.Sprintf("Fig. 6 — coverage of the space-ground network over %v", duration)
+	title := fmt.Sprintf("Fig. 6 — coverage of the space-ground network over %v", opt.duration)
 	if err := experiments.RenderTable(w, title,
 		[]string{"satellites", "coverage", "covered time", "intervals"}, rows); err != nil {
 		return err
@@ -435,45 +424,49 @@ func runFig6(w io.Writer, p qntn.Params, duration time.Duration, opt options) er
 	return experiments.RenderSeries(w, "", "satellites", "coverage %", xs, ys)
 }
 
-func runFig78(w io.Writer, p qntn.Params, cfg qntn.ServeConfig, which string, opt options) error {
-	points, err := experiments.Fig7And8(p, cfg, opt.parallel)
-	if err != nil {
-		return err
-	}
-	if err := opt.writeCSV(which+".csv", func(f io.Writer) error { return experiments.Fig78CSV(f, points) }); err != nil {
-		return err
-	}
-	rows := make([][]string, len(points))
-	xs := make([]float64, len(points))
-	ys := make([]float64, len(points))
-	for i, pt := range points {
-		rows[i] = []string{
-			strconv.Itoa(pt.Satellites),
-			experiments.FormatPercent(pt.Result.ServedPercent),
-			fmt.Sprintf("%.4f", pt.Result.MeanFidelity),
+// runFig78 returns the fig7 or fig8 subcommand: one serve sweep, plotted
+// as served percentage or as mean fidelity.
+func runFig78(which string) runFunc {
+	return func(w io.Writer, p qntn.Params, cfg qntn.ServeConfig, opt options) error {
+		points, err := experiments.Fig7And8(p, cfg, opt.parallel)
+		if err != nil {
+			return err
 		}
-		xs[i] = float64(pt.Satellites)
-		if which == "fig7" {
-			ys[i] = pt.Result.ServedPercent
-		} else {
-			ys[i] = pt.Result.MeanFidelity
+		if err := opt.writeCSV(which+".csv", func(f io.Writer) error { return experiments.Fig78CSV(f, points) }); err != nil {
+			return err
 		}
+		rows := make([][]string, len(points))
+		xs := make([]float64, len(points))
+		ys := make([]float64, len(points))
+		for i, pt := range points {
+			rows[i] = []string{
+				strconv.Itoa(pt.Satellites),
+				experiments.FormatPercent(pt.Result.ServedPercent),
+				fmt.Sprintf("%.4f", pt.Result.MeanFidelity),
+			}
+			xs[i] = float64(pt.Satellites)
+			if which == "fig7" {
+				ys[i] = pt.Result.ServedPercent
+			} else {
+				ys[i] = pt.Result.MeanFidelity
+			}
+		}
+		title := "Fig. 7 — served entanglement distribution requests"
+		yLabel := "served %"
+		if which == "fig8" {
+			title = "Fig. 8 — average entanglement fidelity of resolved requests"
+			yLabel = "fidelity"
+		}
+		if err := experiments.RenderTable(w, title,
+			[]string{"satellites", "served", "mean fidelity"}, rows); err != nil {
+			return err
+		}
+		return experiments.RenderSeries(w, "", "satellites", yLabel, xs, ys)
 	}
-	title := "Fig. 7 — served entanglement distribution requests"
-	yLabel := "served %"
-	if which == "fig8" {
-		title = "Fig. 8 — average entanglement fidelity of resolved requests"
-		yLabel = "fidelity"
-	}
-	if err := experiments.RenderTable(w, title,
-		[]string{"satellites", "served", "mean fidelity"}, rows); err != nil {
-		return err
-	}
-	return experiments.RenderSeries(w, "", "satellites", yLabel, xs, ys)
 }
 
-func runTable3(w io.Writer, p qntn.Params, cfg qntn.ServeConfig, duration time.Duration, opt options) error {
-	rows, err := experiments.Table3(p, cfg, duration, opt.parallel)
+func runTable3(w io.Writer, p qntn.Params, cfg qntn.ServeConfig, opt options) error {
+	rows, err := experiments.Table3(p, cfg, opt.duration, opt.parallel)
 	if err != nil {
 		return err
 	}
@@ -493,10 +486,10 @@ func runTable3(w io.Writer, p qntn.Params, cfg qntn.ServeConfig, duration time.D
 		[]string{"architecture", "P (coverage)", "serving requests", "entanglement fidelity"}, cells)
 }
 
-func runAblations(w io.Writer, p qntn.Params, cfg qntn.ServeConfig, duration time.Duration, parallel int) error {
+func runAblations(w io.Writer, p qntn.Params, cfg qntn.ServeConfig, opt options) error {
 	const nSats = orbit.MaxPaperSatellites
 
-	routing, err := experiments.AblationRoutingMetric(p, nSats, cfg, parallel)
+	routing, err := experiments.AblationRoutingMetric(p, nSats, cfg, opt.parallel)
 	if err != nil {
 		return err
 	}
@@ -511,7 +504,7 @@ func runAblations(w io.Writer, p qntn.Params, cfg qntn.ServeConfig, duration tim
 	}
 	fmt.Fprintln(w)
 
-	conv, err := experiments.AblationFidelityConvention(p, nSats, cfg, parallel)
+	conv, err := experiments.AblationFidelityConvention(p, nSats, cfg, opt.parallel)
 	if err != nil {
 		return err
 	}
@@ -525,7 +518,7 @@ func runAblations(w io.Writer, p qntn.Params, cfg qntn.ServeConfig, duration tim
 	}
 	fmt.Fprintln(w)
 
-	masks, err := experiments.AblationElevationMask(p, nSats, duration, []float64{10, 15, 20, 25, 30}, parallel)
+	masks, err := experiments.AblationElevationMask(p, nSats, opt.duration, []float64{10, 15, 20, 25, 30}, opt.parallel)
 	if err != nil {
 		return err
 	}
@@ -533,13 +526,13 @@ func runAblations(w io.Writer, p qntn.Params, cfg qntn.ServeConfig, duration tim
 	for _, r := range masks {
 		rows = append(rows, []string{fmt.Sprintf("%.0f°", r.MaskDeg), experiments.FormatPercent(r.CoveragePercent)})
 	}
-	if err := experiments.RenderTable(w, fmt.Sprintf("Ablation — elevation mask (108 satellites, %v)", duration),
+	if err := experiments.RenderTable(w, fmt.Sprintf("Ablation — elevation mask (108 satellites, %v)", opt.duration),
 		[]string{"mask", "coverage"}, rows); err != nil {
 		return err
 	}
 	fmt.Fprintln(w)
 
-	placement, err := experiments.AblationSourcePlacement(p, nSats, cfg, parallel)
+	placement, err := experiments.AblationSourcePlacement(p, nSats, cfg, opt.parallel)
 	if err != nil {
 		return err
 	}
@@ -553,7 +546,7 @@ func runAblations(w io.Writer, p qntn.Params, cfg qntn.ServeConfig, duration tim
 	}
 	fmt.Fprintln(w)
 
-	turb, err := experiments.AblationTurbulence(p, nSats, cfg, []float64{0, 0.05, 0.1, 0.25, 0.5, 1}, parallel)
+	turb, err := experiments.AblationTurbulence(p, nSats, cfg, []float64{0, 0.05, 0.1, 0.25, 0.5, 1}, opt.parallel)
 	if err != nil {
 		return err
 	}
@@ -571,8 +564,8 @@ func runAblations(w io.Writer, p qntn.Params, cfg qntn.ServeConfig, duration tim
 	}
 	fmt.Fprintln(w)
 
-	design, err := experiments.AblationOrbitDesign(p, nSats, duration,
-		[]float64{400, 500, 700, 1000}, []float64{40, 53, 70}, parallel)
+	design, err := experiments.AblationOrbitDesign(p, nSats, opt.duration,
+		[]float64{400, 500, 700, 1000}, []float64{40, 53, 70}, opt.parallel)
 	if err != nil {
 		return err
 	}
@@ -584,7 +577,7 @@ func runAblations(w io.Writer, p qntn.Params, cfg qntn.ServeConfig, duration tim
 			experiments.FormatPercent(r.CoveragePercent),
 		})
 	}
-	return experiments.RenderTable(w, fmt.Sprintf("Ablation — constellation design (108 satellites, %v)", duration),
+	return experiments.RenderTable(w, fmt.Sprintf("Ablation — constellation design (108 satellites, %v)", opt.duration),
 		[]string{"altitude", "inclination", "coverage"}, rows)
 }
 
@@ -615,7 +608,7 @@ func runLatency(w io.Writer, p qntn.Params, cfg qntn.ServeConfig, opt options) e
 		[]string{"architecture", "memory T2", "served", "fidelity", "mean latency", "max latency"}, cells)
 }
 
-func runPurify(w io.Writer, opt options) error {
+func runPurify(w io.Writer, _ qntn.Params, _ qntn.ServeConfig, opt options) error {
 	// Representative end-to-end transmissivities: the space-ground floor
 	// (two threshold links, 0.49), the measured space average (~0.72),
 	// and the air-ground value (~0.92).
@@ -640,7 +633,7 @@ func runPurify(w io.Writer, opt options) error {
 		[]string{"path eta", "round", "fidelity", "p(success)", "raw pairs needed"}, cells)
 }
 
-func runQKD(w io.Writer, p qntn.Params, opt options) error {
+func runQKD(w io.Writer, p qntn.Params, _ qntn.ServeConfig, opt options) error {
 	rows, err := experiments.ExtensionQKDStudy(p, qkd.DefaultDetector())
 	if err != nil {
 		return err
@@ -679,8 +672,8 @@ func formatPerSecond(hz float64, unit string) string {
 	}
 }
 
-func runNight(w io.Writer, p qntn.Params, cfg qntn.ServeConfig, duration time.Duration, opt options) error {
-	rows, err := experiments.ExtensionNightStudy(p, orbit.MaxPaperSatellites, cfg, duration)
+func runNight(w io.Writer, p qntn.Params, cfg qntn.ServeConfig, opt options) error {
+	rows, err := experiments.ExtensionNightStudy(p, orbit.MaxPaperSatellites, cfg, opt.duration)
 	if err != nil {
 		return err
 	}
@@ -700,7 +693,7 @@ func runNight(w io.Writer, p qntn.Params, cfg qntn.ServeConfig, duration time.Du
 		[]string{"architecture", "operation", "coverage", "served"}, cells)
 }
 
-func runStatewide(w io.Writer, p qntn.Params, cfg qntn.ServeConfig, duration time.Duration, parallel int) error {
+func runStatewide(w io.Writer, p qntn.Params, cfg qntn.ServeConfig, opt options) error {
 	positions, connected, total, err := experiments.StatewidePlacement(p, 6)
 	if err != nil {
 		return err
@@ -711,7 +704,7 @@ func runStatewide(w io.Writer, p qntn.Params, cfg qntn.ServeConfig, duration tim
 	}
 	fmt.Fprintln(w)
 
-	rows, err := experiments.ExtensionStatewideStudy(p, cfg, duration, []int{1, 2, 3}, parallel)
+	rows, err := experiments.ExtensionStatewideStudy(p, cfg, opt.duration, []int{1, 2, 3}, opt.parallel)
 	if err != nil {
 		return err
 	}
@@ -728,8 +721,8 @@ func runStatewide(w io.Writer, p qntn.Params, cfg qntn.ServeConfig, duration tim
 		[]string{"architecture", "reachable pairs", "coverage", "served"}, cells)
 }
 
-func runOutage(w io.Writer, p qntn.Params, cfg qntn.ServeConfig, duration time.Duration) error {
-	rows, err := experiments.ExtensionOutageStudy(p, cfg, duration, []float64{0, 0.05, 0.1, 0.2, 0.4})
+func runOutage(w io.Writer, p qntn.Params, cfg qntn.ServeConfig, opt options) error {
+	rows, err := experiments.ExtensionOutageStudy(p, cfg, opt.duration, []float64{0, 0.05, 0.1, 0.2, 0.4})
 	if err != nil {
 		return err
 	}
@@ -779,8 +772,8 @@ func runDegrade(w io.Writer, p qntn.Params, cfg qntn.ServeConfig, opt options) e
 		[]string{"architecture", "satellites", "unavailability", "coverage", "intervals", "served", "fidelity"}, cells)
 }
 
-func runMultipath(w io.Writer, p qntn.Params, cfg qntn.ServeConfig, parallel int) error {
-	rows, err := experiments.ExtensionMultipathStudy(p, orbit.MaxPaperSatellites, cfg, 3, parallel)
+func runMultipath(w io.Writer, p qntn.Params, cfg qntn.ServeConfig, opt options) error {
+	rows, err := experiments.ExtensionMultipathStudy(p, orbit.MaxPaperSatellites, cfg, 3, opt.parallel)
 	if err != nil {
 		return err
 	}
@@ -835,7 +828,7 @@ func runProtocol(w io.Writer, p qntn.Params, cfg qntn.ServeConfig, opt options) 
 		[]string{"architecture", "satellites", "protocol", "served", "fidelity", "path eta"}, cells)
 }
 
-func runThroughput(w io.Writer, p qntn.Params, cfg qntn.ServeConfig) error {
+func runThroughput(w io.Writer, p qntn.Params, cfg qntn.ServeConfig, _ options) error {
 	const sourceRateHz = 1e6 // 1 MHz entangled-pair source
 	rows, err := experiments.ExtensionThroughputStudy(p, orbit.MaxPaperSatellites, cfg, sourceRateHz)
 	if err != nil {
@@ -854,8 +847,8 @@ func runThroughput(w io.Writer, p qntn.Params, cfg qntn.ServeConfig) error {
 		[]string{"architecture", "mean (served)", "mean (all requests)", "worst served"}, cells)
 }
 
-func runArrivals(w io.Writer, p qntn.Params, duration time.Duration, seed int64) error {
-	rows, err := experiments.ExtensionArrivalStudy(p, orbit.MaxPaperSatellites, duration, []float64{60, 240}, seed)
+func runArrivals(w io.Writer, p qntn.Params, _ qntn.ServeConfig, opt options) error {
+	rows, err := experiments.ExtensionArrivalStudy(p, orbit.MaxPaperSatellites, opt.duration, []float64{60, 240}, opt.seed)
 	if err != nil {
 		return err
 	}
@@ -880,7 +873,7 @@ func runArrivals(w io.Writer, p qntn.Params, duration time.Duration, seed int64)
 // over it. One instrumented snapshot reports the index's selectivity: the
 // fraction of the n(n-1)/2 node pairs the candidate generator actually
 // visited.
-func runWalker(w io.Writer, p qntn.Params, opt options) error {
+func runWalker(w io.Writer, p qntn.Params, _ qntn.ServeConfig, opt options) error {
 	shells, err := orbit.ParseWalkerShells(opt.walkerShells)
 	if err != nil {
 		return err

@@ -30,13 +30,6 @@ func Fig7And8(p qntn.Params, cfg qntn.ServeConfig, workers int) ([]qntn.ServePoi
 	return qntn.ServeSweep(p, qntn.PaperSweepSizes(), cfg, workers)
 }
 
-// Fig7And8Stats runs the Fig. 7/8 sweep over independent workload replicas,
-// yielding the per-size mean and spread the paper's single-seed figures
-// lack. Replica seeds are derived deterministically from cfg.Seed.
-func Fig7And8Stats(p qntn.Params, cfg qntn.ServeConfig, replicas, workers int) ([]qntn.ServeStats, error) {
-	return qntn.ServeSweepReplicated(p, qntn.PaperSweepSizes(), cfg, replicas, workers)
-}
-
 // Table3Row is one architecture row of the paper's Table III comparison.
 type Table3Row struct {
 	Architecture    string

@@ -23,11 +23,6 @@ type ArrivalConfig struct {
 	Seed    int64
 }
 
-// DefaultArrivalConfig returns a moderate request load over one day.
-func DefaultArrivalConfig() ArrivalConfig {
-	return ArrivalConfig{RatePerHour: 120, Horizon: 24 * time.Hour, Seed: 1}
-}
-
 // ArrivalResult summarizes the arrival-driven run.
 type ArrivalResult struct {
 	Config ArrivalConfig
@@ -73,22 +68,22 @@ type queuedRequest struct {
 }
 
 // admission is the batched request-scheduling core shared by RunArrivals
-// and RunTraffic: one pooled graph rebuilt in place at each topology
-// instant (the GraphInto/SnapshotInto fast path, spatial index included),
-// a single-source Dijkstra memo valid until the next rebuild, and the FIFO
-// wait queue with its drain loop. Batching admission per topology update
-// keeps the per-step cost amortized: the graph storage, the memo map and
-// the queue backing array are all reused across the run.
+// and RunTraffic: a topoStepper over the topology-update grid (either
+// backend, like every other driver), a single-source Dijkstra memo valid
+// until the next update, and the FIFO wait queue with its drain loop.
+// Batching admission per topology update keeps the per-step cost
+// amortized: the graph storage, the memo map and the queue backing array
+// are all reused across the run.
 type admission struct {
 	sc    *Scenario
-	graph *routing.Graph
+	ts    *topoStepper
 	memo  map[string]*routing.SingleSourceResult
 	queue []queuedRequest
 	// pe is nil unless the entanglement-protocol layer is enabled; a
 	// request whose protocol attempt fails stays queued and redraws at the
 	// next drain instant (PairKey includes the evaluation time).
 	pe    *protoEval
-	adj   routing.Adjacency // pe's snapshot of graph, loaded by refresh
+	adj   routing.Adjacency // pe's snapshot of ts.g, loaded at each update
 	proto protoOutcome      // accumulated draw counters over the run
 
 	served    int
@@ -101,33 +96,25 @@ type admission struct {
 	fidSum    float64
 }
 
-func newAdmission(sc *Scenario) *admission {
-	return &admission{
-		sc:    sc,
-		graph: routing.NewGraph(),
-		memo:  make(map[string]*routing.SingleSourceResult),
-		pe:    sc.newProtoEval(),
+// newAdmission returns an admission whose topology updates run at the
+// instants 0, step, … ≤ horizon, step = Params.TopologyStep. The caller
+// must close it.
+func newAdmission(sc *Scenario, horizon time.Duration) (*admission, error) {
+	step := sc.Params.TopologyStep()
+	ts, err := sc.newTopoStepper(sampleGrid{gap: step, steps: int(horizon/step) + 1}, false)
+	if err != nil {
+		return nil, err
 	}
+	return &admission{
+		sc:   sc,
+		ts:   ts,
+		memo: make(map[string]*routing.SingleSourceResult),
+		pe:   sc.newProtoEval(),
+	}, nil
 }
 
-// refresh rebuilds the topology at t into the pooled graph, loads the
-// protocol's snapshot of it when the layer is on, and invalidates the
-// routing memo. A non-nil st routes the rebuild through
-// SnapshotIntoStats so instrumented runs get per-step evaluator counters.
-func (ad *admission) refresh(t time.Duration, st *netsim.SnapshotStats) error {
-	if st != nil {
-		if err := ad.sc.Net.SnapshotIntoStats(ad.graph, t, st); err != nil {
-			return err
-		}
-	} else if err := ad.sc.GraphInto(ad.graph, t); err != nil {
-		return err
-	}
-	if ad.pe != nil {
-		ad.adj.Load(ad.graph)
-	}
-	clear(ad.memo)
-	return nil
-}
+// close returns the stepper's event engine, if any, to the scenario's pool.
+func (ad *admission) close() { ad.ts.close() }
 
 // tryServe attempts to deliver q against the current topology. onArrival
 // marks the serve site — true from the arrival handler, false from the
@@ -137,7 +124,7 @@ func (ad *admission) tryServe(now time.Duration, q queuedRequest, onArrival bool
 	sp, ok := ad.memo[q.req.Src]
 	if !ok {
 		var err error
-		sp, err = routing.Dijkstra(ad.graph, q.req.Src, routing.InverseEtaCost(ad.sc.Params.RoutingEpsilon))
+		sp, err = routing.Dijkstra(ad.ts.g, q.req.Src, routing.InverseEtaCost(ad.sc.Params.RoutingEpsilon))
 		if err != nil {
 			return false, err
 		}
@@ -150,7 +137,7 @@ func (ad *admission) tryServe(now time.Duration, q queuedRequest, onArrival bool
 	if err != nil {
 		return false, err
 	}
-	etas, err := ad.graph.EdgeEtas(path)
+	etas, err := ad.ts.g.EdgeEtas(path)
 	if err != nil {
 		return false, err
 	}
@@ -202,7 +189,7 @@ func (ad *admission) arrive(now time.Duration, req netsim.Request) error {
 	return nil
 }
 
-// drain retries every queued request against the refreshed topology,
+// drain retries every queued request against the updated topology,
 // keeping the still-unroutable ones in FIFO order, and returns the number
 // served.
 func (ad *admission) drain(now time.Duration) (int, error) {
@@ -221,29 +208,33 @@ func (ad *admission) drain(now time.Duration) (int, error) {
 	return ad.served - before, nil
 }
 
-// run merges the topology-update stream — instants 0, step, … ≤ horizon,
-// step = Params.TopologyStep — with the time-sorted arrivals, and returns
-// the number of updates run. At a time tie the update runs first, the
-// retired event heap's FIFO order when every update was enqueued before any
-// arrival. Each update rebuilds the topology (st as for refresh) and drains
-// the queue, then calls onUpdate, when non-nil, with the update's index,
-// its instant and the number of arrivals admitted before it.
-func (ad *admission) run(arrivals []trafficArrival, horizon time.Duration, st *netsim.SnapshotStats, onUpdate func(k int, at time.Duration, arrived int)) (int, error) {
-	step := ad.sc.Params.TopologyStep()
-	next := time.Duration(0) // next topology-update instant
-	i, k := 0, 0
-	for next <= horizon || i < len(arrivals) {
-		if next <= horizon && (i >= len(arrivals) || next <= arrivals[i].at) {
-			if err := ad.refresh(next, st); err != nil {
+// run merges the stepper's topology-update stream with the time-sorted
+// arrivals and returns the number of updates run. At a time tie the update
+// runs first, the retired event heap's FIFO order when every update was
+// enqueued before any arrival. Each update advances the topology, loads the
+// protocol's snapshot of it when the layer is on, invalidates the routing
+// memo and drains the queue, then calls onUpdate, when non-nil, with the
+// update's index, its instant and the number of arrivals admitted before
+// it.
+func (ad *admission) run(arrivals []trafficArrival, onUpdate func(k int, at time.Duration, arrived int)) (int, error) {
+	grid := ad.ts.grid
+	i := 0
+	for k := 0; k < grid.steps || i < len(arrivals); {
+		if k < grid.steps && (i >= len(arrivals) || grid.at(k) <= arrivals[i].at) {
+			at := grid.at(k)
+			if err := ad.ts.step(k); err != nil {
 				return 0, err
 			}
-			if _, err := ad.drain(next); err != nil {
+			if ad.pe != nil {
+				ad.adj.Load(ad.ts.g)
+			}
+			clear(ad.memo)
+			if _, err := ad.drain(at); err != nil {
 				return 0, err
 			}
 			if onUpdate != nil {
-				onUpdate(k, next, i)
+				onUpdate(k, at, i)
 			}
-			next += step
 			k++
 		} else {
 			if err := ad.arrive(arrivals[i].at, arrivals[i].req); err != nil {
@@ -252,7 +243,7 @@ func (ad *admission) run(arrivals []trafficArrival, horizon time.Duration, st *n
 			i++
 		}
 	}
-	return k, nil
+	return grid.steps, nil
 }
 
 // RunArrivals executes the arrival-driven experiment: Poisson arrivals
@@ -262,10 +253,10 @@ func (ad *admission) run(arrivals []trafficArrival, horizon time.Duration, st *n
 // runs are reproducible.
 //
 // The loop is admission.run's deterministic two-stream merge over the
-// pooled-snapshot fast path. It replays the retired event-heap
-// implementation exactly — same arrival draws, same update instants, same
-// update-first tie order — so results are byte-identical to the reference
-// (see the differential test in arrivals_ref_test.go).
+// topology backend Params.EventDriven selects. It replays the retired
+// event-heap implementation exactly — same arrival draws, same update
+// instants, same update-first tie order — so results are byte-identical to
+// the reference (see the differential test in arrivals_ref_test.go).
 func (sc *Scenario) RunArrivals(cfg ArrivalConfig) (*ArrivalResult, error) {
 	if cfg.RatePerHour <= 0 {
 		return nil, fmt.Errorf("qntn: arrival rate must be positive")
@@ -293,8 +284,12 @@ func (sc *Scenario) RunArrivals(cfg ArrivalConfig) (*ArrivalResult, error) {
 		arrivals = append(arrivals, trafficArrival{at: at, req: wl.Next()})
 	}
 
-	ad := newAdmission(sc)
-	updates, err := ad.run(arrivals, cfg.Horizon, nil, nil)
+	ad, err := newAdmission(sc, cfg.Horizon)
+	if err != nil {
+		return nil, err
+	}
+	defer ad.close()
+	updates, err := ad.run(arrivals, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -309,4 +304,9 @@ func (sc *Scenario) RunArrivals(cfg ArrivalConfig) (*ArrivalResult, error) {
 	res.MeanWait = secs(stats.Mean(ad.waits))
 	res.MeanFidelity = stats.Mean(ad.fids)
 	return res, nil
+}
+
+// secs converts a duration in seconds to a time.Duration.
+func secs(s float64) time.Duration {
+	return time.Duration(s * float64(time.Second))
 }

@@ -243,21 +243,31 @@ func TestArrivalImmediateClassificationBoundary(t *testing.T) {
 	src := sc.GroundIDs[sc.LANs[0].Name][0]
 	dst := sc.GroundIDs[sc.LANs[1].Name][0]
 
-	ad := newAdmission(sc)
+	// Updates at 0 and 30 s. After the update at 0 the request enters the
+	// queue stamped 30 s, so the update at 30 s drains it at its arrival
+	// instant: zero wait, but served by the drain loop.
 	at := 30 * time.Second
-	if err := ad.refresh(at, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	// A request that entered the queue at t and is drained at the same t:
-	// zero wait, but served by the drain loop.
-	ad.queue = append(ad.queue, queuedRequest{req: netsim.Request{ID: 1, Src: src, Dst: dst}, arrived: at})
-	served, err := ad.drain(at)
+	ad, err := newAdmission(sc, at)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if served != 1 || ad.served != 1 {
-		t.Fatalf("drain should serve the queued request, served %d", served)
+	defer ad.close()
+	updates, err := ad.run(nil, func(k int, _ time.Duration, _ int) {
+		if k == 0 {
+			if ad.served != 0 {
+				t.Fatalf("empty queue served %d requests", ad.served)
+			}
+			ad.queue = append(ad.queue, queuedRequest{req: netsim.Request{ID: 1, Src: src, Dst: dst}, arrived: at})
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if updates != 2 {
+		t.Fatalf("run made %d topology updates, want 2", updates)
+	}
+	if len(ad.queue) != 0 || ad.served != 1 {
+		t.Fatalf("drain should serve the queued request, served %d", ad.served)
 	}
 	if ad.maxWait != 0 || ad.waits[0] != 0 {
 		t.Fatalf("boundary request should record zero wait, got %v", ad.maxWait)

@@ -10,6 +10,7 @@ package qntn_test
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -346,4 +347,105 @@ func TestEventDrivenTelemetryFallsBackToStepped(t *testing.T) {
 	if steps := col.Registry.Counter("coverage_steps_total").Value(); steps != uint64(want.Steps) {
 		t.Fatalf("instrumented run recorded %d coverage steps, want %d — telemetry not collected", steps, want.Steps)
 	}
+}
+
+// admissionEqual runs RunArrivals and RunTraffic over horizon on both
+// topology backends and requires DeepEqual-identical results. It returns
+// the stepped oracle's served count across both drivers.
+func admissionEqual(t *testing.T, build oracletest.Builder, p qntn.Params, horizon time.Duration) int {
+	t.Helper()
+	stepped, event := oracletest.Pair(t, build, p)
+	acfg := qntn.ArrivalConfig{RatePerHour: 120, Horizon: horizon, Seed: 3}
+	wantA, err := stepped.RunArrivals(acfg)
+	if err != nil {
+		t.Fatalf("stepped arrivals: %v", err)
+	}
+	gotA, err := event.RunArrivals(acfg)
+	if err != nil {
+		t.Fatalf("event-driven arrivals: %v", err)
+	}
+	if !reflect.DeepEqual(gotA, wantA) {
+		t.Fatalf("event-driven arrivals diverged from stepped\n got: %+v\nwant: %+v", gotA, wantA)
+	}
+	tcfg := qntn.TrafficConfig{RatePerHourPerSite: 10, Horizon: horizon, Seed: 3}
+	wantT, err := stepped.RunTraffic(tcfg)
+	if err != nil {
+		t.Fatalf("stepped traffic: %v", err)
+	}
+	gotT, err := event.RunTraffic(tcfg)
+	if err != nil {
+		t.Fatalf("event-driven traffic: %v", err)
+	}
+	if !reflect.DeepEqual(gotT, wantT) {
+		t.Fatalf("event-driven traffic diverged from stepped\n got: %+v\nwant: %+v", gotT, wantT)
+	}
+	return wantA.Served + wantT.Served
+}
+
+// TestEventDrivenAdmissionMatchesStepped: the admission loop behind
+// RunArrivals and RunTraffic steps a topoStepper like every other driver,
+// so both backends must agree on every serve archetype, faults off and on,
+// and with the entanglement-protocol layer on. An instrumented event-driven
+// RunTraffic falls back to stepping: it must return the uninstrumented
+// stepped result and emit the NDJSON of an instrumented stepped run.
+func TestEventDrivenAdmissionMatchesStepped(t *testing.T) {
+	served := 0
+	for _, arch := range oracletest.Archetypes() {
+		if arch.CoverageOnly {
+			continue
+		}
+		arch := arch
+		t.Run(arch.Name, func(t *testing.T) {
+			served += admissionEqual(t, arch.Build, arch.Params(), arch.Duration)
+		})
+		t.Run(arch.Name+"-faults", func(t *testing.T) {
+			p := arch.Params()
+			p.Fault = oracletest.FaultConfig(11)
+			served += admissionEqual(t, arch.Build, p, arch.Duration)
+		})
+		t.Run(arch.Name+"-protocol", func(t *testing.T) {
+			p := arch.Params()
+			p.Protocol = protocolOracleConfig()
+			served += admissionEqual(t, arch.Build, p, min(arch.Duration, 4*time.Hour))
+		})
+	}
+	if served == 0 {
+		t.Fatal("degenerate matrix: no archetype served a single request")
+	}
+
+	t.Run("instrumented-traffic", func(t *testing.T) {
+		cfg := qntn.TrafficConfig{RatePerHourPerSite: 10, Horizon: 2 * time.Hour, Seed: 4}
+		run := func(eventDriven bool, col *telemetry.Collector) (*qntn.TrafficResult, string) {
+			p := qntn.DefaultParams()
+			p.EventDriven = eventDriven
+			p.Telemetry = col
+			sc, err := qntn.NewSpaceGround(24, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sc.RunTraffic(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ndjson strings.Builder
+			if col != nil {
+				if err := col.Events.WriteNDJSON(&ndjson); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return res, ndjson.String()
+		}
+		want, _ := run(false, nil)
+		steppedRes, steppedEvents := run(false, telemetry.NewCollector())
+		got, gotEvents := run(true, telemetry.NewCollector())
+		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(steppedRes, want) {
+			t.Fatalf("instrumented traffic diverged from uninstrumented stepped\n got: %+v\nwant: %+v", got, want)
+		}
+		if gotEvents != steppedEvents {
+			t.Fatal("instrumented event-driven traffic emitted a different NDJSON stream than the instrumented stepped run")
+		}
+		if lines := strings.Count(gotEvents, "\n"); lines != want.Steps {
+			t.Fatalf("%d NDJSON events, want one per topology update (%d)", lines, want.Steps)
+		}
+	})
 }

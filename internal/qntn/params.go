@@ -131,15 +131,17 @@ type Params struct {
 	Telemetry *telemetry.Collector
 
 	// EventDriven, when true, selects the event-driven visibility-window
-	// engine (windows.go, eventloop.go) as the topology backend of the one
-	// per-step loop behind Coverage, DetailedCoverage (and so WaitingTimes),
-	// RunServe and RunServeDES, instead of brute-force per-step snapshot
-	// rebuilds (stepper.go). The results are identical — the stepped
-	// backend remains the semantic oracle, asserted by the differential
-	// test suite — only faster. Runtime wiring only, like Telemetry:
-	// excluded from the JSON codec, ParamsHash and Validate.
-	// Telemetry-instrumented runs always use the stepped backend (per-step
-	// snapshot stats have no event-driven equivalent).
+	// engine (windows.go, eventloop.go) as the topology backend of both
+	// request drivers — the per-step loop behind Coverage,
+	// DetailedCoverage, RunServe and RunServeDES, and the admission loop
+	// behind RunArrivals and RunTraffic (the waiting-time question) —
+	// instead of brute-force per-step snapshot rebuilds (stepper.go). The
+	// results are identical — the stepped backend remains the semantic
+	// oracle, asserted by the differential test suite — only faster.
+	// Runtime wiring only, like Telemetry: excluded from the JSON codec,
+	// ParamsHash and Validate. Telemetry-instrumented runs, the serve
+	// daemon's included, always step (per-step snapshot stats have no
+	// event-driven equivalent).
 	EventDriven bool
 
 	// DisableSpatialIndex forces dense n² candidate generation in both the

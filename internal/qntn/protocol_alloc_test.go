@@ -176,49 +176,62 @@ func TestProtocolOutcomeZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestAdmissionRefreshReloadsProtocolSnapshot: admission rebuilds one
-// pooled graph in place at every topology update, so refresh must load a
-// new protocol snapshot each time; rows flattened at an earlier instant
-// would route disjoint alternatives over edges that no longer exist. At
-// each update, extraction over the admission's snapshot must equal
-// extraction over a freshly loaded one for every edge as a direct-edge
-// primary, which reaches every row that has an edge.
+// TestAdmissionRefreshReloadsProtocolSnapshot: admission advances one
+// pooled graph in place at every topology update, so each update must load
+// a new protocol snapshot; rows flattened at an earlier instant would route
+// disjoint alternatives over edges that no longer exist. At each update,
+// extraction over the admission's snapshot must equal extraction over a
+// freshly loaded one for every edge as a direct-edge primary, which reaches
+// every row that has an edge. Both topology backends are checked.
 func TestAdmissionRefreshReloadsProtocolSnapshot(t *testing.T) {
-	p := DefaultParams()
-	p.Protocol = protoTestConfig()
-	sc, err := NewSpaceGround(24, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ad := newAdmission(sc)
 	var (
 		fresh     routing.Adjacency
 		got, want routing.DisjointScratch
 		multi     int
 	)
-	for _, at := range []time.Duration{0, 6 * time.Hour, 12 * time.Hour, 18 * time.Hour} {
-		if err := ad.refresh(at, nil); err != nil {
+	for _, eventDriven := range []bool{false, true} {
+		p := DefaultParams()
+		p.Protocol = protoTestConfig()
+		p.EventDriven = eventDriven
+		// A 6 h cadence puts the updates at 0, 6, 12 and 18 h.
+		p.StepInterval = 6 * time.Hour
+		sc, err := NewSpaceGround(24, p)
+		if err != nil {
 			t.Fatal(err)
 		}
-		fresh.Load(ad.graph)
-		for _, a := range ad.graph.Nodes() {
-			for _, b := range ad.graph.Neighbors(a) {
-				primary := []string{a, b}
-				w, err := want.ExtractOn(&fresh, primary, 4)
-				if err != nil {
-					t.Fatal(err)
-				}
-				g, err := got.ExtractOn(&ad.adj, primary, 4)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(g, w) {
-					t.Fatalf("t=%v primary %v: admission snapshot %v, fresh snapshot %v", at, primary, g, w)
-				}
-				if len(w) > 1 {
-					multi++
+		ad, err := newAdmission(sc, 18*time.Hour)
+		if err != nil {
+			t.Fatal(err)
+		}
+		updates, err := ad.run(nil, func(_ int, at time.Duration, _ int) {
+			graph := ad.ts.g
+			fresh.Load(graph)
+			for _, a := range graph.Nodes() {
+				for _, b := range graph.Neighbors(a) {
+					primary := []string{a, b}
+					w, err := want.ExtractOn(&fresh, primary, 4)
+					if err != nil {
+						t.Fatal(err)
+					}
+					g, err := got.ExtractOn(&ad.adj, primary, 4)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(g, w) {
+						t.Fatalf("event-driven=%v t=%v primary %v: admission snapshot %v, fresh snapshot %v", eventDriven, at, primary, g, w)
+					}
+					if len(w) > 1 {
+						multi++
+					}
 				}
 			}
+		})
+		ad.close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if updates != 4 {
+			t.Fatalf("event-driven=%v: %d topology updates, want 4", eventDriven, updates)
 		}
 	}
 	if multi == 0 {

@@ -5,11 +5,13 @@ import (
 	"qntn/internal/routing"
 )
 
-// topoStepper is the topology backend behind the one per-step loop of
-// Coverage, DetailedCoverage and RunServe (RunServeDES included). The loop
-// visits a sampleGrid in order; after step(k) the stepper's graph holds the
-// usable-link snapshot at grid.at(k). Two backends produce that snapshot,
-// DeepEqual-identical by the differential oracle suite:
+// topoStepper is the topology backend behind both request drivers: the
+// per-step loop of Coverage, DetailedCoverage and RunServe (RunServeDES
+// included), and the admission loop of RunArrivals and RunTraffic
+// (arrivals.go). A driver visits a sampleGrid in order; after step(k) the
+// stepper's graph holds the usable-link snapshot at grid.at(k). Two
+// backends produce that snapshot, DeepEqual-identical by the differential
+// oracle suite:
 //
 //   - stepped (the semantic oracle): the pooled GraphInto/SnapshotIntoStats
 //     rebuild of the whole graph at every instant, a union-find bridged
@@ -22,8 +24,8 @@ import (
 // open pairs on demand, stopping once the LANs meet; the stepped backend
 // builds the snapshot and runs the union-find over it as usual.
 //
-// Telemetry-instrumented scenarios always step: per-step snapshot stats
-// have no event-driven equivalent.
+// Telemetry-instrumented scenarios, the serve daemon's included, always
+// step: per-step snapshot stats have no event-driven equivalent.
 type topoStepper struct {
 	sc   *Scenario
 	grid sampleGrid

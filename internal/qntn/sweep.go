@@ -7,7 +7,6 @@ import (
 
 	"qntn/internal/netsim"
 	"qntn/internal/runner"
-	"qntn/internal/stats"
 )
 
 // CoveragePoint is one mark of the paper's Fig. 6 sweep.
@@ -282,89 +281,4 @@ func ServeSweep(p Params, sizes []int, cfg ServeConfig, workers int) ([]ServePoi
 	}
 	p.Telemetry.MergeShards(shards)
 	return points, nil
-}
-
-// ServeStats aggregates one sweep size over independent workload replicas.
-type ServeStats struct {
-	Satellites int
-	Replicas   int
-	// ServedPercent and MeanFidelity summarize the per-replica headline
-	// metrics.
-	ServedPercent stats.Summary
-	MeanFidelity  stats.Summary
-}
-
-// ServeSweepReplicated runs the serve sweep over independent workload
-// replicas and reports per-size distributions — the error bars the paper's
-// single-seed Figs. 7-8 lack. Replica r uses the seed derived by
-// runner.TaskSeed(cfg.Seed, r), except replica 0, which keeps cfg.Seed so a
-// single-replica run reproduces ServeSweep exactly. Within one replica
-// every size shares the replica's seed (the paper's matched-workload
-// convention); across replicas the splitmix64 derivation guarantees
-// distinct, uncorrelated streams without any shared RNG state between
-// workers. The (size, replica) grid is fanned out over the worker pool.
-func ServeSweepReplicated(p Params, sizes []int, cfg ServeConfig, replicas, workers int) ([]ServeStats, error) {
-	if replicas <= 0 {
-		return nil, fmt.Errorf("qntn: need at least one replica, got %d", replicas)
-	}
-	if len(sizes) == 0 {
-		return nil, nil
-	}
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	cfg = cfg.withDefaults()
-	maxN := 0
-	for _, n := range sizes {
-		if n > maxN {
-			maxN = n
-		}
-	}
-	cache, err := NewEphemerisCache(maxN, p, cfg.sampleTimes(p))
-	if err != nil {
-		return nil, err
-	}
-	served := make([][]float64, len(sizes))
-	fidelity := make([][]float64, len(sizes))
-	for i := range sizes {
-		served[i] = make([]float64, replicas)
-		fidelity[i] = make([]float64, replicas)
-	}
-	// One telemetry shard per (size, replica) cell, merged in flattened
-	// grid order. Nil when uninstrumented.
-	shards := p.Telemetry.Shards(len(sizes) * replicas)
-	err = runner.Grid(context.Background(), len(sizes), replicas, workers, func(_ context.Context, si, r int) error {
-		rcfg := cfg
-		if r > 0 {
-			rcfg.Seed = runner.TaskSeed(cfg.Seed, uint64(r))
-		}
-		sc, err := cache.Scenario(sizes[si])
-		if err != nil {
-			return err
-		}
-		if shards != nil {
-			sc.Instrument(shards[si*replicas+r])
-		}
-		res, err := sc.RunServe(rcfg)
-		if err != nil {
-			return fmt.Errorf("qntn: replicated sweep at %d satellites, replica %d: %w", sizes[si], r, err)
-		}
-		served[si][r] = res.ServedPercent
-		fidelity[si][r] = res.MeanFidelity
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	p.Telemetry.MergeShards(shards)
-	out := make([]ServeStats, len(sizes))
-	for i, n := range sizes {
-		out[i] = ServeStats{
-			Satellites:    n,
-			Replicas:      replicas,
-			ServedPercent: stats.Summarize(served[i]),
-			MeanFidelity:  stats.Summarize(fidelity[i]),
-		}
-	}
-	return out, nil
 }

@@ -1,12 +1,9 @@
 package qntn
 
 import (
-	"math"
 	"reflect"
 	"testing"
 	"time"
-
-	"qntn/internal/runner"
 )
 
 // installPropagationHook counts catalog propagations for the duration of a
@@ -173,70 +170,5 @@ func TestEphemerisCacheScenarioBounds(t *testing.T) {
 	}
 	if _, err := cache.Scenario(12); err != nil {
 		t.Errorf("Scenario(12) rejected in-range size: %v", err)
-	}
-}
-
-// TestServeSweepReplicated checks the replica seed contract: replica 0
-// reproduces the plain sweep, extra replicas broaden the distribution
-// deterministically, and the whole thing is worker-count invariant.
-func TestServeSweepReplicated(t *testing.T) {
-	p := fastSweepParams()
-	cfg := ServeConfig{RequestsPerStep: 6, Steps: 4, Horizon: time.Hour, Seed: 5}
-	sizes := []int{12, 36}
-
-	single, err := ServeSweepReplicated(p, sizes, cfg, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := ServeSweep(p, sizes, cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range sizes {
-		if single[i].Replicas != 1 {
-			t.Fatalf("size %d: Replicas = %d, want 1", sizes[i], single[i].Replicas)
-		}
-		if got, want := single[i].ServedPercent.Mean, plain[i].Result.ServedPercent; got != want {
-			t.Errorf("size %d: single-replica served %%%v, plain sweep %v — replica 0 must keep cfg.Seed", sizes[i], got, want)
-		}
-		if got, want := single[i].MeanFidelity.Mean, plain[i].Result.MeanFidelity; got != want {
-			t.Errorf("size %d: single-replica fidelity %v, plain sweep %v", sizes[i], got, want)
-		}
-	}
-
-	multiA, err := ServeSweepReplicated(p, sizes, cfg, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	multiB, err := ServeSweepReplicated(p, sizes, cfg, 4, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(multiA, multiB) {
-		t.Error("replicated sweep diverged between 1 and 8 workers")
-	}
-	for i := range sizes {
-		if multiA[i].ServedPercent.N != 4 {
-			t.Fatalf("size %d: summary over %d samples, want 4", sizes[i], multiA[i].ServedPercent.N)
-		}
-		if math.IsNaN(multiA[i].ServedPercent.Std) {
-			t.Fatalf("size %d: NaN spread", sizes[i])
-		}
-	}
-
-	if _, err := ServeSweepReplicated(p, sizes, cfg, 0, 1); err == nil {
-		t.Error("zero replicas accepted")
-	}
-}
-
-// TestReplicaSeedsAreDerived pins how ServeSweepReplicated seeds each
-// replica so the derivation cannot drift without a test noticing.
-func TestReplicaSeedsAreDerived(t *testing.T) {
-	base := int64(5)
-	want := []int64{base, runner.TaskSeed(base, 1), runner.TaskSeed(base, 2)}
-	for r := 1; r < len(want); r++ {
-		if want[r] == base || want[r] == want[r-1] {
-			t.Fatalf("derived replica seeds collide: %v", want)
-		}
 	}
 }

@@ -81,8 +81,9 @@ func (sc *Scenario) Telemetry() *telemetry.Collector {
 }
 
 // serveLabel names the event stream of one serve run. The seed
-// disambiguates replicated runs of the same scenario (same architecture and
-// relay count), keeping (label, step) keys collision-free within a sweep.
+// disambiguates runs of the same scenario (same architecture and relay
+// count) under different workloads, keeping (label, step) keys
+// collision-free on one collector.
 func (sc *Scenario) serveLabel(seed int64) string {
 	return fmt.Sprintf("serve/%s/%d/seed=%d", sc.Arch, len(sc.RelayIDs), seed)
 }

@@ -249,56 +249,6 @@ func TestCoverageSweepTelemetryWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestReplicatedSweepTelemetryWorkerInvariance: replicas of the same size
-// share an architecture and relay count, so the seed-qualified serve labels
-// are what keeps their event streams disjoint and the merge order-free.
-func TestReplicatedSweepTelemetryWorkerInvariance(t *testing.T) {
-	p := telemetryTestParams()
-	cfg := ServeConfig{RequestsPerStep: 4, Steps: 3, Horizon: time.Hour, Seed: 5}
-	sizes := []int{6, 12}
-
-	var baseMetrics, baseEvents string
-	for i, workers := range []int{1, 8} {
-		col := telemetry.NewCollector()
-		pw := p
-		pw.Telemetry = col
-		if _, err := ServeSweepReplicated(pw, sizes, cfg, 3, workers); err != nil {
-			t.Fatal(err)
-		}
-		metrics, events := telemetryDump(t, col)
-		if i == 0 {
-			baseMetrics, baseEvents = metrics, events
-			continue
-		}
-		if metrics != baseMetrics {
-			t.Errorf("metrics at %d workers diverged", workers)
-		}
-		if events != baseEvents {
-			t.Errorf("event stream at %d workers diverged", workers)
-		}
-	}
-
-	// 2 sizes x 3 replicas x 3 steps, every (label, step) key distinct.
-	col := telemetry.NewCollector()
-	pw := p
-	pw.Telemetry = col
-	if _, err := ServeSweepReplicated(pw, sizes, cfg, 3, 2); err != nil {
-		t.Fatal(err)
-	}
-	events := col.Events.Events()
-	if len(events) != 2*3*3 {
-		t.Fatalf("%d events, want 18", len(events))
-	}
-	seen := make(map[string]bool, len(events))
-	for _, e := range events {
-		key := e.Label + "#" + string(rune('0'+e.Step))
-		if seen[key] {
-			t.Fatalf("duplicate event key %q", key)
-		}
-		seen[key] = true
-	}
-}
-
 // TestFaultTelemetry: a faulted run must surface outages and weather in both
 // the counters and the event stream — and still match the uninstrumented
 // faulted run bit for bit.

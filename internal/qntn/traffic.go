@@ -220,12 +220,13 @@ func (sc *Scenario) trafficLabel(seed int64) string {
 
 // RunTraffic executes the traffic engine against the scenario: the merged
 // per-site arrival streams feed the same batched admission core as
-// RunArrivals — pooled snapshot per topology update, Dijkstra memo, FIFO
-// drain. Instrumented scenarios additionally record one event per topology
-// step (arrivals in the window, served, queue depth, snapshot counters) on
-// the collector's sink, which is what the serve daemon streams back as
-// NDJSON. Everything is seeded; a run is a pure function of
-// (scenario, config).
+// RunArrivals — one topology update per step on the backend
+// Params.EventDriven selects, Dijkstra memo, FIFO drain. Instrumented
+// scenarios step (newTopoStepper's telemetry fallback) and additionally
+// record one event per topology step (arrivals in the window, served, queue
+// depth, snapshot counters) on the collector's sink, which is what the
+// serve daemon streams back as NDJSON. Everything is seeded; a run is a
+// pure function of (scenario, config).
 func (sc *Scenario) RunTraffic(cfg TrafficConfig) (*TrafficResult, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -247,11 +248,13 @@ func (sc *Scenario) RunTraffic(cfg TrafficConfig) (*TrafficResult, error) {
 		label = sc.trafficLabel(cfg.Seed)
 	}
 
-	ad := newAdmission(sc)
-	var st *netsim.SnapshotStats
+	ad, err := newAdmission(sc, cfg.Horizon)
+	if err != nil {
+		return nil, err
+	}
+	defer ad.close()
 	var onUpdate func(k int, at time.Duration, arrived int)
 	if tel != nil {
-		st = new(netsim.SnapshotStats)
 		lastServed, lastArrivals := 0, 0
 		var lastFidSum float64
 		onUpdate = func(k int, at time.Duration, arrived int) {
@@ -260,7 +263,7 @@ func (sc *Scenario) RunTraffic(cfg TrafficConfig) (*TrafficResult, error) {
 			served := ad.served - lastServed
 			fidSum := ad.fidSum - lastFidSum
 			tel.requestsServed.Add(uint64(served))
-			sc.recordStepEvent(label, k, at, st, func(e *telemetry.Event) {
+			sc.recordStepEvent(label, k, at, ad.ts.stats, func(e *telemetry.Event) {
 				e.Arrivals = int64(arrived - lastArrivals)
 				e.Served = int64(served)
 				e.QueueDepth = int64(len(ad.queue))
@@ -273,7 +276,7 @@ func (sc *Scenario) RunTraffic(cfg TrafficConfig) (*TrafficResult, error) {
 			lastFidSum = ad.fidSum
 		}
 	}
-	steps, err := ad.run(arrivals, cfg.Horizon, st, onUpdate)
+	steps, err := ad.run(arrivals, onUpdate)
 	if err != nil {
 		return nil, err
 	}

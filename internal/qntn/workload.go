@@ -21,8 +21,7 @@ type Workload struct {
 // ground hosts. Every request is inter-LAN, so the scenario must contribute
 // ground hosts from at least two local networks: with none, Next would
 // panic in rand.Intn(0), and with a single LAN it would spin forever
-// rejecting intra-LAN draws — both now surface as a constructor error (the
-// mirror of the WaitingTimes guard).
+// rejecting intra-LAN draws — both now surface as a constructor error.
 func NewWorkload(sc *Scenario, seed int64) (*Workload, error) {
 	w := &Workload{
 		rng:   rand.New(rand.NewSource(seed)),
