@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"math"
 	"time"
 
 	"qntn/internal/atmosphere"
@@ -61,32 +60,29 @@ func AblationRoutingMetric(p qntn.Params, nSats int, cfg qntn.ServeConfig, worke
 		if err != nil {
 			return err
 		}
-		var fids, etas, hops []float64
-		attempted, served := 0, 0
+		var (
+			trees             routing.SourceTrees
+			path              []string
+			fids, etas, hops  []float64
+			attempted, served int
+		)
 		for step := 0; step < cfg.Steps; step++ {
 			at := time.Duration(step) * stepGap
 			g, err := sc.Graph(at)
 			if err != nil {
 				return err
 			}
-			// One Dijkstra per distinct source in this step's batch.
-			bySrc := make(map[string]*routing.SingleSourceResult)
+			// One shortest-path tree per distinct source in this step's
+			// batch, under the metric's own cost.
+			trees.Load(g, m.cost)
 			for _, req := range wl.Batch(cfg.RequestsPerStep) {
 				attempted++
-				res, ok := bySrc[req.Src]
-				if !ok {
-					res, err = routing.Dijkstra(g, req.Src, m.cost)
-					if err != nil {
-						return err
-					}
-					bySrc[req.Src] = res
-				}
-				if math.IsInf(res.Dist[req.Dst], 1) {
-					continue
-				}
-				path, err := res.PathTo(req.Dst)
-				if err != nil {
+				var ok bool
+				if path, ok, err = trees.AppendPath(path[:0], req.Src, req.Dst); err != nil {
 					return err
+				}
+				if !ok {
+					continue
 				}
 				hopEtas, err := g.EdgeEtas(path)
 				if err != nil {

@@ -2,7 +2,6 @@ package qntn
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"time"
 
@@ -69,15 +68,20 @@ type queuedRequest struct {
 
 // admission is the batched request-scheduling core shared by RunArrivals
 // and RunTraffic: a topoStepper over the topology-update grid (either
-// backend, like every other driver), a single-source Dijkstra memo valid
-// until the next update, and the FIFO wait queue with its drain loop.
-// Batching admission per topology update keeps the per-step cost
-// amortized: the graph storage, the memo map and the queue backing array
-// are all reused across the run.
+// backend, like every other driver), one shortest-path tree per queried
+// source under 1/(η+ε) valid until the next update (routing.SourceTrees,
+// which answers exactly as routing.Dijkstra from that source would), and
+// the FIFO wait queue with its drain loop. Batching admission per topology
+// update keeps the per-step cost amortized: the graph storage, the pooled
+// trees, the path buffer and the queue backing array are all reused across
+// the run.
 type admission struct {
 	sc    *Scenario
 	ts    *topoStepper
-	memo  map[string]*routing.SingleSourceResult
+	trees routing.SourceTrees
+	cost  routing.CostFunc // 1/(η+ε) at Params.RoutingEpsilon
+	path  []string         // the routed request's path, reused
+	etas  []float64        // its per-hop transmissivities, reused
 	queue []queuedRequest
 	// pe is nil unless the entanglement-protocol layer is enabled; a
 	// request whose protocol attempt fails stays queued and redraws at the
@@ -108,7 +112,7 @@ func newAdmission(sc *Scenario, horizon time.Duration) (*admission, error) {
 	return &admission{
 		sc:   sc,
 		ts:   ts,
-		memo: make(map[string]*routing.SingleSourceResult),
+		cost: routing.InverseEtaCost(sc.Params.RoutingEpsilon),
 		pe:   sc.newProtoEval(),
 	}, nil
 }
@@ -121,23 +125,13 @@ func (ad *admission) close() { ad.ts.close() }
 // drain loop — which is what the immediate classification reports.
 func (ad *admission) tryServe(now time.Duration, q queuedRequest, onArrival bool) (bool, error) {
 	ad.evaluated++
-	sp, ok := ad.memo[q.req.Src]
-	if !ok {
-		var err error
-		sp, err = routing.Dijkstra(ad.ts.g, q.req.Src, routing.InverseEtaCost(ad.sc.Params.RoutingEpsilon))
-		if err != nil {
-			return false, err
-		}
-		ad.memo[q.req.Src] = sp
-	}
-	if math.IsInf(sp.Dist[q.req.Dst], 1) {
-		return false, nil
-	}
-	path, err := sp.PathTo(q.req.Dst)
-	if err != nil {
+	path, ok, err := ad.trees.AppendPath(ad.path[:0], q.req.Src, q.req.Dst)
+	ad.path = path
+	if err != nil || !ok {
 		return false, err
 	}
-	etas, err := ad.ts.g.EdgeEtas(path)
+	etas, err := ad.ts.g.EdgeEtasInto(ad.etas[:0], path)
+	ad.etas = etas
 	if err != nil {
 		return false, err
 	}
@@ -212,10 +206,10 @@ func (ad *admission) drain(now time.Duration) (int, error) {
 // arrivals and returns the number of updates run. At a time tie the update
 // runs first, the retired event heap's FIFO order when every update was
 // enqueued before any arrival. Each update advances the topology, loads the
-// protocol's snapshot of it when the layer is on, invalidates the routing
-// memo and drains the queue, then calls onUpdate, when non-nil, with the
-// update's index, its instant and the number of arrivals admitted before
-// it.
+// routing trees' snapshot of it (dropping the previous update's trees) and,
+// with the protocol layer on, the protocol's, drains the queue, then calls
+// onUpdate, when non-nil, with the update's index, its instant and the
+// number of arrivals admitted before it.
 func (ad *admission) run(arrivals []trafficArrival, onUpdate func(k int, at time.Duration, arrived int)) (int, error) {
 	grid := ad.ts.grid
 	i := 0
@@ -225,10 +219,10 @@ func (ad *admission) run(arrivals []trafficArrival, onUpdate func(k int, at time
 			if err := ad.ts.step(k); err != nil {
 				return 0, err
 			}
+			ad.trees.Load(ad.ts.g, ad.cost)
 			if ad.pe != nil {
-				ad.adj.Load(ad.ts.g)
+				ad.adj.Load(ad.ts.g, disjointCost)
 			}
-			clear(ad.memo)
 			if _, err := ad.drain(at); err != nil {
 				return 0, err
 			}

@@ -284,3 +284,35 @@ func TestArrivalImmediateClassificationBoundary(t *testing.T) {
 		t.Fatalf("arrival-handler serve should be immediate: served %d immediate %d", ad.served, ad.immediate)
 	}
 }
+
+// TestAdmissionUnknownEndpointsError: a request naming a node the topology
+// does not hold fails the run with the routing error — as the per-source
+// Dijkstra memo's "unknown source" did before the trees replaced it — for
+// an unknown destination as well, instead of waiting in the queue forever.
+func TestAdmissionUnknownEndpointsError(t *testing.T) {
+	sc, err := NewAirGround(DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	host := sc.GroundIDs[sc.LANs[0].Name][0]
+	for _, c := range []struct {
+		req  netsim.Request
+		want string
+	}{
+		{netsim.Request{ID: 1, Src: "ghost", Dst: host}, `routing: unknown source "ghost"`},
+		{netsim.Request{ID: 2, Src: host, Dst: "ghost"}, `routing: unknown destination "ghost"`},
+	} {
+		ad, err := newAdmission(sc, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = ad.run([]trafficArrival{{at: 0, req: c.req}}, nil)
+		ad.close()
+		if err == nil || err.Error() != c.want {
+			t.Fatalf("request %+v: run error %v, want %q", c.req, err, c.want)
+		}
+		if len(ad.queue) != 0 {
+			t.Fatalf("request %+v was queued", c.req)
+		}
+	}
+}

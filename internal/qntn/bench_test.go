@@ -213,6 +213,58 @@ func BenchmarkRoutesScratch108(b *testing.B) {
 	}
 }
 
+// BenchmarkRoutesTrees108 is the serve loop's routing over the same 100
+// SpaceGround-108 snapshots as BenchmarkRoutesScratch108: per snapshot, one
+// SourceTrees load under 1/(η+ε) and a path for every request of that
+// step's DefaultServeConfig batch, into a reused buffer. The snapshots and
+// batches are built before the timer starts, so an operation is routing
+// only, and the two benchmarks report the retired and the serving kernel
+// side by side.
+func BenchmarkRoutesTrees108(b *testing.B) {
+	sc, err := NewSpaceGround(108, DefaultParams())
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultServeConfig()
+	wl, err := NewWorkload(sc, cfg.Seed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	type snapshot struct {
+		g     *routing.Graph
+		batch []netsim.Request
+	}
+	var snaps []snapshot
+	for _, at := range cfg.sampleTimes(sc.Params) {
+		g, err := sc.Graph(at)
+		if err != nil {
+			b.Fatal(err)
+		}
+		snaps = append(snaps, snapshot{g, append([]netsim.Request(nil), wl.Batch(cfg.RequestsPerStep)...)})
+	}
+	var (
+		trees routing.SourceTrees
+		path  []string
+	)
+	cost := routing.InverseEtaCost(sc.Params.RoutingEpsilon)
+	pass := func() {
+		for _, s := range snaps {
+			trees.Load(s.g, cost)
+			for _, req := range s.batch {
+				if path, _, err = trees.AppendPath(path[:0], req.Src, req.Dst); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	pass() // warm-up sizes the pooled trees, as the first step of RunServe does
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass()
+	}
+}
+
 // BenchmarkRoutesDisjoint108 is the protocol layer's route stage over one
 // RunServe day: at each of the 100 DefaultServeConfig SpaceGround-108
 // snapshots, one Adjacency load and then ExtractOn with k = 3 (the serve
@@ -258,7 +310,7 @@ func BenchmarkRoutesDisjoint108(b *testing.B) {
 	)
 	pass := func() {
 		for _, s := range snaps {
-			adj.Load(s.g)
+			adj.Load(s.g, disjointCost)
 			for _, path := range s.paths {
 				if _, err := ds.ExtractOn(&adj, path, 3); err != nil {
 					b.Fatal(err)

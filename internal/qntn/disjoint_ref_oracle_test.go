@@ -65,7 +65,7 @@ func TestDisjointExtractMatchesDenseReference108(t *testing.T) {
 		if err := sc.GraphInto(g, time.Duration(step)*gap); err != nil {
 			t.Fatal(err)
 		}
-		adj.Load(g)
+		adj.Load(g, routing.NegLogEtaCost(0))
 		tables := bf.Run(g, sc.Params.RoutingEpsilon)
 		hops := make(map[[2]string]bool)
 		for _, req := range wl.Batch(cfg.RequestsPerStep) {

@@ -21,24 +21,28 @@ import (
 	"qntn/internal/telemetry"
 )
 
-// oracleServeConfig scales the paper workload down so six archetypes times
+// oracleServeConfig scales the paper workload down so eight archetypes times
 // two fault variants stay affordable next to the rest of tier 1.
 func oracleServeConfig(horizon time.Duration) qntn.ServeConfig {
 	return qntn.ServeConfig{RequestsPerStep: 20, Steps: 40, Horizon: horizon, Seed: 7}
 }
 
+// referenceServeConfig is oracleServeConfig for a matrix leg checked against
+// an Algorithm 1 reference, with the archetype's ReferenceSteps cap.
+func referenceServeConfig(arch oracletest.Archetype, horizon time.Duration) qntn.ServeConfig {
+	cfg := oracleServeConfig(horizon)
+	if arch.ReferenceSteps > 0 {
+		cfg.Steps = arch.ReferenceSteps
+	}
+	return cfg
+}
+
 // TestEventDrivenMatchesSteppedOracle is the core differential matrix:
-// every archetype, faults off and on; CoverageOnly archetypes skip the
-// serve leg.
+// every archetype, faults off and on.
 func TestEventDrivenMatchesSteppedOracle(t *testing.T) {
 	for _, arch := range oracletest.Archetypes() {
 		arch := arch
 		check := func(t *testing.T, p qntn.Params) {
-			if arch.CoverageOnly {
-				oracletest.AssertCoverageEqual(t, arch.Build, p, arch.Duration)
-				oracletest.AssertDetailedCoverageEqual(t, arch.Build, p, arch.Duration)
-				return
-			}
 			oracletest.AssertAllEqual(t, arch.Build, p, arch.Duration, oracleServeConfig(arch.Duration))
 		}
 		t.Run(arch.Name, func(t *testing.T) {
@@ -391,9 +395,6 @@ func admissionEqual(t *testing.T, build oracletest.Builder, p qntn.Params, horiz
 func TestEventDrivenAdmissionMatchesStepped(t *testing.T) {
 	served := 0
 	for _, arch := range oracletest.Archetypes() {
-		if arch.CoverageOnly {
-			continue
-		}
 		arch := arch
 		t.Run(arch.Name, func(t *testing.T) {
 			served += admissionEqual(t, arch.Build, arch.Params(), arch.Duration)

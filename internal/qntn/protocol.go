@@ -26,11 +26,16 @@ type protoOutcome struct {
 	purifyAccepted int
 }
 
+// disjointCost is the edge cost a protocol snapshot (the Adjacency passed to
+// protoEval.outcome) is loaded under: −log η, so disjoint extraction ranks
+// alternatives by end-to-end transmissivity.
+var disjointCost = routing.NegLogEtaCost(0)
+
 // protoEval evaluates the entanglement-protocol layer for one run. All
 // buffers are reused across requests, so the per-request evaluation is
 // allocation-free after warm-up (asserted in protocol_alloc_test.go); one
 // protoEval must therefore never be shared across goroutines — each sweep
-// task builds its own, exactly like the Bellman-Ford scratch.
+// task builds its own, exactly like the routing trees.
 type protoEval struct {
 	sc     *Scenario
 	cfg    protocol.Config

@@ -41,7 +41,7 @@ func TestProtocolZeroHopBypass(t *testing.T) {
 	path := []string{"lanA-host", "lanA-switch"}
 	req := netsim.Request{ID: 3, Src: path[0], Dst: path[1]}
 	var adj routing.Adjacency
-	adj.Load(g)
+	adj.Load(g, disjointCost)
 	po, err := pe.outcome(&adj, path, req, 90*time.Minute)
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +117,7 @@ func TestProtocolOutcomeDeterministic(t *testing.T) {
 	pe := sc.newProtoEval()
 	fresh := sc.newProtoEval()
 	var adj routing.Adjacency
-	adj.Load(g)
+	adj.Load(g, disjointCost)
 	for _, a := range attempts {
 		first, err := pe.outcome(&adj, a.path, a.req, at)
 		if err != nil {
@@ -158,14 +158,14 @@ func TestProtocolOutcomeZeroAllocs(t *testing.T) {
 	at, g, attempts := protoTestTopology(t, sc)
 	pe := sc.newProtoEval()
 	var adj routing.Adjacency
-	adj.Load(g)
+	adj.Load(g, disjointCost)
 	for _, a := range attempts { // warm every buffer across path shapes
 		if _, err := pe.outcome(&adj, a.path, a.req, at); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if n := testing.AllocsPerRun(20, func() {
-		adj.Load(g) // a new snapshot per batch, as each topology step loads one
+		adj.Load(g, disjointCost) // a new snapshot per batch, as each topology step loads one
 		for _, a := range attempts {
 			if _, err := pe.outcome(&adj, a.path, a.req, at); err != nil {
 				t.Fatal(err)
@@ -205,7 +205,7 @@ func TestAdmissionRefreshReloadsProtocolSnapshot(t *testing.T) {
 		}
 		updates, err := ad.run(nil, func(_ int, at time.Duration, _ int) {
 			graph := ad.ts.g
-			fresh.Load(graph)
+			fresh.Load(graph, disjointCost)
 			for _, a := range graph.Nodes() {
 				for _, b := range graph.Neighbors(a) {
 					primary := []string{a, b}

@@ -36,20 +36,19 @@ func protocolOracleConfig() protocol.Config {
 
 // TestProtocolMatchesScalarReference is the core protocol differential
 // matrix: every archetype, faults off and on, stepped and event-driven
-// against the scalar reference. Durations are capped so the per-request
-// clone-and-delete reference stays affordable in tier-1 time.
+// against the scalar reference. Durations are capped, and the ISL-chain
+// archetype's steps (ReferenceSteps), so the reference's per-step
+// Algorithm 1 tables and per-request clone-and-delete stay affordable in
+// tier-1 time.
 func TestProtocolMatchesScalarReference(t *testing.T) {
 	totalServed := 0
 	for _, arch := range oracletest.Archetypes() {
-		if arch.CoverageOnly {
-			continue
-		}
 		arch := arch
 		duration := arch.Duration
 		if duration > 4*time.Hour {
 			duration = 4 * time.Hour
 		}
-		cfg := oracleServeConfig(duration)
+		cfg := referenceServeConfig(arch, duration)
 		t.Run(arch.Name, func(t *testing.T) {
 			p := arch.Params()
 			p.Protocol = protocolOracleConfig()

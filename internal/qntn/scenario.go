@@ -522,7 +522,11 @@ func (sc *Scenario) GraphInto(g *routing.Graph, t time.Duration) error {
 }
 
 // Routes computes the converged Algorithm 1 routing tables for the topology
-// at time t.
+// at time t: the paper's routing specification, one fresh graph and n×n
+// tables per call. The request drivers do not call it; they route from
+// per-source shortest-path trees (routing.SourceTrees), and the serve
+// loop's differential suite pins every path they serve DeepEqual to these
+// tables' paths.
 func (sc *Scenario) Routes(t time.Duration) (*routing.Tables, *routing.Graph, error) {
 	g, err := sc.Graph(t)
 	if err != nil {

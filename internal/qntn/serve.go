@@ -94,10 +94,14 @@ type ServeResult struct {
 }
 
 // RunServe executes the serve experiment against the scenario. At each
-// step it snapshots the topology, converges the Algorithm 1 routing tables
-// once, and attempts every request of the batch: a request is served when a
-// path exists; its fidelity follows the scenario's FidelityModel applied to
-// the path's per-hop transmissivities.
+// step it snapshots the topology and attempts every request of the batch,
+// routed under the paper's 1/(η+ε) cost from its source's shortest-path
+// tree over the snapshot: a request is served when a path exists; its
+// fidelity follows the scenario's FidelityModel applied to the path's
+// per-hop transmissivities. Algorithm 1 (routing.BellmanFord, the paper's
+// distance-vector protocol) stays the specification: the differential
+// suite holds every served path DeepEqual to its tables' paths on every
+// oracle archetype.
 func (sc *Scenario) RunServe(cfg ServeConfig) (*ServeResult, error) {
 	res := &ServeResult{}
 	if err := sc.runServe(cfg, res, nil); err != nil {
@@ -137,13 +141,16 @@ func (sc *Scenario) runServe(cfg ServeConfig, res *ServeResult, timed func(path 
 	}
 	defer ts.close()
 
-	// One Bellman-Ford scratch serves every step: the node set is fixed,
-	// so per-step work reuses its storage. pe is nil unless the
-	// entanglement-protocol layer is enabled; with timed also nil, the nil
-	// branch below is the pre-protocol code verbatim. adj is the protocol's
-	// per-step snapshot of graph, loaded only when pe is non-nil.
+	// One pooled set of per-source trees serves every step: the node set
+	// is fixed, so per-step work reuses its storage, and a tree grows only
+	// until the batch's destinations from its source have settled. pe is
+	// nil unless the entanglement-protocol layer is enabled; with timed
+	// also nil, the nil branch below is the pre-protocol code verbatim. adj
+	// is the protocol's per-step snapshot of graph, loaded only when pe is
+	// non-nil.
 	graph := ts.g
-	var scratch routing.BellmanFordScratch
+	var trees routing.SourceTrees
+	cost := routing.InverseEtaCost(sc.Params.RoutingEpsilon)
 	pe := sc.newProtoEval()
 	var adj routing.Adjacency
 
@@ -158,20 +165,21 @@ func (sc *Scenario) runServe(cfg ServeConfig, res *ServeResult, timed func(path 
 		if err := ts.step(step); err != nil {
 			return err
 		}
+		trees.Load(graph, cost)
 		if pe != nil {
-			adj.Load(graph)
+			adj.Load(graph, disjointCost)
 		}
 		at := grid.at(step)
-		tables := scratch.Run(graph, sc.Params.RoutingEpsilon)
 		stepServed, stepDropped := 0, 0
 		var stepFidSum float64
 		for _, req := range wl.Batch(cfg.RequestsPerStep) {
 			out := netsim.Outcome{Request: req, At: at}
-			if tables.Reachable(req.Src, req.Dst) {
-				path, err := tables.Path(req.Src, req.Dst)
-				if err != nil {
-					return fmt.Errorf("qntn: step %d request %d: %w", step, req.ID, err)
-				}
+			// A nil buffer makes the path its own allocation: out keeps it.
+			path, reachable, err := trees.AppendPath(nil, req.Src, req.Dst)
+			if err != nil {
+				return fmt.Errorf("qntn: step %d request %d: %w", step, req.ID, err)
+			}
+			if reachable {
 				if pe != nil {
 					po, err := pe.outcome(&adj, path, req, at)
 					if err != nil {
@@ -222,12 +230,14 @@ func (sc *Scenario) runServe(cfg ServeConfig, res *ServeResult, timed func(path 
 			res.Metrics.Record(out)
 		}
 		if tel != nil {
-			rounds := scratch.Rounds()
-			tel.relaxRounds.Add(uint64(rounds))
+			built, settled := trees.Trees(), trees.Settled()
+			tel.treesBuilt.Add(uint64(built))
+			tel.nodesSettled.Add(uint64(settled))
 			tel.requestsServed.Add(uint64(stepServed))
 			tel.requestsDropped.Add(uint64(stepDropped))
 			sc.recordStepEvent(label, step, at, ts.stats, func(e *telemetry.Event) {
-				e.RelaxRounds = int64(rounds)
+				e.TreesBuilt = int64(built)
+				e.NodesSettled = int64(settled)
 				e.Served = int64(stepServed)
 				e.Dropped = int64(stepDropped)
 				if stepServed > 0 {

@@ -31,9 +31,6 @@ func servedCount(res *qntn.ServeResult) int {
 func TestRunServeMatchesReference(t *testing.T) {
 	served := 0
 	for _, arch := range oracletest.Archetypes() {
-		if arch.CoverageOnly {
-			continue
-		}
 		for _, faults := range []bool{false, true} {
 			for _, proto := range []bool{false, true} {
 				arch, faults, proto := arch, faults, proto
@@ -45,7 +42,7 @@ func TestRunServeMatchesReference(t *testing.T) {
 					if proto {
 						p.Protocol = protocolOracleConfig()
 					}
-					cfg := oracleServeConfig(arch.Duration)
+					cfg := referenceServeConfig(arch, arch.Duration)
 					stepped, event := oracletest.Pair(t, arch.Build, p)
 					want, err := qntn.RunServeReference(stepped, cfg)
 					if err != nil {
@@ -74,9 +71,6 @@ func TestRunServeMatchesReference(t *testing.T) {
 func TestRunServeDESMatchesReference(t *testing.T) {
 	served := 0
 	for _, arch := range oracletest.Archetypes() {
-		if arch.CoverageOnly {
-			continue
-		}
 		for _, faults := range []bool{false, true} {
 			for _, t2 := range []time.Duration{0, 10 * time.Millisecond} {
 				for _, delay := range []time.Duration{0, 5 * time.Millisecond} {
@@ -88,7 +82,7 @@ func TestRunServeDESMatchesReference(t *testing.T) {
 						}
 						p.MemoryT2 = t2
 						p.ProcessingDelayPerHop = delay
-						cfg := oracleServeConfig(arch.Duration)
+						cfg := referenceServeConfig(arch, arch.Duration)
 						stepped, event := oracletest.Pair(t, arch.Build, p)
 						want, err := qntn.RunServeDESReference(stepped, cfg)
 						if err != nil {

@@ -19,11 +19,14 @@ var (
 	RunServeDESReference = runServeDESReference
 )
 
-// runServeReference is the retired stepped RunServe body, kept verbatim as
-// the differential oracle for the one serve loop over the topology stepper:
-// pooled GraphInto/SnapshotIntoStats snapshots at sampleTimes, one
-// Bellman-Ford scratch, and the protocol-on and protocol-off branches. It
-// always steps; the event-driven dispatch that preceded it is dropped.
+// runServeReference is the retired stepped RunServe body, kept as the
+// differential oracle for the one serve loop over the topology stepper:
+// pooled GraphInto/SnapshotIntoStats snapshots at sampleTimes, Algorithm 1
+// tables converged by one Bellman-Ford scratch (the routing specification
+// the serve loop's per-source trees are pinned to), and the protocol-on and
+// protocol-off branches. It always steps; the event-driven dispatch that
+// preceded it is dropped, and so is its relaxation-round telemetry, which
+// the serve loop no longer has.
 func runServeReference(sc *Scenario, cfg ServeConfig) (*ServeResult, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -66,7 +69,7 @@ func runServeReference(sc *Scenario, cfg ServeConfig) (*ServeResult, error) {
 		} else if err := sc.GraphInto(graph, at); err != nil {
 			return nil, err
 		}
-		adj.Load(graph)
+		adj.Load(graph, disjointCost)
 		tables := scratch.Run(graph, sc.Params.RoutingEpsilon)
 		stepServed, stepDropped := 0, 0
 		var stepFidSum float64
@@ -123,12 +126,9 @@ func runServeReference(sc *Scenario, cfg ServeConfig) (*ServeResult, error) {
 			res.Metrics.Record(out)
 		}
 		if tel != nil {
-			rounds := scratch.Rounds()
-			tel.relaxRounds.Add(uint64(rounds))
 			tel.requestsServed.Add(uint64(stepServed))
 			tel.requestsDropped.Add(uint64(stepDropped))
 			sc.recordStepEvent(label, step, at, &st, func(e *telemetry.Event) {
-				e.RelaxRounds = int64(rounds)
 				e.Served = int64(stepServed)
 				e.Dropped = int64(stepDropped)
 				if stepServed > 0 {

@@ -18,7 +18,8 @@ var fidelityBuckets = []float64{0.5, 0.6, 0.7, 0.8, 0.85, 0.9, 0.95, 0.99}
 // at instrumentation time, so hot loops touch pre-looked-up pointers only.
 type scenarioTelemetry struct {
 	collector       *telemetry.Collector
-	relaxRounds     *telemetry.Counter
+	treesBuilt      *telemetry.Counter
+	nodesSettled    *telemetry.Counter
 	requestsServed  *telemetry.Counter
 	requestsDropped *telemetry.Counter
 	coverageSteps   *telemetry.Counter
@@ -58,7 +59,8 @@ func (sc *Scenario) Instrument(c *telemetry.Collector) {
 	sc.Net.SetInstruments(netsim.NewInstruments(reg))
 	sc.tel = &scenarioTelemetry{
 		collector:       c,
-		relaxRounds:     reg.Counter("relax_rounds_total"),
+		treesBuilt:      reg.Counter("routing_trees_total"),
+		nodesSettled:    reg.Counter("routing_settled_nodes_total"),
 		requestsServed:  reg.Counter("requests_served_total"),
 		requestsDropped: reg.Counter("requests_dropped_total"),
 		coverageSteps:   reg.Counter("coverage_steps_total"),

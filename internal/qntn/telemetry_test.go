@@ -76,9 +76,6 @@ func TestInstrumentedServeMatchesUninstrumented(t *testing.T) {
 	if fid.Count() != served {
 		t.Errorf("served_fidelity count %d != requests_served_total %d", fid.Count(), served)
 	}
-	if counterValue(t, col, "relax_rounds_total") < steps {
-		t.Error("relax_rounds_total below one round per step")
-	}
 
 	// Every step emits exactly one event with the full snapshot accounting.
 	events := col.Events.Events()
@@ -87,7 +84,8 @@ func TestInstrumentedServeMatchesUninstrumented(t *testing.T) {
 	}
 	n := len(sc.Net.Nodes())
 	wantPairs := int64(n * (n - 1) / 2)
-	var evServed, evDropped int64
+	var evServed, evDropped, evTrees, evSettled int64
+	routed := 0
 	for i, e := range events {
 		if e.Label != "serve/space-ground/12/seed=9" {
 			t.Fatalf("event label %q", e.Label)
@@ -104,11 +102,31 @@ func TestInstrumentedServeMatchesUninstrumented(t *testing.T) {
 		if e.LinksAdmitted <= 0 {
 			t.Fatalf("event %d admitted no links", i)
 		}
+		// A served request's path comes from its source's tree, which
+		// settles at least its two endpoints; every request starts at most
+		// one tree.
+		if e.Served > 0 {
+			routed++
+			if e.TreesBuilt < 1 || e.NodesSettled < 2 {
+				t.Fatalf("event %d served %d requests from %d trees settling %d nodes", i, e.Served, e.TreesBuilt, e.NodesSettled)
+			}
+		}
+		if e.TreesBuilt > int64(cfg.RequestsPerStep) {
+			t.Fatalf("event %d: %d trees for %d requests", i, e.TreesBuilt, cfg.RequestsPerStep)
+		}
 		evServed += e.Served
 		evDropped += e.Dropped
+		evTrees += e.TreesBuilt
+		evSettled += e.NodesSettled
 	}
 	if uint64(evServed) != served || uint64(evDropped) != dropped {
 		t.Errorf("event served/dropped %d/%d disagree with counters %d/%d", evServed, evDropped, served, dropped)
+	}
+	if routed == 0 {
+		t.Fatal("no step served a request; the routing counters went unchecked")
+	}
+	if trees, settled := counterValue(t, col, "routing_trees_total"), counterValue(t, col, "routing_settled_nodes_total"); uint64(evTrees) != trees || uint64(evSettled) != settled {
+		t.Errorf("event trees/settled %d/%d disagree with counters %d/%d", evTrees, evSettled, trees, settled)
 	}
 }
 

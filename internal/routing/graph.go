@@ -1,9 +1,11 @@
 // Package routing implements the paper's entanglement routing layer: the
 // distance-vector Bellman-Ford of Algorithm 1 with the 1/(η+ε) cost metric,
-// plus two baselines used by the ablation benchmarks — classic single-source
-// Bellman-Ford and Dijkstra on −log η weights (which finds the true
-// maximum-transmissivity path, since transmissivities multiply along a
-// path).
+// kept as the specification; SourceTrees, the per-source shortest-path
+// trees every request driver routes from under the same metric; the
+// protocol layer's disjoint-route extraction; plus two baselines —
+// classic single-source Bellman-Ford and Dijkstra on −log η weights (which
+// finds the true maximum-transmissivity path, since transmissivities
+// multiply along a path).
 package routing
 
 import (

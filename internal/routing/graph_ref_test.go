@@ -275,8 +275,8 @@ func RequireKernelsMatchDense(tb testing.TB, g *Graph, srcs []string, label stri
 		ds  DisjointScratch
 		ref denseDisjointRef
 	)
-	adj.Load(g)
 	cost := NegLogEtaCost(0)
+	adj.Load(g, cost)
 	for _, src := range srcs {
 		got, err := Dijkstra(g, src, cost)
 		if err != nil {

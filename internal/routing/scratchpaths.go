@@ -3,10 +3,11 @@ package routing
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
-// negLogEta is the per-edge cost the disjoint-route stage ranks routes by:
-// −log η with the default clamp, the same function as NegLogEtaCost(0).
+// negLogEta is the per-edge cost Extract ranks disjoint routes by: −log η
+// with the default clamp, the same function as NegLogEtaCost(0).
 var negLogEta = NegLogEtaCost(0)
 
 // adjEdge is one cost-annotated adjacency entry: the neighbour's dense
@@ -17,13 +18,13 @@ type adjEdge struct {
 }
 
 // Adjacency is a per-snapshot cost-annotated view of a Graph for repeated
-// shortest-path queries over one topology: every served request of a step
-// runs several Dijkstras on the same snapshot, and reading the Graph's rows
-// directly would re-evaluate −log η on every relaxed edge of every one of
-// them. A row here is copied from the Graph's neighbour row the first time
-// a query reaches it — neighbours in the same ascending index order, each
-// edge's −log η stored beside it — and reused until the next Load. Rows no
-// query reaches are never copied.
+// shortest-path queries over one topology: every request of a step runs one
+// or more Dijkstras on the same snapshot, and reading the Graph's rows
+// directly would re-evaluate the edge cost on every relaxed edge of every
+// one of them. A row here is copied from the Graph's neighbour row the first
+// time a query reaches it — neighbours in the same ascending index order,
+// each edge's cost stored beside it — and reused until the next Load. Rows
+// no query reaches are never copied.
 //
 // The view does not observe later changes to the graph: call Load again
 // after every rebuild or edge edit. It holds no state on the Graph and is
@@ -34,17 +35,19 @@ type Adjacency struct {
 	// Row u is edges[lo[u]:hi[u]] once copied; hi[u] < 0 until then.
 	lo, hi []int32
 	edges  []adjEdge
-	// cost overrides the stored per-edge cost; nil means −log η. Only the
-	// differential tests set it, to run the kernel under 1/(η+ε) as well.
-	cost CostFunc
+	cost   CostFunc
 }
 
-// Load starts a new snapshot of g: it only marks every row uncopied, so its
-// cost is one pass over n markers whatever the edge count.
+// Load starts a new snapshot of g whose edges cost cost(η): the serving
+// kernels load 1/(η+ε) (InverseEtaCost), disjoint-route extraction −log η
+// (NegLogEtaCost). cost must be non-negative, and callers on a per-step
+// path should build it once rather than per Load. Load only marks every row
+// uncopied, so its cost is one pass over n markers whatever the edge count.
 //
-//qntn:hotpath once per topology snapshot with the protocol layer on
-func (a *Adjacency) Load(g *Graph) {
+//qntn:hotpath once per topology snapshot
+func (a *Adjacency) Load(g *Graph, cost CostFunc) {
 	a.g = g
+	a.cost = cost
 	n := g.NumNodes()
 	if cap(a.hi) < n {
 		//qntn:coldpath warm-up sizing
@@ -66,18 +69,14 @@ func (a *Adjacency) Graph() *Graph { return a.g }
 // row returns u's neighbours in ascending index order with their costs,
 // copying the Graph's row on first use since the last Load.
 //
-//qntn:hotpath once per node settled by the disjoint-route Dijkstra
+//qntn:hotpath once per node settled by a Dijkstra over the snapshot
 func (a *Adjacency) row(u int) []adjEdge {
 	if hi := a.hi[u]; hi >= 0 {
 		return a.edges[a.lo[u]:hi]
 	}
-	g := a.g
 	cost := a.cost
-	if cost == nil {
-		cost = negLogEta
-	}
 	lo := len(a.edges)
-	for _, e := range g.rows[u] {
+	for _, e := range a.g.rows[u] {
 		//qntn:coldpath amortized growth: the edge buffer is reused across snapshots
 		a.edges = append(a.edges, adjEdge{to: int(e.to), cost: cost(e.eta)})
 	}
@@ -94,28 +93,25 @@ func (a *Adjacency) row(u int) []adjEdge {
 // pop order. The differential suite in scratchpaths_test.go pins this
 // against routing.Dijkstra on randomized tie-heavy graphs, and against the
 // retired dense-matrix kernel (scratchpaths_ref_test.go).
+//
+// A search can pause once a target settles and resume later (start, then
+// advance as often as needed): the pops and relaxations of the resumed
+// search are exactly those of one uninterrupted run, only split in time.
 type DijkstraScratch struct {
 	dist []float64
 	prev []int
 	done []bool
 	heap nodeHeap
+	// open is the node the last advance settled and stopped at without
+	// relaxing its edges (-1 none); the next advance relaxes them first.
+	open int
 }
 
-// run computes shortest paths from dense index src over the snapshot a,
-// returning as soon as dst is settled (dst < 0 runs to completion). Nodes
-// with blocked[v] true are unusable (nil means none), and when skipA/skipB
-// are ≥ 0 the single direct edge between them is ignored in both
-// directions — the scratch equivalent of deleting vertices (rsp. one edge)
-// from a cloned graph.
+// start resets the scratch to a search from dense index src over n nodes,
+// with nothing settled yet.
 //
-// Stopping at dst is exact for dist[dst] and the predecessor chain from
-// dst: costs are ≥ 0, so every node popped later has a distance ≥
-// dist[dst], and no relaxation from it can strictly improve dst or any
-// node settled before it, which includes every node on dst's chain.
-//
-//qntn:hotpath once per redundant protocol route of every served request
-func (s *DijkstraScratch) run(a *Adjacency, src, dst int, blocked []bool, skipA, skipB int) {
-	n := a.g.NumNodes()
+//qntn:hotpath once per shortest-path search
+func (s *DijkstraScratch) start(n, src int) {
 	if cap(s.dist) < n {
 		//qntn:coldpath warm-up sizing
 		s.dist = make([]float64, n)
@@ -134,33 +130,185 @@ func (s *DijkstraScratch) run(a *Adjacency, src, dst int, blocked []bool, skipA,
 		s.done[i] = false
 	}
 	s.dist[src] = 0
+	s.open = -1
 	s.heap = s.heap[:0]
 	s.heap.push(heapItem{node: src, dist: 0})
-	for len(s.heap) > 0 {
-		u := s.heap.pop().node
+}
+
+// advance continues the search over the snapshot a until dst is settled
+// (dst < 0 runs to completion) and returns how many nodes it settled. Nodes
+// with blocked[v] true are unusable (nil means none), and when skipA/skipB
+// are ≥ 0 the single direct edge between them is ignored in both
+// directions — the scratch equivalent of deleting vertices (rsp. one edge)
+// from a cloned graph.
+//
+// Stopping at dst is exact for dist[dst] and the predecessor chain from
+// dst: costs are ≥ 0, so every node popped later has a distance ≥
+// dist[dst], and no relaxation from it can strictly improve dst or any
+// node settled before it, which includes every node on dst's chain.
+//
+//qntn:hotpath once per shortest-path query that its search has not settled yet
+func (s *DijkstraScratch) advance(a *Adjacency, dst int, blocked []bool, skipA, skipB int) int {
+	settled := 0
+	for u := s.open; ; {
+		if u >= 0 {
+			du := s.dist[u]
+			for _, e := range a.row(u) {
+				v := e.to
+				if blocked != nil && blocked[v] {
+					continue
+				}
+				if (u == skipA && v == skipB) || (u == skipB && v == skipA) {
+					continue
+				}
+				if c := du + e.cost; c < s.dist[v] {
+					s.dist[v] = c
+					s.prev[v] = u
+					s.heap.push(heapItem{node: v, dist: c})
+				}
+			}
+		}
+		s.open = -1
+		if len(s.heap) == 0 {
+			return settled
+		}
+		u = s.heap.pop().node
 		if s.done[u] {
+			u = -1
 			continue
 		}
 		s.done[u] = true
+		settled++
 		if u == dst {
-			return
-		}
-		du := s.dist[u]
-		for _, e := range a.row(u) {
-			v := e.to
-			if blocked != nil && blocked[v] {
-				continue
-			}
-			if (u == skipA && v == skipB) || (u == skipB && v == skipA) {
-				continue
-			}
-			if c := du + e.cost; c < s.dist[v] {
-				s.dist[v] = c
-				s.prev[v] = u
-				s.heap.push(heapItem{node: v, dist: c})
-			}
+			s.open = u
+			return settled
 		}
 	}
+}
+
+// run computes shortest paths from src to dst in one go: start, then
+// advance with the same arguments.
+//
+//qntn:hotpath once per redundant protocol route of every served request
+func (s *DijkstraScratch) run(a *Adjacency, src, dst int, blocked []bool, skipA, skipB int) {
+	s.start(a.g.NumNodes(), src)
+	s.advance(a, dst, blocked, skipA, skipB)
+}
+
+// SourceTrees is the serving kernel: one shortest-path tree per source over
+// one topology snapshot, memoized until the next Load, so every request of a
+// batch from the same source reads the same tree. A tree grows only as far
+// as its queries need: a DijkstraScratch search paused once the queried
+// destination settles and resumed by a later query for a destination not
+// settled yet. Each answer is therefore exactly what routing.Dijkstra from
+// the same source would give, ties included, in at most the work of one
+// full run per source. The trees' dist/prev slabs are pooled and reused
+// across snapshots; after warm-up neither Load nor a query allocates,
+// except for the path a caller asks to be appended to a buffer too small.
+//
+// It does not implement Algorithm 1: BellmanFord remains the paper's
+// specification, and the serve loop's differential suite pins every served
+// path DeepEqual to it (Algorithm 1 breaks exact cost ties by its own rule,
+// so that pin, not construction, is what makes them agree). A SourceTrees
+// must not be shared between goroutines.
+type SourceTrees struct {
+	adj Adjacency
+	// slot[v] is the index in trees of source v's tree, -1 while v has
+	// none; trees[:live] belong to the current snapshot and the rest are
+	// pooled for later ones.
+	slot  []int32
+	trees []DijkstraScratch
+	live  int
+	// settled counts the nodes the current snapshot's trees have settled.
+	settled int
+}
+
+// Load starts a new snapshot of g under the edge cost cost: every tree of
+// the previous snapshot is dropped (its storage pooled) and the adjacency
+// view is reloaded (see Adjacency.Load).
+//
+//qntn:hotpath once per topology snapshot
+func (s *SourceTrees) Load(g *Graph, cost CostFunc) {
+	s.adj.Load(g, cost)
+	n := g.NumNodes()
+	if cap(s.slot) < n {
+		//qntn:coldpath warm-up sizing
+		s.slot = make([]int32, n)
+	}
+	s.slot = s.slot[:n]
+	for i := range s.slot {
+		s.slot[i] = -1
+	}
+	s.live = 0
+	s.settled = 0
+}
+
+// Trees reports how many trees the current snapshot has started: one per
+// distinct queried source since the last Load.
+func (s *SourceTrees) Trees() int { return s.live }
+
+// Settled reports how many nodes the current snapshot's trees have settled
+// in total since the last Load.
+func (s *SourceTrees) Settled() int { return s.settled }
+
+// AppendPath appends the shortest path from src to dst (both endpoints
+// included) to buf and returns the extended buffer with ok true, or buf
+// unchanged with ok false when dst is unreachable from src. A node ID the
+// snapshot's graph does not hold is an error. With buf nil the path gets an
+// allocation of its own, so the result can be kept.
+//
+//qntn:hotpath once per request routed over the snapshot
+func (s *SourceTrees) AppendPath(buf []string, src, dst string) ([]string, bool, error) {
+	g := s.adj.g
+	si, ok := g.IndexOf(src)
+	if !ok {
+		return buf, false, fmt.Errorf("routing: unknown source %q", src)
+	}
+	di, ok := g.IndexOf(dst)
+	if !ok {
+		return buf, false, fmt.Errorf("routing: unknown destination %q", dst)
+	}
+	t := s.tree(si)
+	if !t.done[di] {
+		// A tree that has settled everything it reaches returns at once.
+		s.settled += t.advance(&s.adj, di, nil, -1, -1)
+		if !t.done[di] {
+			return buf, false, nil
+		}
+	}
+	hops := 0
+	for cur := di; cur != si; cur = t.prev[cur] {
+		hops++
+	}
+	start := len(buf)
+	//qntn:coldpath one allocation when the path outgrows the caller's buffer
+	buf = slices.Grow(buf, hops+1)[:start+hops+1]
+	for i, cur := start+hops, di; ; i, cur = i-1, t.prev[cur] {
+		buf[i] = g.ids[cur]
+		if cur == si {
+			break
+		}
+	}
+	return buf, true, nil
+}
+
+// tree returns source si's tree of the current snapshot, starting it from
+// the pool on first use.
+//
+//qntn:hotpath once per request routed over the snapshot
+func (s *SourceTrees) tree(si int) *DijkstraScratch {
+	if k := s.slot[si]; k >= 0 {
+		return &s.trees[k]
+	}
+	if s.live == len(s.trees) {
+		//qntn:coldpath pool growth: trees are reused across snapshots
+		s.trees = append(s.trees, DijkstraScratch{})
+	}
+	t := &s.trees[s.live]
+	s.slot[si] = int32(s.live)
+	s.live++
+	t.start(len(s.slot), si)
+	return t
 }
 
 // DisjointScratch extracts, without steady-state allocation, the route set
@@ -189,14 +337,16 @@ type DisjointScratch struct {
 // route sets from one topology should Load an Adjacency once and call
 // ExtractOn.
 func (s *DisjointScratch) Extract(g *Graph, primary []string, k int) ([][]string, error) {
-	s.adj.Load(g)
+	s.adj.Load(g, negLogEta)
 	return s.ExtractOn(&s.adj, primary, k)
 }
 
 // ExtractOn returns the disjoint route set for the given primary path over
 // the snapshot a: the primary itself first, then up to k−1 disjoint
 // alternatives in greedy order. a must have been loaded since the graph's
-// last change. The returned slices are valid only until the next Extract or
+// last change, and its edge cost ranks the alternatives: load it under
+// NegLogEtaCost(0), as Extract does, for best end-to-end transmissivity.
+// The returned slices are valid only until the next Extract or
 // ExtractOn call on the same scratch. k ≤ 1 returns just the primary.
 //
 // The result is exact, bit for bit, against the retired extraction over a

@@ -25,28 +25,20 @@ func nodeName(i int) string {
 
 // TestDijkstraScratchMatchesBaseline pins the scratch replica against the
 // map-packed heap baseline: bit-identical distances AND predecessors, on
-// tie-heavy graphs, from every source, under both cost metrics — −log η,
-// the Adjacency's own cost, and 1/(η+ε) through its test-only cost hook.
-// Run to completion it must match everywhere; stopped at a destination it
-// must match at that destination and along its predecessor chain.
+// tie-heavy graphs, from every source, under all three cost functions the
+// Adjacency is loaded with — −log η (disjoint extraction), 1/(η+ε)
+// (serving) and hop count (the ablation's tie-richest metric). Run to
+// completion it must match everywhere; stopped at a destination it must
+// match at that destination and along its predecessor chain.
 func TestDijkstraScratchMatchesBaseline(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	arms := []struct {
-		name string
-		hook CostFunc // Adjacency.cost; nil is the production −log η
-		cost CostFunc // the baseline's cost
-	}{
-		{"neglog", nil, NegLogEtaCost(0)},
-		{"inverse", InverseEtaCost(0), InverseEtaCost(0)},
-	}
 	var scratch DijkstraScratch
 	var adj Adjacency
 	for trial := 0; trial < 30; trial++ {
 		n := 4 + rng.Intn(24)
 		g := tieGraph(t, rng, n, 0.3)
-		for _, arm := range arms {
-			adj.cost = arm.hook
-			adj.Load(g)
+		for _, arm := range costArms {
+			adj.Load(g, arm.cost)
 			for si := 0; si < n; si++ {
 				src := nodeName(si)
 				want, err := Dijkstra(g, src, arm.cost)
@@ -68,6 +60,16 @@ func TestDijkstraScratchMatchesBaseline(t *testing.T) {
 			}
 		}
 	}
+}
+
+// costArms are the edge costs the kernels run under in production.
+var costArms = []struct {
+	name string
+	cost CostFunc
+}{
+	{"neglog", NegLogEtaCost(0)},
+	{"inverse", InverseEtaCost(0)},
+	{"hops", HopCountCost()},
 }
 
 // requireScratchNode fails unless the scratch's distance and predecessor of
@@ -269,7 +271,7 @@ func TestDisjointExtractMatchesDenseReference(t *testing.T) {
 		}
 		n := 5 + rng.Intn(40)
 		buildComponentTieGraph(t, rng, g, n, 1+rng.Intn(4), 0.15+0.3*rng.Float64())
-		adj.Load(g)
+		adj.Load(g, NegLogEtaCost(0))
 		dense := denseOf(g)
 		var primaries [][]string
 		for pair := 0; pair < 8; pair++ {

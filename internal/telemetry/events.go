@@ -28,12 +28,16 @@ type Event struct {
 	HorizonRejects int64   `json:"horizon_rejects"`
 	RangeRejects   int64   `json:"range_rejects"`
 	IndexCulled    int64   `json:"index_culled,omitempty"`
-	RelaxRounds    int64   `json:"relax_rounds,omitempty"`
-	NodesDown      int64   `json:"nodes_down,omitempty"`
-	Weather        bool    `json:"weather,omitempty"`
-	Covered        bool    `json:"covered,omitempty"`
-	Served         int64   `json:"served,omitempty"`
-	Dropped        int64   `json:"dropped,omitempty"`
+	// TreesBuilt and NodesSettled are the serve loop's routing work at this
+	// step: the per-source shortest-path trees started and the nodes they
+	// settled.
+	TreesBuilt   int64 `json:"trees_built,omitempty"`
+	NodesSettled int64 `json:"nodes_settled,omitempty"`
+	NodesDown    int64 `json:"nodes_down,omitempty"`
+	Weather      bool  `json:"weather,omitempty"`
+	Covered      bool  `json:"covered,omitempty"`
+	Served       int64 `json:"served,omitempty"`
+	Dropped      int64 `json:"dropped,omitempty"`
 	// Arrivals counts requests arriving in the window that ends at this
 	// step; QueueDepth is the number still waiting after the step's drain.
 	// Both are produced by the request-level traffic engine.
@@ -72,7 +76,8 @@ func (e Event) Validate() error {
 		{"horizon_rejects", e.HorizonRejects},
 		{"range_rejects", e.RangeRejects},
 		{"index_culled", e.IndexCulled},
-		{"relax_rounds", e.RelaxRounds},
+		{"trees_built", e.TreesBuilt},
+		{"nodes_settled", e.NodesSettled},
 		{"nodes_down", e.NodesDown},
 		{"served", e.Served},
 		{"dropped", e.Dropped},

@@ -16,13 +16,13 @@ func FuzzEventRoundTrip(f *testing.F) {
 	f.Add("coverage/air-ground/2", 239, 7170.0, int64(45), int64(9), int64(0), int64(0), int64(0), int64(0), false, false, int64(0), int64(0), 0.0)
 	f.Add("", -1, math.NaN(), int64(-1), int64(0), int64(0), int64(0), int64(0), int64(0), false, false, int64(0), int64(0), math.Inf(1))
 	f.Fuzz(func(t *testing.T, label string, step int, ts float64,
-		pairs, links, horizon, rang, relax, down int64,
+		pairs, links, horizon, rang, trees, down int64,
 		weather, covered bool, served, dropped int64, fid float64) {
 		e := Event{
 			Label: label, Step: step, TSeconds: ts,
 			PairsEvaluated: pairs, LinksAdmitted: links,
 			HorizonRejects: horizon, RangeRejects: rang,
-			RelaxRounds: relax, NodesDown: down,
+			TreesBuilt: trees, NodesSettled: trees, NodesDown: down,
 			Weather: weather, Covered: covered,
 			Served: served, Dropped: dropped, MeanFidelity: fid,
 		}

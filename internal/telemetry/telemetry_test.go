@@ -303,7 +303,7 @@ func TestNDJSONRoundTrip(t *testing.T) {
 	s := NewEventSink()
 	events := []Event{
 		{Label: "coverage/space-ground/108", Step: 0, TSeconds: 0, PairsEvaluated: 5886, LinksAdmitted: 12, HorizonRejects: 3000, RangeRejects: 2000, Covered: true},
-		{Label: "serve/air-ground/2/seed=7", Step: 4, TSeconds: 120, PairsEvaluated: 45, LinksAdmitted: 9, RelaxRounds: 3, Served: 8, Dropped: 2, MeanFidelity: 0.9125},
+		{Label: "serve/air-ground/2/seed=7", Step: 4, TSeconds: 120, PairsEvaluated: 45, LinksAdmitted: 9, TreesBuilt: 3, NodesSettled: 41, Served: 8, Dropped: 2, MeanFidelity: 0.9125},
 		{Label: "serve/air-ground/2/seed=7", Step: 5, TSeconds: 150, NodesDown: 1, Weather: true},
 	}
 	for _, e := range events {
