@@ -2,6 +2,7 @@ package channel
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -217,5 +218,166 @@ func TestLinkPolicy(t *testing.T) {
 	}
 	if !p.Usable(0.7, math.Pi/9) {
 		t.Error("boundary link should be accepted (inclusive)")
+	}
+}
+
+// randomFSO draws a valid terminal pair: any wavelength, aperture and waist
+// in wide physical ranges, with or without atmosphere, turbulence and
+// pointing jitter, and a receiver efficiency that is sometimes exactly 1.
+func randomFSO(rng *rand.Rand) FSOConfig {
+	c := FSOConfig{
+		WavelengthM:        300e-9 + rng.Float64()*2e-6,
+		TxApertureRadiusM:  0.005 + rng.Float64()*1.5,
+		RxApertureRadiusM:  0.005 + rng.Float64()*1.5,
+		ReceiverEfficiency: 1 - 0.9*rng.Float64(),
+	}
+	if rng.Intn(4) == 0 {
+		c.ReceiverEfficiency = 1
+	}
+	if rng.Intn(2) == 0 {
+		c.TxWaistM = c.TxApertureRadiusM * (0.01 + 0.99*rng.Float64())
+	}
+	if rng.Intn(2) == 0 {
+		c.Extinction.ZenithOpticalDepth = rng.Float64() * 0.5
+	}
+	if rng.Intn(3) == 0 {
+		c.Turbulence = &atmosphere.HufnagelValley{WindSpeedMS: 21, GroundCn2: 1.7e-14, Scale: 0.5 + 4*rng.Float64()}
+	}
+	if rng.Intn(3) == 0 {
+		c.PointingJitterRad = rng.Float64() * 1e-5
+	}
+	return c
+}
+
+// randomGeometry draws the non-range part of a link geometry: any elevation
+// and terminal altitudes from the ground to beyond the atmosphere.
+func randomGeometry(rng *rand.Rand, rangeM float64) FSOGeometry {
+	lo := rng.Float64() * 40e3
+	return FSOGeometry{
+		RangeM:       rangeM,
+		ElevationRad: rng.Float64() * math.Pi / 2,
+		LoAltM:       lo,
+		HiAltM:       lo + rng.Float64()*2000e3,
+	}
+}
+
+// TestMaxUsableRangeBound is the property the spatial grid's cell edge and
+// every squared-range prefilter rest on: for random terminals, thresholds
+// and geometries, a geometry whose squared range exceeds MaxUsableRangeM2
+// evaluates below the threshold — just past the bound and far beyond it.
+func TestMaxUsableRangeBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	finite := 0
+	for trial := 0; trial < 2000; trial++ {
+		c := randomFSO(rng)
+		if err := c.Validate(); err != nil {
+			t.Fatalf("trial %d: generator drew an invalid config: %v", trial, err)
+		}
+		th := rng.Float64()
+		switch rng.Intn(10) {
+		case 0:
+			th = 1 - math.Pow(10, -1-8*rng.Float64()) // near 1
+		case 1:
+			th = math.Pow(10, -12*rng.Float64()) // down to 1e-12
+		}
+		bound := c.MaxUsableRangeM2(th)
+		if math.IsNaN(bound) || bound < 0 {
+			t.Fatalf("trial %d: bound %g for threshold %g", trial, bound, th)
+		}
+		if math.IsInf(bound, 1) {
+			continue
+		}
+		finite++
+		edge := math.Nextafter(math.Sqrt(bound), math.Inf(1))
+		for _, r := range []float64{edge, edge * (1 + 1e-9), edge * (1 + rng.Float64()), edge * (1 + 1e3*rng.Float64())} {
+			if !(r*r > bound) || r <= 0 {
+				continue
+			}
+			g := randomGeometry(rng, r)
+			if eta := c.Transmissivity(g); !(eta < th) {
+				t.Fatalf("trial %d: range %g m (range² %g > bound %g) evaluates to %g ≥ threshold %g\nconfig %+v\ngeometry %+v",
+					trial, r, r*r, bound, eta, th, c, g)
+			}
+		}
+	}
+	if finite < 1000 {
+		t.Fatalf("only %d of 2000 trials had a finite bound", finite)
+	}
+}
+
+// TestMaxUsableRangeEdgeCases pins the ends of the bound. +Inf means
+// distance never rejects: a threshold that is ≤ 0, NaN or within rounding
+// of 0, or a degenerate beam. 0 means every positive range falls below the
+// threshold: a threshold above 1, or a waist already too wide at zero
+// range. At threshold 1 a lossless terminal whose beam is much narrower
+// than the aperture still evaluates to exactly 1 at short range, so there
+// the bound must be positive.
+func TestMaxUsableRangeEdgeCases(t *testing.T) {
+	inf := math.Inf(1)
+	c := testFSO()
+	noWaist := c
+	noWaist.TxApertureRadiusM = 0
+	noRx := c
+	noRx.RxApertureRadiusM = 0
+	noWave := c
+	noWave.WavelengthM = 0
+	for _, tc := range []struct {
+		name string
+		c    FSOConfig
+		th   float64
+	}{
+		{"zero threshold", c, 0},
+		{"negative threshold", c, -0.5},
+		{"NaN threshold", c, math.NaN()},
+		{"threshold within rounding of 0", c, 1e-17},
+		{"no waist", noWaist, 0.7},
+		{"no receive aperture", noRx, 0.7},
+		{"no wavelength", noWave, 0.7},
+	} {
+		if got := tc.c.MaxUsableRangeM2(tc.th); got != inf {
+			t.Errorf("%s: bound %g, want +Inf", tc.name, got)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(11))
+	// A waist wider than the widest beam the threshold admits: even at
+	// zero range the aperture catches too little.
+	wide := c
+	wide.RxApertureRadiusM = 0.01
+	for _, tc := range []struct {
+		name string
+		c    FSOConfig
+		th   float64
+	}{
+		{"threshold above 1", c, 1.5},
+		{"threshold 1, wide waist", c, 1},
+		{"waist too wide", wide, 0.7},
+	} {
+		if got := tc.c.MaxUsableRangeM2(tc.th); got != 0 {
+			t.Errorf("%s: bound %g, want 0", tc.name, got)
+			continue
+		}
+		for _, r := range []float64{1e-3, 1, 1e3, 1e6} {
+			if g := randomGeometry(rng, r); !(tc.c.Transmissivity(g) < tc.th) {
+				t.Errorf("%s: range %g m evaluates to %g, not below %g", tc.name, r, tc.c.Transmissivity(g), tc.th)
+			}
+		}
+	}
+
+	narrow := c
+	narrow.TxWaistM = 0.01
+	narrow.ReceiverEfficiency = 1
+	narrow.Extinction = atmosphere.Extinction{}
+	bound := narrow.MaxUsableRangeM2(1)
+	if !(bound > 0) || math.IsInf(bound, 1) {
+		t.Fatalf("lossless narrow beam at threshold 1: bound %g, want finite and positive", bound)
+	}
+	if eta := narrow.Transmissivity(randomGeometry(rng, 100)); eta != 1 {
+		t.Fatalf("lossless narrow beam at 100 m evaluates to %g, want exactly 1", eta)
+	}
+	for _, r := range []float64{math.Nextafter(math.Sqrt(bound), inf), 2 * math.Sqrt(bound), 1e6} {
+		if g := randomGeometry(rng, r); !(narrow.Transmissivity(g) < 1) {
+			t.Errorf("lossless narrow beam at range %g m (bound %g m) evaluates to 1", r, math.Sqrt(bound))
+		}
 	}
 }

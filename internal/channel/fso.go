@@ -85,28 +85,34 @@ func OptimalWaist(wavelengthM, designRangeM float64) float64 {
 // so Diffraction ≥ threshold requires weff² ≤ wmax² = 2a²/(−ln(1−threshold))
 // and therefore L² ≤ zR²(wmax²/w0² − 1). Turbulence and pointing jitter only
 // add to weff², and Atmospheric and Receiver are ≤ 1, so the bound holds for
-// every configuration. The returned value carries a small relative margin so
-// that callers comparing an independently computed squared distance never
-// reject a geometry the full evaluation would accept; it is a prefilter, not
-// a decision — geometries within the bound must still be evaluated.
-// Thresholds ≤ 0 (nothing can be rejected on range) return +Inf.
+// every configuration. Breakdown evaluates 1 − exp(−x) to within a few
+// units of 2⁻⁵³ absolute, an error that is not small against a tiny
+// threshold and that rounds the factor to exactly 1 for a beam much
+// narrower than the aperture, so the inversion uses the threshold lowered
+// by 2⁻⁵¹, which also absorbs the rounding of 1 − threshold. The returned
+// value also carries a small relative margin so that callers comparing an
+// independently computed squared distance never reject a geometry the full
+// evaluation would accept; it is a prefilter, not a decision — geometries
+// within the bound must still be evaluated.
+// Thresholds ≤ 2⁻⁵¹ (nothing can be rejected on range) return +Inf, and
+// thresholds above 1, which no evaluation reaches, return 0.
 func (c FSOConfig) MaxUsableRangeM2(threshold float64) float64 {
-	if math.IsNaN(threshold) || threshold <= 0 {
+	if math.IsNaN(threshold) || threshold <= 0x1p-51 {
 		return math.Inf(1)
+	}
+	if threshold > 1 {
+		return 0
 	}
 	w0 := c.waist()
 	a := c.RxApertureRadiusM
 	if w0 <= 0 || a <= 0 || c.WavelengthM <= 0 {
 		return math.Inf(1)
 	}
-	var wmax2 float64
-	if threshold < 1 {
-		wmax2 = 2 * a * a / (-math.Log(1 - threshold))
-	}
+	wmax2 := 2 * a * a / (-math.Log(1 - (threshold - 0x1p-51)))
 	r := wmax2/(w0*w0) - 1
 	if r <= 0 {
-		// Even at L = 0⁺ the beam is too wide (or threshold ≥ 1): only the
-		// degenerate zero-range geometry can pass.
+		// Even at L = 0⁺ the beam is too wide: only the degenerate
+		// zero-range geometry can pass.
 		return 0
 	}
 	zR := math.Pi * w0 * w0 / c.WavelengthM

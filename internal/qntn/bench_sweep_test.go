@@ -13,6 +13,7 @@ import (
 	"qntn/internal/orbit"
 	"qntn/internal/quantum/protocol"
 	"qntn/internal/routing"
+	"qntn/internal/telemetry"
 )
 
 // benchWorkerCounts are the pool sizes each sweep family is measured at.
@@ -210,6 +211,77 @@ func BenchmarkServeDaemonThroughput(b *testing.B) {
 	if secs := b.Elapsed().Seconds(); secs > 0 {
 		b.ReportMetric(float64(evaluated)/secs, "evals/s")
 	}
+}
+
+// daemonMix is the daemon-traffic query mix of perfbench/workloads.json:
+// architecture, constellation size, horizon and share of the query pool.
+var daemonMix = []struct {
+	arch    string
+	sats    int
+	horizon string
+	share   int
+}{
+	{"space-ground", 6, "10m", 6},
+	{"space-ground", 24, "20m", 6},
+	{"space-ground", 54, "10m", 6},
+	{"space-ground", 54, "20m", 6},
+	{"space-ground", 108, "10m", 6},
+	{"space-ground", 108, "20m", 6},
+	{"space-ground", 24, "30m", 6},
+	{"air-ground", 0, "10m", 3},
+	{"hybrid", 12, "10m", 3},
+}
+
+// BenchmarkServeDaemonMix measures the daemon's query path without HTTP
+// over the daemon-traffic mix (30 requests/h/site, diurnal amplitude 0.3
+// peaking at 14 h, one worker): each query is resolved by Daemon.prepare,
+// so space-ground sizes assemble from the daemon's shared ephemeris caches,
+// then runs an instrumented RunTraffic and encodes its NDJSON, as
+// handleTraffic does. One pass over the 48 queries before the timer warms
+// the caches and pools; an iteration is one pass, reported as ms/query.
+func BenchmarkServeDaemonMix(b *testing.B) {
+	d, err := NewDaemon(DefaultParams(), testClock())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var queries []TrafficQuery
+	for _, k := range daemonMix {
+		for range k.share {
+			queries = append(queries, TrafficQuery{
+				Arch:               k.arch,
+				Satellites:         k.sats,
+				RatePerHourPerSite: 30,
+				DiurnalAmplitude:   0.3,
+				PeakHour:           14,
+				Horizon:            k.horizon,
+				Seed:               int64(len(queries) + 1),
+				Workers:            1,
+			})
+		}
+	}
+	pass := func() {
+		for _, q := range queries {
+			sc, cfg, err := d.prepare(q)
+			if err != nil {
+				b.Fatal(err)
+			}
+			col := telemetry.NewCollector()
+			sc.Instrument(col)
+			if _, err := sc.RunTraffic(cfg); err != nil {
+				b.Fatal(err)
+			}
+			if err := col.Events.WriteNDJSON(io.Discard); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	pass()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass()
+	}
+	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N*len(queries)), "ms/query")
 }
 
 // BenchmarkEphemerisCache measures building the shared 108-satellite cache

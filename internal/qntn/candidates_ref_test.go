@@ -25,7 +25,7 @@ func (se *stepEval) buildCandidatesReference() {
 			g.cell[i] = g.cellIndex(se.pos[i])
 		}
 	}
-	g.finishBuild(n)
+	g.finishBuild(0, n)
 	se.cand = se.cand[:0]
 	for i := 0; i < n; i++ {
 		s := se.scratch[:0]

@@ -6,25 +6,31 @@ import "qntn/internal/geo"
 // generation. The cell edge is at least the maximum usable FSO range, so two
 // nodes that can possibly link differ by at most one cell along each axis
 // and the 3×3×3 neighborhood around a node's cell is a conservative
-// superset of its in-range partners. Cells are flattened x-fastest, which
-// makes the three x-adjacent cells of one (y, z) row contiguous in the CSR
-// layout: a neighborhood scan is nine contiguous bucket ranges, not
-// twenty-seven cell lookups.
+// superset of its in-range partners.
 //
-// Determinism: nodes are placed into buckets in ascending index order, and
-// the per-node gather sorts its candidates ascending before emission, so
-// the packed candidate list is ascending — exactly the order the dense
-// "for i { for j := i+1 }" loop visits pairs. The equivalence suite asserts
-// the resulting graphs byte-identical to the dense scan.
+// A build touches only the cells its nodes occupy: each cell carries the
+// generation of the last build that put a node in it, and a cell whose
+// stamp is stale is empty. The build counts the nodes per stamped cell,
+// lays the cells' runs out back to back in the order the cells were first
+// seen, and places the nodes. A neighborhood scan reads the runs of the
+// stamped cells among its twenty-seven and skips the rest, so neither the
+// build nor a scan costs O(dim³).
+//
+// Determinism: nodes are placed into their cell's run in ascending index
+// order, and the per-node gather sorts its candidates ascending before
+// emission, so the packed candidate list is ascending — exactly the order
+// the dense "for i { for j := i+1 }" loop visits pairs. The equivalence
+// suite asserts the resulting graphs byte-identical to the dense scan.
 
 // spatialIndexMinNodes is the node count below which the index is skipped:
 // the dense n² scan on small scenarios is cheaper than building the grid.
 const spatialIndexMinNodes = 48
 
-// pairGridMaxDim caps the grid resolution per axis. dim³ cells are cleared
-// per step, so the cap bounds the clear at ~128 KiB of int32 starts;
-// enlarging cells beyond the range bound is always safe (the neighborhood
-// stays a superset), just less selective.
+// pairGridMaxDim caps the grid resolution per axis. The per-cell run table
+// holds dim³ entries, allocated and cleared once per node set (and on the
+// rare generation wrap-around), never per step; the cap bounds it at
+// ~384 KiB. Enlarging cells beyond the range bound is always safe (the
+// neighborhood stays a superset), just less selective.
 const pairGridMaxDim = 32
 
 // pairGrid is a uniform ECEF grid over the scenario's node universe. The
@@ -41,11 +47,20 @@ type pairGrid struct {
 	dim     int32
 	// cell holds each node's flattened cell index for the current step.
 	cell []int32
-	// starts/bucket are the CSR cell→nodes layout; cursor is the per-cell
-	// placement cursor reused across builds.
-	starts []int32
-	cursor []int32
+	// run is the per-cell bucket run, valid for the current build only
+	// where its stamp equals gen; seen lists the cells the current build
+	// stamped, in first-seen order; bucket holds the runs back to back.
+	run    []cellRun
+	gen    uint32
+	seen   []int32
 	bucket []int32
+}
+
+// cellRun is one cell's slice bucket[start:end] of the current build, or
+// an empty cell when gen is not the grid's current generation.
+type cellRun struct {
+	gen        uint32
+	start, end int32
 }
 
 // configure sets the grid geometry for a universe of half-extent
@@ -67,9 +82,10 @@ func (g *pairGrid) configure(rangeM, maxNormM float64) {
 	g.originM = -half
 	// Effective cell edge 2·half/dim ≥ cellM because dim ≤ 2·half/cellM.
 	g.invCell = float64(dim) / (2 * half)
-	ncells := int(dim) * int(dim) * int(dim)
-	g.starts = grow(g.starts, ncells+1)
-	g.cursor = grow(g.cursor, ncells)
+	// Stamps of a previous geometry would alias this one's cells.
+	g.run = grow(g.run, int(dim)*int(dim)*int(dim))
+	clear(g.run)
+	g.gen = 0
 	g.ok = true
 }
 
@@ -111,37 +127,54 @@ func (g *pairGrid) beginBuild(n int) {
 	g.cell = grow(g.cell, n)
 }
 
-// finishBuild builds the CSR cell→nodes layout from cell[0:n] with a
-// counting sort. Nodes are placed in ascending index order, so each cell's
-// bucket slice is itself ascending.
+// finishBuild buckets nodes lo..n-1 by cell[lo:n] in O(n-lo): it stamps and
+// counts the occupied cells, lays their runs out in first-seen order, and
+// places the nodes in ascending index order, so each run is ascending.
+// Nodes below lo keep their cell for their own neighborhood scans but are
+// in no bucket, so no scan finds them.
 //
 //qntn:hotpath
-func (g *pairGrid) finishBuild(n int) {
-	ncells := int(g.dim) * int(g.dim) * int(g.dim)
-	starts := g.starts[:ncells+1]
-	for i := range starts {
-		starts[i] = 0
+func (g *pairGrid) finishBuild(lo, n int) {
+	g.gen++
+	if g.gen == 0 {
+		// Wrapped: a stamp left from 2³² builds ago would read as current.
+		clear(g.run)
+		g.gen = 1
 	}
-	for _, c := range g.cell[:n] {
-		starts[c+1]++
+	gen := g.gen
+	//qntn:coldpath amortized growth: capacity is stable across steps
+	g.seen = grow(g.seen, n)
+	k := 0
+	for _, c := range g.cell[lo:n] {
+		r := &g.run[c]
+		if r.gen != gen {
+			r.gen = gen
+			r.end = 0
+			g.seen[k] = c
+			k++
+		}
+		r.end++ // count for now; the layout pass turns it into the cursor
 	}
-	for c := 1; c <= ncells; c++ {
-		starts[c] += starts[c-1]
+	off := int32(0)
+	for _, c := range g.seen[:k] {
+		r := &g.run[c]
+		r.start = off
+		off += r.end
+		r.end = r.start
 	}
-	cursor := g.cursor[:ncells]
-	copy(cursor, starts[:ncells])
 	//qntn:coldpath amortized growth: capacity is stable across steps
 	g.bucket = grow(g.bucket, n)
-	for i := 0; i < n; i++ {
-		c := g.cell[i]
-		g.bucket[cursor[c]] = int32(i)
-		cursor[c]++
+	for i := lo; i < n; i++ {
+		r := &g.run[g.cell[i]]
+		g.bucket[r.end] = int32(i)
+		r.end++
 	}
 }
 
-// neighborsAfter appends to dst every node j > i in the 3×3×3 cell
-// neighborhood of node i's cell and returns the extended slice. Appended
-// order is bucket order, not ascending — callers sort before emission.
+// neighborsAfter appends to dst every bucketed node j > i in the 3×3×3 cell
+// neighborhood of node i's cell and returns the extended slice. Only cells
+// the current build stamped are read. Appended order is bucket order, not
+// ascending — callers sort before emission.
 //
 //qntn:hotpath
 func (g *pairGrid) neighborsAfter(i int32, dst []int32) []int32 {
@@ -171,15 +204,20 @@ func (g *pairGrid) neighborsAfter(i int32, dst []int32) []int32 {
 	if z1 > dim-1 {
 		z1 = dim - 1
 	}
+	gen := g.gen
 	for z := z0; z <= z1; z++ {
 		for y := y0; y <= y1; y++ {
 			row := (z*dim + y) * dim
-			lo := g.starts[row+x0]
-			hi := g.starts[row+x1+1]
-			for _, j := range g.bucket[lo:hi] {
-				if j > i {
-					//qntn:coldpath amortized growth: scratch capacity is stable
-					dst = append(dst, j)
+			for c := row + x0; c <= row+x1; c++ {
+				r := &g.run[c]
+				if r.gen != gen {
+					continue
+				}
+				for _, j := range g.bucket[r.start:r.end] {
+					if j > i {
+						//qntn:coldpath amortized growth: scratch capacity is stable
+						dst = append(dst, j)
+					}
 				}
 			}
 		}

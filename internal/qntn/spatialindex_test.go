@@ -37,7 +37,7 @@ func buildGrid(g *pairGrid, pos []geo.Vec3) {
 	for i, p := range pos {
 		g.cell[i] = g.cellIndex(p)
 	}
-	g.finishBuild(len(pos))
+	g.finishBuild(0, len(pos))
 }
 
 // assertGridSuperset checks the index's one invariant: every pair within

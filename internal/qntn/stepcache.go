@@ -79,20 +79,29 @@ type stepEval struct {
 	// first read, so relays no pair looks at never pay for the trig.
 	frameOK []bool
 
+	// Fiber adjacency (valid while the node set is unchanged):
+	// fiberStart/fiberList are the CSR rows of same-network ground pairs
+	// (j > i, each row ascending) and fiberEta[k] is the fiber
+	// transmissivity of pair k. Ground hosts never move, so each η is
+	// computed once per node set and fiberPair only looks it up.
+	fiberStart []int32
+	fiberList  []int32
+	fiberEta   []float64
+
 	// Spatial index (geometry and static assignments valid while the node
 	// set is unchanged; see spatialindex.go). staticCell holds the cell of
 	// nodes fixed in ECEF (ground hosts, HAPs) so only movers re-bin per
-	// step; -1 marks a mover. fiberStart/fiberList are the CSR adjacency of
-	// same-network ground pairs (j > i), which are not FSO-range-gated and
-	// therefore bypass the grid. islNbr, when non-nil, restricts
+	// step; -1 marks a mover. Fiber pairs are not FSO-range-gated and
+	// therefore bypass the grid. groundLead is the length of the leading
+	// run of ground hosts, which the per-step build leaves out of the
+	// buckets (see buildCandidates). islNbr, when non-nil, restricts
 	// satellite↔satellite links to the scenario's ISL grid topology; each
 	// row is ascending. lastNonSat is the highest index of a node that is
 	// not a satellite (-1 if none): a satellite after it has no grid
 	// partner left once its satellite partners come from islNbr.
 	grid       pairGrid
 	staticCell []int32
-	fiberStart []int32
-	fiberList  []int32
+	groundLead int32
 	islNbr     [][]int32
 	lastNonSat int32
 
@@ -142,10 +151,14 @@ func (se *stepEval) CandidatePairs() ([]netsim.PackedPair, bool) {
 // candidate partners j > i: static fiber partners plus grid neighbors
 // within one cell. Ground↔ground grid hits are dropped — same-network pairs
 // came from the fiber list and cross-network pairs can never link — so the
-// gather is duplicate-free. Under an ISL allowlist a satellite gathers with
-// islCandidates instead, which leaves out exactly the satellite pairs the
-// allowlist forbids. Emitting per-i sorted runs yields a globally ascending
-// packed list, i.e. exact dense-loop order.
+// gather is duplicate-free. The leading run of ground hosts is not
+// bucketed at all: only gathers of lower-index nodes could find such a
+// host, those are ground hosts of the same run, and they drop ground hits
+// anyway; the run still uses its cells for its own gathers. Under an ISL
+// allowlist a satellite gathers with islCandidates instead, which leaves
+// out exactly the satellite pairs the allowlist forbids. Emitting per-i
+// sorted runs yields a globally ascending packed list, i.e. exact
+// dense-loop order.
 //
 //qntn:hotpath
 func (se *stepEval) buildCandidates() {
@@ -160,7 +173,7 @@ func (se *stepEval) buildCandidates() {
 			g.cell[i] = g.cellIndex(se.pos[i])
 		}
 	}
-	g.finishBuild(n)
+	g.finishBuild(int(se.groundLead), n)
 	se.cand = se.cand[:0]
 	for i := 0; i < n; i++ {
 		s := se.scratch[:0]
@@ -291,12 +304,33 @@ func (se *stepEval) init(nodes []netsim.Node) {
 	se.initSpatial(nodes)
 }
 
-// initSpatial rebuilds the static spatial-index state for a new node set:
-// grid geometry, fixed cell assignments, the fiber adjacency, and the ISL
-// allowlist. Cold path — runs only when the node set changes.
+// initSpatial rebuilds the static pair state for a new node set: the fiber
+// adjacency with its transmissivities, the ISL allowlist, and, when the
+// index is eligible, the grid geometry and fixed cell assignments. Cold
+// path — runs only when the node set changes.
 func (se *stepEval) initSpatial(nodes []netsim.Node) {
 	n := len(nodes)
 	sc := se.sc
+	se.fiberStart = grow(se.fiberStart, n+1)
+	se.fiberList = se.fiberList[:0]
+	se.fiberEta = se.fiberEta[:0]
+	for i := 0; i < n; i++ {
+		se.fiberStart[i] = int32(len(se.fiberList))
+		if se.kind[i] != netsim.Ground || se.network[i] == "" {
+			continue
+		}
+		for j := i + 1; j < n; j++ {
+			if se.kind[j] == netsim.Ground && se.network[j] == se.network[i] {
+				se.fiberList = append(se.fiberList, int32(j))
+				se.fiberEta = append(se.fiberEta, sc.fiber.Transmissivity(se.gPos[i].Distance(se.gPos[j])))
+			}
+		}
+	}
+	se.fiberStart[n] = int32(len(se.fiberList))
+	se.groundLead = 0
+	for se.groundLead < int32(n) && se.kind[se.groundLead] == netsim.Ground {
+		se.groundLead++
+	}
 	se.islNbr = nil
 	if sc.islAdj != nil {
 		se.islNbr = growZero(se.islNbr, n)
@@ -357,21 +391,6 @@ func (se *stepEval) initSpatial(nodes []netsim.Node) {
 			se.staticCell[i] = se.grid.cellIndex(node.PositionAt(0))
 		}
 	}
-	se.fiberStart = grow(se.fiberStart, n+1)
-	se.fiberList = se.fiberList[:0]
-	for i := 0; i < n; i++ {
-		se.fiberStart[i] = int32(len(se.fiberList))
-		if se.kind[i] != netsim.Ground || se.network[i] == "" {
-			continue
-		}
-		for j := i + 1; j < n; j++ {
-			if se.kind[j] == netsim.Ground && se.network[j] == se.network[i] {
-				se.fiberList = append(se.fiberList, int32(j))
-			}
-		}
-	}
-	se.fiberStart[n] = int32(len(se.fiberList))
-
 	// Prime the per-step arrays with one candidate build at t=0, so the
 	// first real snapshot runs at steady state: grid buckets, gather
 	// scratch, and the candidate list all reach working capacity here, on
@@ -516,18 +535,26 @@ func (se *stepEval) EvaluatePair(i, j int) (float64, bool) {
 	}
 }
 
-// fiberPair mirrors Scenario.fiberLink on cached positions.
+// fiberPair mirrors Scenario.fiberLink on the memoized fiber adjacency: a
+// pair outside the lower node's ascending CSR row is not a same-network
+// pair, and a pair in it reads the η computed once per node set from the
+// same positions and the same Fiber.Transmissivity.
 //
 //qntn:hotpath
 func (se *stepEval) fiberPair(a, b int) (float64, bool) {
-	if se.network[a] != se.network[b] || se.network[a] == "" {
-		return 0, false
+	if a > b {
+		a, b = b, a
 	}
-	eta := se.sc.fiber.Transmissivity(se.gPos[a].Distance(se.gPos[b]))
-	if eta < se.sc.Params.TransmissivityThreshold {
-		return 0, false
+	for k := se.fiberStart[a]; k < se.fiberStart[a+1] && int(se.fiberList[k]) <= b; k++ {
+		if int(se.fiberList[k]) == b {
+			eta := se.fiberEta[k]
+			if eta < se.sc.Params.TransmissivityThreshold {
+				return 0, false
+			}
+			return eta, true
+		}
 	}
-	return eta, true
+	return 0, false
 }
 
 // groundRelayPair mirrors Scenario.groundSpaceLink on cached geometry, with

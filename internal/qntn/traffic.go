@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 	"time"
 
 	"qntn/internal/netsim"
@@ -117,17 +118,37 @@ func (sc *Scenario) trafficSites() ([]trafficSite, error) {
 	return sites, nil
 }
 
+// siteRNGs pools the per-site generators: a rand source carries about 5 KB
+// of state, and every traffic run samples one stream per site.
+var siteRNGs sync.Pool
+
 // siteStream samples one ground site's arrival stream: a Poisson process
 // at the profile's peak rate thinned down to the instantaneous diurnal
 // rate (Lewis–Shedler), with a uniformly random inter-LAN destination per
 // accepted arrival. The RNG is seeded from
 // runner.TaskSeed(cfg.Seed, runner.FNV64a(site.id)), so each stream is a
 // pure function of (config, site ID): adding or removing other sites, or
-// changing the worker count, never perturbs it.
+// changing the worker count, never perturbs it. A pooled generator is
+// re-seeded with (*rand.Rand).Seed, which leaves it in exactly the state
+// rand.New(rand.NewSource(seed)) starts in.
 func siteStream(site trafficSite, index int, cfg TrafficConfig) []trafficArrival {
+	seed := runner.TaskSeed(cfg.Seed, runner.FNV64a(site.id))
+	rng, ok := siteRNGs.Get().(*rand.Rand)
+	if ok {
+		rng.Seed(seed)
+	} else {
+		rng = rand.New(rand.NewSource(seed))
+	}
+	out := sampleSiteStream(rng, site, index, cfg)
+	siteRNGs.Put(rng)
+	return out
+}
+
+// sampleSiteStream draws siteStream's arrivals from a generator already
+// seeded for the site.
+func sampleSiteStream(rng *rand.Rand, site trafficSite, index int, cfg TrafficConfig) []trafficArrival {
 	peakMult := 1 + cfg.Diurnal.Amplitude
 	meanGapS := 3600 / (cfg.RatePerHourPerSite * peakMult)
-	rng := rand.New(rand.NewSource(runner.TaskSeed(cfg.Seed, runner.FNV64a(site.id))))
 	var out []trafficArrival
 	for at := time.Duration(0); ; {
 		at += time.Duration(rng.ExpFloat64() * meanGapS * float64(time.Second))

@@ -2,10 +2,12 @@ package qntn
 
 import (
 	"bytes"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
 
+	"qntn/internal/runner"
 	"qntn/internal/telemetry"
 )
 
@@ -115,6 +117,66 @@ func TestTrafficStreamsIndependentOfConstellation(t *testing.T) {
 		if i > 0 && (a[i].at < a[i-1].at || (a[i].at == a[i-1].at && a[i].site < a[i-1].site)) {
 			t.Fatalf("merge order violated at %d", i)
 		}
+	}
+}
+
+// TestSiteStreamPooledMatchesFresh pins the pooled per-site generators: a
+// stream drawn from a reused, re-seeded generator, and every site's share of
+// the merged traffic at 1 and 4 workers, equal the stream of a freshly
+// seeded source.
+func TestSiteStreamPooledMatchesFresh(t *testing.T) {
+	sc, err := NewSpaceGround(6, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := TrafficConfig{
+		RatePerHourPerSite: 40,
+		Diurnal:            DiurnalProfile{Amplitude: 0.3, PeakHour: 14},
+		Horizon:            3 * time.Hour,
+		Seed:               17,
+	}.withDefaults()
+	sites, err := sc.trafficSites()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := make([][]trafficArrival, len(sites))
+	for i, s := range sites {
+		rng := rand.New(rand.NewSource(runner.TaskSeed(cfg.Seed, runner.FNV64a(s.id))))
+		fresh[i] = sampleSiteStream(rng, s, i, cfg)
+		if len(fresh[i]) == 0 {
+			t.Fatalf("site %s drew no arrivals", s.id)
+		}
+	}
+	for round := 0; round < 3; round++ {
+		// A generator that has drawn from another seed goes back first, so
+		// the next Get reuses a dirty one unless the pool dropped it.
+		used := rand.New(rand.NewSource(int64(round) + 99))
+		used.Intn(7)
+		siteRNGs.Put(used)
+		for i, s := range sites {
+			if got := siteStream(s, i, cfg); !reflect.DeepEqual(got, fresh[i]) {
+				t.Fatalf("round %d site %s: pooled stream differs from a fresh source", round, s.id)
+			}
+		}
+	}
+	var merged [2][]trafficArrival
+	for k, workers := range []int{1, 4} {
+		c := cfg
+		c.Workers = workers
+		if merged[k], err = sc.generateTraffic(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(merged[0], merged[1]) {
+		t.Fatal("merged traffic depends on the worker count")
+	}
+	perSite := make([][]trafficArrival, len(sites))
+	for _, a := range merged[0] {
+		a.req.ID = 0 // the merge numbers requests; site streams do not
+		perSite[a.site] = append(perSite[a.site], a)
+	}
+	if !reflect.DeepEqual(perSite, fresh) {
+		t.Fatal("merged traffic differs from the fresh-source site streams")
 	}
 }
 

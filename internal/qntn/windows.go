@@ -600,7 +600,7 @@ func (ws *windowScan) sweepMoverPairs() bool {
 		for s, i := range ws.movers {
 			g.cell[s] = g.cellIndex(ws.posAt(i, k))
 		}
-		g.finishBuild(m)
+		g.finishBuild(0, m)
 		for a := 0; a < m; a++ {
 			nbrs := g.neighborsAfter(int32(a), ws.sweepScratch[:0])
 			for _, b := range nbrs {
