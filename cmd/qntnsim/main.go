@@ -20,6 +20,12 @@
 //	qntnsim params               # dump the default parameter file
 //	qntnsim all
 //
+// and the paper's tool chain, each row with flags of its own after its name:
+//
+//	qntnsim constellation [-n 108 -duration 24h -out sheets.csv | -list | -walker t/p/f]
+//	qntnsim coverage [-arch space|air|hybrid -n 108 -sheets sheets.csv -duration 24h]
+//	qntnsim linkbudget [-turbulence]
+//
 // Global flags (before the subcommand): -seed, -steps, -requests,
 // -duration, -quick, -csvdir <dir>, -params <file>, -parallel <N>
 // (sweep worker pool size; 0 means one worker per CPU — every sweep
@@ -88,6 +94,10 @@ type options struct {
 	ground         string
 	noSpatialIndex bool
 	addr           string
+
+	// args are the arguments after the subcommand, for the rows that
+	// parse flags of their own.
+	args []string
 }
 
 // applyFaults overlays the fault flags onto the parameter set (after any
@@ -148,32 +158,37 @@ type runFunc func(w io.Writer, p qntn.Params, cfg qntn.ServeConfig, opt options)
 
 // subcommands is the ordered subcommand table. The usage line lists the
 // names in this order, then all; all runs the inAll entries in this order,
-// each followed by a blank line.
+// each followed by a blank line. Only the ownFlags rows accept arguments
+// after their name (opt.args); the rest, and all, reject any.
 var subcommands = []struct {
-	name  string
-	inAll bool
-	run   runFunc
+	name     string
+	inAll    bool
+	ownFlags bool
+	run      runFunc
 }{
-	{"fig5", true, runFig5},
-	{"fig6", true, runFig6},
-	{"fig7", true, runFig78("fig7")},
-	{"fig8", true, runFig78("fig8")},
-	{"table3", true, runTable3},
-	{"ablations", true, runAblations},
-	{"latency", true, runLatency},
-	{"purify", true, runPurify},
-	{"qkd", true, runQKD},
-	{"night", true, runNight},
-	{"statewide", true, runStatewide},
-	{"outage", true, runOutage},
-	{"degrade", true, runDegrade},
-	{"multipath", true, runMultipath},
-	{"protocol", true, runProtocol},
-	{"throughput", true, runThroughput},
-	{"arrivals", true, runArrivals},
-	{"serve-daemon", false, runServeDaemon},
-	{"walker", false, runWalker},
-	{"params", false, func(w io.Writer, p qntn.Params, _ qntn.ServeConfig, _ options) error { return qntn.SaveParams(w, p) }},
+	{"fig5", true, false, runFig5},
+	{"fig6", true, false, runFig6},
+	{"fig7", true, false, runFig78("fig7")},
+	{"fig8", true, false, runFig78("fig8")},
+	{"table3", true, false, runTable3},
+	{"ablations", true, false, runAblations},
+	{"latency", true, false, runLatency},
+	{"purify", true, false, runPurify},
+	{"qkd", true, false, runQKD},
+	{"night", true, false, runNight},
+	{"statewide", true, false, runStatewide},
+	{"outage", true, false, runOutage},
+	{"degrade", true, false, runDegrade},
+	{"multipath", true, false, runMultipath},
+	{"protocol", true, false, runProtocol},
+	{"throughput", true, false, runThroughput},
+	{"arrivals", true, false, runArrivals},
+	{"serve-daemon", false, false, runServeDaemon},
+	{"walker", false, false, runWalker},
+	{"constellation", false, true, runConstellation},
+	{"coverage", false, true, runCoverage},
+	{"linkbudget", false, true, runLinkbudget},
+	{"params", false, false, func(w io.Writer, p qntn.Params, _ qntn.ServeConfig, _ options) error { return qntn.SaveParams(w, p) }},
 }
 
 func run(args []string, w io.Writer) (err error) {
@@ -216,6 +231,24 @@ func run(args []string, w io.Writer) (err error) {
 	if fs.NArg() < 1 {
 		fs.Usage()
 		return fmt.Errorf("missing subcommand")
+	}
+	cmd := fs.Arg(0)
+	opt.args = fs.Args()[1:]
+	var row runFunc // nil for all
+	ownFlags := false
+	if cmd != "all" {
+		for _, sub := range subcommands {
+			if sub.name == cmd {
+				row, ownFlags = sub.run, sub.ownFlags
+			}
+		}
+		if row == nil {
+			fs.Usage()
+			return fmt.Errorf("unknown subcommand %q", cmd)
+		}
+	}
+	if !ownFlags && len(opt.args) > 0 {
+		return fmt.Errorf("unexpected argument %q after %s (global flags go before the subcommand)", opt.args[0], cmd)
 	}
 	if opt.events && opt.telDir == "" {
 		return fmt.Errorf("-events requires -telemetry-dir")
@@ -261,7 +294,6 @@ func run(args []string, w io.Writer) (err error) {
 		}()
 	}
 
-	cmd := fs.Arg(0)
 	params := qntn.DefaultParams()
 	if opt.paramsPath != "" {
 		f, err := os.Open(opt.paramsPath)
@@ -307,25 +339,19 @@ func run(args []string, w io.Writer) (err error) {
 	}
 
 	runErr := func() error {
-		if cmd == "all" {
-			for _, sub := range subcommands {
-				if !sub.inAll {
-					continue
-				}
-				if err := sub.run(w, params, serveCfg, opt); err != nil {
-					return err
-				}
-				fmt.Fprintln(w)
-			}
-			return nil
+		if row != nil {
+			return row(w, params, serveCfg, opt)
 		}
 		for _, sub := range subcommands {
-			if sub.name == cmd {
-				return sub.run(w, params, serveCfg, opt)
+			if !sub.inAll {
+				continue
 			}
+			if err := sub.run(w, params, serveCfg, opt); err != nil {
+				return err
+			}
+			fmt.Fprintln(w)
 		}
-		fs.Usage()
-		return fmt.Errorf("unknown subcommand %q", cmd)
+		return nil
 	}()
 	if runErr != nil {
 		return runErr

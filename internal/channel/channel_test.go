@@ -305,6 +305,51 @@ func TestMaxUsableRangeBound(t *testing.T) {
 	}
 }
 
+// TestMaxUsableRangeMonotoneInThreshold is the metamorphic side of the
+// bound: on the random terminals of TestMaxUsableRangeBound, a tighter
+// threshold never widens the range gate. For thresholds t₁ < t₂ — drawn
+// anywhere in (0, 1], near 1, down to 1e-12, one float apart, and past
+// either end — MaxUsableRangeM2(t₂) ≤ MaxUsableRangeM2(t₁).
+func TestMaxUsableRangeMonotoneInThreshold(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	draw := func() float64 {
+		switch rng.Intn(10) {
+		case 0:
+			return 1 - math.Pow(10, -1-8*rng.Float64()) // near 1
+		case 1:
+			return math.Pow(10, -12*rng.Float64()) // down to 1e-12
+		case 2:
+			return -0.5 + 2*rng.Float64() // past either end
+		}
+		return rng.Float64()
+	}
+	strict := 0
+	for trial := 0; trial < 2000; trial++ {
+		c := randomFSO(rng)
+		t1, t2 := draw(), draw()
+		if rng.Intn(4) == 0 {
+			t2 = math.Nextafter(t1, 2)
+		}
+		if t1 > t2 {
+			t1, t2 = t2, t1
+		}
+		if t1 == t2 {
+			continue
+		}
+		b1, b2 := c.MaxUsableRangeM2(t1), c.MaxUsableRangeM2(t2)
+		if !(b2 <= b1) {
+			t.Fatalf("trial %d: threshold %g gives range² bound %g, wider than %g at the looser threshold %g\nconfig %+v",
+				trial, t2, b2, b1, t1, c)
+		}
+		if b2 < b1 {
+			strict++
+		}
+	}
+	if strict < 1000 {
+		t.Fatalf("only %d of 2000 threshold pairs narrowed the bound; generator too weak", strict)
+	}
+}
+
 // TestMaxUsableRangeEdgeCases pins the ends of the bound. +Inf means
 // distance never rejects: a threshold that is ≤ 0, NaN or within rounding
 // of 0, or a degenerate beam. 0 means every positive range falls below the

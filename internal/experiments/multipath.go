@@ -67,8 +67,9 @@ func ExtensionMultipathStudy(p qntn.Params, nSats int, cfg qntn.ServeConfig, max
 		if err != nil {
 			return err
 		}
+		var ds routing.DisjointScratch
 		for _, req := range batches[step] {
-			paths, err := routing.EdgeDisjointPaths(g, req.Src, req.Dst, maxPaths)
+			paths, err := ds.EdgeDisjoint(g, req.Src, req.Dst, maxPaths)
 			if err != nil {
 				return err
 			}

@@ -8,6 +8,9 @@ import (
 	"qntn/internal/geo"
 )
 
+// ttu is the Tennessee Tech ground site.
+var ttu = geo.LLA{LatDeg: 36.1757, LonDeg: -85.5066}
+
 func TestNodalRegressionRate(t *testing.T) {
 	// Textbook value for a 500 km / 53° circular orbit: ≈ −4.6°/day.
 	e := paperOrbit()

@@ -9,51 +9,47 @@ import (
 	"qntn/internal/routing"
 )
 
-// buildCandidatesReference is the retired candidate builder, kept verbatim
-// as the reference for buildCandidates: every node, satellites under an ISL
-// allowlist included, gathers its partners from the grid, so the list also
-// holds the satellite pairs the allowlist forbids.
+// buildCandidatesReference is the retired candidate builder's list,
+// computed without the production grid: every node, satellites under an
+// ISL allowlist included, pairs with every later node whose cell lies
+// within one step of its own on every axis, except that two ground hosts
+// pair only through fiber (the same non-empty network). The list therefore
+// also holds the satellite pairs the allowlist forbids. Cells are assigned
+// as in production (static cell, else cellIndex) but decoded here with
+// their own arithmetic, and the pairs come from an O(n²) scan over j > i
+// rather than from the grid's buckets and neighborhood gather, so a defect
+// there cannot drop or add the same pairs on both sides.
 func (se *stepEval) buildCandidatesReference() {
 	se.candBuilt = true
 	n := len(se.nodes)
-	g := &se.grid
-	g.beginBuild(n)
-	for i := 0; i < n; i++ {
-		if c := se.staticCell[i]; c >= 0 {
-			g.cell[i] = c
-		} else {
-			g.cell[i] = g.cellIndex(se.pos[i])
+	dim := se.grid.dim
+	cells := make([][3]int32, n)
+	for i := range cells {
+		c := se.staticCell[i]
+		if c < 0 {
+			c = se.grid.cellIndex(se.pos[i])
 		}
+		cells[i] = [3]int32{c % dim, c / dim % dim, c / dim / dim}
 	}
-	g.finishBuild(0, n)
+	within := func(a, b [3]int32) bool {
+		for k := range a {
+			if d := a[k] - b[k]; d < -1 || d > 1 {
+				return false
+			}
+		}
+		return true
+	}
 	se.cand = se.cand[:0]
 	for i := 0; i < n; i++ {
-		s := se.scratch[:0]
-		for _, j := range se.fiberList[se.fiberStart[i]:se.fiberStart[i+1]] {
-			//qntn:coldpath amortized growth: scratch capacity is stable
-			s = append(s, j)
-		}
-		nf := len(s)
-		s = g.neighborsAfter(int32(i), s)
-		if se.kind[i] == netsim.Ground {
-			// Drop ground↔ground grid hits: they landed after the fiber
-			// prefix, which already holds the only linkable ones.
-			w := nf
-			for _, j := range s[nf:] {
-				if se.kind[j] == netsim.Ground {
-					continue
-				}
-				s[w] = j
-				w++
+		for j := i + 1; j < n; j++ {
+			pair := within(cells[i], cells[j])
+			if se.kind[i] == netsim.Ground && se.kind[j] == netsim.Ground {
+				pair = se.network[i] != "" && se.network[i] == se.network[j]
 			}
-			s = s[:w]
+			if pair {
+				se.cand = append(se.cand, netsim.PackPair(i, j))
+			}
 		}
-		insertionSortI32(s)
-		for _, j := range s {
-			//qntn:coldpath amortized growth: candidate capacity is stable
-			se.cand = append(se.cand, netsim.PackPair(i, int(j)))
-		}
-		se.scratch = s
 	}
 	se.indexCulled = int64(n)*int64(n-1)/2 - int64(len(se.cand))
 }

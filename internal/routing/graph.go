@@ -47,6 +47,17 @@ func NewGraph() *Graph {
 	return &Graph{index: make(map[string]int)}
 }
 
+// Clone returns a deep copy of the graph.
+func (g *Graph) Clone() *Graph {
+	c := NewGraph()
+	for i, id := range g.ids {
+		c.AddNode(id)
+		c.rows[i] = append(c.rows[i], g.rows[i]...)
+	}
+	c.edges = g.edges
+	return c
+}
+
 // AddNode inserts a node if not already present and returns its dense
 // index. Indices are assigned in insertion order, so re-adding the same ID
 // sequence after Reset yields the same indices.

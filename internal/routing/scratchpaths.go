@@ -320,10 +320,11 @@ func (s *SourceTrees) tree(si int) *DijkstraScratch {
 // with Dijkstra + PathTo — the scalar reference in qntn/oracletest pins
 // this: blocking interior vertices here replaces deleting their incident
 // edges there, and a consumed direct src–dst edge is skipped rather than
-// removed.
+// removed. EdgeDisjoint is the same greedy extraction with only the
+// consumed edges retired, the multipath study's redundancy primitive.
 type DisjointScratch struct {
 	dij          DijkstraScratch
-	adj          Adjacency // Extract's own snapshot
+	adj          Adjacency // Extract's and EdgeDisjoint's own snapshot
 	blocked      []bool
 	arena        []string
 	paths        [][]string
@@ -421,4 +422,67 @@ func (s *DisjointScratch) block(g *Graph, path []string) error {
 		s.skipA, s.skipB = s.src, s.dst
 	}
 	return nil
+}
+
+// EdgeDisjoint returns up to k pairwise edge-disjoint paths from src to
+// dst over g, greedily extracted in decreasing end-to-end transmissivity:
+// each round runs Dijkstra on −log η, records the best path, and retires
+// its edges before the next round. Fewer than k paths are returned when the
+// graph runs out of disjoint routes; none when dst is unreachable. The
+// returned slices are valid only until the next call on the same scratch.
+//
+// Attempts on edge-disjoint paths fail independently, so the combined
+// success probability is 1 − Π(1 − η_path). The result is exact, bit for
+// bit, against clone-and-delete extraction with BestTransmissivityPath: a
+// retired edge costs +Inf in both of its rows, and du+Inf < dist[v] never
+// holds, so no search relaxes it — deletion without reordering the
+// remaining neighbours.
+func (s *DisjointScratch) EdgeDisjoint(g *Graph, src, dst string, k int) ([][]string, error) {
+	if k <= 0 {
+		return nil, fmt.Errorf("routing: need a positive path budget, got %d", k)
+	}
+	si, oks := g.IndexOf(src)
+	di, okd := g.IndexOf(dst)
+	if !oks || !okd {
+		return nil, fmt.Errorf("routing: unknown endpoint %q or %q", src, dst)
+	}
+	if si == di {
+		return nil, fmt.Errorf("routing: src equals dst (%q)", src)
+	}
+	a := &s.adj
+	a.Load(g, negLogEta)
+	s.paths = s.paths[:0]
+	s.arena = s.arena[:0]
+	for len(s.paths) < k {
+		s.dij.run(a, si, di, nil, -1, -1)
+		if math.IsInf(s.dij.dist[di], 1) {
+			break
+		}
+		start := len(s.arena)
+		for cur := di; ; cur = s.dij.prev[cur] {
+			s.arena = append(s.arena, g.ids[cur])
+			if cur == si {
+				break
+			}
+			a.retire(cur, s.dij.prev[cur])
+		}
+		seg := s.arena[start:len(s.arena):len(s.arena)]
+		slices.Reverse(seg)
+		s.paths = append(s.paths, seg)
+	}
+	return s.paths, nil
+}
+
+// retire makes the edge u–v unusable for the rest of the snapshot by
+// setting its cost to +Inf in both endpoints' rows.
+func (a *Adjacency) retire(u, v int) {
+	inf := math.Inf(1)
+	for _, end := range [2][2]int{{u, v}, {v, u}} {
+		row := a.row(end[0])
+		for i := range row {
+			if row[i].to == end[1] {
+				row[i].cost = inf
+			}
+		}
+	}
 }

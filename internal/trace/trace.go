@@ -1,7 +1,8 @@
 // Package trace serializes satellite movement sheets to and from CSV. It is
 // the file-interchange substitute for the STK export/import step in the
-// paper's workflow: cmd/constellation writes these files and the simulator
-// can load them instead of propagating orbits in-process.
+// paper's workflow: `qntnsim constellation` writes these files and the
+// simulator (`qntnsim coverage -sheets`) can load them instead of
+// propagating orbits in-process.
 //
 // Format (one file may hold many satellites):
 //
