@@ -105,13 +105,23 @@ func runCoverage(w io.Writer, p qntn.Params, _ qntn.ServeConfig, opt options) er
 	fs.SetOutput(w)
 	arch := fs.String("arch", "space", `architecture: "space", "air", or "hybrid"`)
 	n := fs.Int("n", orbit.MaxPaperSatellites, "satellite count for -arch space/hybrid")
-	sheetsPath := fs.String("sheets", "", "movement-sheet CSV (overrides -n propagation)")
+	sheetsPath := fs.String("sheets", "", "movement-sheet CSV to replay in place of -n propagation (-arch space only)")
 	duration := fs.Duration("duration", orbit.Day, "analysis span")
 	showIntervals := fs.Bool("intervals", false, "list each connected interval")
 	showPairs := fs.Bool("pairs", false, "break coverage down per LAN pair and report link churn")
 	showTimeline := fs.Bool("timeline", false, "print an hour-by-hour coverage strip")
 	if err := fs.Parse(opt.args); err != nil {
 		return err
+	}
+	if *sheetsPath != "" {
+		if *arch != "space" {
+			return fmt.Errorf("-sheets replays a space-ground constellation; it needs -arch space, not %q", *arch)
+		}
+		nSet := false
+		fs.Visit(func(f *flag.Flag) { nSet = nSet || f.Name == "n" })
+		if nSet {
+			return fmt.Errorf("-n and -sheets conflict: the sheets fix the satellite count")
+		}
 	}
 
 	var sc *qntn.Scenario

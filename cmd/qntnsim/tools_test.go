@@ -197,6 +197,17 @@ func TestCoverageFromSheets(t *testing.T) {
 	if !strings.Contains(out, "relays:         6") {
 		t.Fatalf("sheet replay output:\n%s", out)
 	}
+	// The sheets fix the architecture and the satellite count.
+	for _, args := range [][]string{
+		{"-arch", "air", "-sheets", sheets},
+		{"-arch", "hybrid", "-sheets", sheets},
+		{"-arch", "space", "-n", "6", "-sheets", sheets},
+		{"-arch", "space", "-n", "108", "-sheets", sheets},
+	} {
+		if out, err := runRow(append([]string{"coverage", "-duration", "30m"}, args...)...); err == nil {
+			t.Fatalf("coverage %v accepted:\n%s", args, out)
+		}
+	}
 }
 
 func TestCoverageRejectsBadArch(t *testing.T) {

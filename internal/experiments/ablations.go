@@ -6,7 +6,6 @@ import (
 
 	"qntn/internal/atmosphere"
 	"qntn/internal/geo"
-	"qntn/internal/orbit"
 	"qntn/internal/qntn"
 	"qntn/internal/routing"
 	"qntn/internal/runner"
@@ -36,6 +35,9 @@ type RoutingMetricResult struct {
 // and output slot, so the comparison is identical for any worker count.
 // workers <= 0 selects GOMAXPROCS.
 func AblationRoutingMetric(p qntn.Params, nSats int, cfg qntn.ServeConfig, workers int) ([]RoutingMetricResult, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	sc, err := qntn.NewHybrid(nSats, p)
 	if err != nil {
 		return nil, err
@@ -48,10 +50,7 @@ func AblationRoutingMetric(p qntn.Params, nSats int, cfg qntn.ServeConfig, worke
 		{"-log(eta) (product-optimal)", routing.NegLogEtaCost(p.RoutingEpsilon)},
 		{"hop count", routing.HopCountCost()},
 	}
-	if cfg.Horizon <= 0 {
-		cfg.Horizon = orbit.Day
-	}
-	stepGap := cfg.Horizon / time.Duration(cfg.Steps)
+	times := cfg.SampleTimes(p)
 
 	out := make([]RoutingMetricResult, len(metrics))
 	err = runner.Map(context.Background(), len(metrics), workers, func(_ context.Context, mi int) error {
@@ -66,8 +65,7 @@ func AblationRoutingMetric(p qntn.Params, nSats int, cfg qntn.ServeConfig, worke
 			fids, etas, hops  []float64
 			attempted, served int
 		)
-		for step := 0; step < cfg.Steps; step++ {
-			at := time.Duration(step) * stepGap
+		for _, at := range times {
 			g, err := sc.Graph(at)
 			if err != nil {
 				return err

@@ -167,6 +167,18 @@ func TestFormatHelpers(t *testing.T) {
 	}
 }
 
+func TestAblationRoutingMetricRejectsEmptyWorkload(t *testing.T) {
+	for _, cfg := range []qntn.ServeConfig{
+		{RequestsPerStep: 10, Steps: 0},
+		{RequestsPerStep: 10, Steps: -1},
+		{RequestsPerStep: 0, Steps: 4},
+	} {
+		if _, err := AblationRoutingMetric(qntn.DefaultParams(), 6, cfg, 1); err == nil {
+			t.Fatalf("config %+v accepted", cfg)
+		}
+	}
+}
+
 func TestAblationRoutingMetric(t *testing.T) {
 	cfg := qntn.ServeConfig{RequestsPerStep: 10, Steps: 4, Horizon: 24 * time.Hour, Seed: 3}
 	rows, err := AblationRoutingMetric(qntn.DefaultParams(), 36, cfg, 0)

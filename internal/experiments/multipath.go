@@ -2,10 +2,8 @@ package experiments
 
 import (
 	"context"
-	"time"
 
 	"qntn/internal/netsim"
-	"qntn/internal/orbit"
 	"qntn/internal/qntn"
 	"qntn/internal/routing"
 	"qntn/internal/runner"
@@ -37,14 +35,14 @@ type MultipathRow struct {
 // step order, so the result is identical for any worker count. workers <= 0
 // selects GOMAXPROCS.
 func ExtensionMultipathStudy(p qntn.Params, nSats int, cfg qntn.ServeConfig, maxPaths, workers int) ([]MultipathRow, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	sc, err := qntn.NewHybrid(nSats, p)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Horizon <= 0 {
-		cfg.Horizon = orbit.Day
-	}
-	stepGap := cfg.Horizon / time.Duration(cfg.Steps)
+	times := cfg.SampleTimes(p)
 
 	wl, err := qntn.NewWorkload(sc, cfg.Seed)
 	if err != nil {
@@ -62,8 +60,7 @@ func ExtensionMultipathStudy(p qntn.Params, nSats int, cfg qntn.ServeConfig, max
 	}
 	perStep := make([][]sample, cfg.Steps)
 	err = runner.Map(context.Background(), cfg.Steps, workers, func(_ context.Context, step int) error {
-		at := time.Duration(step) * stepGap
-		g, err := sc.Graph(at)
+		g, err := sc.Graph(times[step])
 		if err != nil {
 			return err
 		}

@@ -55,6 +55,18 @@ func TestStatewidePlacement(t *testing.T) {
 	}
 }
 
+func TestExtensionMultipathStudyRejectsEmptyWorkload(t *testing.T) {
+	for _, cfg := range []qntn.ServeConfig{
+		{RequestsPerStep: 10, Steps: 0},
+		{RequestsPerStep: 10, Steps: -1},
+		{RequestsPerStep: 0, Steps: 5},
+	} {
+		if _, err := ExtensionMultipathStudy(qntn.DefaultParams(), 6, cfg, 2, 1); err == nil {
+			t.Fatalf("config %+v accepted", cfg)
+		}
+	}
+}
+
 func TestExtensionMultipathStudy(t *testing.T) {
 	cfg := qntn.ServeConfig{RequestsPerStep: 10, Steps: 5, Horizon: 24 * time.Hour, Seed: 4}
 	rows, err := ExtensionMultipathStudy(qntn.DefaultParams(), 36, cfg, 3, 0)

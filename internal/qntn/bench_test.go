@@ -106,7 +106,7 @@ func BenchmarkSnapshotIntoWalker1k(b *testing.B) {
 		if err := sc.GraphInto(g, time.Duration(k%walker1kInstants)*step); err != nil {
 			b.Fatal(err)
 		}
-		sc.bridgedInto(&uf, g)
+		sc.bridgedInto(&uf, g, g.NumNodes())
 	}
 	for k := 0; k < walker1kInstants; k++ {
 		run(k)
@@ -193,7 +193,7 @@ func BenchmarkRoutesScratch108(b *testing.B) {
 		b.Fatal(err)
 	}
 	var graphs []*routing.Graph
-	for _, at := range DefaultServeConfig().sampleTimes(sc.Params) {
+	for _, at := range DefaultServeConfig().SampleTimes(sc.Params) {
 		g, err := sc.Graph(at)
 		if err != nil {
 			b.Fatal(err)
@@ -236,7 +236,7 @@ func BenchmarkRoutesTrees108(b *testing.B) {
 		batch []netsim.Request
 	}
 	var snaps []snapshot
-	for _, at := range cfg.sampleTimes(sc.Params) {
+	for _, at := range cfg.SampleTimes(sc.Params) {
 		g, err := sc.Graph(at)
 		if err != nil {
 			b.Fatal(err)
@@ -287,7 +287,7 @@ func BenchmarkRoutesDisjoint108(b *testing.B) {
 		paths [][]string
 	}
 	var snaps []snapshot
-	for _, at := range cfg.sampleTimes(sc.Params) {
+	for _, at := range cfg.SampleTimes(sc.Params) {
 		tables, g, err := sc.Routes(at)
 		if err != nil {
 			b.Fatal(err)

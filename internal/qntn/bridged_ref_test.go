@@ -3,13 +3,10 @@ package qntn
 import "time"
 
 // bridgedReference is the retired bridged check of the event engine, kept
-// verbatim as the reference for the demand-driven eventEngine.bridged: it
-// reads the has[] bits that runStep's full re-evaluation of every open pair
-// left behind, so it is valid only after runStep(k).
+// as the reference for the demand-driven eventEngine.bridged: it reads the
+// has[] bits that runStep's full re-evaluation of every open pair left
+// behind, so it is valid only after runStep(k).
 func (eng *eventEngine) bridgedReference() bool {
-	if eng.lanBad {
-		return false
-	}
 	if eng.ufDirty {
 		eng.baseUF.ensure(eng.g.NumNodes())
 		for _, fe := range eng.fiber {
@@ -27,7 +24,10 @@ func (eng *eventEngine) bridgedReference() bool {
 		}
 	}
 	root := -1
-	for _, lan := range eng.lanIdx {
+	for _, lan := range eng.sc.lanHosts {
+		if len(lan) == 0 {
+			return false
+		}
 		r := eng.uf.find(lan[0])
 		for _, ii := range lan[1:] {
 			if eng.uf.find(ii) != r {

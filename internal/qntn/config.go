@@ -117,7 +117,7 @@ func LoadServeConfig(r io.Reader) (ServeConfig, error) {
 		Horizon:         time.Duration(j.HorizonS * float64(time.Second)),
 		Seed:            j.Seed,
 	}
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return ServeConfig{}, err
 	}
 	return cfg, nil

@@ -41,44 +41,67 @@ func (r CoverageResult) Percent() float64 {
 	return 100 * float64(r.Covered) / float64(r.Total)
 }
 
-// Bridged reports whether every pair of local networks is connected in the
-// given topology snapshot: for every LAN pair (i, j) some node of i reaches
-// some node of j. Because each LAN is internally fiber-connected, this is
-// equivalent to all three LANs lying in one connected component, which is
-// what the union-find below checks.
+// Bridged reports whether the given topology snapshot bridges the region:
+// every host of every LAN lies in one connected component. A host that is
+// cut off from its own LAN (a ground station down under fault injection,
+// say) therefore leaves the region uncovered, even when the rest of its LAN
+// reaches the others. g may index the scenario's IDs in any order; a graph
+// missing one of them is not bridged.
 func (sc *Scenario) Bridged(g *routing.Graph) bool {
-	return sc.bridgedInto(&unionFind{}, g)
+	lans := make([][]int, len(sc.LANs))
+	for li, lan := range sc.LANs {
+		ids := sc.GroundIDs[lan.Name]
+		lans[li] = make([]int, len(ids))
+		for k, id := range ids {
+			i, ok := g.IndexOf(id)
+			if !ok {
+				return false
+			}
+			lans[li][k] = i
+		}
+	}
+	var uf unionFind
+	return joinedIn(&uf, g, g.NumNodes(), lans)
 }
 
-// bridgedInto is Bridged with a caller-owned union-find, so the stepped
-// topology backend reuses one scratch across snapshots.
-func (sc *Scenario) bridgedInto(uf *unionFind, g *routing.Graph) bool {
-	uf.ensure(g.NumNodes())
-	g.EachEdge(func(i, j int, _ float64) { uf.union(i, j) })
-	// All LANs must share one component (via any of their nodes; LAN
-	// nodes are mutually fiber-connected so the first node suffices, but
-	// we check every node defensively in case a LAN is internally split).
+// bridgedInto is Bridged over a snapshot in the network's node order,
+// restricted to its first limit nodes, with a caller-owned union-find: the
+// stepped topology backend reuses one scratch across snapshots, and the
+// coverage sweep answers each constellation prefix from one snapshot.
+func (sc *Scenario) bridgedInto(uf *unionFind, g *routing.Graph, limit int) bool {
+	return joinedIn(uf, g, limit, sc.lanHosts)
+}
+
+// joinedIn resets uf to limit singletons, unions every edge of g between
+// two of its first limit nodes and applies lansJoined to lans.
+func joinedIn(uf *unionFind, g *routing.Graph, limit int, lans [][]int) bool {
+	uf.ensure(limit)
+	g.EachEdge(func(i, j int, _ float64) {
+		if j < limit { // EachEdge visits i < j
+			uf.union(i, j)
+		}
+	})
+	return lansJoined(uf, lans)
+}
+
+// lansJoined is the coverage rule of every backend and driver: the LANs
+// are bridged when every host of every LAN shares one root in uf. lans
+// holds each LAN's host indices; a LAN without hosts is never joined.
+//
+//qntn:hotpath after every union of the event engine's bridged check
+func lansJoined(uf *unionFind, lans [][]int) bool {
 	root := -1
-	for _, lan := range sc.LANs {
-		ids := sc.GroundIDs[lan.Name]
-		if len(ids) == 0 {
+	for _, hosts := range lans {
+		if len(hosts) == 0 {
 			return false
 		}
-		i0, ok := g.IndexOf(ids[0])
-		if !ok {
-			return false
+		if root < 0 {
+			root = uf.find(hosts[0])
 		}
-		r := uf.find(i0)
-		for _, id := range ids[1:] {
-			ii, ok := g.IndexOf(id)
-			if !ok || uf.find(ii) != r {
-				return false // LAN internally disconnected (or absent)
+		for _, h := range hosts {
+			if uf.find(h) != root {
+				return false
 			}
-		}
-		if root == -1 {
-			root = r
-		} else if r != root {
-			return false
 		}
 	}
 	return true
@@ -136,15 +159,6 @@ type unionFind struct {
 	size   []int
 }
 
-func newUnionFind(n int) *unionFind {
-	uf := &unionFind{parent: make([]int, n), size: make([]int, n)}
-	for i := range uf.parent {
-		uf.parent[i] = i
-		uf.size[i] = 1
-	}
-	return uf
-}
-
 // ensure resizes the union-find to exactly n fresh singleton elements,
 // reusing the backing arrays when possible.
 func (uf *unionFind) ensure(n int) {
@@ -155,7 +169,10 @@ func (uf *unionFind) ensure(n int) {
 	}
 	uf.parent = uf.parent[:n]
 	uf.size = uf.size[:n]
-	uf.reset(n)
+	for i := range uf.parent {
+		uf.parent[i] = i
+		uf.size[i] = 1
+	}
 }
 
 // copyFrom makes uf an exact copy of src (same parents and sizes), reusing

@@ -113,8 +113,6 @@ type eventEngine struct {
 
 	baseUF *unionFind // fiber-only template, rebuilt when ufDirty
 	uf     *unionFind
-	lanIdx [][]int
-	lanBad bool
 }
 
 // newEventEngine scans the scenario's windows on the given grid, builds the
@@ -152,8 +150,6 @@ func (sc *Scenario) newEventEngine(grid sampleGrid) (*eventEngine, error) {
 	eng.cursor = 0
 	eng.active = eng.active[:0]
 	eng.stepChanges, eng.transitions, eng.pairEvals = 0, 0, 0
-	eng.lanIdx = eng.lanIdx[:0]
-	eng.lanBad = false
 	eng.fm, _ = sc.Net.Model().(*fault.Model)
 	eng.g.Reset()
 	for i, nd := range nodes {
@@ -191,28 +187,6 @@ func (sc *Scenario) newEventEngine(grid sampleGrid) (*eventEngine, error) {
 		}
 	}
 	eng.ufDirty = true
-
-	// LAN membership as dense indices, for the fast bridged check.
-	for _, lan := range sc.LANs {
-		ids := sc.GroundIDs[lan.Name]
-		if len(ids) == 0 {
-			eng.lanBad = true
-			break
-		}
-		idx := make([]int, len(ids))
-		for k, id := range ids {
-			ii, ok := eng.g.IndexOf(id)
-			if !ok {
-				eng.lanBad = true
-				break
-			}
-			idx[k] = ii
-		}
-		if eng.lanBad {
-			break
-		}
-		eng.lanIdx = append(eng.lanIdx, idx)
-	}
 
 	eng.buildEvents(nodes)
 	eng.apos = grow(eng.apos, len(eng.ws.pairs))
@@ -477,11 +451,8 @@ func (eng *eventEngine) fiberTemplate() *unionFind {
 //
 //qntn:hotpath once per grid step of Coverage
 func (eng *eventEngine) bridged(k int) bool {
-	if eng.lanBad {
-		return false
-	}
 	eng.uf.copyFrom(eng.fiberTemplate())
-	return eng.lansJoined() || eng.joinOpenPairs(k, true) || eng.joinOpenPairs(k, false)
+	return lansJoined(eng.uf, eng.sc.lanHosts) || eng.joinOpenPairs(k, true) || eng.joinOpenPairs(k, false)
 }
 
 // joinOpenPairs is one pass of the bridged check over the open-window
@@ -504,27 +475,9 @@ func (eng *eventEngine) joinOpenPairs(k int, ground bool) bool {
 			continue
 		}
 		eng.uf.union(pr.i, pr.j)
-		if eng.lansJoined() {
+		if lansJoined(eng.uf, eng.sc.lanHosts) {
 			return true
 		}
 	}
 	return false
-}
-
-// lansJoined reports whether every LAN node shares one root in eng.uf.
-//
-//qntn:hotpath after every union of the bridged check
-func (eng *eventEngine) lansJoined() bool {
-	if len(eng.lanIdx) == 0 {
-		return true
-	}
-	root := eng.uf.find(eng.lanIdx[0][0])
-	for _, lan := range eng.lanIdx {
-		for _, ii := range lan {
-			if eng.uf.find(ii) != root {
-				return false
-			}
-		}
-	}
-	return true
 }

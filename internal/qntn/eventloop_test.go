@@ -79,7 +79,7 @@ func TestStepGapSharedDefinition(t *testing.T) {
 		if gap := c.cfg.stepGap(p); gap != c.gap {
 			t.Errorf("%s: stepGap = %v, want %v", c.name, gap, c.gap)
 		}
-		times := c.cfg.sampleTimes(p)
+		times := c.cfg.SampleTimes(p)
 		if len(times) != c.cfg.Steps {
 			t.Errorf("%s: %d sample times, want %d", c.name, len(times), c.cfg.Steps)
 		}
@@ -104,7 +104,7 @@ func TestServeDESSamplesAllSteps(t *testing.T) {
 	}
 	cfg := ServeConfig{RequestsPerStep: 2, Steps: 10, Horizon: 5 * time.Nanosecond, Seed: 1}
 	wantOutcomes := cfg.RequestsPerStep * cfg.Steps
-	times := cfg.sampleTimes(p)
+	times := cfg.SampleTimes(p)
 
 	des, err := sc.RunServeDES(cfg)
 	if err != nil {

@@ -194,7 +194,8 @@ func PlaceHAPs(p Params, lans []LocalNetwork, maxHAPs int, gridStepDeg float64) 
 // connected when some chain of platforms (linked by shared LANs) touches
 // both.
 func connectedPairs(serves []uint64, nLAN int) int {
-	uf := newUnionFind(nLAN)
+	var uf unionFind
+	uf.ensure(nLAN)
 	for _, mask := range serves {
 		first := -1
 		for li := 0; li < nLAN; li++ {

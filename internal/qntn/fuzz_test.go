@@ -216,7 +216,7 @@ func FuzzServeConfigRoundTrip(f *testing.F) {
 			Horizon:         time.Duration(horizonS * float64(time.Second)),
 			Seed:            seed,
 		}
-		if cfg.validate() != nil {
+		if cfg.Validate() != nil {
 			return
 		}
 		var buf bytes.Buffer

@@ -209,7 +209,7 @@ func TestPrefixConstellationsServeNest(t *testing.T) {
 	for _, eventDriven := range []bool{false, true} {
 		p := DefaultParams()
 		p.EventDriven = eventDriven
-		cache, err := NewEphemerisCache(sizes[len(sizes)-1], p, cfg.sampleTimes(p))
+		cache, err := NewEphemerisCache(sizes[len(sizes)-1], p, cfg.SampleTimes(p))
 		if err != nil {
 			t.Fatal(err)
 		}

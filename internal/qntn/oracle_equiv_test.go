@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"qntn/internal/fault"
 	"qntn/internal/orbit"
 	"qntn/internal/qntn"
 	"qntn/internal/qntn/oracletest"
@@ -291,33 +292,67 @@ func TestEventDrivenServeSweepWorkers(t *testing.T) {
 }
 
 // TestEventDrivenCoverageSweepWorkers pins the coverage sweep against
-// per-size Coverage runs of both paths at 1, 2 and 8 workers. The sweep has
-// its own cached fast path that bypasses Scenario.Coverage, so this is both
-// a worker-invariance check and a three-way equivalence: sweep == stepped
-// Coverage == event-driven Coverage for every size.
+// per-size Coverage runs of both paths at 1, 2 and 8 workers: a
+// worker-invariance check and a three-way equivalence, sweep == stepped
+// Coverage == event-driven Coverage for every size. Every size's
+// DetailedCoverage.All must equal Coverage too. Under ground-station
+// downtime a down host splits its LAN, which leaves the region uncovered
+// even while the LAN's other hosts reach a relay; air-ground runs that
+// input for the Coverage/DetailedCoverage half.
 func TestEventDrivenCoverageSweepWorkers(t *testing.T) {
-	sizes := []int{6, 12, 24}
-	duration := 6 * time.Hour
-	p := qntn.DefaultParams()
-	var want []qntn.CoveragePoint
-	for _, workers := range []int{1, 2, 8} {
-		pts, err := qntn.CoverageSweep(p, sizes, duration, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if want == nil {
-			want = pts
-		} else if !reflect.DeepEqual(pts, want) {
-			t.Fatalf("workers=%d: coverage sweep not worker-invariant", workers)
-		}
+	downtime := fault.Config{GroundMTBF: 24 * time.Hour, GroundMTTR: 30 * time.Minute, Seed: 1}
+	cases := []struct {
+		name     string
+		fault    fault.Config
+		sizes    []int
+		duration time.Duration
+	}{
+		{"fault-free", fault.Config{}, []int{6, 12, 24}, 6 * time.Hour},
+		{"ground-downtime", downtime, []int{24, 108}, 6 * time.Hour},
 	}
-	for i, n := range sizes {
-		build := func(p qntn.Params) (*qntn.Scenario, error) { return qntn.NewSpaceGround(n, p) }
-		cov := oracletest.AssertCoverageEqual(t, build, p, duration)
-		if !reflect.DeepEqual(*cov, want[i].Result) {
-			t.Fatalf("size %d: sweep result %+v != per-size coverage result %+v", n, want[i].Result, *cov)
-		}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := qntn.DefaultParams()
+			p.Fault = tc.fault
+			var want []qntn.CoveragePoint
+			for _, workers := range []int{1, 2, 8} {
+				pts, err := qntn.CoverageSweep(p, tc.sizes, tc.duration, workers)
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				if want == nil {
+					want = pts
+				} else if !reflect.DeepEqual(pts, want) {
+					t.Fatalf("workers=%d: coverage sweep not worker-invariant", workers)
+				}
+			}
+			for i, n := range tc.sizes {
+				build := func(p qntn.Params) (*qntn.Scenario, error) { return qntn.NewSpaceGround(n, p) }
+				cov := assertDetailedAllIsCoverage(t, build, p, tc.duration)
+				if !reflect.DeepEqual(*cov, want[i].Result) {
+					t.Fatalf("size %d: sweep result %+v != per-size coverage result %+v", n, want[i].Result, *cov)
+				}
+			}
+		})
 	}
+	t.Run("air-ground-downtime", func(t *testing.T) {
+		p := qntn.DefaultParams()
+		p.Fault = downtime
+		assertDetailedAllIsCoverage(t, qntn.NewAirGround, p, 6*time.Hour)
+	})
+}
+
+// assertDetailedAllIsCoverage requires Coverage and DetailedCoverage to
+// agree between the two backends, and DetailedCoverage.All to equal
+// Coverage. It returns the coverage result.
+func assertDetailedAllIsCoverage(t *testing.T, build oracletest.Builder, p qntn.Params, duration time.Duration) *qntn.CoverageResult {
+	t.Helper()
+	cov := oracletest.AssertCoverageEqual(t, build, p, duration)
+	detail := oracletest.AssertDetailedCoverageEqual(t, build, p, duration)
+	if !reflect.DeepEqual(detail.All, *cov) {
+		t.Fatalf("DetailedCoverage.All %+v != Coverage %+v", detail.All, *cov)
+	}
+	return cov
 }
 
 // TestEventDrivenTelemetryFallsBackToStepped: instrumented scenarios must keep using

@@ -3,8 +3,6 @@ package qntn
 import (
 	"fmt"
 	"time"
-
-	"qntn/internal/routing"
 )
 
 // PairCoverage reports the coverage of one LAN pair — the S_ij view of the
@@ -19,47 +17,18 @@ type PairCoverage struct {
 // CoverageDetail is the per-pair breakdown of a coverage run plus topology
 // churn statistics.
 type CoverageDetail struct {
-	// All is the paper's all-pairs coverage (identical to
-	// Scenario.Coverage).
+	// All is the paper's all-pairs coverage, equal to Scenario.Coverage
+	// on either backend: a step counts when every host of every LAN shares
+	// one component.
 	All CoverageResult
 	// Pairs holds one entry per unordered LAN pair, ordered
-	// (TTU,EPB), (TTU,ORNL), (EPB,ORNL).
+	// (TTU,EPB), (TTU,ORNL), (EPB,ORNL). A pair's step counts when every
+	// host of both LANs shares one component, so All's covered steps are
+	// exactly those where every pair is covered.
 	Pairs []PairCoverage
 	// LinkTransitions counts link up/down events across the run
 	// (excluding the initial topology).
 	LinkTransitions int
-}
-
-// bridgedPairs computes, for one snapshot, which LAN pairs are connected.
-// Returns the pair map and whether all LANs share one component.
-func (sc *Scenario) bridgedPairs(g *routing.Graph) (map[[2]string]bool, bool) {
-	uf := newUnionFind(g.NumNodes())
-	g.EachEdge(func(i, j int, _ float64) { uf.union(i, j) })
-	roots := make(map[string]int, len(sc.LANs))
-	for _, lan := range sc.LANs {
-		ids := sc.GroundIDs[lan.Name]
-		if len(ids) == 0 {
-			return nil, false
-		}
-		i0, ok := g.IndexOf(ids[0])
-		if !ok {
-			return nil, false
-		}
-		roots[lan.Name] = uf.find(i0)
-	}
-	pairs := make(map[[2]string]bool)
-	all := true
-	for i := 0; i < len(sc.LANs); i++ {
-		for j := i + 1; j < len(sc.LANs); j++ {
-			a, b := sc.LANs[i].Name, sc.LANs[j].Name
-			ok := roots[a] == roots[b]
-			pairs[[2]string{a, b}] = ok
-			if !ok {
-				all = false
-			}
-		}
-	}
-	return pairs, all
 }
 
 // DetailedCoverage runs the coverage analysis with per-pair breakdown and
@@ -90,11 +59,15 @@ func (sc *Scenario) DetailedCoverage(duration time.Duration) (*CoverageDetail, e
 			return nil, err
 		}
 		at := grid.at(k)
-		pairs, all := sc.bridgedPairs(ts.g)
-		accumulate(&detail.All, at, step, all)
-		for pi := range detail.Pairs {
-			pc := &detail.Pairs[pi]
-			accumulate(&pc.Result, at, step, pairs[[2]string{pc.NetworkA, pc.NetworkB}])
+		accumulate(&detail.All, at, step, sc.bridgedInto(&ts.uf, ts.g, ts.g.NumNodes()))
+		// A pair's answer is the same rule over its two LANs.
+		pi := 0
+		for i := range sc.lanHosts {
+			for j := i + 1; j < len(sc.lanHosts); j++ {
+				pair := [2][]int{sc.lanHosts[i], sc.lanHosts[j]}
+				accumulate(&detail.Pairs[pi].Result, at, step, lansJoined(&ts.uf, pair[:]))
+				pi++
+			}
 		}
 	}
 	detail.LinkTransitions = ts.linkTransitions()

@@ -61,6 +61,11 @@ type Scenario struct {
 	// RelayIDs lists satellite and/or HAP node IDs.
 	RelayIDs []string
 
+	// lanHosts holds each LAN's host indices in the network's node order,
+	// in LANs order. Ground hosts lead that order, so the indices are the
+	// same in every snapshot graph and in every prefix of the relay list.
+	lanHosts [][]int
+
 	fiber        channel.Fiber
 	spaceFSO     channel.FSOConfig
 	hapFSO       channel.FSOConfig
@@ -333,13 +338,15 @@ func assembleTrusted(arch Architecture, p Params, lans []LocalNetwork, relays []
 	sc.satHAPMaxRangeM2 = sc.satHAPFSO.MaxUsableRangeM2(p.TransmissivityThreshold)
 	sc.Net = netsim.NewNetwork(scenarioModel{sc})
 
-	for _, lan := range sc.LANs {
+	sc.lanHosts = make([][]int, len(sc.LANs))
+	for li, lan := range sc.LANs {
 		for i, pos := range lan.Nodes {
 			id := NodeID(lan.Name, i)
 			host := netsim.NewGroundHost(id, lan.Name, pos)
 			if err := sc.Net.Add(host); err != nil {
 				return nil, err
 			}
+			sc.lanHosts[li] = append(sc.lanHosts[li], sc.Net.NumNodes()-1)
 			sc.GroundIDs[lan.Name] = append(sc.GroundIDs[lan.Name], id)
 			sc.groundByID[id] = host
 		}

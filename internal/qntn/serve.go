@@ -38,8 +38,9 @@ func (cfg ServeConfig) withDefaults() ServeConfig {
 	return cfg
 }
 
-// validate checks the workload shape.
-func (cfg ServeConfig) validate() error {
+// Validate checks the workload shape: positive requests and steps whose
+// product fits an int. Every driver of a ServeConfig calls it first.
+func (cfg ServeConfig) Validate() error {
 	if cfg.RequestsPerStep <= 0 || cfg.Steps <= 0 {
 		return fmt.Errorf("qntn: serve config requires positive requests and steps")
 	}
@@ -53,7 +54,7 @@ func (cfg ServeConfig) validate() error {
 // Horizon/Steps, falling back to the scenario's topology-update cadence
 // when the integer division underflows to zero (Horizon shorter than Steps
 // nanoseconds). The serve loop (RunServe and RunServeDES, on either
-// topology backend) and the sweeps' sampleTimes all use this single
+// topology backend) and the sweeps' SampleTimes all use this single
 // definition; duplicating the fallback is how the DES path once drifted a
 // step short (see the shared regression test).
 func (cfg ServeConfig) stepGap(p Params) time.Duration {
@@ -65,9 +66,10 @@ func (cfg ServeConfig) stepGap(p Params) time.Duration {
 	return gap
 }
 
-// sampleTimes returns the topology instants RunServe will evaluate under
-// these parameters: Steps instants spread stepGap apart from t = 0.
-func (cfg ServeConfig) sampleTimes(p Params) []time.Duration {
+// SampleTimes returns the topology instants RunServe will evaluate under
+// these parameters: Steps instants spread stepGap apart from t = 0. The
+// config must pass Validate.
+func (cfg ServeConfig) SampleTimes(p Params) []time.Duration {
 	cfg = cfg.withDefaults()
 	stepGap := cfg.stepGap(p)
 	times := make([]time.Duration, cfg.Steps)
@@ -118,7 +120,7 @@ func (sc *Scenario) RunServe(cfg ServeConfig) (*ServeResult, error) {
 // rather than filling the outcome so the per-request outcome stays off the
 // heap.
 func (sc *Scenario) runServe(cfg ServeConfig, res *ServeResult, timed func(path []string, at time.Duration, hopEtas []float64) (fidelity, lengthM float64, latency time.Duration, err error)) error {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return err
 	}
 	cfg = cfg.withDefaults()
@@ -131,7 +133,7 @@ func (sc *Scenario) runServe(cfg ServeConfig, res *ServeResult, timed func(path 
 		return err
 	}
 
-	// The grid's instants are exactly sampleTimes' — sweeps precompute that
+	// The grid's instants are exactly SampleTimes' — sweeps precompute that
 	// list to propagate ephemerides there, so both derive the spacing from
 	// the single stepGap definition.
 	grid := sampleGrid{gap: cfg.stepGap(sc.Params), steps: cfg.Steps}

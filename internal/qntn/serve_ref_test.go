@@ -21,14 +21,14 @@ var (
 
 // runServeReference is the retired stepped RunServe body, kept as the
 // differential oracle for the one serve loop over the topology stepper:
-// pooled GraphInto/SnapshotIntoStats snapshots at sampleTimes, Algorithm 1
+// pooled GraphInto/SnapshotIntoStats snapshots at SampleTimes, Algorithm 1
 // tables converged by one Bellman-Ford scratch (the routing specification
 // the serve loop's per-source trees are pinned to), and the protocol-on and
 // protocol-off branches. It always steps; the event-driven dispatch that
 // preceded it is dropped, and so is its relaxation-round telemetry, which
 // the serve loop no longer has.
 func runServeReference(sc *Scenario, cfg ServeConfig) (*ServeResult, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
@@ -38,11 +38,11 @@ func runServeReference(sc *Scenario, cfg ServeConfig) (*ServeResult, error) {
 		return nil, err
 	}
 
-	// sampleTimes is the single source of truth for the instants this run
+	// SampleTimes is the single source of truth for the instants this run
 	// evaluates — sweeps precompute the same list to propagate ephemerides
 	// exactly there, so duplicating its stepGap fallback here would let the
 	// two drift apart.
-	times := cfg.sampleTimes(sc.Params)
+	times := cfg.SampleTimes(sc.Params)
 
 	// One graph and one Bellman-Ford scratch serve every step: the node
 	// set is fixed, so per-step work reuses their storage. pe is nil unless
@@ -161,11 +161,11 @@ func runServeDESReference(sc *Scenario, cfg ServeConfig) (*ServeDESResult, error
 	if err != nil {
 		return nil, err
 	}
-	// sampleTimes is the shared source of the per-step instants; deriving
+	// SampleTimes is the shared source of the per-step instants; deriving
 	// the step gap locally once dropped every sample past the horizon when
 	// the Horizon/Steps division underflowed and the StepInterval fallback
 	// pushed the samples beyond it (see TestServeDESSamplesAllSteps).
-	times := cfg.sampleTimes(sc.Params)
+	times := cfg.SampleTimes(sc.Params)
 
 	var fids, etas, latencies []float64
 	var simErr error

@@ -182,7 +182,7 @@ func TestRunServePresizesOutcomes(t *testing.T) {
 
 // TestRunServeEvaluatesSampleTimes is the regression test for the
 // duplicated stepGap fallback: RunServe must evaluate exactly the instants
-// cfg.sampleTimes reports — the list sweeps use to pre-propagate
+// cfg.SampleTimes reports — the list sweeps use to pre-propagate
 // ephemerides — including the degenerate tiny-horizon case where the
 // integer division Horizon/Steps collapses to zero and the StepInterval
 // fallback kicks in.
@@ -201,9 +201,9 @@ func TestRunServeEvaluatesSampleTimes(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			want := tc.cfg.sampleTimes(sc.Params)
+			want := tc.cfg.SampleTimes(sc.Params)
 			if len(want) != tc.cfg.Steps {
-				t.Fatalf("sampleTimes produced %d instants, want %d", len(want), tc.cfg.Steps)
+				t.Fatalf("SampleTimes produced %d instants, want %d", len(want), tc.cfg.Steps)
 			}
 			res, err := sc.RunServe(tc.cfg)
 			if err != nil {
@@ -214,13 +214,13 @@ func TestRunServeEvaluatesSampleTimes(t *testing.T) {
 			}
 			for k, o := range res.Metrics.Outcomes {
 				if at := want[k/tc.cfg.RequestsPerStep]; o.At != at {
-					t.Fatalf("outcome %d evaluated at %v, sampleTimes says %v", k, o.At, at)
+					t.Fatalf("outcome %d evaluated at %v, SampleTimes says %v", k, o.At, at)
 				}
 			}
 		})
 	}
 	// The tiny-horizon fallback must actually spread the steps out.
-	tiny := ServeConfig{RequestsPerStep: 1, Steps: 5, Horizon: 3 * time.Nanosecond}.sampleTimes(sc.Params)
+	tiny := ServeConfig{RequestsPerStep: 1, Steps: 5, Horizon: 3 * time.Nanosecond}.SampleTimes(sc.Params)
 	if tiny[1] != sc.Params.StepInterval {
 		t.Errorf("degenerate stepGap fallback gave %v, want StepInterval %v", tiny[1], sc.Params.StepInterval)
 	}

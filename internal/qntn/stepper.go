@@ -32,10 +32,13 @@ type topoStepper struct {
 	g    *routing.Graph
 	eng  *eventEngine // nil on the stepped backend
 
+	// uf is the bridged check's scratch over g (DetailedCoverage on either
+	// backend, bridgedStep on the stepped one).
+	uf unionFind
+
 	// Stepped backend state. stats receives each step's snapshot stats when
 	// the scenario is instrumented (nil otherwise); tracker is nil unless
 	// transitions count.
-	uf          unionFind
 	stats       *netsim.SnapshotStats
 	tracker     *netsim.LinkTracker
 	transitions int
@@ -94,7 +97,7 @@ func (ts *topoStepper) bridgedStep(k int) (bool, error) {
 	if err := ts.step(k); err != nil {
 		return false, err
 	}
-	return ts.sc.bridgedInto(&ts.uf, ts.g), nil
+	return ts.sc.bridgedInto(&ts.uf, ts.g, ts.g.NumNodes()), nil
 }
 
 // linkTransitions returns the link appear/disappear count over the steps

@@ -3,9 +3,11 @@ package qntn
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"qntn/internal/netsim"
+	"qntn/internal/routing"
 	"qntn/internal/runner"
 )
 
@@ -36,13 +38,16 @@ const coverageChunkSteps = 32
 // (workers <= 0 selects GOMAXPROCS).
 //
 // Because the paper's constellations are nested prefixes of Table II, the
-// sweep propagates the full catalog once (EphemerisCache), caches which
-// satellites cover which LAN (and which satellite pairs hold a usable ISL)
-// at every step, and answers each size with a union-find over the cached
-// booleans. Steps are independent, so they are evaluated in fixed
-// contiguous chunks by the worker pool and the per-chunk partial results
-// are merged in time order — exactly equivalent to running
-// Scenario.Coverage per size sequentially, which the test suite asserts.
+// sweep propagates the full catalog once (EphemerisCache) and takes one
+// standard stepped snapshot of the largest size per instant (spatial index,
+// fault decoration and instruments included). Ground hosts lead the node
+// order and each link depends on its two endpoints alone, so the snapshot
+// of size n is this one restricted to its first len(ground)+n nodes, and
+// each size is answered by Coverage's bridged rule over that prefix. Steps
+// are independent, so they are evaluated in fixed contiguous chunks by the
+// worker pool and the per-chunk partial results are merged in time order —
+// exactly equivalent to running the stepped Scenario.Coverage per size,
+// which the test suite asserts.
 func CoverageSweep(p Params, sizes []int, duration time.Duration, workers int) ([]CoveragePoint, error) {
 	if len(sizes) == 0 {
 		return nil, fmt.Errorf("qntn: empty size list")
@@ -52,9 +57,10 @@ func CoverageSweep(p Params, sizes []int, duration time.Duration, workers int) (
 	}
 	maxN := 0
 	for _, n := range sizes {
-		if n > maxN {
-			maxN = n
+		if n < 1 {
+			return nil, fmt.Errorf("qntn: sweep size %d below 1", n)
 		}
+		maxN = max(maxN, n)
 	}
 	step := p.TopologyStep()
 	grid := coverageGrid(step, duration)
@@ -70,94 +76,41 @@ func CoverageSweep(p Params, sizes []int, duration time.Duration, workers int) (
 	if err != nil {
 		return nil, err
 	}
-	nLAN := len(sc.LANs)
-
-	// Dense node indices (into the network's node order) for the step
-	// evaluator: representative hosts per LAN for the early-exit coverage
-	// check, and every relay.
-	nodes := sc.Net.Nodes()
-	nodeIndex := make(map[string]int, len(nodes))
-	for i, node := range nodes {
-		nodeIndex[node.ID()] = i
-	}
-	lanHosts := make([][]int, nLAN)
-	for li, lan := range sc.LANs {
-		for _, id := range sc.GroundIDs[lan.Name] {
-			lanHosts[li] = append(lanHosts[li], nodeIndex[id])
-		}
-	}
-	satIdx := make([]int, len(sc.relays))
-	for si, r := range sc.relays {
-		satIdx[si] = nodeIndex[r.ID()]
-	}
-	nSats := len(satIdx)
+	nGround := sc.Net.NumNodes() - len(sc.relays)
 
 	numChunks := (len(times) + coverageChunkSteps - 1) / coverageChunkSteps
 	partials := make([][]CoverageResult, numChunks)
+	// Chunks outnumber workers; a worker's next chunk reuses its graph.
+	var graphs sync.Pool
 	err = runner.Map(context.Background(), numChunks, workers, func(_ context.Context, ci int) error {
 		lo := ci * coverageChunkSteps
-		hi := lo + coverageChunkSteps
-		if hi > len(times) {
-			hi = len(times)
-		}
+		hi := min(lo+coverageChunkSteps, len(times))
 		res := make([]CoverageResult, len(sizes))
-		coversLAN := make([]bool, maxN*nLAN)
-		islNbr := make([][]int, maxN)
-		uf := newUnionFind(nLAN + maxN)
+		g, _ := graphs.Get().(*routing.Graph)
+		if g == nil {
+			g = routing.NewGraph()
+		}
+		g.Reset()
+		defer graphs.Put(g)
+		var uf unionFind
 
 		// Scenario-shared instrumentation: counters are atomic (order
 		// invariant), and events carry the global step index, so the chunk
 		// partition leaves telemetry output worker-count invariant.
-		tel := sc.tel
-		ins := sc.Net.Instruments()
+		var st *netsim.SnapshotStats
 		var label string
-		if tel != nil {
+		if sc.tel != nil {
+			st = new(netsim.SnapshotStats)
 			label = fmt.Sprintf("coverage-sweep/%s/%d", sc.Arch, len(sc.RelayIDs))
 		}
 
 		for k, at := range times[lo:hi] {
-			// Phase 1: evaluate physics once for the largest constellation,
-			// through the network's step evaluator (one per worker) so
-			// positions, geodetic conversions and darkness are computed once
-			// per instant — and fault decoration, when installed, applies
-			// here exactly as in snapshots.
-			pairs, admitted := 0, 0
-			ev := sc.Net.BeginStep(at)
-			for si, sat := range satIdx {
-				islNbr[si] = islNbr[si][:0]
-				for li := range lanHosts {
-					covered := false
-					for _, h := range lanHosts[li] {
-						pairs++
-						if _, ok := ev.EvaluatePair(h, sat); ok {
-							covered = true
-							admitted++
-							break
-						}
-					}
-					coversLAN[si*nLAN+li] = covered
-				}
+			if err := sc.Net.SnapshotIntoStats(g, at, st); err != nil {
+				return err
 			}
-			for i := 0; i < nSats; i++ {
-				for j := i + 1; j < nSats; j++ {
-					pairs++
-					if _, ok := ev.EvaluatePair(satIdx[i], satIdx[j]); ok {
-						islNbr[i] = append(islNbr[i], j)
-						admitted++
-					}
-				}
-			}
-			if tel != nil {
-				st := netsim.SnapshotStats{Pairs: pairs, Admitted: admitted}
-				netsim.DrainStepStats(ev, &st)
-				ins.Observe(&st)
-				sc.recordStepEvent(label, lo+k, at, &st, nil)
-			}
-			ev.Close()
-
-			// Phase 2: answer each size from the cache.
+			sc.recordStepEvent(label, lo+k, at, st, nil)
 			for ri, n := range sizes {
-				accumulate(&res[ri], at, step, bridgedPrefix(uf, coversLAN, islNbr, nLAN, n))
+				accumulate(&res[ri], at, step, sc.bridgedInto(&uf, g, nGround+n))
 			}
 		}
 		partials[ci] = res
@@ -190,40 +143,6 @@ func CoverageSweep(p Params, sizes []int, duration time.Duration, workers int) (
 	return points, nil
 }
 
-// bridgedPrefix checks whether the first n satellites bridge all LANs,
-// reusing a preallocated union-find (elements 0..nLAN-1 are LANs,
-// nLAN+i is satellite i).
-func bridgedPrefix(uf *unionFind, coversLAN []bool, islNbr [][]int, nLAN, n int) bool {
-	uf.reset(nLAN + n)
-	for si := 0; si < n; si++ {
-		for li := 0; li < nLAN; li++ {
-			if coversLAN[si*nLAN+li] {
-				uf.union(li, nLAN+si)
-			}
-		}
-		for _, j := range islNbr[si] {
-			if j < n {
-				uf.union(nLAN+si, nLAN+j)
-			}
-		}
-	}
-	root := uf.find(0)
-	for li := 1; li < nLAN; li++ {
-		if uf.find(li) != root {
-			return false
-		}
-	}
-	return true
-}
-
-// reset reinitializes the first n elements of the union-find.
-func (uf *unionFind) reset(n int) {
-	for i := 0; i < n; i++ {
-		uf.parent[i] = i
-		uf.size[i] = 1
-	}
-}
-
 // ServePoint is one mark of the paper's Fig. 7 / Fig. 8 sweeps.
 type ServePoint struct {
 	Satellites int
@@ -242,7 +161,7 @@ func ServeSweep(p Params, sizes []int, cfg ServeConfig, workers int) ([]ServePoi
 	if len(sizes) == 0 {
 		return nil, nil
 	}
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
@@ -252,7 +171,7 @@ func ServeSweep(p Params, sizes []int, cfg ServeConfig, workers int) ([]ServePoi
 			maxN = n
 		}
 	}
-	cache, err := NewEphemerisCache(maxN, p, cfg.sampleTimes(p))
+	cache, err := NewEphemerisCache(maxN, p, cfg.SampleTimes(p))
 	if err != nil {
 		return nil, err
 	}

@@ -2,45 +2,69 @@ package qntn
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
+
+	"qntn/internal/fault"
+	"qntn/internal/telemetry"
 )
 
 func TestCoverageSweepMatchesPerSizeCoverage(t *testing.T) {
-	// The prefix-cached sweep must agree exactly with running the generic
-	// Coverage per constellation size.
-	p := DefaultParams()
-	sizes := []int{6, 36, 108}
-	const window = 90 * time.Minute
-	points, err := CoverageSweep(p, sizes, window, 0)
-	if err != nil {
-		t.Fatal(err)
+	// The prefix sweep must agree exactly with running the generic
+	// Coverage per constellation size, and an instrumented sweep must take
+	// one shared snapshot per instant, not one per size.
+	cases := []struct {
+		name   string
+		fault  fault.Config
+		sizes  []int
+		window time.Duration
+	}{
+		{"fault-free", fault.Config{}, []int{6, 36, 108}, 90 * time.Minute},
+		// A down ground host splits its LAN, which leaves the region
+		// uncovered even while the LAN's other hosts reach a relay.
+		{"ground-downtime", fault.Config{GroundMTBF: 24 * time.Hour, GroundMTTR: 30 * time.Minute, Seed: 1}, []int{24, 108}, 3 * time.Hour},
 	}
-	if len(points) != len(sizes) {
-		t.Fatalf("%d points", len(points))
-	}
-	for i, n := range sizes {
-		sc, err := NewSpaceGround(n, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref, err := sc.Coverage(window)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := points[i].Result
-		if got.CoveredSteps != ref.CoveredSteps || got.Covered != ref.Covered {
-			t.Fatalf("n=%d: sweep %d steps (%v) vs reference %d steps (%v)",
-				n, got.CoveredSteps, got.Covered, ref.CoveredSteps, ref.Covered)
-		}
-		if len(got.Intervals) != len(ref.Intervals) {
-			t.Fatalf("n=%d: interval count %d vs %d", n, len(got.Intervals), len(ref.Intervals))
-		}
-		for k := range got.Intervals {
-			if got.Intervals[k] != ref.Intervals[k] {
-				t.Fatalf("n=%d interval %d: %+v vs %+v", n, k, got.Intervals[k], ref.Intervals[k])
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := DefaultParams()
+			p.Fault = tc.fault
+			points, err := CoverageSweep(p, tc.sizes, tc.window, 0)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			if len(points) != len(tc.sizes) {
+				t.Fatalf("%d points", len(points))
+			}
+			for i, n := range tc.sizes {
+				sc, err := NewSpaceGround(n, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, err := sc.Coverage(tc.window)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := points[i]; got.Satellites != n || !reflect.DeepEqual(got.Result, *ref) {
+					t.Fatalf("n=%d: sweep %+v\nreference %+v", n, got, *ref)
+				}
+			}
+
+			col := telemetry.NewCollector()
+			pi := p
+			pi.Telemetry = col
+			instrumented, err := CoverageSweep(pi, tc.sizes, tc.window, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(instrumented, points) {
+				t.Fatal("instrumented sweep diverged")
+			}
+			instants := coverageGrid(p.TopologyStep(), tc.window).steps
+			if got := col.Registry.Counter("snapshot_steps_total").Value(); got != uint64(instants) {
+				t.Fatalf("instrumented sweep took %d snapshots over %d instants", got, instants)
+			}
+		})
 	}
 }
 
@@ -67,6 +91,9 @@ func TestCoverageSweepRejectsBadInput(t *testing.T) {
 	}
 	if _, err := CoverageSweep(DefaultParams(), []int{7}, time.Hour, 0); err == nil {
 		t.Fatal("invalid size accepted")
+	}
+	if _, err := CoverageSweep(DefaultParams(), []int{-6, 6}, time.Hour, 0); err == nil {
+		t.Fatal("negative size accepted")
 	}
 }
 
