@@ -3,10 +3,9 @@ package geo
 import "math"
 
 // LookAngle describes the geometry of a line-of-sight from an observer to a
-// target: azimuth (clockwise from north), elevation above the local horizon,
-// and the straight-line slant range.
+// target: elevation above the local horizon and the straight-line slant
+// range.
 type LookAngle struct {
-	AzimuthRad   float64
 	ElevationRad float64
 	SlantRangeM  float64
 }
@@ -24,32 +23,28 @@ func ENU(p LLA) (east, north, up Vec3) {
 }
 
 // Frame is the precomputed observation frame of a fixed observer: its ECEF
-// position and local ENU basis. Callers that evaluate many look angles from
-// the same observer (one ground station against a whole constellation, or
-// one satellite position against every peer at a topology instant) build
-// the frame once and amortize the trigonometry that Look would otherwise
-// redo per target. Frame.Look performs exactly the floating-point
-// operations of the package-level Look, in the same order, so results are
-// bit-identical.
+// position and local up vector, all a look angle reads of the ENU basis.
+// Callers that evaluate many look angles from the same observer (one ground
+// station against a whole constellation, or one satellite position against
+// every peer at a topology instant) build the frame once and amortize the
+// trigonometry that Look would otherwise redo per target. Frame.Look
+// performs exactly the floating-point operations of the package-level Look,
+// in the same order, so results are bit-identical.
 type Frame struct {
-	ECEF  Vec3
-	East  Vec3
-	North Vec3
-	Up    Vec3
+	ECEF Vec3
+	Up   Vec3
 }
 
 // NewFrame precomputes the observation frame at geodetic position obs.
 func NewFrame(obs LLA) Frame {
-	east, north, up := ENU(obs)
-	return Frame{ECEF: obs.ECEF(), East: east, North: north, Up: up}
+	_, _, up := ENU(obs)
+	return Frame{ECEF: obs.ECEF(), Up: up}
 }
 
 // Look computes the look angle from the frame's observer to a target at
 // ECEF position target.
 func (f Frame) Look(target Vec3) LookAngle {
 	d := target.Sub(f.ECEF)
-	e := d.Dot(f.East)
-	n := d.Dot(f.North)
 	u := d.Dot(f.Up)
 	rng := d.Norm()
 	la := LookAngle{SlantRangeM: rng}
@@ -57,10 +52,6 @@ func (f Frame) Look(target Vec3) LookAngle {
 		return la
 	}
 	la.ElevationRad = math.Asin(clamp(u/rng, -1, 1))
-	la.AzimuthRad = math.Atan2(e, n)
-	if la.AzimuthRad < 0 {
-		la.AzimuthRad += 2 * math.Pi
-	}
 	return la
 }
 

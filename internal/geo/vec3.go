@@ -1,8 +1,7 @@
 // Package geo provides the geodetic substrate for the QNTN simulator:
 // Earth-fixed coordinates, latitude/longitude/altitude conversions, local
-// tangent (ENU) frames, and look-angle computations (azimuth, elevation,
-// slant range) between ground stations, high-altitude platforms, and
-// satellites.
+// tangent (ENU) frames, and look-angle computations (elevation, slant
+// range) between ground stations, high-altitude platforms, and satellites.
 //
 // The package uses a spherical Earth of radius EarthRadiusM, consistent with
 // the paper's orbital configuration (semi-major axis 6871 km for a 500 km

@@ -142,11 +142,21 @@ func PaperConstellation(n int) ([]Elements, error) {
 	return PaperConstellationWith(n, PaperAltitudeM, PaperInclinationDeg)
 }
 
+// CheckPaperSize is the one rule for a paper constellation size: a
+// positive multiple of 6 no larger than 108, the sizes of the paper's
+// sweep. Every entry point that takes a Table II size applies it.
+func CheckPaperSize(n int) error {
+	if n <= 0 || n > MaxPaperSatellites || n%6 != 0 {
+		return fmt.Errorf("orbit: paper constellation size must be a multiple of 6 in [6,108], got %d", n)
+	}
+	return nil
+}
+
 // PaperConstellationWith returns the first n Table II slots at a custom
 // altitude and inclination.
 func PaperConstellationWith(n int, altitudeM, inclinationDeg float64) ([]Elements, error) {
-	if n <= 0 || n > MaxPaperSatellites || n%6 != 0 {
-		return nil, fmt.Errorf("orbit: paper constellation size must be a multiple of 6 in [6,108], got %d", n)
+	if err := CheckPaperSize(n); err != nil {
+		return nil, err
 	}
 	return TableIIWith(altitudeM, inclinationDeg)[:n], nil
 }

@@ -232,18 +232,10 @@ var daemonMix = []struct {
 	{"hybrid", 12, "10m", 3},
 }
 
-// BenchmarkServeDaemonMix measures the daemon's query path without HTTP
-// over the daemon-traffic mix (30 requests/h/site, diurnal amplitude 0.3
-// peaking at 14 h, one worker): each query is resolved by Daemon.prepare,
-// so space-ground sizes assemble from the daemon's shared ephemeris caches,
-// then runs an instrumented RunTraffic and encodes its NDJSON, as
-// handleTraffic does. One pass over the 48 queries before the timer warms
-// the caches and pools; an iteration is one pass, reported as ms/query.
-func BenchmarkServeDaemonMix(b *testing.B) {
-	d, err := NewDaemon(DefaultParams(), testClock())
-	if err != nil {
-		b.Fatal(err)
-	}
+// daemonMixQueries expands daemonMix into the 48 queries of one pass:
+// 30 requests/h/site, diurnal amplitude 0.3 peaking at 14 h, one worker,
+// seeds numbered from 1.
+func daemonMixQueries() []TrafficQuery {
 	var queries []TrafficQuery
 	for _, k := range daemonMix {
 		for range k.share {
@@ -259,6 +251,64 @@ func BenchmarkServeDaemonMix(b *testing.B) {
 			})
 		}
 	}
+	return queries
+}
+
+// BenchmarkServeDaemonStreams measures the traffic generation alone of the
+// daemon-traffic mix: every site's seeded arrival stream and their merge,
+// as RunTraffic draws them before admission. Scenarios, configurations and
+// sites are resolved before the timer; one pass over the 48 queries warms
+// the generator pool; an iteration is one pass, reported as ms/query.
+func BenchmarkServeDaemonStreams(b *testing.B) {
+	d, err := NewDaemon(DefaultParams(), testClock())
+	if err != nil {
+		b.Fatal(err)
+	}
+	type job struct {
+		sites []trafficSite
+		cfg   TrafficConfig
+	}
+	var jobs []job
+	for _, q := range daemonMixQueries() {
+		sc, cfg, err := d.prepare(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sites, err := sc.trafficSites()
+		if err != nil {
+			b.Fatal(err)
+		}
+		jobs = append(jobs, job{sites, cfg.withDefaults()})
+	}
+	pass := func() {
+		for _, j := range jobs {
+			if _, err := generateTraffic(j.sites, j.cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	pass()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass()
+	}
+	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N*len(jobs)), "ms/query")
+}
+
+// BenchmarkServeDaemonMix measures the daemon's query path without HTTP
+// over the daemon-traffic mix (30 requests/h/site, diurnal amplitude 0.3
+// peaking at 14 h, one worker): each query is resolved by Daemon.prepare,
+// so space-ground sizes assemble from the daemon's shared ephemeris caches,
+// then runs an instrumented RunTraffic and encodes its NDJSON, as
+// handleTraffic does. One pass over the 48 queries before the timer warms
+// the caches and pools; an iteration is one pass, reported as ms/query.
+func BenchmarkServeDaemonMix(b *testing.B) {
+	d, err := NewDaemon(DefaultParams(), testClock())
+	if err != nil {
+		b.Fatal(err)
+	}
+	queries := daemonMixQueries()
 	pass := func() {
 		for _, q := range queries {
 			sc, cfg, err := d.prepare(q)

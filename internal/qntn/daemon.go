@@ -205,8 +205,10 @@ func (d *Daemon) prepare(q TrafficQuery) (*Scenario, TrafficConfig, error) {
 	}
 	switch q.Arch {
 	case "", "space-ground":
-		if q.Satellites < 1 || q.Satellites > orbit.MaxPaperSatellites {
-			return nil, cfg, fmt.Errorf("qntn: space-ground size %d outside [1, %d]", q.Satellites, orbit.MaxPaperSatellites)
+		// Checked before the catalog is propagated; cache.Scenario applies
+		// the same rule.
+		if err := orbit.CheckPaperSize(q.Satellites); err != nil {
+			return nil, cfg, err
 		}
 		cache, err := d.ephemeris(cfg.Horizon)
 		if err != nil {

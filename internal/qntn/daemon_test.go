@@ -319,6 +319,9 @@ func TestDaemonRejectsBadQueries(t *testing.T) {
 		{`{"arch":"air-ground","rate_per_hour_per_site":0}`, http.StatusBadRequest},
 		{`{"arch":"space-ground","satellites":0,"rate_per_hour_per_site":10}`, http.StatusBadRequest},
 		{`{"arch":"space-ground","satellites":109,"rate_per_hour_per_site":10}`, http.StatusBadRequest},
+		// space-ground sizes follow the same rule, checked before the
+		// catalog is propagated.
+		{`{"arch":"space-ground","satellites":7,"rate_per_hour_per_site":10}`, http.StatusBadRequest},
 		{`{"arch":"air-ground","rate_per_hour_per_site":10,"diurnal_amplitude":1.5}`, http.StatusBadRequest},
 		{`{"arch":"space-ground","satellites":108,"rate_per_hour_per_site":10,"horizon":"8760h"}`, http.StatusBadRequest},
 		{`{"arch":"space-ground","satellites":6,"rate_per_hour_per_site":10,"horizon":"24h0m0.000000001s"}`, http.StatusBadRequest},

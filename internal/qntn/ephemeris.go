@@ -105,12 +105,17 @@ func NewEphemerisCache(nSats int, p Params, times []time.Duration) (*EphemerisCa
 func (c *EphemerisCache) MaxSatellites() int { return len(c.sats) }
 
 // Scenario assembles the space-ground scenario over the first n cached
-// satellites. Parameters were validated when the cache was built, and the
-// satellite nodes are shared (immutable) rather than re-propagated, so this
-// is cheap enough to call once per sweep point.
+// satellites: n must be a paper constellation size (orbit.CheckPaperSize),
+// as for NewSpaceGround, and at most the cached catalog's. Parameters were
+// validated when the cache was built, and the satellite nodes are shared
+// (immutable) rather than re-propagated, so this is cheap enough to call
+// once per sweep point.
 func (c *EphemerisCache) Scenario(n int) (*Scenario, error) {
-	if n < 1 || n > len(c.sats) {
-		return nil, fmt.Errorf("qntn: cached scenario size %d outside [1, %d]", n, len(c.sats))
+	if err := orbit.CheckPaperSize(n); err != nil {
+		return nil, err
+	}
+	if n > len(c.sats) {
+		return nil, fmt.Errorf("qntn: cached scenario size %d over the cached catalog's %d", n, len(c.sats))
 	}
 	return assembleTrusted(SpaceGround, c.params, GroundNetworks(), c.sats[:n])
 }

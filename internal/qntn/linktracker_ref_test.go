@@ -122,3 +122,73 @@ func TestLinkTrackerMatchesNeighborsReference108(t *testing.T) {
 		})
 	}
 }
+
+// CompareLinkTransitions runs DetailedCoverage over duration on the
+// backend sc.Params selects and returns its LinkTransitions, together with
+// the transitions netsim.LinkTracker — the ID-keyed map diff the stepped
+// backend counted with before it diffed edge keys — reports over the
+// stepped snapshots of the same grid, excluding the initial topology.
+func CompareLinkTransitions(sc *Scenario, duration time.Duration) (got, want int, err error) {
+	detail, err := sc.DetailedCoverage(duration)
+	if err != nil {
+		return 0, 0, err
+	}
+	grid := coverageGrid(sc.Params.TopologyStep(), duration)
+	lt := netsim.NewLinkTracker()
+	g := routing.NewGraph()
+	for k := 0; k < grid.steps; k++ {
+		at := grid.at(k)
+		if err := sc.GraphInto(g, at); err != nil {
+			return 0, 0, err
+		}
+		if changes := lt.Observe(at, g); k > 0 {
+			want += len(changes)
+		}
+	}
+	return detail.LinkTransitions, want, nil
+}
+
+// TestSteppedTransitionsAllocFree: once the stepper's graph and key
+// buffers have seen a run's instants, a tracked stepped step — snapshot,
+// edge keys and their diff — allocates nothing, so extra steps of the
+// stepped DetailedCoverage add no allocations. Revisiting earlier instants
+// out of order changes the topology between steps, so the diff does work.
+func TestSteppedTransitionsAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector bookkeeping allocates; AllocsPerRun is meaningless")
+	}
+	sc, err := NewSpaceGround(108, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := coverageGrid(sc.Params.TopologyStep(), time.Hour)
+	ts, err := sc.newTopoStepper(grid, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ts.close()
+	if ts.eng != nil {
+		t.Fatal("default params picked the event backend")
+	}
+	for k := 0; k < grid.steps; k++ {
+		if err := ts.step(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := ts.transitions
+	if before == 0 {
+		t.Fatal("degenerate run: no link transitions in the hour")
+	}
+	k := 0
+	if allocs := testing.AllocsPerRun(50, func() {
+		k = (k + 7) % grid.steps
+		if err := ts.step(1 + k%(grid.steps-1)); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a tracked stepped step allocates %.1f times, want 0", allocs)
+	}
+	if ts.transitions == before {
+		t.Fatal("revisited instants counted no transitions")
+	}
+}

@@ -57,6 +57,43 @@ func TestEventDrivenMatchesSteppedOracle(t *testing.T) {
 	}
 }
 
+// TestLinkTransitionsMatchLinkTracker pins DetailedCoverage's link
+// transition count, on both backends, to netsim.LinkTracker observing the
+// stepped snapshot at every step: every archetype, faults off and on.
+func TestLinkTransitionsMatchLinkTracker(t *testing.T) {
+	for _, arch := range oracletest.Archetypes() {
+		for _, faults := range []bool{false, true} {
+			for _, event := range []bool{false, true} {
+				name, p := arch.Name, arch.Params()
+				if faults {
+					name += "-faults"
+					p.Fault = oracletest.FaultConfig(11)
+				}
+				if event {
+					name += "-event"
+				}
+				p.EventDriven = event
+				t.Run(name, func(t *testing.T) {
+					sc, err := arch.Build(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, want, err := qntn.CompareLinkTransitions(sc, arch.Duration)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got != want {
+						t.Fatalf("DetailedCoverage counted %d link transitions, LinkTracker %d", got, want)
+					}
+					if want == 0 {
+						t.Fatalf("degenerate archetype: no link transitions over %v", arch.Duration)
+					}
+				})
+			}
+		}
+	}
+}
+
 // islChainArchetype returns the catalog's ISL-chain archetype.
 func islChainArchetype(t *testing.T) oracletest.Archetype {
 	t.Helper()

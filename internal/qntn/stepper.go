@@ -15,7 +15,8 @@ import (
 //
 //   - stepped (the semantic oracle): the pooled GraphInto/SnapshotIntoStats
 //     rebuild of the whole graph at every instant, a union-find bridged
-//     check, and a LinkTracker when link transitions are counted;
+//     check, and a diff of consecutive snapshots' edge keys when link
+//     transitions are counted;
 //   - event-driven (Params.EventDriven): the eventEngine's incremental
 //     replay of precomputed visibility windows (eventloop.go).
 //
@@ -37,18 +38,21 @@ type topoStepper struct {
 	uf unionFind
 
 	// Stepped backend state. stats receives each step's snapshot stats when
-	// the scenario is instrumented (nil otherwise); tracker is nil unless
-	// transitions count.
-	stats       *netsim.SnapshotStats
-	tracker     *netsim.LinkTracker
-	transitions int
+	// the scenario is instrumented (nil otherwise). When trackLinks is set,
+	// prevKeys holds the previous step's edge keys (routing's
+	// AppendEdgeKeys, ascending) and keys is the reused buffer for the
+	// current step's.
+	stats          *netsim.SnapshotStats
+	trackLinks     bool
+	prevKeys, keys []uint64
+	transitions    int
 }
 
 // newTopoStepper picks the backend for a run over grid. trackLinks asks the
 // stepped backend to count link transitions (the event engine always does).
 // The caller must close the stepper.
 func (sc *Scenario) newTopoStepper(grid sampleGrid, trackLinks bool) (*topoStepper, error) {
-	ts := &topoStepper{sc: sc, grid: grid}
+	ts := &topoStepper{sc: sc, grid: grid, trackLinks: trackLinks}
 	if sc.Params.EventDriven && sc.tel == nil {
 		eng, err := sc.newEventEngine(grid)
 		if err != nil {
@@ -61,14 +65,13 @@ func (sc *Scenario) newTopoStepper(grid sampleGrid, trackLinks bool) (*topoStepp
 	if sc.tel != nil {
 		ts.stats = new(netsim.SnapshotStats)
 	}
-	if trackLinks {
-		ts.tracker = netsim.NewLinkTracker()
-	}
 	return ts, nil
 }
 
 // step advances the topology to grid step k; steps must be visited in
 // order from 0.
+//
+//qntn:hotpath once per topology step
 func (ts *topoStepper) step(k int) error {
 	if ts.eng != nil {
 		return ts.eng.runStep(k)
@@ -77,13 +80,39 @@ func (ts *topoStepper) step(k int) error {
 	if err := ts.sc.Net.SnapshotIntoStats(ts.g, at, ts.stats); err != nil {
 		return err
 	}
-	if ts.tracker != nil {
-		// The first topology is an observation, not a transition.
-		if changes := ts.tracker.Observe(at, ts.g); k > 0 {
-			ts.transitions += len(changes)
+	if ts.trackLinks {
+		// The node set, and so every node's dense index, is fixed over a
+		// run, so a link is the same key at every step. The first topology
+		// is an observation, not a transition.
+		ts.keys = ts.g.AppendEdgeKeys(ts.keys[:0])
+		if k > 0 {
+			ts.transitions += keysChanged(ts.prevKeys, ts.keys)
 		}
+		ts.prevKeys, ts.keys = ts.keys, ts.prevKeys
 	}
 	return nil
+}
+
+// keysChanged counts the keys in exactly one of two ascending key lists:
+// the links that appeared plus those that dropped.
+//
+//qntn:hotpath once per topology step whose transitions are counted
+func keysChanged(prev, cur []uint64) int {
+	changed, i, j := 0, 0, 0
+	for i < len(prev) && j < len(cur) {
+		switch {
+		case prev[i] == cur[j]:
+			i++
+			j++
+		case prev[i] < cur[j]:
+			changed++
+			i++
+		default:
+			changed++
+			j++
+		}
+	}
+	return changed + len(prev) - i + len(cur) - j
 }
 
 // bridgedStep advances to grid step k, like step, and reports whether all
@@ -101,9 +130,10 @@ func (ts *topoStepper) bridgedStep(k int) (bool, error) {
 }
 
 // linkTransitions returns the link appear/disappear count over the steps
-// run so far, excluding the initial topology. The event engine's own delta
-// accounting counts exactly the changes the stepped LinkTracker reports;
-// transmissivity-only changes count for neither.
+// run so far, excluding the initial topology: exactly the changes a
+// netsim.LinkTracker observing every step would report, on either backend
+// (the event engine counts them from its own deltas). Transmissivity-only
+// changes count for neither.
 func (ts *topoStepper) linkTransitions() int {
 	if ts.eng != nil {
 		return ts.eng.transitions

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"qntn/internal/netsim"
+	"qntn/internal/orbit"
 	"qntn/internal/routing"
 	"qntn/internal/runner"
 )
@@ -32,6 +33,22 @@ func PaperSweepSizes() []int {
 // parallelism.
 const coverageChunkSteps = 32
 
+// largestPaperSize checks every size of a sweep against the paper
+// constellation rule (orbit.CheckPaperSize) and returns the largest, the
+// catalog the sweep propagates: each size is answered as a prefix of it, so
+// a size the rule rejects alone must not pass because a larger one is
+// requested beside it.
+func largestPaperSize(sizes []int) (int, error) {
+	maxN := 0
+	for _, n := range sizes {
+		if err := orbit.CheckPaperSize(n); err != nil {
+			return 0, fmt.Errorf("qntn: sweep size: %w", err)
+		}
+		maxN = max(maxN, n)
+	}
+	return maxN, nil
+}
+
 // CoverageSweep computes the Fig. 6 curve — full-period coverage percentage
 // as a function of constellation size — for every requested prefix of the
 // Table II catalog, fanning the time axis out over a bounded worker pool
@@ -55,12 +72,9 @@ func CoverageSweep(p Params, sizes []int, duration time.Duration, workers int) (
 	if duration <= 0 {
 		return nil, fmt.Errorf("qntn: non-positive duration %v", duration)
 	}
-	maxN := 0
-	for _, n := range sizes {
-		if n < 1 {
-			return nil, fmt.Errorf("qntn: sweep size %d below 1", n)
-		}
-		maxN = max(maxN, n)
+	maxN, err := largestPaperSize(sizes)
+	if err != nil {
+		return nil, err
 	}
 	step := p.TopologyStep()
 	grid := coverageGrid(step, duration)
@@ -165,11 +179,9 @@ func ServeSweep(p Params, sizes []int, cfg ServeConfig, workers int) ([]ServePoi
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	maxN := 0
-	for _, n := range sizes {
-		if n > maxN {
-			maxN = n
-		}
+	maxN, err := largestPaperSize(sizes)
+	if err != nil {
+		return nil, err
 	}
 	cache, err := NewEphemerisCache(maxN, p, cfg.SampleTimes(p))
 	if err != nil {

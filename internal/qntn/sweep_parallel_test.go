@@ -154,7 +154,8 @@ func TestCachedSatellitePositions(t *testing.T) {
 }
 
 // TestEphemerisCacheScenarioBounds rejects sizes outside the cached
-// catalog.
+// catalog and sizes the paper constellation rule rejects, as
+// NewSpaceGround does.
 func TestEphemerisCacheScenarioBounds(t *testing.T) {
 	cache, err := NewEphemerisCache(12, DefaultParams(), []time.Duration{0})
 	if err != nil {
@@ -163,7 +164,7 @@ func TestEphemerisCacheScenarioBounds(t *testing.T) {
 	if got := cache.MaxSatellites(); got != 12 {
 		t.Fatalf("MaxSatellites = %d, want 12", got)
 	}
-	for _, n := range []int{0, -1, 13} {
+	for _, n := range []int{0, -1, 13, 18, 7, 1, 11} {
 		if _, err := cache.Scenario(n); err == nil {
 			t.Errorf("Scenario(%d) accepted out-of-range size", n)
 		}

@@ -95,6 +95,14 @@ func TestCoverageSweepRejectsBadInput(t *testing.T) {
 	if _, err := CoverageSweep(DefaultParams(), []int{-6, 6}, time.Hour, 0); err == nil {
 		t.Fatal("negative size accepted")
 	}
+	// A size the rule rejects alone stays rejected beside a larger valid
+	// one, which the sweep propagates and answers the rest as prefixes of.
+	if _, err := CoverageSweep(DefaultParams(), []int{7, 108}, time.Hour, 0); err == nil {
+		t.Fatal("size 7 accepted beside 108")
+	}
+	if _, err := ServeSweep(DefaultParams(), []int{7, 108}, ServeConfig{}, 0); err == nil {
+		t.Fatal("serve sweep accepted size 7 beside 108")
+	}
 }
 
 func TestPaperSweepSizes(t *testing.T) {

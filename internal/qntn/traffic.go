@@ -1,11 +1,12 @@
 package qntn
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -118,8 +119,8 @@ func (sc *Scenario) trafficSites() ([]trafficSite, error) {
 	return sites, nil
 }
 
-// siteRNGs pools the per-site generators: a rand source carries about 5 KB
-// of state, and every traffic run samples one stream per site.
+// siteRNGs pools the per-site generators: a source carries about 7 KB of
+// state, and every traffic run samples one stream per site.
 var siteRNGs sync.Pool
 
 // siteStream samples one ground site's arrival stream: a Poisson process
@@ -128,16 +129,19 @@ var siteRNGs sync.Pool
 // accepted arrival. The RNG is seeded from
 // runner.TaskSeed(cfg.Seed, runner.FNV64a(site.id)), so each stream is a
 // pure function of (config, site ID): adding or removing other sites, or
-// changing the worker count, never perturbs it. A pooled generator is
-// re-seeded with (*rand.Rand).Seed, which leaves it in exactly the state
-// rand.New(rand.NewSource(seed)) starts in.
+// changing the worker count, never perturbs it. The generator draws the
+// stream of rand.New(rand.NewSource(seed)), but over a runner.LazySource,
+// which seeds only the register words the stream reads: a site draws a few
+// dozen values, and math/rand's Seed would fill all 607 words first. A
+// pooled generator is re-seeded with (*rand.Rand).Seed, which leaves it in
+// exactly that starting state.
 func siteStream(site trafficSite, index int, cfg TrafficConfig) []trafficArrival {
 	seed := runner.TaskSeed(cfg.Seed, runner.FNV64a(site.id))
 	rng, ok := siteRNGs.Get().(*rand.Rand)
 	if ok {
 		rng.Seed(seed)
 	} else {
-		rng = rand.New(rand.NewSource(seed))
+		rng = rand.New(runner.NewLazySource(seed))
 	}
 	out := sampleSiteStream(rng, site, index, cfg)
 	siteRNGs.Put(rng)
@@ -165,36 +169,43 @@ func sampleSiteStream(rng *rand.Rand, site trafficSite, index int, cfg TrafficCo
 }
 
 // generateTraffic samples every site's stream (fanned out over the worker
-// pool) and merges them into one deterministic arrival order: time-sorted,
-// ties broken by canonical site index, per-site order preserved. Request
-// IDs number the merged stream sequentially from 1.
-func (sc *Scenario) generateTraffic(cfg TrafficConfig) ([]trafficArrival, error) {
-	sites, err := sc.trafficSites()
-	if err != nil {
-		return nil, err
-	}
+// pool) and merges them with mergeArrivals.
+func generateTraffic(sites []trafficSite, cfg TrafficConfig) ([]trafficArrival, error) {
 	perSite := make([][]trafficArrival, len(sites))
-	err = runner.Map(context.Background(), len(sites), cfg.Workers, func(_ context.Context, i int) error {
+	err := runner.Map(context.Background(), len(sites), cfg.Workers, func(_ context.Context, i int) error {
 		perSite[i] = siteStream(sites[i], i, cfg)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	var merged []trafficArrival
+	return mergeArrivals(perSite), nil
+}
+
+// mergeArrivals merges per-site streams, given in site order, into one
+// deterministic arrival order: time-sorted, ties broken by canonical site
+// index, per-site order preserved (the sort is stable, and a site's
+// same-instant arrivals keep their draw order). Request IDs number the
+// merged stream sequentially from 1.
+func mergeArrivals(perSite [][]trafficArrival) []trafficArrival {
+	n := 0
+	for _, s := range perSite {
+		n += len(s)
+	}
+	merged := make([]trafficArrival, 0, n)
 	for _, s := range perSite {
 		merged = append(merged, s...)
 	}
-	sort.SliceStable(merged, func(i, j int) bool {
-		if merged[i].at != merged[j].at {
-			return merged[i].at < merged[j].at
+	slices.SortStableFunc(merged, func(a, b trafficArrival) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
 		}
-		return merged[i].site < merged[j].site
+		return cmp.Compare(a.site, b.site)
 	})
 	for i := range merged {
 		merged[i].req.ID = i + 1
 	}
-	return merged, nil
+	return merged
 }
 
 // TrafficResult summarizes one traffic-engine run.
@@ -253,11 +264,11 @@ func (sc *Scenario) RunTraffic(cfg TrafficConfig) (*TrafficResult, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	arrivals, err := sc.generateTraffic(cfg)
+	sites, err := sc.trafficSites()
 	if err != nil {
 		return nil, err
 	}
-	sites, err := sc.trafficSites()
+	arrivals, err := generateTraffic(sites, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -2,11 +2,15 @@ package qntn
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
+	"qntn/internal/netsim"
 	"qntn/internal/runner"
 	"qntn/internal/telemetry"
 )
@@ -82,6 +86,77 @@ func TestTrafficDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// sampleTraffic generates the scenario's merged arrival stream, as
+// RunTraffic does before admission.
+func sampleTraffic(sc *Scenario, cfg TrafficConfig) ([]trafficArrival, error) {
+	sites, err := sc.trafficSites()
+	if err != nil {
+		return nil, err
+	}
+	return generateTraffic(sites, cfg)
+}
+
+// mergeArrivalsReference is the retired merge, kept verbatim as the
+// reference for mergeArrivals: concatenate, then the reflection-based
+// stable sort on (time, site).
+func mergeArrivalsReference(perSite [][]trafficArrival) []trafficArrival {
+	var merged []trafficArrival
+	for _, s := range perSite {
+		merged = append(merged, s...)
+	}
+	sort.SliceStable(merged, func(i, j int) bool {
+		if merged[i].at != merged[j].at {
+			return merged[i].at < merged[j].at
+		}
+		return merged[i].site < merged[j].site
+	})
+	for i := range merged {
+		merged[i].req.ID = i + 1
+	}
+	return merged
+}
+
+// TestMergeArrivalsMatchesReference pins mergeArrivals to the retired sort
+// on tie-heavy inputs: a handful of instants shared across sites, runs of
+// same-instant arrivals from one site (told apart by their destinations,
+// so a reordering within a site shows), and empty sites.
+func TestMergeArrivalsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	sameSite := 0
+	for trial := 0; trial < 200; trial++ {
+		perSite := make([][]trafficArrival, 1+rng.Intn(8))
+		for site := range perSite {
+			var at time.Duration
+			for k := rng.Intn(12); k > 0; k-- {
+				if rng.Intn(3) == 0 {
+					at += time.Duration(rng.Intn(3)) * time.Second
+				} else {
+					sameSite++
+				}
+				perSite[site] = append(perSite[site], trafficArrival{
+					at:   at,
+					site: site,
+					req:  netsim.Request{Src: fmt.Sprint("s", site), Dst: fmt.Sprint("d", rng.Intn(1000))},
+				})
+			}
+		}
+		clone := func() [][]trafficArrival {
+			c := make([][]trafficArrival, len(perSite))
+			for i, s := range perSite {
+				c[i] = slices.Clone(s)
+			}
+			return c
+		}
+		got, want := mergeArrivals(clone()), mergeArrivalsReference(clone())
+		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+			t.Fatalf("trial %d: merged order differs from the reference:\n got %v\nwant %v", trial, got, want)
+		}
+	}
+	if sameSite == 0 {
+		t.Fatal("no same-instant arrivals from one site")
+	}
+}
+
 // TestTrafficStreamsIndependentOfConstellation pins the purity contract:
 // per-site streams depend only on (config, ground sites), so two
 // scenarios differing solely in relay layer generate identical arrivals.
@@ -95,11 +170,11 @@ func TestTrafficStreamsIndependentOfConstellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := small.generateTraffic(cfg)
+	a, err := sampleTraffic(small, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := large.generateTraffic(cfg)
+	b, err := sampleTraffic(large, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +238,7 @@ func TestSiteStreamPooledMatchesFresh(t *testing.T) {
 	for k, workers := range []int{1, 4} {
 		c := cfg
 		c.Workers = workers
-		if merged[k], err = sc.generateTraffic(c); err != nil {
+		if merged[k], err = sampleTraffic(sc, c); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -194,7 +269,7 @@ func TestTrafficDiurnalShape(t *testing.T) {
 		Horizon:            24 * time.Hour,
 		Seed:               8,
 	}
-	arr, err := sc.generateTraffic(cfg.withDefaults())
+	arr, err := sampleTraffic(sc, cfg.withDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}

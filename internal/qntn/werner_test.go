@@ -72,7 +72,7 @@ func TestServedFidelityInWernerRange(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				arrivals, err := sc.generateTraffic(cfg)
+				arrivals, err := sampleTraffic(sc, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -291,6 +291,24 @@ func (g *Graph) EachEdge(fn func(i, j int, eta float64)) {
 	}
 }
 
+// AppendEdgeKeys appends one key per edge to dst and returns the extended
+// slice: i<<32 | j for the edge's dense endpoints i < j, in ascending key
+// order (EachEdge's order). Two snapshots of one node set then compare as
+// sorted key lists, with no ID strings, maps or callbacks involved.
+//
+//qntn:hotpath once per snapshot whose link transitions are counted
+func (g *Graph) AppendEdgeKeys(dst []uint64) []uint64 {
+	for i, row := range g.rows {
+		for _, e := range row {
+			if int(e.to) > i {
+				//qntn:coldpath amortized growth: callers reuse dst across snapshots
+				dst = append(dst, uint64(i)<<32|uint64(e.to))
+			}
+		}
+	}
+	return dst
+}
+
 // Neighbors returns the IDs adjacent to id, sorted for determinism, or nil
 // when id is unknown or isolated.
 func (g *Graph) Neighbors(id string) []string {

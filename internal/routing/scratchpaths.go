@@ -206,6 +206,14 @@ func (s *DijkstraScratch) run(a *Adjacency, src, dst int, blocked []bool, skipA,
 // across snapshots; after warm-up neither Load nor a query allocates,
 // except for the path a caller asks to be appended to a buffer too small.
 //
+// Before any tree starts, a request is checked against the snapshot's
+// connected components, labelled on the first query after a Load: with no
+// edge path between its endpoints there is no shortest path either (a
+// +Inf-cost edge still joins a component but is never relaxed, so the
+// label can only say "maybe"), so a cross-component request is answered
+// unreachable without starting or growing a tree. Snapshots nothing
+// queries are never labelled.
+//
 // It does not implement Algorithm 1: BellmanFord remains the paper's
 // specification, and the serve loop's differential suite pins every served
 // path DeepEqual to it (Algorithm 1 breaks exact cost ties by its own rule,
@@ -221,6 +229,11 @@ type SourceTrees struct {
 	live  int
 	// settled counts the nodes the current snapshot's trees have settled.
 	settled int
+	// comp[v] is v's connected-component label in the current snapshot,
+	// valid once labelled is set; queue is the labelling's BFS frontier.
+	comp     []int32
+	queue    []int32
+	labelled bool
 }
 
 // Load starts a new snapshot of g under the edge cost cost: every tree of
@@ -241,10 +254,56 @@ func (s *SourceTrees) Load(g *Graph, cost CostFunc) {
 	}
 	s.live = 0
 	s.settled = 0
+	s.labelled = false
+}
+
+// components returns the connected-component label of every node of the
+// current snapshot, labelling them on the first call since Load: one
+// breadth-first pass over the graph's rows, whatever their costs.
+//
+//qntn:hotpath once per request routed over the snapshot
+func (s *SourceTrees) components() []int32 {
+	if s.labelled {
+		return s.comp
+	}
+	rows := s.adj.g.rows
+	n := len(rows)
+	if cap(s.comp) < n {
+		//qntn:coldpath warm-up sizing
+		s.comp = make([]int32, n)
+		//qntn:coldpath warm-up sizing
+		s.queue = make([]int32, n)
+	}
+	comp, q := s.comp[:n], s.queue[:n]
+	for i := range comp {
+		comp[i] = -1
+	}
+	// Each node enters the queue once, when it is labelled, so n slots
+	// suffice for every component's search.
+	for root := range comp {
+		if comp[root] >= 0 {
+			continue
+		}
+		c := int32(root)
+		comp[root] = c
+		q[0] = c
+		for h, tail := 0, 1; h < tail; h++ {
+			for _, e := range rows[q[h]] {
+				if comp[e.to] < 0 {
+					comp[e.to] = c
+					q[tail] = e.to
+					tail++
+				}
+			}
+		}
+	}
+	s.comp = comp
+	s.labelled = true
+	return comp
 }
 
 // Trees reports how many trees the current snapshot has started: one per
-// distinct queried source since the last Load.
+// distinct source of a same-component query since the last Load.
 func (s *SourceTrees) Trees() int { return s.live }
 
 // Settled reports how many nodes the current snapshot's trees have settled
@@ -267,6 +326,9 @@ func (s *SourceTrees) AppendPath(buf []string, src, dst string) ([]string, bool,
 	di, ok := g.IndexOf(dst)
 	if !ok {
 		return buf, false, fmt.Errorf("routing: unknown destination %q", dst)
+	}
+	if comp := s.components(); comp[si] != comp[di] {
+		return buf, false, nil
 	}
 	t := s.tree(si)
 	if !t.done[di] {

@@ -23,24 +23,53 @@ func baselinePath(t *testing.T, res *SingleSourceResult, dst string) ([]string, 
 	return path, true
 }
 
+// edgeComponents labels g's connected components by edge reachability,
+// independently of the kernel: comp[i] == comp[j] exactly when some edge
+// path joins i and j, whatever the edges cost.
+func edgeComponents(g *Graph) []int {
+	comp := make([]int, g.NumNodes())
+	for i := range comp {
+		comp[i] = -1
+	}
+	var visit func(u, c int)
+	visit = func(u, c int) {
+		comp[u] = c
+		for _, e := range g.rows[u] {
+			if comp[e.to] < 0 {
+				visit(int(e.to), c)
+			}
+		}
+	}
+	for i := range comp {
+		if comp[i] < 0 {
+			visit(i, i)
+		}
+	}
+	return comp
+}
+
 // TestSourceTreesMatchesDijkstra pins the serving kernel against the
 // map-packed baseline on tie-heavy multi-component graphs under all three
 // production costs: every answer of a random query sequence — repeated
 // sources, destinations settled earlier, later or never — is the baseline's
 // path, and every node a paused tree has settled carries the baseline's
-// distance and predecessor bit for bit. Querying every destination then
-// completes each tree, which must match the baseline everywhere. Half the
-// queries append to a non-empty buffer, whose prefix must survive.
+// distance and predecessor bit for bit. A source has a tree exactly when it
+// was queried for a destination in its own component: a cross-component
+// query is answered without one. Querying every destination then completes
+// each tree, which must match the baseline everywhere. Half the queries
+// append to a non-empty buffer, whose prefix must survive.
 func TestSourceTreesMatchesDijkstra(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	var trees SourceTrees
-	checked, unreachable := 0, 0
+	checked, unreachable, crossed := 0, 0, 0
 	for trial := 0; trial < 40; trial++ {
 		n := 4 + rng.Intn(30)
 		g := NewGraph()
 		buildComponentTieGraph(t, rng, g, n, 1+rng.Intn(3), 0.15+0.3*rng.Float64())
+		comp := edgeComponents(g)
 		for _, arm := range costArms {
 			trees.Load(g, arm.cost)
+			started := make(map[int]bool)
 			want := make(map[int]*SingleSourceResult)
 			baseline := func(si int) *SingleSourceResult {
 				if res, ok := want[si]; ok {
@@ -70,15 +99,26 @@ func TestSourceTreesMatchesDijkstra(t *testing.T) {
 				if ok != wantOK || !reflect.DeepEqual(append([]string{}, got[len(prefix):]...), append([]string{}, wantPath...)) {
 					t.Fatalf("%s: %s->%s = %v (ok %v), baseline %v (ok %v)", label, src, dst, got[len(prefix):], ok, wantPath, wantOK)
 				}
+				checked++
+				if !ok {
+					unreachable++
+				}
+				if comp[si] != comp[di] {
+					crossed++
+				} else {
+					started[si] = true
+				}
+				if has := trees.slot[si] >= 0; has != started[si] {
+					t.Fatalf("%s: after %s->%s source %s has a tree: %v, want %v", label, src, dst, src, has, started[si])
+				}
+				if !started[si] {
+					return
+				}
 				tree := &trees.trees[trees.slot[si]]
 				for i, done := range tree.done {
 					if done {
 						requireScratchNode(t, g, tree, baseline(si), i, label+" settled")
 					}
-				}
-				checked++
-				if !ok {
-					unreachable++
 				}
 			}
 			label := fmt.Sprintf("trial %d cost %s", trial, arm.name)
@@ -96,18 +136,20 @@ func TestSourceTreesMatchesDijkstra(t *testing.T) {
 			}
 		}
 	}
-	if unreachable == 0 || unreachable == checked {
-		t.Fatalf("%d of %d queries unreachable; the generator must produce both", unreachable, checked)
+	if unreachable == 0 || unreachable == checked || crossed == 0 {
+		t.Fatalf("%d of %d queries unreachable, %d across components; the generator must produce each kind", unreachable, checked, crossed)
 	}
 }
 
-// TestSourceTreesCounters: Trees counts the distinct sources queried since
-// the last Load and Settled the nodes their trees settled, both restarting
-// at every Load.
+// TestSourceTreesCounters: Trees counts the distinct sources queried for a
+// destination in their own component since the last Load and Settled the
+// nodes their trees settled, both restarting at every Load; a
+// cross-component query starts no tree.
 func TestSourceTreesCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := NewGraph()
 	buildComponentTieGraph(t, rng, g, 20, 2, 0.3)
+	comp := edgeComponents(g)
 	var trees SourceTrees
 	for round := 0; round < 2; round++ {
 		trees.Load(g, InverseEtaCost(0))
@@ -115,12 +157,20 @@ func TestSourceTreesCounters(t *testing.T) {
 			t.Fatalf("round %d: %d trees, %d settled right after Load", round, trees.Trees(), trees.Settled())
 		}
 		srcs := map[int]bool{}
+		crossed := 0
 		for q := 0; q < 30; q++ {
-			si := rng.Intn(20)
-			srcs[si] = true
-			if _, _, err := trees.AppendPath(nil, nodeName(si), nodeName(rng.Intn(20))); err != nil {
+			si, di := rng.Intn(20), rng.Intn(20)
+			if comp[si] == comp[di] {
+				srcs[si] = true
+			} else {
+				crossed++
+			}
+			if _, _, err := trees.AppendPath(nil, nodeName(si), nodeName(di)); err != nil {
 				t.Fatal(err)
 			}
+		}
+		if crossed == 0 {
+			t.Fatalf("round %d: no cross-component query", round)
 		}
 		settled := 0
 		for si := range srcs {
@@ -172,6 +222,125 @@ func TestSourceTreesReuseAcrossLoads(t *testing.T) {
 				t.Fatalf("trial %d cost %s %s->%s: reused %v (ok %v), fresh %v (ok %v)", trial, arm.name, src, dst, got, ok, want, wantOK)
 			}
 		}
+	}
+}
+
+// TestSourceTreesRelabelAfterLoad: component labels belong to one
+// snapshot. One pooled graph is rebuilt in place so that its components
+// merge, split and grow between Loads, each snapshot queried in full; a
+// label kept across Load would answer a now-joined pair "unreachable" (or
+// skip the check for a grown node set), where the baseline finds a path.
+func TestSourceTreesRelabelAfterLoad(t *testing.T) {
+	g := NewGraph()
+	var trees SourceTrees
+	build := func(n int, edges [][2]int) {
+		g.Reset()
+		for i := 0; i < n; i++ {
+			g.AddNode(nodeName(i))
+		}
+		for _, e := range edges {
+			if err := g.AddEdge(nodeName(e[0]), nodeName(e[1]), 0.5); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	joined := 0
+	for step, snap := range []struct {
+		n     int
+		edges [][2]int
+	}{
+		{4, [][2]int{{0, 1}, {2, 3}}},         // two components
+		{4, [][2]int{{0, 1}, {2, 3}, {1, 2}}}, // merged
+		{4, [][2]int{{0, 1}}},                 // split again
+		{6, [][2]int{{0, 1}, {1, 4}, {4, 5}}}, // grown
+		{6, [][2]int{{0, 1}, {1, 4}, {3, 2}}}, // regrouped
+		{3, [][2]int{{0, 2}}},                 // shrunk
+		{6, [][2]int{{5, 0}, {4, 3}, {3, 0}}}, // grown again
+		{6, [][2]int{{5, 0}, {4, 3}, {3, 0}, {1, 2}, {2, 4}}},
+	} {
+		build(snap.n, snap.edges)
+		trees.Load(g, InverseEtaCost(0))
+		for si := 0; si < snap.n; si++ {
+			want, err := Dijkstra(g, nodeName(si), InverseEtaCost(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for di := 0; di < snap.n; di++ {
+				got, ok, err := trees.AppendPath(nil, nodeName(si), nodeName(di))
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantPath, wantOK := baselinePath(t, want, nodeName(di))
+				if ok != wantOK || !reflect.DeepEqual(got, wantPath) {
+					t.Fatalf("snapshot %d %s->%s = %v (ok %v), baseline %v (ok %v)", step, nodeName(si), nodeName(di), got, ok, wantPath, wantOK)
+				}
+				if ok && si != di {
+					joined++
+				}
+			}
+		}
+	}
+	if joined == 0 {
+		t.Fatal("no snapshot joined two nodes")
+	}
+}
+
+// TestSourceTreesInfiniteCostEdges: an η = 0 edge under 1/(η+ε) with ε = 0
+// costs +Inf. It joins a component, so the component check lets the query
+// through, but no search relaxes it: the answer must still be the
+// baseline's "unreachable" where only such edges connect, and the
+// baseline's path elsewhere.
+func TestSourceTreesInfiniteCostEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	cost := CostFunc(func(eta float64) float64 { return CostFromEta(eta, 0) })
+	if !math.IsInf(cost(0), 1) {
+		t.Fatalf("cost(0) = %v, want +Inf", cost(0))
+	}
+	var trees SourceTrees
+	blocked, reached := 0, 0
+	for trial := 0; trial < 30; trial++ {
+		n := 4 + rng.Intn(20)
+		g := NewGraph()
+		for i := 0; i < n; i++ {
+			g.AddNode(nodeName(i))
+		}
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if rng.Float64() < 0.2 {
+					eta := []float64{0, 0, 0.5, 1}[rng.Intn(4)]
+					if err := g.AddEdge(nodeName(i), nodeName(j), eta); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		comp := edgeComponents(g)
+		trees.Load(g, cost)
+		for si := 0; si < n; si++ {
+			want, err := Dijkstra(g, nodeName(si), cost)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for di := 0; di < n; di++ {
+				got, ok, err := trees.AppendPath(nil, nodeName(si), nodeName(di))
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantPath, wantOK := baselinePath(t, want, nodeName(di))
+				if ok != wantOK || !reflect.DeepEqual(got, wantPath) {
+					t.Fatalf("trial %d %s->%s = %v (ok %v), baseline %v (ok %v)", trial, nodeName(si), nodeName(di), got, ok, wantPath, wantOK)
+				}
+				switch {
+				case !ok && comp[si] == comp[di]:
+					blocked++
+				case ok && si != di:
+					reached++
+				}
+			}
+		}
+	}
+	if blocked == 0 || reached == 0 {
+		t.Fatalf("%d same-component pairs unreachable, %d reached; the generator must produce both", blocked, reached)
 	}
 }
 
