@@ -205,22 +205,6 @@ func TestFSOPointingJitterDegrades(t *testing.T) {
 	}
 }
 
-func TestLinkPolicy(t *testing.T) {
-	p := LinkPolicy{MinTransmissivity: 0.7, MinElevationRad: math.Pi / 9}
-	if !p.Usable(0.8, math.Pi/4) {
-		t.Error("good link rejected")
-	}
-	if p.Usable(0.69, math.Pi/4) {
-		t.Error("low-eta link accepted")
-	}
-	if p.Usable(0.9, math.Pi/18) {
-		t.Error("low-elevation link accepted")
-	}
-	if !p.Usable(0.7, math.Pi/9) {
-		t.Error("boundary link should be accepted (inclusive)")
-	}
-}
-
 // randomFSO draws a valid terminal pair: any wavelength, aperture and waist
 // in wide physical ranges, with or without atmosphere, turbulence and
 // pointing jitter, and a receiver efficiency that is sometimes exactly 1.

@@ -203,18 +203,3 @@ func (c FSOConfig) Breakdown(g FSOGeometry) FSOBreakdown {
 	b.Atmospheric = c.Extinction.Transmission(g.LoAltM, g.HiAltM, g.ElevationRad)
 	return b
 }
-
-// LinkPolicy gates link establishment the way the paper's simulator does:
-// a quantum link exists only when the line-of-sight elevation meets the
-// minimum mask and the transmissivity meets the fidelity-derived threshold
-// (0.7 in the paper, from Fig. 5).
-type LinkPolicy struct {
-	MinTransmissivity float64
-	MinElevationRad   float64
-}
-
-// Usable reports whether a link with the given transmissivity and elevation
-// is allowed to carry entanglement.
-func (p LinkPolicy) Usable(eta, elevationRad float64) bool {
-	return eta >= p.MinTransmissivity && elevationRad >= p.MinElevationRad
-}

@@ -30,9 +30,6 @@ func NewModel(inner netsim.LinkModel, sched *Schedule, minEta float64) *Model {
 	return &Model{inner: inner, sched: sched, minEta: minEta}
 }
 
-// Inner returns the decorated model.
-func (m *Model) Inner() netsim.LinkModel { return m.inner }
-
 // Schedule returns the fault schedule.
 func (m *Model) Schedule() *Schedule { return m.sched }
 

@@ -69,19 +69,6 @@ func Look(obs LLA, target Vec3) LookAngle {
 	return NewFrame(obs).Look(target)
 }
 
-// ElevationBetween computes the elevation of the line-of-sight between two
-// ECEF positions as seen from the lower endpoint. For two spaceborne nodes
-// (e.g. an inter-satellite link) this is the grazing elevation relative to
-// the lower node's local horizon; callers typically use it to decide whether
-// a path dips into the atmosphere.
-func ElevationBetween(a, b Vec3) float64 {
-	lo, hi := a, b
-	if lo.Norm() > hi.Norm() {
-		lo, hi = hi, lo
-	}
-	return Look(ToLLA(lo), hi).ElevationRad
-}
-
 // LineOfSight reports whether the straight segment between two ECEF
 // positions clears the Earth's surface (plus an optional clearance margin in
 // meters above the surface).

@@ -46,15 +46,5 @@ func (v Vec3) Cross(w Vec3) Vec3 {
 // Norm returns the Euclidean length of v.
 func (v Vec3) Norm() float64 { return math.Sqrt(v.Dot(v)) }
 
-// Unit returns v normalized to length 1. The zero vector is returned
-// unchanged.
-func (v Vec3) Unit() Vec3 {
-	n := v.Norm()
-	if n == 0 {
-		return v
-	}
-	return v.Scale(1 / n)
-}
-
 // Distance returns the Euclidean distance between v and w in meters.
 func (v Vec3) Distance(w Vec3) float64 { return v.Sub(w).Norm() }

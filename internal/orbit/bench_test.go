@@ -33,6 +33,8 @@ func BenchmarkGenerateSheetFullDay(b *testing.B) {
 
 func BenchmarkTableIICatalog(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_ = TableII()
+		if _, err := PaperConstellation(MaxPaperSatellites); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

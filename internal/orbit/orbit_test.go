@@ -144,7 +144,7 @@ func TestGMSTFullDay(t *testing.T) {
 }
 
 func TestTableIICatalog(t *testing.T) {
-	cat := TableII()
+	cat := paperCatalog(t)
 	if len(cat) != 108 {
 		t.Fatalf("catalog size %d, want 108", len(cat))
 	}
@@ -222,22 +222,6 @@ func TestWalkerDelta(t *testing.T) {
 	}
 }
 
-func TestFootprintHalfAngle(t *testing.T) {
-	// At 500 km altitude with a 20-degree mask the footprint half-angle is
-	// about 9.4 degrees (≈1050 km radius); with 0-degree mask about 21.6.
-	got20 := geo.Deg(FootprintHalfAngle(PaperAltitudeM, geo.Rad(20)))
-	if got20 < 8.5 || got20 > 10.5 {
-		t.Fatalf("half angle at 20° mask = %g°", got20)
-	}
-	got0 := geo.Deg(FootprintHalfAngle(PaperAltitudeM, 0))
-	if got0 < 20 || got0 > 23 {
-		t.Fatalf("half angle at 0° mask = %g°", got0)
-	}
-	if got0 <= got20 {
-		t.Fatal("footprint should shrink with a higher mask")
-	}
-}
-
 func TestGenerateSheet(t *testing.T) {
 	sheet, err := GenerateSheet("SAT-001", paperOrbit(), 10*time.Minute, 30*time.Second)
 	if err != nil {
@@ -292,7 +276,7 @@ func TestConstellationSpread(t *testing.T) {
 	// and true anomalies u and 180°-u sit on the crossing at t=0), so
 	// measure spread at a generic instant: minimum pairwise distance must
 	// exceed 100 km.
-	cat := TableII()
+	cat := paperCatalog(t)
 	const when = 137 * time.Second
 	minD := math.Inf(1)
 	pos := make([]geo.Vec3, len(cat))
@@ -309,4 +293,14 @@ func TestConstellationSpread(t *testing.T) {
 	if minD < 100e3 {
 		t.Fatalf("minimum satellite separation %g km too small", minD/1000)
 	}
+}
+
+// paperCatalog returns the paper's full 108-satellite Table II catalog.
+func paperCatalog(t *testing.T) []Elements {
+	t.Helper()
+	cat, err := PaperConstellation(MaxPaperSatellites)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cat
 }

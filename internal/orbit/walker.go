@@ -2,10 +2,7 @@ package orbit
 
 import (
 	"fmt"
-	"math"
 	"strings"
-
-	"qntn/internal/geo"
 )
 
 // PaperAltitudeM is the satellite altitude used throughout the paper (500 km).
@@ -99,10 +96,22 @@ func ParseWalkerShells(spec string) ([]WalkerShell, error) {
 // Table II of the paper (columns 2 and 3).
 var tableIIGapPlanes = []float64{20, 40, 80, 100, 140, 160, 200, 220, 260, 280, 320, 340}
 
-// TableIIWith returns the Table II slot pattern (18 planes spaced 20° in
-// RAAN, 6 anomaly slots each, listed in the paper's incremental order) at
-// an arbitrary altitude and inclination — the knob the altitude/inclination
-// ablation turns. TableII is the paper's instance at 500 km / 53°.
+// TableIIWith returns the paper's 108-slot Table II catalog at an arbitrary
+// altitude and inclination — the knob the altitude/inclination ablation
+// turns; the paper's own instance, at 500 km / 53°, is
+// PaperConstellation(108). The slots come in the paper's exact incremental
+// ordering, so that TableIIWith(h, i)[:n] is the configuration the paper
+// evaluates with n satellites (n = 6, 12, ..., 108):
+//
+//   - Satellites 1-36 form a Walker Delta of 6 planes (RAAN 0, 60, ...,
+//     300). They are listed anomaly-major: the first six satellites occupy
+//     true anomaly 0 across all six planes, the next six occupy true anomaly
+//     60, and so on — matching the left column of Table II.
+//   - Satellites 37-108 fill the RAAN gaps: 12 additional planes spaced so
+//     all planes end up 20 degrees apart, each carrying 6 satellites at true
+//     anomalies 0, 60, ..., 300 — matching columns two and three of Table II.
+//
+// All orbits are circular.
 func TableIIWith(altitudeM, inclinationDeg float64) []Elements {
 	sats := make([]Elements, 0, MaxPaperSatellites)
 	for ta := 0; ta < 360; ta += 60 {
@@ -116,23 +125,6 @@ func TableIIWith(altitudeM, inclinationDeg float64) []Elements {
 		}
 	}
 	return sats
-}
-
-// TableII returns the paper's full 108-satellite orbital catalog in its
-// exact incremental ordering, so that TableII()[:n] is the configuration the
-// paper evaluates with n satellites (n = 6, 12, ..., 108):
-//
-//   - Satellites 1-36 form a Walker Delta of 6 planes (RAAN 0, 60, ...,
-//     300). They are listed anomaly-major: the first six satellites occupy
-//     true anomaly 0 across all six planes, the next six occupy true anomaly
-//     60, and so on — matching the left column of Table II.
-//   - Satellites 37-108 fill the RAAN gaps: 12 additional planes spaced so
-//     all planes end up 20 degrees apart, each carrying 6 satellites at true
-//     anomalies 0, 60, ..., 300 — matching columns two and three of Table II.
-//
-// All orbits are circular at 500 km altitude and 53 degrees inclination.
-func TableII() []Elements {
-	return TableIIWith(PaperAltitudeM, PaperInclinationDeg)
 }
 
 // PaperConstellation returns the first n entries of the Table II catalog.
@@ -159,20 +151,4 @@ func PaperConstellationWith(n int, altitudeM, inclinationDeg float64) ([]Element
 		return nil, err
 	}
 	return TableIIWith(altitudeM, inclinationDeg)[:n], nil
-}
-
-// FootprintHalfAngle returns the Earth-central half angle of the coverage
-// footprint of a satellite at the given altitude with the given minimum
-// elevation mask, in radians. A ground point sees the satellite above the
-// mask iff the central angle between the point and the subsatellite point is
-// at most this value.
-func FootprintHalfAngle(altitudeM, minElevationRad float64) float64 {
-	re := geo.EarthRadiusM
-	// sin-rule geometry: cos(e)*Re/(Re+h) = sin(angle at satellite);
-	// half angle = acos(Re cos e/(Re+h)) - e.
-	x := re * math.Cos(minElevationRad) / (re + altitudeM)
-	if x > 1 {
-		x = 1
-	}
-	return math.Acos(x) - minElevationRad
 }

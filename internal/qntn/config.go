@@ -79,50 +79,6 @@ type hvJSON struct {
 	Scale       float64 `json:"scale"`
 }
 
-// serveConfigJSON is the serialized form of ServeConfig: the horizon in
-// seconds, everything else verbatim.
-type serveConfigJSON struct {
-	RequestsPerStep int     `json:"requests_per_step"`
-	Steps           int     `json:"steps"`
-	HorizonS        float64 `json:"horizon_s"`
-	Seed            int64   `json:"seed"`
-}
-
-// SaveServeConfig serializes cfg as indented JSON.
-func SaveServeConfig(w io.Writer, cfg ServeConfig) error {
-	j := serveConfigJSON{
-		RequestsPerStep: cfg.RequestsPerStep,
-		Steps:           cfg.Steps,
-		HorizonS:        cfg.Horizon.Seconds(),
-		Seed:            cfg.Seed,
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(j)
-}
-
-// LoadServeConfig parses JSON produced by SaveServeConfig and validates the
-// workload shape. A zero or missing horizon means the paper's default (one
-// day), resolved at run time.
-func LoadServeConfig(r io.Reader) (ServeConfig, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var j serveConfigJSON
-	if err := dec.Decode(&j); err != nil {
-		return ServeConfig{}, fmt.Errorf("qntn: parse serve config: %w", err)
-	}
-	cfg := ServeConfig{
-		RequestsPerStep: j.RequestsPerStep,
-		Steps:           j.Steps,
-		Horizon:         time.Duration(j.HorizonS * float64(time.Second)),
-		Seed:            j.Seed,
-	}
-	if err := cfg.Validate(); err != nil {
-		return ServeConfig{}, err
-	}
-	return cfg, nil
-}
-
 const (
 	degPerRad = 180 / 3.141592653589793
 )

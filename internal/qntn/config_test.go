@@ -82,6 +82,30 @@ func TestLoadParamsRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestLoadParamsPointingJitter: a negative rms pointing jitter is refused at
+// load time. The FSO budget applies jitter only when it is positive, so an
+// accepted negative value would silently run the ideal-pointing model.
+func TestLoadParamsPointingJitter(t *testing.T) {
+	var buf bytes.Buffer
+	if err := SaveParams(&buf, DefaultParams()); err != nil {
+		t.Fatal(err)
+	}
+	const field = `"pointing_jitter_rad": 0,`
+	if !strings.Contains(buf.String(), field) {
+		t.Fatalf("saved params lack %s:\n%s", field, buf.String())
+	}
+	for _, tc := range []struct {
+		value string
+		ok    bool
+	}{{"-1", false}, {"-1e-9", false}, {"2e-6", true}} {
+		in := strings.Replace(buf.String(), field, `"pointing_jitter_rad": `+tc.value+`,`, 1)
+		_, err := LoadParams(strings.NewReader(in))
+		if (err == nil) != tc.ok {
+			t.Errorf("pointing_jitter_rad %s: err = %v, want accepted %v", tc.value, err, tc.ok)
+		}
+	}
+}
+
 func TestLoadParamsDefaultsFidelityModel(t *testing.T) {
 	var buf bytes.Buffer
 	if err := SaveParams(&buf, DefaultParams()); err != nil {

@@ -198,44 +198,6 @@ func FuzzProtocolParamsRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzServeConfigRoundTrip: any workload the ServeConfig codec accepts must
-// survive save → load with the discrete fields exact and the horizon within
-// the s↔ns conversion error.
-func FuzzServeConfigRoundTrip(f *testing.F) {
-	f.Add(100, 100, 86400.0, int64(1))
-	f.Add(1, 1, 0.0, int64(-42))
-	f.Add(7, 3, 1.5, int64(0))
-
-	f.Fuzz(func(t *testing.T, requests, steps int, horizonS float64, seed int64) {
-		if !(horizonS >= 0 && horizonS < 1e7) {
-			return
-		}
-		cfg := ServeConfig{
-			RequestsPerStep: requests,
-			Steps:           steps,
-			Horizon:         time.Duration(horizonS * float64(time.Second)),
-			Seed:            seed,
-		}
-		if cfg.Validate() != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := SaveServeConfig(&buf, cfg); err != nil {
-			t.Fatalf("save: %v", err)
-		}
-		cfg2, err := LoadServeConfig(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("load of saved config failed: %v\n%s", err, buf.String())
-		}
-		if cfg2.RequestsPerStep != cfg.RequestsPerStep || cfg2.Steps != cfg.Steps || cfg2.Seed != cfg.Seed {
-			t.Fatalf("discrete fields changed: %+v -> %+v", cfg, cfg2)
-		}
-		if d := cfg2.Horizon - cfg.Horizon; d < -2 || d > 2 {
-			t.Fatalf("horizon drifted %v -> %v", cfg.Horizon, cfg2.Horizon)
-		}
-	})
-}
-
 // FuzzVisibilityWindow perturbs the constellation's epoch and orbital
 // elements — the phase offset shifts every satellite along its orbit and
 // rotates its plane, which is how an epoch change expresses itself through

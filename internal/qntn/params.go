@@ -228,6 +228,8 @@ func (p Params) Validate() error {
 		return fmt.Errorf("qntn: receiver efficiency %g outside (0,1]", p.ReceiverEfficiency)
 	case p.ZenithOpticalDepth < 0:
 		return fmt.Errorf("qntn: negative zenith optical depth")
+	case p.PointingJitterRad < 0:
+		return fmt.Errorf("qntn: negative pointing jitter %g", p.PointingJitterRad)
 	case p.FiberAttenuationDBPerKm < 0:
 		return fmt.Errorf("qntn: negative fiber attenuation")
 	case p.TransmissivityThreshold < 0 || p.TransmissivityThreshold > 1:
@@ -318,13 +320,4 @@ func (p Params) HAPDownlinkFSO() channel.FSOConfig {
 // Fiber returns the fiber model for intra-network ground links.
 func (p Params) Fiber() channel.Fiber {
 	return channel.Fiber{AttenuationDBPerKm: p.FiberAttenuationDBPerKm}
-}
-
-// LinkPolicy returns the gating policy for FSO links with a ground
-// endpoint.
-func (p Params) LinkPolicy() channel.LinkPolicy {
-	return channel.LinkPolicy{
-		MinTransmissivity: p.TransmissivityThreshold,
-		MinElevationRad:   p.MinElevationRad,
-	}
 }

@@ -70,6 +70,7 @@ func TestParamsValidateRejects(t *testing.T) {
 		func(p *Params) { p.SatelliteAltitudeM = 0 },
 		func(p *Params) { p.HAPAltM = -1 },
 		func(p *Params) { p.StepInterval = 0 },
+		func(p *Params) { p.PointingJitterRad = -1e-6 },
 	}
 	for i, mutate := range mutations {
 		p := DefaultParams()

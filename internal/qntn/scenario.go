@@ -70,10 +70,8 @@ type Scenario struct {
 	spaceFSO     channel.FSOConfig
 	hapFSO       channel.FSOConfig
 	satHAPFSO    channel.FSOConfig
-	policy       channel.LinkPolicy
 	groundByID   map[string]*netsim.GroundHost
 	relays       []netsim.Node
-	satAltM      float64
 	islClearance float64
 	sun          astro.Sun
 
@@ -326,9 +324,7 @@ func assembleTrusted(arch Architecture, p Params, lans []LocalNetwork, relays []
 		fiber:        p.Fiber(),
 		spaceFSO:     p.SpaceDownlinkFSO(),
 		hapFSO:       p.HAPDownlinkFSO(),
-		policy:       p.LinkPolicy(),
 		groundByID:   make(map[string]*netsim.GroundHost),
-		satAltM:      p.SatelliteAltitudeM,
 		islClearance: p.ISLClearanceAltM,
 	}
 	sc.satHAPFSO = sc.spaceFSO
@@ -466,9 +462,8 @@ func (sc *Scenario) interSatelliteLink(a, b netsim.Node, t time.Duration) (float
 	if !geo.LineOfSight(pa, pb, sc.islClearance) {
 		return 0, false
 	}
-	// One geodetic conversion per endpoint; the grazing elevation is
-	// ElevationBetween inlined on the hoisted conversions (seen from the
-	// lower endpoint).
+	// One geodetic conversion per endpoint; the grazing elevation is the
+	// look angle from the lower endpoint's local frame to the higher one.
 	la, lb := geo.ToLLA(pa), geo.ToLLA(pb)
 	loLLA, hiPos := la, pb
 	if pa.Norm() > pb.Norm() {

@@ -148,12 +148,29 @@ func siteStream(site trafficSite, index int, cfg TrafficConfig) []trafficArrival
 	return out
 }
 
+// maxSiteStreamPrealloc caps the arrivals a site stream reserves room for
+// up front; a longer stream grows by append.
+const maxSiteStreamPrealloc = 1 << 16
+
+// siteStreamCap is the capacity a site stream reserves: the expected number
+// of peak-rate proposals, which bounds the expected accepted count, clamped
+// so that a huge rate from a library caller cannot ask for an absurd (or,
+// past the int range, negative) capacity. A NaN or non-positive expectation
+// reserves nothing.
+func siteStreamCap(cfg TrafficConfig) int {
+	n := min(cfg.RatePerHourPerSite*(1+cfg.Diurnal.Amplitude)*cfg.Horizon.Hours(), maxSiteStreamPrealloc)
+	if !(n > 0) {
+		return 0
+	}
+	return int(math.Ceil(n))
+}
+
 // sampleSiteStream draws siteStream's arrivals from a generator already
 // seeded for the site.
 func sampleSiteStream(rng *rand.Rand, site trafficSite, index int, cfg TrafficConfig) []trafficArrival {
 	peakMult := 1 + cfg.Diurnal.Amplitude
 	meanGapS := 3600 / (cfg.RatePerHourPerSite * peakMult)
-	var out []trafficArrival
+	out := make([]trafficArrival, 0, siteStreamCap(cfg))
 	for at := time.Duration(0); ; {
 		at += time.Duration(rng.ExpFloat64() * meanGapS * float64(time.Second))
 		if at >= cfg.Horizon {

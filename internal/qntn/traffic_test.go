@@ -3,6 +3,7 @@ package qntn
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -191,6 +192,32 @@ func TestTrafficStreamsIndependentOfConstellation(t *testing.T) {
 		}
 		if i > 0 && (a[i].at < a[i-1].at || (a[i].at == a[i-1].at && a[i].site < a[i-1].site)) {
 			t.Fatalf("merge order violated at %d", i)
+		}
+	}
+}
+
+// TestSiteStreamCap: a site stream reserves the expected number of
+// peak-rate proposals, rounded up, and a rate no slice could hold (or a NaN
+// one from a library caller) clamps to the cap or to nothing instead of
+// overflowing into a negative capacity.
+func TestSiteStreamCap(t *testing.T) {
+	daemon := DiurnalProfile{Amplitude: 0.3, PeakHour: 14}
+	for _, tc := range []struct {
+		rate    float64
+		horizon time.Duration
+		want    int
+	}{
+		{30, 10 * time.Minute, 7}, // 30 · 1.3 / 6 = 6.5
+		{30, 30 * time.Minute, 20},
+		{1e6, 24 * time.Hour, maxSiteStreamPrealloc},
+		{1e300, 24 * time.Hour, maxSiteStreamPrealloc},
+		{math.Inf(1), time.Hour, maxSiteStreamPrealloc},
+		{math.NaN(), time.Hour, 0},
+		{30, 0, 0},
+	} {
+		cfg := TrafficConfig{RatePerHourPerSite: tc.rate, Diurnal: daemon, Horizon: tc.horizon}
+		if got := siteStreamCap(cfg); got != tc.want {
+			t.Errorf("rate %g over %v: capacity %d, want %d", tc.rate, tc.horizon, got, tc.want)
 		}
 	}
 }

@@ -16,9 +16,6 @@ func NewVector(dim int) *Vector {
 	return &Vector{Data: make([]complex128, dim)}
 }
 
-// Dim returns the vector's dimension.
-func (v *Vector) Dim() int { return len(v.Data) }
-
 // Norm returns the 2-norm of v.
 func (v *Vector) Norm() float64 {
 	var s float64

@@ -70,16 +70,3 @@ func FNV64aBytes(b []byte) uint64 {
 	}
 	return h
 }
-
-// TaskSeeds derives n distinct seeds from one base seed, one per task
-// index, in index order.
-func TaskSeeds(base int64, n int) []int64 {
-	if n <= 0 {
-		return nil
-	}
-	seeds := make([]int64, n)
-	for i := range seeds {
-		seeds[i] = TaskSeed(base, uint64(i))
-	}
-	return seeds
-}

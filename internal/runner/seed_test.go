@@ -53,21 +53,6 @@ func TestTaskSeedIsStable(t *testing.T) {
 	}
 }
 
-func TestTaskSeeds(t *testing.T) {
-	seeds := TaskSeeds(5, 10)
-	if len(seeds) != 10 {
-		t.Fatalf("%d seeds", len(seeds))
-	}
-	for i, s := range seeds {
-		if s != TaskSeed(5, uint64(i)) {
-			t.Fatalf("seed %d mismatch", i)
-		}
-	}
-	if TaskSeeds(5, 0) != nil || TaskSeeds(5, -1) != nil {
-		t.Fatal("non-positive n should yield nil")
-	}
-}
-
 func BenchmarkTaskSeed(b *testing.B) {
 	var sink int64
 	for i := 0; i < b.N; i++ {

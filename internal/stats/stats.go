@@ -5,7 +5,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Summary describes a sample of float64 values.
@@ -68,30 +67,4 @@ func hasNaN(xs []float64) bool {
 		}
 	}
 	return false
-}
-
-// Percentile returns the p-th percentile (0..100) using nearest-rank on a
-// sorted copy; empty input yields 0. A NaN anywhere in the input yields
-// NaN — sort.Float64s places NaNs at an undefined position, so any rank
-// could silently land on (or be displaced by) one.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	if hasNaN(xs) || math.IsNaN(p) {
-		return math.NaN()
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := int(math.Ceil(p/100*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return sorted[rank]
 }

@@ -38,26 +38,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{5, 1, 3, 2, 4}
-	if Percentile(xs, 0) != 1 {
-		t.Fatal("p0 wrong")
-	}
-	if Percentile(xs, 100) != 5 {
-		t.Fatal("p100 wrong")
-	}
-	if Percentile(xs, 50) != 3 {
-		t.Fatalf("median %g", Percentile(xs, 50))
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Fatal("empty percentile should be 0")
-	}
-	// Input must not be reordered.
-	if xs[0] != 5 || xs[4] != 4 {
-		t.Fatal("Percentile mutated its input")
-	}
-}
-
 // TestSummarizeNaNPropagates is the regression test for silent NaN
 // corruption: before Summarize checked, a NaN input left Min stuck at +Inf
 // and Max at -Inf (NaN satisfies no ordering) while Mean/Std poisoned
@@ -77,22 +57,6 @@ func TestSummarizeNaNPropagates(t *testing.T) {
 	}
 	if !math.IsNaN(Mean([]float64{math.NaN()})) {
 		t.Error("Mean must propagate NaN")
-	}
-}
-
-// TestPercentileNaNPropagates: sort.Float64s places NaN at an undefined
-// position, so any rank could silently land on (or be displaced by) one —
-// the result must be NaN, never an arbitrary finite value.
-func TestPercentileNaNPropagates(t *testing.T) {
-	if v := Percentile([]float64{1, math.NaN(), 3}, 50); !math.IsNaN(v) {
-		t.Errorf("Percentile over NaN input = %g, want NaN", v)
-	}
-	if v := Percentile([]float64{1, 2, 3}, math.NaN()); !math.IsNaN(v) {
-		t.Errorf("Percentile at NaN rank = %g, want NaN", v)
-	}
-	// +Inf is an ordered value, not corruption: it sorts last.
-	if v := Percentile([]float64{1, math.Inf(1)}, 100); !math.IsInf(v, 1) {
-		t.Errorf("p100 with +Inf = %g, want +Inf", v)
 	}
 }
 

@@ -14,14 +14,6 @@ func NewCollector() *Collector {
 	return &Collector{Registry: NewRegistry(), Events: NewEventSink()}
 }
 
-// Reg returns the registry, nil on a nil collector.
-func (c *Collector) Reg() *Registry {
-	if c == nil {
-		return nil
-	}
-	return c.Registry
-}
-
 // Sink returns the event sink, nil on a nil collector.
 func (c *Collector) Sink() *EventSink {
 	if c == nil {

@@ -47,7 +47,7 @@ func TestNilHandlesAreSafe(t *testing.T) {
 		t.Fatalf("nil span ended to %+v", ph)
 	}
 	var col *Collector
-	if col.Reg() != nil || col.Sink() != nil || col.Shards(3) != nil {
+	if col.Sink() != nil || col.Shards(3) != nil {
 		t.Fatal("nil collector has parts")
 	}
 	col.MergeShards(nil) // must not panic
