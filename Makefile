@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test perfbench-test bench-align race lint vet fmt-check cover bench profile clean
+.PHONY: all build test perfbench-test bench-align race lint vet fmt-check loc cover bench profile clean
 
 all: build test lint
 
@@ -38,6 +38,13 @@ bench-align:
 # suite (oracle_equiv_test.go) are the parts this target exists to gate.
 race:
 	$(GO) test -race -shuffle=on -count=1 ./...
+
+# loc prints the non-test Go lines under internal/, cmd/ and examples/, and
+# those of internal/qntn's own files: the code-size figures the design aim
+# of getting the same results from less code is tracked by.
+loc:
+	@printf 'internal+cmd+examples: '; find internal cmd examples -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
+	@printf 'internal/qntn:         '; find internal/qntn -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 
 # cover runs the suite under the coverage profiler, prints the per-package
 # percentages as they complete and the module total at the end, and leaves

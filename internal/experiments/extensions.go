@@ -7,6 +7,7 @@ import (
 	"qntn/internal/fault"
 	"qntn/internal/qntn"
 	"qntn/internal/quantum"
+	"qntn/internal/quantum/protocol"
 )
 
 // LatencyRow reports one (architecture, memory quality) cell of the
@@ -24,6 +25,9 @@ type LatencyRow struct {
 // heralding latency and memory dephasing — the paper's latency discussion
 // (§II-D) made quantitative. For each architecture and each memory
 // coherence time, it reports serving, fidelity, and latency statistics.
+// Each row runs the protocol layer at that T2 with deterministic swaps and
+// no purification, overriding p.Protocol, so nothing is drawn and every
+// routed request is served.
 func ExtensionLatencyStudy(p qntn.Params, nSats int, cfg qntn.ServeConfig, t2s []time.Duration) ([]LatencyRow, error) {
 	type arch struct {
 		name  string
@@ -37,7 +41,7 @@ func ExtensionLatencyStudy(p qntn.Params, nSats int, cfg qntn.ServeConfig, t2s [
 	for _, a := range archs {
 		for _, t2 := range t2s {
 			pp := p
-			pp.MemoryT2 = t2
+			pp.Protocol = protocol.Config{MemoryT2: t2, SwapSuccess: 1, PurifyPaths: 1}
 			sc, err := a.build(pp)
 			if err != nil {
 				return nil, err

@@ -2,6 +2,7 @@ package qntn
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -76,19 +77,16 @@ type queuedRequest struct {
 // trees, the path buffer and the queue backing array are all reused across
 // the run.
 type admission struct {
-	sc    *Scenario
 	ts    *topoStepper
 	trees routing.SourceTrees
 	cost  routing.CostFunc // 1/(η+ε) at Params.RoutingEpsilon
 	path  []string         // the routed request's path, reused
-	etas  []float64        // its per-hop transmissivities, reused
 	queue []queuedRequest
-	// pe is nil unless the entanglement-protocol layer is enabled; a
-	// request whose protocol attempt fails stays queued and redraws at the
-	// next drain instant (PairKey includes the evaluation time).
-	pe    *protoEval
-	adj   routing.Adjacency // pe's snapshot of ts.g, loaded at each update
-	proto protoOutcome      // accumulated draw counters over the run
+	// scorer decides each routed request; a request whose protocol attempt
+	// fails stays queued and redraws at the next drain instant (PairKey
+	// includes the evaluation time).
+	scorer routeScorer
+	proto  protoOutcome // accumulated draw counters over the run
 
 	served    int
 	immediate int
@@ -110,10 +108,9 @@ func newAdmission(sc *Scenario, horizon time.Duration) (*admission, error) {
 		return nil, err
 	}
 	return &admission{
-		sc:   sc,
-		ts:   ts,
-		cost: routing.InverseEtaCost(sc.Params.RoutingEpsilon),
-		pe:   sc.newProtoEval(),
+		ts:     ts,
+		cost:   routing.InverseEtaCost(sc.Params.RoutingEpsilon),
+		scorer: sc.newRouteScorer(),
 	}, nil
 }
 
@@ -130,27 +127,18 @@ func (ad *admission) tryServe(now time.Duration, q queuedRequest, onArrival bool
 	if err != nil || !ok {
 		return false, err
 	}
-	etas, err := ad.ts.g.EdgeEtasInto(ad.etas[:0], path)
-	ad.etas = etas
+	po, err := ad.scorer.score(ad.ts.g, path, q.req, now)
 	if err != nil {
 		return false, err
 	}
-	f := PathFidelity(etas, ad.sc.Params.FidelityModel)
-	if ad.pe != nil {
-		po, err := ad.pe.outcome(&ad.adj, path, q.req, now)
-		if err != nil {
-			return false, err
-		}
-		ad.proto.swapAttempts += po.swapAttempts
-		ad.proto.swapFailures += po.swapFailures
-		ad.proto.purifyRounds += po.purifyRounds
-		ad.proto.purifyAccepted += po.purifyAccepted
-		if !po.served {
-			// Swap chain or distillation failed: the request stays queued
-			// and redraws at the next topology instant.
-			return false, nil
-		}
-		f = po.fidelity
+	ad.proto.swapAttempts += po.swapAttempts
+	ad.proto.swapFailures += po.swapFailures
+	ad.proto.purifyRounds += po.purifyRounds
+	ad.proto.purifyAccepted += po.purifyAccepted
+	if !po.served {
+		// Swap chain or distillation failed: the request stays queued and
+		// redraws at the next topology instant.
+		return false, nil
 	}
 	wait := now - q.arrived
 	ad.served++
@@ -161,8 +149,8 @@ func (ad *admission) tryServe(now time.Duration, q queuedRequest, onArrival bool
 	if wait > ad.maxWait {
 		ad.maxWait = wait
 	}
-	ad.fids = append(ad.fids, f)
-	ad.fidSum += f
+	ad.fids = append(ad.fids, po.fidelity)
+	ad.fidSum += po.fidelity
 	return true, nil
 }
 
@@ -220,9 +208,7 @@ func (ad *admission) run(arrivals []trafficArrival, onUpdate func(k int, at time
 				return 0, err
 			}
 			ad.trees.Load(ad.ts.g, ad.cost)
-			if ad.pe != nil {
-				ad.adj.Load(ad.ts.g, disjointCost)
-			}
+			ad.scorer.load(ad.ts.g)
 			if _, err := ad.drain(at); err != nil {
 				return 0, err
 			}
@@ -252,8 +238,8 @@ func (ad *admission) run(arrivals []trafficArrival, onUpdate func(k int, at time
 // instants, same update-first tie order — so results are byte-identical to
 // the reference (see the differential test in arrivals_ref_test.go).
 func (sc *Scenario) RunArrivals(cfg ArrivalConfig) (*ArrivalResult, error) {
-	if cfg.RatePerHour <= 0 {
-		return nil, fmt.Errorf("qntn: arrival rate must be positive")
+	if !(cfg.RatePerHour > 0) || math.IsInf(cfg.RatePerHour, 1) {
+		return nil, fmt.Errorf("qntn: arrival rate must be positive and finite, got %g", cfg.RatePerHour)
 	}
 	if cfg.Horizon <= 0 {
 		cfg.Horizon = 24 * time.Hour

@@ -1,6 +1,7 @@
 package qntn
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -101,8 +102,10 @@ func TestRunArrivalsRejectsBadConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sc.RunArrivals(ArrivalConfig{RatePerHour: 0, Horizon: time.Hour}); err == nil {
-		t.Fatal("zero rate accepted")
+	for _, rate := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := sc.RunArrivals(ArrivalConfig{RatePerHour: rate, Horizon: time.Hour}); err == nil {
+			t.Fatalf("rate %g accepted", rate)
+		}
 	}
 }
 

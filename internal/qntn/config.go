@@ -34,8 +34,6 @@ type paramsJSON struct {
 	HAPLonDeg               float64    `json:"hap_lon_deg"`
 	HAPAltKM                float64    `json:"hap_alt_km"`
 	StepIntervalS           float64    `json:"step_interval_s"`
-	MemoryT2S               float64    `json:"memory_t2_s"`
-	ProcessingDelayPerHopS  float64    `json:"processing_delay_per_hop_s"`
 	RequireDarkness         bool       `json:"require_darkness"`
 	TwilightDeg             float64    `json:"twilight_deg"`
 	Fault                   *faultJSON `json:"fault,omitempty"`
@@ -110,8 +108,6 @@ func SaveParams(w io.Writer, p Params) error {
 		HAPLonDeg:               p.HAPLonDeg,
 		HAPAltKM:                p.HAPAltM / 1000,
 		StepIntervalS:           p.StepInterval.Seconds(),
-		MemoryT2S:               p.MemoryT2.Seconds(),
-		ProcessingDelayPerHopS:  p.ProcessingDelayPerHop.Seconds(),
 		RequireDarkness:         p.RequireDarkness,
 		TwilightDeg:             p.TwilightRad * degPerRad,
 		FidelityModel:           p.FidelityModel.String(),
@@ -181,8 +177,6 @@ func LoadParams(r io.Reader) (Params, error) {
 		HAPLonDeg:               j.HAPLonDeg,
 		HAPAltM:                 j.HAPAltKM * 1000,
 		StepInterval:            time.Duration(j.StepIntervalS * float64(time.Second)),
-		MemoryT2:                time.Duration(j.MemoryT2S * float64(time.Second)),
-		ProcessingDelayPerHop:   time.Duration(j.ProcessingDelayPerHopS * float64(time.Second)),
 		RequireDarkness:         j.RequireDarkness,
 		TwilightRad:             j.TwilightDeg / degPerRad,
 		RoutingEpsilon:          j.RoutingEpsilon,

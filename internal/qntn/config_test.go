@@ -8,11 +8,12 @@ import (
 	"time"
 
 	"qntn/internal/atmosphere"
+	"qntn/internal/quantum/protocol"
 )
 
 func TestParamsJSONRoundTrip(t *testing.T) {
 	orig := DefaultParams()
-	orig.MemoryT2 = 42 * time.Millisecond
+	orig.Protocol = protocol.Config{MemoryT2: 42 * time.Millisecond, SwapSuccess: 1}
 	orig.RequireDarkness = true
 	orig.TwilightRad = 0.2
 	hv := atmosphere.HV57().Scaled(0.5)
@@ -37,8 +38,8 @@ func TestParamsJSONRoundTrip(t *testing.T) {
 	if math.Abs(got.MinElevationRad-orig.MinElevationRad) > 1e-12 {
 		t.Fatalf("elevation %g vs %g", got.MinElevationRad, orig.MinElevationRad)
 	}
-	if got.StepInterval != orig.StepInterval || got.MemoryT2 != orig.MemoryT2 {
-		t.Fatalf("durations drifted: %v/%v vs %v/%v", got.StepInterval, got.MemoryT2, orig.StepInterval, orig.MemoryT2)
+	if got.StepInterval != orig.StepInterval || got.Protocol.MemoryT2 != orig.Protocol.MemoryT2 {
+		t.Fatalf("durations drifted: %v/%v vs %v/%v", got.StepInterval, got.Protocol.MemoryT2, orig.StepInterval, orig.Protocol.MemoryT2)
 	}
 	if !got.RequireDarkness || math.Abs(got.TwilightRad-orig.TwilightRad) > 1e-12 {
 		t.Fatal("darkness fields drifted")

@@ -194,7 +194,7 @@ func refProtocolVerdict(sc *qntn.Scenario, g *routing.Graph, path []string, req 
 			if err != nil {
 				return false, 0, 0, err
 			}
-			w = refDephaseWerner(w, sc.HeraldingLatency(lengthM, len(etas)), cfg.MemoryT2)
+			w = refDephaseWerner(w, qntn.HeraldingLatency(lengthM), cfg.MemoryT2)
 		}
 		att = append(att, w)
 	}

@@ -80,16 +80,6 @@ type Params struct {
 	// sampling).
 	StepInterval time.Duration
 
-	// MemoryT2 is the coherence time of the end-node quantum memories
-	// used by the time-aware (DES) serving experiment: while the
-	// classical heralding signal is in flight, stored qubits dephase.
-	// Zero means ideal memories — the paper's assumption.
-	MemoryT2 time.Duration
-	// ProcessingDelayPerHop adds a fixed classical processing delay per
-	// path hop to the heralding latency (zero under the paper's ideal
-	// assumptions).
-	ProcessingDelayPerHop time.Duration
-
 	// Fault configures the deterministic fault-injection layer: satellite
 	// outages, HAP station-keeping gaps, ground-station downtime and
 	// weather blackouts, precomputed from Fault.Seed into an immutable
@@ -242,10 +232,6 @@ func (p Params) Validate() error {
 		return fmt.Errorf("qntn: non-positive HAP altitude")
 	case p.StepInterval <= 0:
 		return fmt.Errorf("qntn: non-positive step interval")
-	case p.MemoryT2 < 0:
-		return fmt.Errorf("qntn: negative memory T2")
-	case p.ProcessingDelayPerHop < 0:
-		return fmt.Errorf("qntn: negative per-hop processing delay")
 	case p.TwilightRad < 0 || p.TwilightRad >= math.Pi/2:
 		return fmt.Errorf("qntn: twilight angle %g outside [0, π/2)", p.TwilightRad)
 	}

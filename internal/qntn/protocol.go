@@ -47,9 +47,9 @@ type protoEval struct {
 }
 
 // newProtoEval returns the run's protocol evaluator, or nil when the layer
-// is disabled. Callers branch on nil and keep disabled runs on exactly the
-// pre-protocol statements, which is what makes protocol-off output
-// byte-identical by construction rather than by test.
+// is disabled. routeScorer branches on nil and scores disabled runs with
+// seedOutcome, the seed model's statements, so protocol-off output never
+// passes through this layer.
 func (sc *Scenario) newProtoEval() *protoEval {
 	if !sc.Params.Protocol.Enabled() {
 		return nil
@@ -97,20 +97,14 @@ func (pe *protoEval) pairKey(req netsim.Request, at time.Duration) uint64 {
 // The scalar reference in oracletest reimplements this pipeline naively
 // (cloned graphs, map Dijkstra, verbatim formulas); the differential matrix
 // pins the two DeepEqual-identical.
+//
+//qntn:hotpath once per routed request with the protocol on
 func (pe *protoEval) outcome(a *routing.Adjacency, path []string, req netsim.Request, at time.Duration) (protoOutcome, error) {
 	var out protoOutcome
 	g := a.Graph()
 	model := pe.sc.Params.FidelityModel
 	if len(path) <= 2 {
-		etas, err := g.EdgeEtasInto(pe.etaBuf[:0], path)
-		pe.etaBuf = etas
-		if err != nil {
-			return out, err
-		}
-		out.served = true
-		out.fidelity = PathFidelity(etas, model)
-		out.primaryEta = product(etas)
-		return out, nil
+		return seedOutcome(g, &pe.etaBuf, path, model)
 	}
 	chainSeed := protocol.ChainSeed(pe.cfg.Seed, pe.pairKey(req, at))
 	paths, err := pe.ds.ExtractOn(a, path, pe.k)
@@ -146,9 +140,9 @@ func (pe *protoEval) outcome(a *routing.Adjacency, path []string, req netsim.Req
 			if err != nil {
 				return out, err
 			}
-			w = protocol.DephaseWerner(w, pe.sc.HeraldingLatency(lengthM, len(etas)), pe.cfg.MemoryT2)
+			w = protocol.DephaseWerner(w, HeraldingLatency(lengthM), pe.cfg.MemoryT2)
 		}
-		pe.att = append(pe.att, w)
+		pe.att = append(pe.att, w) //qntn:coldpath amortized growth: attempt buffer is reused
 	}
 	// Best-first stable ordering (insertion sort over the tiny attempt
 	// buffer; ≤ k elements, no allocation).
@@ -167,4 +161,55 @@ func (pe *protoEval) outcome(a *routing.Adjacency, path []string, req netsim.Req
 	out.served = true
 	out.fidelity = protocol.RootFromWerner(w)
 	return out, nil
+}
+
+// seedOutcome is the seed model's verdict on a request routed over path on
+// g: always served, with the PathFidelity of the path's per-hop
+// transmissivities, gathered into the reused *buf. It is the whole verdict
+// with the protocol layer off, and the protocol's on a zero-swap route.
+//
+//qntn:hotpath once per request the seed model scores
+func seedOutcome(g *routing.Graph, buf *[]float64, path []string, model FidelityModel) (protoOutcome, error) {
+	etas, err := g.EdgeEtasInto((*buf)[:0], path)
+	*buf = etas
+	if err != nil {
+		return protoOutcome{}, err
+	}
+	return protoOutcome{served: true, fidelity: PathFidelity(etas, model), primaryEta: product(etas)}, nil
+}
+
+// routeScorer scores routed requests for both request drivers, the serve
+// loop and admission: the protocol evaluator's verdict over its snapshot of
+// the step's graph when the layer is enabled, otherwise seedOutcome. Its
+// buffers are reused across requests, so one routeScorer must never be
+// shared across goroutines.
+type routeScorer struct {
+	model FidelityModel
+	pe    *protoEval        // nil unless the protocol layer is enabled
+	adj   routing.Adjacency // pe's snapshot of the graph, taken by load
+	etas  []float64         // seedOutcome's per-hop transmissivities, reused
+}
+
+// newRouteScorer returns the scorer for one run over the scenario.
+func (sc *Scenario) newRouteScorer() routeScorer {
+	return routeScorer{model: sc.Params.FidelityModel, pe: sc.newProtoEval()}
+}
+
+// load takes the protocol's snapshot of g after a topology update; with the
+// protocol off there is nothing to snapshot.
+func (rs *routeScorer) load(g *routing.Graph) {
+	if rs.pe != nil {
+		rs.adj.Load(g, disjointCost)
+	}
+}
+
+// score returns the verdict on req routed over path on g, the graph last
+// passed to load, at topology instant at.
+//
+//qntn:hotpath once per routed request of either request driver
+func (rs *routeScorer) score(g *routing.Graph, path []string, req netsim.Request, at time.Duration) (protoOutcome, error) {
+	if rs.pe != nil {
+		return rs.pe.outcome(&rs.adj, path, req, at)
+	}
+	return seedOutcome(g, &rs.etas, path, rs.model)
 }

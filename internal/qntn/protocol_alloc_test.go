@@ -141,38 +141,45 @@ func TestProtocolOutcomeDeterministic(t *testing.T) {
 }
 
 // TestProtocolOutcomeZeroAllocs: the per-step snapshot load and the
-// per-request protocol evaluation — disjoint extraction, swap chain,
-// dephasing, distillation — must be allocation-free once the evaluator's
-// and the snapshot's buffers are warm, so the pooled
-// GraphInto/SnapshotInto serving fast path survives protocol enablement.
+// per-request scoring both request drivers share must be allocation-free
+// once the scorer's and the snapshot's buffers are warm, with the protocol
+// layer on — disjoint extraction, swap chain, dephasing, distillation — and
+// off, so the pooled GraphInto/SnapshotInto serving fast path survives
+// either setting.
 func TestProtocolOutcomeZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector bookkeeping allocates; AllocsPerRun is meaningless")
 	}
-	p := DefaultParams()
-	p.Protocol = protoTestConfig()
-	sc, err := NewSpaceGround(24, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	at, g, attempts := protoTestTopology(t, sc)
-	pe := sc.newProtoEval()
-	var adj routing.Adjacency
-	adj.Load(g, disjointCost)
-	for _, a := range attempts { // warm every buffer across path shapes
-		if _, err := pe.outcome(&adj, a.path, a.req, at); err != nil {
+	for _, on := range []bool{false, true} {
+		p := DefaultParams()
+		if on {
+			p.Protocol = protoTestConfig()
+		}
+		sc, err := NewSpaceGround(24, p)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if n := testing.AllocsPerRun(20, func() {
-		adj.Load(g, disjointCost) // a new snapshot per batch, as each topology step loads one
-		for _, a := range attempts {
-			if _, err := pe.outcome(&adj, a.path, a.req, at); err != nil {
+		at, g, attempts := protoTestTopology(t, sc)
+		rs := sc.newRouteScorer()
+		if on != (rs.pe != nil) {
+			t.Fatalf("protocol=%v: scorer evaluator %v", on, rs.pe)
+		}
+		rs.load(g)
+		for _, a := range attempts { // warm every buffer across path shapes
+			if _, err := rs.score(g, a.path, a.req, at); err != nil {
 				t.Fatal(err)
 			}
 		}
-	}); n != 0 {
-		t.Fatalf("warm protocol evaluation allocates %v times per batch", n)
+		if n := testing.AllocsPerRun(20, func() {
+			rs.load(g) // a new snapshot per batch, as each topology step loads one
+			for _, a := range attempts {
+				if _, err := rs.score(g, a.path, a.req, at); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}); n != 0 {
+			t.Fatalf("protocol=%v: warm scoring allocates %v times per batch", on, n)
+		}
 	}
 }
 
@@ -213,7 +220,7 @@ func TestAdmissionRefreshReloadsProtocolSnapshot(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					g, err := got.ExtractOn(&ad.adj, primary, 4)
+					g, err := got.ExtractOn(&ad.scorer.adj, primary, 4)
 					if err != nil {
 						t.Fatal(err)
 					}

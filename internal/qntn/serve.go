@@ -106,20 +106,16 @@ type ServeResult struct {
 // oracle archetype.
 func (sc *Scenario) RunServe(cfg ServeConfig) (*ServeResult, error) {
 	res := &ServeResult{}
-	if err := sc.runServe(cfg, res, nil); err != nil {
+	if err := sc.runServe(cfg, res); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
 // runServe is the serve experiment's one per-step loop into res, shared by
-// RunServe and RunServeDES over either topology backend. timed is nil for
-// RunServe, whose fidelity is PathFidelity. RunServeDES passes its
-// heralding-latency evaluator, which scores a served protocol-off request
-// from its path, instant and per-hop transmissivities. It returns values
-// rather than filling the outcome so the per-request outcome stays off the
-// heap.
-func (sc *Scenario) runServe(cfg ServeConfig, res *ServeResult, timed func(path []string, at time.Duration, hopEtas []float64) (fidelity, lengthM float64, latency time.Duration, err error)) error {
+// RunServe and RunServeDES over either topology backend and either protocol
+// setting; routeScorer decides each routed request.
+func (sc *Scenario) runServe(cfg ServeConfig, res *ServeResult) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
@@ -145,16 +141,11 @@ func (sc *Scenario) runServe(cfg ServeConfig, res *ServeResult, timed func(path 
 
 	// One pooled set of per-source trees serves every step: the node set
 	// is fixed, so per-step work reuses its storage, and a tree grows only
-	// until the batch's destinations from its source have settled. pe is
-	// nil unless the entanglement-protocol layer is enabled; with timed
-	// also nil, the nil branch below is the pre-protocol code verbatim. adj
-	// is the protocol's per-step snapshot of graph, loaded only when pe is
-	// non-nil.
+	// until the batch's destinations from its source have settled.
 	graph := ts.g
 	var trees routing.SourceTrees
 	cost := routing.InverseEtaCost(sc.Params.RoutingEpsilon)
-	pe := sc.newProtoEval()
-	var adj routing.Adjacency
+	rs := sc.newRouteScorer()
 
 	tel := sc.tel
 	var label string
@@ -168,9 +159,7 @@ func (sc *Scenario) runServe(cfg ServeConfig, res *ServeResult, timed func(path 
 			return err
 		}
 		trees.Load(graph, cost)
-		if pe != nil {
-			adj.Load(graph, disjointCost)
-		}
+		rs.load(graph)
 		at := grid.at(step)
 		stepServed, stepDropped := 0, 0
 		var stepFidSum float64
@@ -182,42 +171,18 @@ func (sc *Scenario) runServe(cfg ServeConfig, res *ServeResult, timed func(path 
 				return fmt.Errorf("qntn: step %d request %d: %w", step, req.ID, err)
 			}
 			if reachable {
-				if pe != nil {
-					po, err := pe.outcome(&adj, path, req, at)
-					if err != nil {
-						return fmt.Errorf("qntn: step %d request %d: %w", step, req.ID, err)
-					}
-					if tel != nil {
-						tel.addProto(&po)
-					}
-					if po.served {
-						out.Served = true
-						out.Path = path
-						out.EndToEndEta = po.primaryEta
-						out.Fidelity = po.fidelity
-						fids = append(fids, out.Fidelity)
-						etas = append(etas, out.EndToEndEta)
-						stepServed++
-						stepFidSum += out.Fidelity
-						if tel != nil {
-							tel.fidelity.Observe(out.Fidelity)
-						}
-					} else {
-						stepDropped++
-					}
-				} else {
-					hopEtas, err := graph.EdgeEtas(path)
-					if err != nil {
-						return fmt.Errorf("qntn: step %d request %d: %w", step, req.ID, err)
-					}
+				po, err := rs.score(graph, path, req, at)
+				if err != nil {
+					return fmt.Errorf("qntn: step %d request %d: %w", step, req.ID, err)
+				}
+				if tel != nil {
+					tel.addProto(&po)
+				}
+				if po.served {
 					out.Served = true
 					out.Path = path
-					out.EndToEndEta = product(hopEtas)
-					if timed == nil {
-						out.Fidelity = PathFidelity(hopEtas, sc.Params.FidelityModel)
-					} else if out.Fidelity, out.PathLengthM, out.Latency, err = timed(path, at, hopEtas); err != nil {
-						return err
-					}
+					out.EndToEndEta = po.primaryEta
+					out.Fidelity = po.fidelity
 					fids = append(fids, out.Fidelity)
 					etas = append(etas, out.EndToEndEta)
 					stepServed++
@@ -226,7 +191,8 @@ func (sc *Scenario) runServe(cfg ServeConfig, res *ServeResult, timed func(path 
 						tel.fidelity.Observe(out.Fidelity)
 					}
 				}
-			} else {
+			}
+			if !out.Served {
 				stepDropped++
 			}
 			res.Metrics.Record(out)

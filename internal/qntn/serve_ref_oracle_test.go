@@ -2,10 +2,11 @@ package qntn_test
 
 // The serve-loop reference suite: RunServe and RunServeDES both run
 // RunServe's one per-step loop over the topology stepper, and must be
-// reflect.DeepEqual to the retired bodies kept verbatim in serve_ref_test.go
-// — every archetype, faults off and on, on both topology backends, with
-// the protocol off and on for RunServe and with memory T2 ∈ {0, 10 ms} ×
-// per-hop processing delay ∈ {0, 5 ms} for RunServeDES.
+// reflect.DeepEqual to the retired bodies kept in serve_ref_test.go — every
+// archetype, faults off and on, on both topology backends, with the
+// protocol off and on for RunServe and off for RunServeDES. With the
+// protocol on, RunServeDES must be RunServe plus each served request's
+// heralding latency.
 
 import (
 	"fmt"
@@ -13,8 +14,10 @@ import (
 	"testing"
 	"time"
 
+	"qntn/internal/netsim"
 	"qntn/internal/qntn"
 	"qntn/internal/qntn/oracletest"
+	"qntn/internal/stats"
 )
 
 // servedCount returns the number of served requests of one serve result.
@@ -72,36 +75,100 @@ func TestRunServeDESMatchesReference(t *testing.T) {
 	served := 0
 	for _, arch := range oracletest.Archetypes() {
 		for _, faults := range []bool{false, true} {
-			for _, t2 := range []time.Duration{0, 10 * time.Millisecond} {
-				for _, delay := range []time.Duration{0, 5 * time.Millisecond} {
-					arch, faults, t2, delay := arch, faults, t2, delay
-					t.Run(fmt.Sprintf("%s/faults=%v/t2=%v/delay=%v", arch.Name, faults, t2, delay), func(t *testing.T) {
-						p := arch.Params()
-						if faults {
-							p.Fault = oracletest.FaultConfig(11)
-						}
-						p.MemoryT2 = t2
-						p.ProcessingDelayPerHop = delay
-						cfg := referenceServeConfig(arch, arch.Duration)
-						stepped, event := oracletest.Pair(t, arch.Build, p)
-						want, err := qntn.RunServeDESReference(stepped, cfg)
-						if err != nil {
-							t.Fatalf("reference: %v", err)
-						}
-						for _, sc := range []*qntn.Scenario{stepped, event} {
-							got, err := sc.RunServeDES(cfg)
-							if err != nil {
-								t.Fatalf("eventDriven=%v: %v", sc.Params.EventDriven, err)
-							}
-							if !reflect.DeepEqual(got, want) {
-								t.Fatalf("eventDriven=%v: RunServeDES diverged from the reference\n got: %+v\nwant: %+v",
-									sc.Params.EventDriven, got, want)
-							}
-						}
-						served += servedCount(&want.ServeResult)
-					})
+			arch, faults := arch, faults
+			t.Run(fmt.Sprintf("%s/faults=%v", arch.Name, faults), func(t *testing.T) {
+				p := arch.Params()
+				if faults {
+					p.Fault = oracletest.FaultConfig(11)
 				}
-			}
+				cfg := referenceServeConfig(arch, arch.Duration)
+				stepped, event := oracletest.Pair(t, arch.Build, p)
+				want, err := qntn.RunServeDESReference(stepped, cfg)
+				if err != nil {
+					t.Fatalf("reference: %v", err)
+				}
+				for _, sc := range []*qntn.Scenario{stepped, event} {
+					got, err := sc.RunServeDES(cfg)
+					if err != nil {
+						t.Fatalf("eventDriven=%v: %v", sc.Params.EventDriven, err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("eventDriven=%v: RunServeDES diverged from the reference\n got: %+v\nwant: %+v",
+							sc.Params.EventDriven, got, want)
+					}
+				}
+				served += servedCount(&want.ServeResult)
+			})
+		}
+	}
+	if served == 0 {
+		t.Fatal("degenerate matrix: no archetype served a single request")
+	}
+}
+
+// TestRunServeDESComposesProtocol: with the protocol layer on, RunServeDES
+// is RunServe — same served set, paths and protocol fidelities — plus the
+// heralding latency of each served request's primary path, 2L/c at its
+// instant, summarized by MeanLatency and MaxLatency. Every archetype, faults
+// off and on, on both topology backends.
+func TestRunServeDESComposesProtocol(t *testing.T) {
+	served := 0
+	for _, arch := range oracletest.Archetypes() {
+		for _, faults := range []bool{false, true} {
+			arch, faults := arch, faults
+			t.Run(fmt.Sprintf("%s/faults=%v", arch.Name, faults), func(t *testing.T) {
+				p := arch.Params()
+				if faults {
+					p.Fault = oracletest.FaultConfig(11)
+				}
+				p.Protocol = protocolOracleConfig()
+				cfg := referenceServeConfig(arch, arch.Duration)
+				stepped, event := oracletest.Pair(t, arch.Build, p)
+				for _, sc := range []*qntn.Scenario{stepped, event} {
+					want, err := sc.RunServe(cfg)
+					if err != nil {
+						t.Fatalf("eventDriven=%v RunServe: %v", sc.Params.EventDriven, err)
+					}
+					des, err := sc.RunServeDES(cfg)
+					if err != nil {
+						t.Fatalf("eventDriven=%v RunServeDES: %v", sc.Params.EventDriven, err)
+					}
+					got := des.ServeResult
+					got.Metrics.Outcomes = append([]netsim.Outcome(nil), got.Metrics.Outcomes...)
+					var latencies []float64
+					var maxLatency time.Duration
+					for i := range got.Metrics.Outcomes {
+						o := &got.Metrics.Outcomes[i]
+						if o.Served {
+							length, err := sc.PathLengthM(o.Path, o.At)
+							if err != nil {
+								t.Fatal(err)
+							}
+							latency := qntn.HeraldingLatency(length)
+							if o.PathLengthM != length || o.Latency != latency {
+								t.Fatalf("eventDriven=%v outcome %d: length %g latency %v, want %g and %v",
+									sc.Params.EventDriven, i, o.PathLengthM, o.Latency, length, latency)
+							}
+							latencies = append(latencies, latency.Seconds())
+							maxLatency = max(maxLatency, latency)
+						}
+						o.PathLengthM, o.Latency = 0, 0
+					}
+					if !reflect.DeepEqual(&got, want) {
+						t.Fatalf("eventDriven=%v: RunServeDES diverged from RunServe\n got: %+v\nwant: %+v",
+							sc.Params.EventDriven, got, *want)
+					}
+					var meanLatency time.Duration
+					if len(latencies) > 0 {
+						meanLatency = time.Duration(stats.Mean(latencies) * float64(time.Second))
+					}
+					if des.MeanLatency != meanLatency || des.MaxLatency != maxLatency {
+						t.Fatalf("eventDriven=%v: latency mean %v max %v, want %v and %v",
+							sc.Params.EventDriven, des.MeanLatency, des.MaxLatency, meanLatency, maxLatency)
+					}
+					served += servedCount(want)
+				}
+			})
 		}
 	}
 	if served == 0 {

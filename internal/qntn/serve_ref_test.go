@@ -147,7 +147,10 @@ func runServeReference(sc *Scenario, cfg ServeConfig) (*ServeResult, error) {
 // runServeDESReference is the retired RunServeDES body, kept verbatim as
 // the differential oracle for its fold into the serve loop: topology-update
 // events on the simulator (simulator_test.go), a fresh sc.Routes snapshot
-// and BellmanFord per step, and the heralding-latency evaluator inline.
+// and BellmanFord per step, and the heralding-latency evaluator inline. Its
+// memory T2 and per-hop processing delay, since deleted, read as zero here:
+// at zero the retired time-aware fidelity was PathFidelity exactly, and
+// the latency 2L/c. It covers protocol-off runs only.
 func runServeDESReference(sc *Scenario, cfg ServeConfig) (*ServeDESResult, error) {
 	if cfg.RequestsPerStep <= 0 || cfg.Steps <= 0 {
 		return nil, fmt.Errorf("qntn: serve config requires positive requests and steps")
@@ -199,13 +202,8 @@ func runServeDESReference(sc *Scenario, cfg ServeConfig) (*ServeDESResult, error
 					s.Stop()
 					return
 				}
-				latency := sc.HeraldingLatency(length, len(hopEtas))
-				fid, err := TimeAwarePathFidelity(hopEtas, sc.Params.FidelityModel, latency, sc.Params.MemoryT2)
-				if err != nil {
-					simErr = err
-					s.Stop()
-					return
-				}
+				latency := HeraldingLatency(length)
+				fid := PathFidelity(hopEtas, sc.Params.FidelityModel)
 				out.Served = true
 				out.Path = path
 				out.EndToEndEta = product(hopEtas)
@@ -245,6 +243,5 @@ func runServeDESReference(sc *Scenario, cfg ServeConfig) (*ServeDESResult, error
 	if len(latencies) > 0 {
 		res.MeanLatency = time.Duration(stats.Mean(latencies) * float64(time.Second))
 	}
-	res.EventsProcessed = sim.Processed
 	return res, nil
 }

@@ -419,7 +419,7 @@ func TestInstrumentDetach(t *testing.T) {
 func TestParamsHash(t *testing.T) {
 	p := DefaultParams()
 	h1 := ParamsHash(p)
-	if want := "a1237872a6c2a6df"; h1 != want {
+	if want := "ca146edc916a3a3c"; h1 != want {
 		t.Fatalf("ParamsHash(DefaultParams()) = %q, want %q", h1, want)
 	}
 	if h2 := ParamsHash(p); h2 != h1 {

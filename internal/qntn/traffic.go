@@ -64,11 +64,11 @@ func (cfg TrafficConfig) withDefaults() TrafficConfig {
 // validate checks the traffic shape.
 func (cfg TrafficConfig) validate() error {
 	switch {
-	case cfg.RatePerHourPerSite <= 0:
-		return fmt.Errorf("qntn: traffic rate must be positive, got %g", cfg.RatePerHourPerSite)
-	case cfg.Diurnal.Amplitude < 0 || cfg.Diurnal.Amplitude >= 1:
+	case !(cfg.RatePerHourPerSite > 0) || math.IsInf(cfg.RatePerHourPerSite, 1):
+		return fmt.Errorf("qntn: traffic rate must be positive and finite, got %g", cfg.RatePerHourPerSite)
+	case !(cfg.Diurnal.Amplitude >= 0 && cfg.Diurnal.Amplitude < 1):
 		return fmt.Errorf("qntn: diurnal amplitude %g outside [0,1)", cfg.Diurnal.Amplitude)
-	case cfg.Diurnal.PeakHour < 0 || cfg.Diurnal.PeakHour >= 24:
+	case !(cfg.Diurnal.PeakHour >= 0 && cfg.Diurnal.PeakHour < 24):
 		return fmt.Errorf("qntn: diurnal peak hour %g outside [0,24)", cfg.Diurnal.PeakHour)
 	}
 	return nil
@@ -344,9 +344,7 @@ func (sc *Scenario) RunTraffic(cfg TrafficConfig) (*TrafficResult, error) {
 		for _, f := range ad.fids {
 			tel.fidelity.Observe(f)
 		}
-		if ad.pe != nil {
-			tel.addProto(&ad.proto)
-		}
+		tel.addProto(&ad.proto)
 	}
 	return res, nil
 }

@@ -384,10 +384,20 @@ func TestTrafficRejectsBadConfig(t *testing.T) {
 	}
 	for name, cfg := range map[string]TrafficConfig{
 		"zero rate":      {RatePerHourPerSite: 0},
+		"NaN rate":       {RatePerHourPerSite: math.NaN()},
+		"+Inf rate":      {RatePerHourPerSite: math.Inf(1)},
+		"-Inf rate":      {RatePerHourPerSite: math.Inf(-1)},
 		"amplitude >= 1": {RatePerHourPerSite: 10, Diurnal: DiurnalProfile{Amplitude: 1}},
 		"negative amp":   {RatePerHourPerSite: 10, Diurnal: DiurnalProfile{Amplitude: -0.1}},
+		"NaN amplitude":  {RatePerHourPerSite: 10, Diurnal: DiurnalProfile{Amplitude: math.NaN()}},
 		"peak hour 24":   {RatePerHourPerSite: 10, Diurnal: DiurnalProfile{Amplitude: 0.5, PeakHour: 24}},
+		"NaN peak hour":  {RatePerHourPerSite: 10, Diurnal: DiurnalProfile{Amplitude: 0.5, PeakHour: math.NaN()}},
 	} {
+		// validate alone first: a non-finite rate it let through would send
+		// RunTraffic's Poisson loop round without end.
+		if err := cfg.validate(); err == nil {
+			t.Fatalf("%s passed validate", name)
+		}
 		if _, err := sc.RunTraffic(cfg); err == nil {
 			t.Fatalf("%s accepted", name)
 		}

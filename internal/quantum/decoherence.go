@@ -61,27 +61,3 @@ func StoreBellPair(rho *Matrix, storage, t2 time.Duration) (*Matrix, error) {
 	out := pd.OnQubit(0, 2).Apply(rho)
 	return pd.OnQubit(1, 2).Apply(out), nil
 }
-
-// StoredBellFidelity returns the root Bell fidelity of a pair produced
-// with arm transmissivities eta1, eta2 (platform-source amplitude damping)
-// after both qubits dephase in memory for the given storage time. It
-// evaluates the exact density-matrix pipeline; callers get the common case
-// in one call.
-func StoredBellFidelity(eta1, eta2 float64, storage, t2 time.Duration) (float64, error) {
-	rho := PhiPlus().Density()
-	ad1, err := AmplitudeDamping(eta1)
-	if err != nil {
-		return 0, err
-	}
-	ad2, err := AmplitudeDamping(eta2)
-	if err != nil {
-		return 0, err
-	}
-	rho = ad1.OnQubit(0, 2).Apply(rho)
-	rho = ad2.OnQubit(1, 2).Apply(rho)
-	rho, err = StoreBellPair(rho, storage, t2)
-	if err != nil {
-		return 0, err
-	}
-	return BellFidelity(rho), nil
-}

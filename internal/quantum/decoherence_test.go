@@ -124,32 +124,3 @@ func TestStoreBellPairRejectsWrongDim(t *testing.T) {
 		t.Fatal("expected dimension error")
 	}
 }
-
-func TestStoredBellFidelityComposition(t *testing.T) {
-	// With no storage this must equal the both-arms closed form.
-	f, err := StoredBellFidelity(0.9, 0.8, 0, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(f, AnalyticBellFidelityBothArms(0.9, 0.8), 1e-10) {
-		t.Fatalf("no-storage value %g", f)
-	}
-	// Adding storage strictly decreases fidelity.
-	fs, err := StoredBellFidelity(0.9, 0.8, 20*time.Millisecond, 50*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fs >= f {
-		t.Fatalf("storage did not reduce fidelity: %g vs %g", fs, f)
-	}
-	// Infinite dephasing floor: coherences vanish; fidelity approaches
-	// the classical-correlation bound sqrt((1+sqrt(η1η2))... compute via
-	// long storage and just require (0, f).
-	floor, err := StoredBellFidelity(0.9, 0.8, time.Hour, time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if floor <= 0 || floor >= fs {
-		t.Fatalf("floor %g not below %g", floor, fs)
-	}
-}

@@ -43,9 +43,9 @@ const MinWernerFidelity = 0.25
 const PurifyStream = ^uint64(0)
 
 // Config parameterizes the protocol layer. The zero value disables it
-// entirely: protocol-off runs never touch this package. It is distinct from
-// Params.MemoryT2, which drives the DES timing experiment's end-node
-// dephasing; Config.MemoryT2 governs the swap-chain storage of this layer.
+// entirely: protocol-off runs never touch this package. Config.MemoryT2 is
+// the simulator's one memory model: the heralding-latency study sets it
+// too, with deterministic swaps and no purification.
 type Config struct {
 	// MemoryT2 is the coherence time of the relay and end-node memories a
 	// multi-hop pair dephases in while the chain's heralding completes.

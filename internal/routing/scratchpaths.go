@@ -417,6 +417,8 @@ func (s *DisjointScratch) Extract(g *Graph, primary []string, k int) ([][]string
 // order with the same float costs and the same heap, and stopping once dst
 // settles leaves dist[dst] and dst's predecessor chain — all this reads —
 // as a full run would.
+//
+//qntn:hotpath once per protocol request evaluation
 func (s *DisjointScratch) ExtractOn(a *Adjacency, primary []string, k int) ([][]string, error) {
 	if len(primary) < 2 {
 		return nil, fmt.Errorf("routing: disjoint extraction needs a path, got %d nodes", len(primary))
@@ -441,7 +443,7 @@ func (s *DisjointScratch) ExtractOn(a *Adjacency, primary []string, k int) ([][]
 	s.skipA, s.skipB = -1, -1
 	s.paths = s.paths[:0]
 	s.arena = s.arena[:0]
-	s.paths = append(s.paths, primary)
+	s.paths = append(s.paths, primary) //qntn:coldpath amortized growth: paths is reused
 	if err := s.block(g, primary); err != nil {
 		return nil, err
 	}
@@ -452,7 +454,7 @@ func (s *DisjointScratch) ExtractOn(a *Adjacency, primary []string, k int) ([][]
 		}
 		start := len(s.arena)
 		for cur := s.dst; ; cur = s.dij.prev[cur] {
-			s.arena = append(s.arena, g.ids[cur])
+			s.arena = append(s.arena, g.ids[cur]) //qntn:coldpath amortized growth: arena is reused
 			if cur == s.src {
 				break
 			}
@@ -461,7 +463,7 @@ func (s *DisjointScratch) ExtractOn(a *Adjacency, primary []string, k int) ([][]
 		for i, j := 0, len(seg)-1; i < j; i, j = i+1, j-1 {
 			seg[i], seg[j] = seg[j], seg[i]
 		}
-		s.paths = append(s.paths, seg)
+		s.paths = append(s.paths, seg) //qntn:coldpath amortized growth: paths is reused
 		if err := s.block(g, seg); err != nil {
 			return nil, err
 		}
