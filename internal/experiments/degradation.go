@@ -39,10 +39,14 @@ func DegradationStudy(p qntn.Params, cfg qntn.ServeConfig, window time.Duration,
 	if len(sizes) == 0 || len(levels) == 0 {
 		return nil, fmt.Errorf("experiments: degradation study requires sizes and fault levels")
 	}
+	// The schedule spans both the coverage window and the serve horizon,
+	// so no sampled instant falls past its end.
+	horizon := max(window, cfg.Horizon, fault.DefaultHorizon)
 	var rows []DegradationPoint
 	for _, u := range levels {
 		pp := p
 		pp.Fault = fault.AtIntensity(u, p.Fault.Seed)
+		pp.Fault.Horizon = horizon
 		cov, err := qntn.CoverageSweep(pp, sizes, window, workers)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: degradation study (u=%g): %w", u, err)

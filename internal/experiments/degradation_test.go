@@ -111,3 +111,27 @@ func TestDegradationCSV(t *testing.T) {
 		t.Errorf("row %q", lines[1])
 	}
 }
+
+// TestDegradationStudyFaultsPastOneDay: the study's fault schedule spans
+// the whole window, so a 26 h run still sees outages in its last two hours.
+// The air-ground row covers less of those two hours than a schedule that
+// ended at 24 h would leave it: all of them.
+func TestDegradationStudyFaultsPastOneDay(t *testing.T) {
+	p, cfg, _ := degradationInputs()
+	covered := func(window time.Duration) time.Duration {
+		t.Helper()
+		rows, err := DegradationStudy(p, cfg, window, []int{6}, []float64{0.4}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hap := rows[1]
+		if hap.Architecture != qntn.AirGround.String() {
+			t.Fatalf("row layout changed: %+v", hap)
+		}
+		return time.Duration(hap.CoveragePercent / 100 * float64(window))
+	}
+	extra := covered(26*time.Hour) - covered(24*time.Hour)
+	if extra > 2*time.Hour-p.StepInterval {
+		t.Errorf("air-ground covered %v of hours 24-26 under u=0.4, want outages there", extra)
+	}
+}

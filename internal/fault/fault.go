@@ -15,8 +15,10 @@
 //     factor is zero); fiber and space-space links are unaffected.
 //
 // Schedules are precomputed once into immutable sorted interval lists, so
-// concurrent sweep workers query them lock-free, and the Model decorator
-// preserves the batched StepModel fast path of the underlying link model.
+// concurrent sweep workers query them lock-free. The package holds the
+// schedule only: the simulator's link evaluator applies it (internal/qntn's
+// step evaluator gates each pair on the per-node down bits and the weather
+// bit it resolves once per instant).
 package fault
 
 import (
@@ -71,7 +73,7 @@ type Config struct {
 
 // Enabled reports whether any fault class is active. A disabled config
 // leaves the simulation byte-identical to the fault-free baseline (callers
-// skip installing the decorator entirely).
+// build no schedule, so no link ever reaches the fault gate).
 func (c Config) Enabled() bool {
 	return (c.SatMTBF > 0 && c.SatMTTR > 0) ||
 		(c.HAPMTBF > 0 && c.HAPMTTR > 0) ||

@@ -223,110 +223,3 @@ func TestScheduleQueries(t *testing.T) {
 		t.Errorf("HAP outages generated without an enabled HAP pair: %v", got)
 	}
 }
-
-// constModel is a trivial inner model: every distinct pair has a usable
-// link with a fixed transmissivity.
-type constModel struct{ eta float64 }
-
-func (m constModel) Evaluate(a, b netsim.Node, t time.Duration) (float64, bool) {
-	return m.eta, true
-}
-
-func TestModelEvaluate(t *testing.T) {
-	nodes := testNodes(t)
-	cfg := Config{HAPMTBF: time.Hour, HAPMTTR: 30 * time.Minute, WeatherP: 0.3, WeatherAttenuation: 0.5, Seed: 11}
-	sched, err := NewSchedule(cfg, nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := NewModel(constModel{eta: 0.8}, sched, 0.3)
-
-	hapDown := sched.DownSpans("HAP-1")
-	if len(hapDown) == 0 {
-		t.Fatal("expected HAP outages")
-	}
-	tDown := hapDown[0].Start
-	if _, ok := m.Evaluate(nodes[0], nodes[2], tDown); ok {
-		t.Error("link to a failed platform must vanish")
-	}
-	// Ground-ground links survive the platform outage.
-	if eta, ok := m.Evaluate(nodes[0], nodes[1], tDown); !ok || eta != 0.8 {
-		t.Errorf("ground pair during HAP outage: got (%g, %v), want (0.8, true)", eta, ok)
-	}
-
-	weather := sched.WeatherSpans()
-	if len(weather) == 0 {
-		t.Fatal("expected weather blackouts")
-	}
-	// Find a blackout instant where the HAP is up.
-	var tW time.Duration = -1
-	for _, sp := range weather {
-		for at := sp.Start; at < sp.End; at += time.Second {
-			if !sched.Down("HAP-1", at) {
-				tW = at
-				break
-			}
-		}
-		if tW >= 0 {
-			break
-		}
-	}
-	if tW < 0 {
-		t.Fatal("no blackout instant with the HAP up")
-	}
-	// Ground↔relay attenuates: 0.8 × 0.5 = 0.4 ≥ minEta 0.3 → survives.
-	if eta, ok := m.Evaluate(nodes[0], nodes[2], tW); !ok || math.Abs(eta-0.4) > 1e-12 {
-		t.Errorf("attenuated ground-relay link: got (%g, %v), want (0.4, true)", eta, ok)
-	}
-	// Fiber (ground-ground) is weather-immune.
-	if eta, ok := m.Evaluate(nodes[0], nodes[1], tW); !ok || eta != 0.8 {
-		t.Errorf("fiber during weather: got (%g, %v), want (0.8, true)", eta, ok)
-	}
-	// A higher gate severs the attenuated link.
-	strict := NewModel(constModel{eta: 0.8}, sched, 0.7)
-	if _, ok := strict.Evaluate(nodes[0], nodes[2], tW); ok {
-		t.Error("attenuated link below the threshold must be severed")
-	}
-	// Zero attenuation (the default) severs outright.
-	cfgSever := cfg
-	cfgSever.WeatherAttenuation = 0
-	schedSever, err := NewSchedule(cfgSever, nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sever := NewModel(constModel{eta: 0.8}, schedSever, 0)
-	if _, ok := sever.Evaluate(nodes[0], nodes[2], tW); ok {
-		t.Error("zero attenuation must sever ground-relay links in a blackout")
-	}
-}
-
-// TestModelStepEvaluatorMatchesEvaluate: the batched path must reproduce
-// the per-pair reference bit by bit, including for inner models without a
-// StepModel fast path.
-func TestModelStepEvaluatorMatchesEvaluate(t *testing.T) {
-	nodes := testNodes(t)
-	cfg := Config{
-		HAPMTBF: time.Hour, HAPMTTR: 20 * time.Minute,
-		GroundMTBF: 3 * time.Hour, GroundMTTR: time.Hour,
-		WeatherP: 0.25, WeatherAttenuation: 0.9, Seed: 19,
-	}
-	sched, err := NewSchedule(cfg, nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := NewModel(constModel{eta: 0.85}, sched, 0.7)
-	for at := time.Duration(0); at < 24*time.Hour; at += 7 * time.Minute {
-		ev := m.BeginStep(nodes, at)
-		for i := 0; i < len(nodes); i++ {
-			for j := i + 1; j < len(nodes); j++ {
-				be, bok := ev.EvaluatePair(i, j)
-				re, rok := m.Evaluate(nodes[i], nodes[j], at)
-				if be != re || bok != rok {
-					t.Fatalf("at %v pair (%d,%d): batched (%g, %v) != reference (%g, %v)",
-						at, i, j, be, bok, re, rok)
-				}
-			}
-		}
-		ev.Close()
-	}
-}

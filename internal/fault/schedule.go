@@ -108,8 +108,9 @@ func sampleExp(rng *rand.Rand, mean time.Duration) time.Duration {
 	return d
 }
 
-// spanAt reports whether t falls inside any of the sorted spans.
-func spanAt(spans []Span, t time.Duration) bool {
+// SpanAt reports whether t falls inside any of the sorted spans (a
+// schedule's DownSpans or WeatherSpans list).
+func SpanAt(spans []Span, t time.Duration) bool {
 	i := sort.Search(len(spans), func(i int) bool { return spans[i].End > t })
 	return i < len(spans) && spans[i].Start <= t
 }
@@ -117,12 +118,12 @@ func spanAt(spans []Span, t time.Duration) bool {
 // Down reports whether the named node is failed at instant t. Unknown IDs
 // and instants past the horizon are operational.
 func (s *Schedule) Down(id string, t time.Duration) bool {
-	return spanAt(s.down[id], t)
+	return SpanAt(s.down[id], t)
 }
 
 // Weather reports whether a weather blackout covers instant t.
 func (s *Schedule) Weather(t time.Duration) bool {
-	return spanAt(s.weather, t)
+	return SpanAt(s.weather, t)
 }
 
 // DownSpans returns the downtime intervals of the named node (nil when the

@@ -120,14 +120,6 @@ func (n *Network) Add(node Node) error {
 // Node returns the node with the given ID, or nil.
 func (n *Network) Node(id string) Node { return n.byID[id] }
 
-// Model returns the network's link model.
-func (n *Network) Model() LinkModel { return n.model }
-
-// SetModel replaces the network's link model — the hook a decorator (e.g. a
-// fault injector built over the final node set) uses after assembly. Not
-// safe to call concurrently with snapshots.
-func (n *Network) SetModel(model LinkModel) { n.model = model }
-
 // BeginStep returns a step evaluator over the network's nodes (in insertion
 // order) at instant t: the model's batched evaluator when it implements
 // StepModel, otherwise a per-pair adapter with identical semantics.

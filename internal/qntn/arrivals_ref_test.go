@@ -150,7 +150,7 @@ func runArrivalsReference(sc *Scenario, cfg ArrivalConfig) (*ArrivalResult, erro
 // TestRunArrivalsMatchesReference is the migration gate: the merged-loop
 // fast path must reproduce the event-heap reference bit for bit — every
 // counter, every wait and fidelity aggregate — across architectures,
-// seeds, and a fault-decorated link model.
+// seeds, and a faulted scenario.
 func TestRunArrivalsMatchesReference(t *testing.T) {
 	faulted := DefaultParams()
 	faulted.Fault.Seed = 11

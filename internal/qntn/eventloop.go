@@ -85,9 +85,6 @@ type eventEngine struct {
 	grid sampleGrid
 	g    *routing.Graph
 
-	fm       *fault.Model // nil without fault injection
-	down     []bool
-	weather  bool
 	isGround []bool
 
 	// stamp[i] is the grid step node i's evaluator caches were last
@@ -135,9 +132,6 @@ func (sc *Scenario) newEventEngine(grid sampleGrid) (*eventEngine, error) {
 	eng.sc = sc
 	eng.grid = grid
 	eng.ws.scan(sc, nodes, grid)
-	eng.down = grow(eng.down, n)
-	clear(eng.down)
-	eng.weather = false
 	eng.isGround = grow(eng.isGround, n)
 	eng.stamp = grow(eng.stamp, n)
 	clear(eng.stamp)
@@ -150,7 +144,6 @@ func (sc *Scenario) newEventEngine(grid sampleGrid) (*eventEngine, error) {
 	eng.cursor = 0
 	eng.active = eng.active[:0]
 	eng.stepChanges, eng.transitions, eng.pairEvals = 0, 0, 0
-	eng.fm, _ = sc.Net.Model().(*fault.Model)
 	eng.g.Reset()
 	for i, nd := range nodes {
 		eng.g.AddNode(nd.ID())
@@ -158,7 +151,9 @@ func (sc *Scenario) newEventEngine(grid sampleGrid) (*eventEngine, error) {
 	}
 	eng.g.ResetEdges()
 
-	// The initial full reset leaves every node's caches fresh at step 0.
+	// The initial full reset leaves every node's caches fresh at step 0,
+	// and its fault bits equal to what step 0's outage and weather events
+	// set; from there on the events alone move them.
 	eng.se = sc.beginStep(nodes, 0)
 
 	// Static fiber topology: evaluated once, installed up front (the
@@ -221,8 +216,7 @@ func (eng *eventEngine) buildEvents(nodes []netsim.Node) {
 			}
 		}
 	}
-	if eng.fm != nil {
-		sched := eng.fm.Schedule()
+	if sched := eng.sc.faults; sched != nil {
 		for i, nd := range nodes {
 			spanEvents(eng.grid, sched.DownSpans(nd.ID()), func(on, off int) {
 				eng.events = append(eng.events, event{step: on, kind: evNodeDown, i: i})
@@ -292,11 +286,11 @@ func (eng *eventEngine) sortEvents() {
 func (eng *eventEngine) apply(ev event) {
 	switch ev.kind {
 	case evWeatherOn:
-		eng.weather = true
+		eng.se.weather = true
 	case evWeatherOff:
-		eng.weather = false
+		eng.se.weather = false
 	case evNodeDown:
-		eng.down[ev.i] = true
+		eng.se.setDown(ev.i, true)
 		for _, fi := range eng.fiberOf[ev.i] {
 			fe := &eng.fiber[fi]
 			if fe.present {
@@ -307,10 +301,10 @@ func (eng *eventEngine) apply(ev event) {
 			}
 		}
 	case evNodeUp:
-		eng.down[ev.i] = false
+		eng.se.setDown(ev.i, false)
 		for _, fi := range eng.fiberOf[ev.i] {
 			fe := &eng.fiber[fi]
-			if !fe.present && !eng.down[fe.i] && !eng.down[fe.j] {
+			if !fe.present && !eng.se.down[fe.i] && !eng.se.down[fe.j] {
 				fe.present = true
 				// The indices predate the graph, so re-adding cannot fail.
 				_ = eng.g.AddEdgeByIndex(fe.i, fe.j, fe.eta)
@@ -356,24 +350,14 @@ func (eng *eventEngine) ensureFresh(i, k int) {
 	}
 }
 
-// evalPair evaluates one active pair with the exact stepped physics plus the
-// fault decoration, replicating fault.Model's step evaluator: down gate,
-// inner physics, weather gate.
+// evalPair evaluates one active pair with the stepped evaluator, fault
+// gate included: the engine's events keep its down and weather bits at the
+// current step.
 //
 //qntn:hotpath at most once per active pair per step
 func (eng *eventEngine) evalPair(i, j int) (float64, bool) {
 	eng.pairEvals++
-	if eng.down[i] || eng.down[j] {
-		return 0, false
-	}
-	eta, ok := eng.se.EvaluatePair(i, j)
-	if !ok {
-		return 0, false
-	}
-	if eng.weather && eng.isGround[i] != eng.isGround[j] {
-		return eng.fm.ApplyWeather(eta)
-	}
-	return eta, true
+	return eng.se.EvaluatePair(i, j)
 }
 
 // advance moves the engine to grid step k (steps must be visited in

@@ -141,7 +141,7 @@ func TestOutageDropsHybridHAPSatelliteLinks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := faulted.Net.Model().(*fault.Model).Schedule()
+	sched := faulted.faults
 	satLinksDropped := 0
 	for at := time.Duration(0); at < window; at += p.TopologyStep() {
 		if !sched.Down(HAPID, at) {

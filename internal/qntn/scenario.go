@@ -97,6 +97,10 @@ type Scenario struct {
 	// scan's position-memo slabs dominate a fresh engine's allocations.
 	engPool sync.Pool
 
+	// faults is the fault schedule every link evaluation is gated on: nil
+	// unless Params.Fault is enabled. See stepEval.EvaluatePair.
+	faults *fault.Schedule
+
 	// tel is the scenario-level instrumentation, nil (free) by default.
 	// See Instrument.
 	tel *scenarioTelemetry
@@ -354,16 +358,15 @@ func assembleTrusted(arch Architecture, p Params, lans []LocalNetwork, relays []
 		sc.RelayIDs = append(sc.RelayIDs, r.ID())
 		sc.relays = append(sc.relays, r)
 	}
-	// The fault decorator needs the final node set to precompute per-node
-	// schedules, so it wraps the model after assembly. A disabled config
-	// installs nothing, keeping fault-free runs byte-identical to the
-	// baseline.
+	// The fault schedule is sampled per node, so it waits for the final
+	// node set. A disabled config builds none, keeping fault-free runs
+	// byte-identical to the baseline.
 	if p.Fault.Enabled() {
 		sched, err := fault.NewSchedule(p.Fault, sc.Net.Nodes())
 		if err != nil {
 			return nil, err
 		}
-		sc.Net.SetModel(fault.NewModel(scenarioModel{sc}, sched, p.TransmissivityThreshold))
+		sc.faults = sched
 	}
 	if p.Telemetry != nil {
 		sc.Instrument(p.Telemetry)
@@ -371,15 +374,15 @@ func assembleTrusted(arch Architecture, p Params, lans []LocalNetwork, relays []
 	return sc, nil
 }
 
-// EvaluateLink exposes the scenario's link model for a node pair at time
-// t — through the network's installed model, so fault decoration applies
-// here exactly as it does to snapshots. Unknown IDs yield no link.
+// EvaluateLink exposes the scenario's per-pair reference link model for a
+// node pair at time t, fault gate included, exactly as snapshots evaluate
+// it. Unknown IDs yield no link.
 func (sc *Scenario) EvaluateLink(aID, bID string, t time.Duration) (float64, bool) {
 	a, b := sc.Net.Node(aID), sc.Net.Node(bID)
 	if a == nil || b == nil || aID == bID {
 		return 0, false
 	}
-	return sc.Net.Model().Evaluate(a, b, t)
+	return scenarioModel{sc}.Evaluate(a, b, t)
 }
 
 // evaluateLink implements the link physics + gating for every node-pair

@@ -253,22 +253,25 @@ func TestCandidatePairsDisabled(t *testing.T) {
 
 // TestSnapshotZeroAllocsSpatialIndex: the index-backed snapshot must stay
 // allocation-free in steady state, with the index demonstrably active, on
-// SpaceGround-108 and on the walker-96 +grid constellation, whose
-// satellites gather their candidates from the ISL allowlist.
+// SpaceGround-108, on SpaceGround-108 under faultyParams (the fault gate's
+// per-step schedule lookups included), and on the walker-96 +grid
+// constellation, whose satellites gather their candidates from the ISL
+// allowlist.
 func TestSnapshotZeroAllocsSpatialIndex(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector bookkeeping allocates; AllocsPerRun is meaningless")
 	}
 	builders := []struct {
 		name  string
-		build func(Params) (*Scenario, error)
+		build func() (*Scenario, error)
 	}{
-		{"space-ground-108", func(p Params) (*Scenario, error) { return NewSpaceGround(108, p) }},
-		{"walker-96-global", func(p Params) (*Scenario, error) { return NewWalker(walkerTestSpec(), p) }},
+		{"space-ground-108", func() (*Scenario, error) { return NewSpaceGround(108, DefaultParams()) }},
+		{"space-ground-108-faulted", func() (*Scenario, error) { return NewSpaceGround(108, faultyParams(7)) }},
+		{"walker-96-global", func() (*Scenario, error) { return NewWalker(walkerTestSpec(), DefaultParams()) }},
 	}
 	for _, b := range builders {
 		t.Run(b.name, func(t *testing.T) {
-			sc, err := b.build(DefaultParams())
+			sc, err := b.build()
 			if err != nil {
 				t.Fatal(err)
 			}

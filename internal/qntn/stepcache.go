@@ -5,19 +5,45 @@ import (
 	"time"
 
 	"qntn/internal/channel"
+	"qntn/internal/fault"
 	"qntn/internal/geo"
 	"qntn/internal/netsim"
 )
 
 // scenarioModel binds a Scenario to netsim's link-model interfaces. The
-// per-pair Evaluate is the reference physics; BeginStep returns the batched
-// fast path, which reproduces Evaluate's results exactly (the snapshot
-// equivalence tests assert bit-identity pair by pair).
+// per-pair Evaluate is the reference semantics; BeginStep returns the
+// batched fast path, which reproduces Evaluate's results exactly (the
+// snapshot equivalence tests assert bit-identity pair by pair).
 type scenarioModel struct{ sc *Scenario }
 
-// Evaluate implements netsim.LinkModel.
+// Evaluate implements netsim.LinkModel: the fault gate around the link
+// physics, in stepEval.EvaluatePair's order — a downed endpoint removes
+// the link, then the physics decide, then weather attenuates a
+// ground↔relay link.
 func (m scenarioModel) Evaluate(a, b netsim.Node, t time.Duration) (float64, bool) {
-	return m.sc.evaluateLink(a, b, t)
+	sc := m.sc
+	if sc.faults != nil && (sc.faults.Down(a.ID(), t) || sc.faults.Down(b.ID(), t)) {
+		return 0, false
+	}
+	eta, ok := sc.evaluateLink(a, b, t)
+	if ok && sc.faults != nil && sc.faults.Weather(t) && (a.Kind() == netsim.Ground) != (b.Kind() == netsim.Ground) {
+		return sc.weatherGate(eta)
+	}
+	return eta, ok
+}
+
+// weatherGate attenuates the transmissivity of a ground↔relay link under a
+// weather blackout and re-gates it against the scenario's threshold. The
+// second return is false when the blackout severs the link (always, at the
+// default zero attenuation). Fiber and space-space links never reach it.
+//
+//qntn:hotpath
+func (sc *Scenario) weatherGate(eta float64) (float64, bool) {
+	eta *= sc.Params.Fault.WeatherAttenuation
+	if eta <= 0 || eta < sc.Params.TransmissivityThreshold {
+		return 0, false
+	}
+	return eta, true
 }
 
 // BeginStep implements netsim.StepModel.
@@ -53,7 +79,9 @@ func (sc *Scenario) beginStep(nodes []netsim.Node, t time.Duration) *stepEval {
 // answers pair queries from the cache. Cheap conservative prefilters
 // (horizon test, squared-range gate) reject most pairs before the full FSO
 // evaluation; pairs that survive run the exact reference computation, so
-// results are bit-identical to Scenario.evaluateLink.
+// results are bit-identical to Scenario.evaluateLink. On a faulted
+// scenario the evaluator also holds the instant's fault state, which
+// EvaluatePair gates every pair on.
 type stepEval struct {
 	sc    *Scenario
 	nodes []netsim.Node
@@ -118,6 +146,40 @@ type stepEval struct {
 	// incrementing them is noise next to the geometry they sit beside.
 	horizonRejects int64
 	rangeRejects   int64
+
+	// Fault state: spans and down stay nil and the rest zero on a
+	// fault-free scenario. spans[i] is node i's downtime list in the
+	// scenario's schedule (static while the node set is unchanged). down[i] reports node i failed at the current instant
+	// and nodesDown counts the set bits; weather reports a blackout. The
+	// stepped backend looks them up in reset, the event engine writes
+	// them from its outage and weather events.
+	spans     [][]fault.Span
+	down      []bool
+	nodesDown int
+	weather   bool
+}
+
+// FaultStats implements netsim.FaultStatser: the fault state resolved for
+// this step.
+//
+//qntn:hotpath
+func (se *stepEval) FaultStats() (nodesDown int, weather bool) {
+	return se.nodesDown, se.weather
+}
+
+// setDown sets node i's down bit, keeping nodesDown in step.
+//
+//qntn:hotpath
+func (se *stepEval) setDown(i int, down bool) {
+	if se.down[i] == down {
+		return
+	}
+	se.down[i] = down
+	if down {
+		se.nodesDown++
+	} else {
+		se.nodesDown--
+	}
 }
 
 // PairStats implements netsim.PairStatser: the number of pairs this step
@@ -301,7 +363,24 @@ func (se *stepEval) init(nodes []netsim.Node) {
 			se.gPos[i] = node.PositionAt(0)
 		}
 	}
+	se.initFaults(nodes)
 	se.initSpatial(nodes)
+}
+
+// initFaults caches each node's downtime spans and clears the down bits.
+// A fault-free scenario leaves both slices nil: EvaluatePair reads them
+// only while a node is down.
+func (se *stepEval) initFaults(nodes []netsim.Node) {
+	se.nodesDown = 0
+	if se.sc.faults == nil {
+		return
+	}
+	se.spans = grow(se.spans, len(nodes))
+	se.down = grow(se.down, len(nodes))
+	clear(se.down)
+	for i, node := range nodes {
+		se.spans[i] = se.sc.faults.DownSpans(node.ID())
+	}
 }
 
 // initSpatial rebuilds the static pair state for a new node set: the fiber
@@ -424,7 +503,8 @@ func growZero(s [][]int32, n int) [][]int32 {
 
 // reset recomputes the per-step caches for instant t: one position, norm
 // and geodetic conversion per relay (frames follow on demand); one darkness
-// bit per ground host.
+// bit per ground host; on a faulted scenario, one schedule lookup per node
+// and the weather bit.
 //
 //qntn:hotpath
 func (se *stepEval) reset(t time.Duration) {
@@ -451,6 +531,12 @@ func (se *stepEval) reset(t time.Duration) {
 		se.normM[i] = p.Norm()
 		se.lla[i] = geo.ToLLA(p)
 		se.frameOK[i] = false
+	}
+	if sc.faults != nil {
+		for i := range se.nodes {
+			se.setDown(i, fault.SpanAt(se.spans[i], t))
+		}
+		se.weather = sc.faults.Weather(t)
 	}
 }
 
@@ -509,23 +595,34 @@ func (se *stepEval) relayFrame(i int) *geo.Frame {
 //qntn:hotpath
 func (se *stepEval) Close() { se.sc.stepPool.Put(se) }
 
-// EvaluatePair implements netsim.StepEvaluator. It mirrors the dispatch of
-// Scenario.evaluateLink exactly (order so kind[a] <= kind[b], then switch
-// on the kind pair).
+// EvaluatePair implements netsim.StepEvaluator, gating in
+// scenarioModel.Evaluate's order. A pair with a downed endpoint is
+// rejected first, so it never reaches the prefilters or their counts.
+// Then the physics, which mirror the dispatch of Scenario.evaluateLink
+// exactly (order so kind[a] <= kind[b], then switch on the kind pair).
+// Then a weather blackout attenuates a ground↔relay link, the only kind
+// pair that falls through the switch. On a fault-free scenario nodesDown
+// and weather stay zero, so the gate costs one predictable branch per pair
+// (two on a ground↔relay pair).
 //
 //qntn:hotpath every node pair of every step goes through here
 func (se *stepEval) EvaluatePair(i, j int) (float64, bool) {
+	if se.nodesDown > 0 && (se.down[i] || se.down[j]) {
+		return 0, false
+	}
 	a, b := i, j
 	if se.kind[a] > se.kind[b] {
 		a, b = b, a
 	}
+	var eta float64
+	var ok bool
 	switch {
 	case se.kind[a] == netsim.Ground && se.kind[b] == netsim.Ground:
 		return se.fiberPair(a, b)
 	case se.kind[a] == netsim.Ground && se.kind[b] == netsim.Satellite:
-		return se.groundRelayPair(a, b, &se.sc.spaceFSO, se.sc.spaceMaxRangeM2)
+		eta, ok = se.groundRelayPair(a, b, &se.sc.spaceFSO, se.sc.spaceMaxRangeM2)
 	case se.kind[a] == netsim.Ground && se.kind[b] == netsim.HAP:
-		return se.groundRelayPair(a, b, &se.sc.hapFSO, se.sc.hapMaxRangeM2)
+		eta, ok = se.groundRelayPair(a, b, &se.sc.hapFSO, se.sc.hapMaxRangeM2)
 	case se.kind[a] == netsim.Satellite && se.kind[b] == netsim.Satellite:
 		return se.islPair(a, b)
 	case se.kind[a] == netsim.Satellite && se.kind[b] == netsim.HAP:
@@ -533,6 +630,10 @@ func (se *stepEval) EvaluatePair(i, j int) (float64, bool) {
 	default:
 		return 0, false
 	}
+	if ok && se.weather {
+		return se.sc.weatherGate(eta)
+	}
+	return eta, ok
 }
 
 // fiberPair mirrors Scenario.fiberLink on the memoized fiber adjacency: a

@@ -1,6 +1,9 @@
 package qntn
 
 import (
+	"fmt"
+	"time"
+
 	"qntn/internal/netsim"
 	"qntn/internal/routing"
 )
@@ -52,6 +55,9 @@ type topoStepper struct {
 // stepped backend to count link transitions (the event engine always does).
 // The caller must close the stepper.
 func (sc *Scenario) newTopoStepper(grid sampleGrid, trackLinks bool) (*topoStepper, error) {
+	if err := sc.checkFaultHorizon(grid.at(grid.steps - 1)); err != nil {
+		return nil, err
+	}
 	ts := &topoStepper{sc: sc, grid: grid, trackLinks: trackLinks}
 	if sc.Params.EventDriven && sc.tel == nil {
 		eng, err := sc.newEventEngine(grid)
@@ -66,6 +72,17 @@ func (sc *Scenario) newTopoStepper(grid sampleGrid, trackLinks bool) (*topoStepp
 		ts.stats = new(netsim.SnapshotStats)
 	}
 	return ts, nil
+}
+
+// checkFaultHorizon refuses a run whose last sampled instant is at or past
+// the end of the fault schedule: the schedule reports every node up and
+// the sky clear from its horizon on, so those instants would count as
+// fault-free.
+func (sc *Scenario) checkFaultHorizon(last time.Duration) error {
+	if sc.faults == nil || last < sc.faults.Horizon() {
+		return nil
+	}
+	return fmt.Errorf("qntn: the run samples up to %v but the fault schedule ends at %v; set the params key fault.horizon_s past the run", last, sc.faults.Horizon())
 }
 
 // step advances the topology to grid step k; steps must be visited in

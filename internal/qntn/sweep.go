@@ -57,7 +57,7 @@ func largestPaperSize(sizes []int) (int, error) {
 // Because the paper's constellations are nested prefixes of Table II, the
 // sweep propagates the full catalog once (EphemerisCache) and takes one
 // standard stepped snapshot of the largest size per instant (spatial index,
-// fault decoration and instruments included). Ground hosts lead the node
+// fault gate and instruments included). Ground hosts lead the node
 // order and each link depends on its two endpoints alone, so the snapshot
 // of size n is this one restricted to its first len(ground)+n nodes, and
 // each size is answered by Coverage's bridged rule over that prefix. Steps
@@ -88,6 +88,9 @@ func CoverageSweep(p Params, sizes []int, duration time.Duration, workers int) (
 	}
 	sc, err := cache.Scenario(maxN)
 	if err != nil {
+		return nil, err
+	}
+	if err := sc.checkFaultHorizon(grid.at(grid.steps - 1)); err != nil {
 		return nil, err
 	}
 	nGround := sc.Net.NumNodes() - len(sc.relays)
