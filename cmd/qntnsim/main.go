@@ -313,6 +313,10 @@ func run(args []string, w io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
+	// The arrivals admission samples its -duration horizon itself, so a
+	// fault schedule (from the flags or the params file) must reach past
+	// it; the one-day serve runs sample strictly inside the default day.
+	params = params.CoverFaults(opt.duration)
 	params.EventDriven = opt.eventDriven
 	params.DisableSpatialIndex = opt.noSpatialIndex
 	serveCfg := qntn.ServeConfig{

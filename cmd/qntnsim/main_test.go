@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"qntn/internal/orbit"
+	"qntn/internal/qntn"
 	"qntn/internal/telemetry"
 )
 
@@ -214,6 +216,36 @@ func TestRunFaultFlags(t *testing.T) {
 	}
 	if faulted.String() != again.String() {
 		t.Fatal("fault-injected run is not reproducible")
+	}
+}
+
+// TestRunFaultFlagsCoverTheDuration: the arrivals admission samples its
+// -duration horizon itself, so the params the command builds from the
+// fault flags carry a schedule reaching past it, and a faulted one-day
+// RunArrivals on them runs instead of being refused. The coverage row
+// lengthens the schedule for its own -duration.
+func TestRunFaultFlagsCoverTheDuration(t *testing.T) {
+	var b strings.Builder
+	if err := run([]string{"-fault-mtbf", "2h", "params"}, &b); err != nil {
+		t.Fatal(err)
+	}
+	p, err := qntn.LoadParams(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Fault.Horizon <= orbit.Day {
+		t.Fatalf("fault horizon %v does not reach past the one-day -duration", p.Fault.Horizon)
+	}
+	sc, err := qntn.NewAirGround(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sc.RunArrivals(qntn.ArrivalConfig{RatePerHour: 20, Horizon: orbit.Day, Seed: 1}); err != nil {
+		t.Fatalf("faulted one-day arrivals: %v", err)
+	}
+	b.Reset()
+	if err := run([]string{"-fault-mtbf", "2h", "coverage", "-arch", "air", "-duration", "26h"}, &b); err != nil {
+		t.Fatalf("faulted 26h coverage: %v", err)
 	}
 }
 

@@ -124,6 +124,7 @@ func runCoverage(w io.Writer, p qntn.Params, _ qntn.ServeConfig, opt options) er
 		}
 	}
 
+	p = p.CoverFaults(*duration)
 	var sc *qntn.Scenario
 	var err error
 	switch *arch {

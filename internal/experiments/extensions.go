@@ -240,6 +240,7 @@ func ExtensionArrivalStudy(p qntn.Params, nSats int, horizon time.Duration, rate
 		{qntn.SpaceGround.String(), func(pp qntn.Params) (*qntn.Scenario, error) { return qntn.NewSpaceGround(nSats, pp) }},
 		{qntn.AirGround.String(), qntn.NewAirGround},
 	}
+	p = p.CoverFaults(horizon) // the admission samples its horizon itself
 	var rows []ArrivalRow
 	for _, a := range archs {
 		sc, err := a.build(p)

@@ -75,8 +75,10 @@ const (
 
 // NewDaemon validates the parameters and assembles the daemon's routes.
 // clock supplies wall time for the throughput gauge; pass time.Now from
-// the command layer.
+// the command layer. A fault schedule in p is lengthened past
+// maxQueryHorizon, which a traffic query's admission samples itself.
 func NewDaemon(p Params, clock func() time.Time) (*Daemon, error) {
+	p = p.CoverFaults(maxQueryHorizon)
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}

@@ -135,6 +135,27 @@ func TestDaemonMatchesLibrary(t *testing.T) {
 	}
 }
 
+// TestDaemonFaultedDayQuery: a traffic query's admission samples its
+// horizon instant, so the daemon lengthens a fault schedule past the
+// longest horizon it accepts and serves a faulted one-day query.
+func TestDaemonFaultedDayQuery(t *testing.T) {
+	d, err := NewDaemon(faultyParams(5), testClock())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+	resp := postTraffic(t, srv.URL, `{"arch":"air-ground","rate_per_hour_per_site":1,"horizon":"24h","seed":3}`)
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("faulted one-day query: status %d: %s", resp.StatusCode, body)
+	}
+}
+
 // TestDaemonMetrics exercises /metrics and /healthz: query totals, the
 // merged per-query engine counters, and the throughput gauge all surface
 // in Prometheus text format.
