@@ -94,14 +94,14 @@ type PairEnumerator interface {
 // model that induces the time-varying topology.
 type Network struct {
 	nodes []Node
-	byID  map[string]Node
+	index map[string]int // node ID -> position in nodes
 	model LinkModel
 	ins   *Instruments
 }
 
 // NewNetwork returns an empty network using the given link model.
 func NewNetwork(model LinkModel) *Network {
-	return &Network{byID: make(map[string]Node), model: model}
+	return &Network{index: make(map[string]int), model: model}
 }
 
 // Add inserts a node; duplicate IDs are rejected.
@@ -109,16 +109,28 @@ func (n *Network) Add(node Node) error {
 	if node == nil {
 		return fmt.Errorf("netsim: nil node")
 	}
-	if _, dup := n.byID[node.ID()]; dup {
+	if _, dup := n.index[node.ID()]; dup {
 		return fmt.Errorf("netsim: duplicate node ID %q", node.ID())
 	}
+	n.index[node.ID()] = len(n.nodes)
 	n.nodes = append(n.nodes, node)
-	n.byID[node.ID()] = node
 	return nil
 }
 
 // Node returns the node with the given ID, or nil.
-func (n *Network) Node(id string) Node { return n.byID[id] }
+func (n *Network) Node(id string) Node {
+	if i, ok := n.index[id]; ok {
+		return n.nodes[i]
+	}
+	return nil
+}
+
+// IndexOf returns the insertion-order index of the node with the given ID
+// (its index in Nodes and in every snapshot graph) and whether it exists.
+func (n *Network) IndexOf(id string) (int, bool) {
+	i, ok := n.index[id]
+	return i, ok
+}
 
 // BeginStep returns a step evaluator over the network's nodes (in insertion
 // order) at instant t: the model's batched evaluator when it implements

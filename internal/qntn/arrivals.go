@@ -98,12 +98,19 @@ type admission struct {
 	fidSum    float64
 }
 
-// newAdmission returns an admission whose topology updates run at the
-// instants 0, step, … ≤ horizon, step = Params.TopologyStep. The caller
-// must close it.
+// admissionGrid returns the instants the admission loop updates the
+// topology at: 0, step, … ≤ horizon, step = p.TopologyStep. The serve
+// daemon propagates its shared ephemeris on the same grid, so every
+// satellite position a query's admission reads is a cache hit.
+func admissionGrid(p Params, horizon time.Duration) sampleGrid {
+	step := p.TopologyStep()
+	return sampleGrid{gap: step, steps: int(horizon/step) + 1}
+}
+
+// newAdmission returns an admission whose topology updates run on
+// admissionGrid. The caller must close it.
 func newAdmission(sc *Scenario, horizon time.Duration) (*admission, error) {
-	step := sc.Params.TopologyStep()
-	ts, err := sc.newTopoStepper(sampleGrid{gap: step, steps: int(horizon/step) + 1}, false)
+	ts, err := sc.newTopoStepper(admissionGrid(sc.Params, horizon), false)
 	if err != nil {
 		return nil, err
 	}

@@ -107,7 +107,6 @@ func BenchmarkWindowScan108(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	nodes := sc.Net.Nodes()
 	grid := coverageGrid(p.TopologyStep(), orbit.Day)
 	for _, mode := range []struct {
 		name  string
@@ -116,11 +115,11 @@ func BenchmarkWindowScan108(b *testing.B) {
 		b.Run("sweep="+mode.name, func(b *testing.B) {
 			defer func(old bool) { moverSweepForce = old }(moverSweepForce)
 			moverSweepForce = mode.force
-			ws := sc.scanWindows(nodes, grid)
+			ws := sc.scanWindows(grid)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ws.scan(sc, nodes, grid)
+				ws.scan(sc, grid)
 			}
 		})
 	}

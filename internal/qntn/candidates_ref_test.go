@@ -44,7 +44,7 @@ func (se *stepEval) buildCandidatesReference() {
 		for j := i + 1; j < n; j++ {
 			pair := within(cells[i], cells[j])
 			if se.kind[i] == netsim.Ground && se.kind[j] == netsim.Ground {
-				pair = se.network[i] != "" && se.network[i] == se.network[j]
+				pair = se.nodes[i].Network() != "" && se.nodes[i].Network() == se.nodes[j].Network()
 			}
 			if pair {
 				se.cand = append(se.cand, netsim.PackPair(i, j))
@@ -78,7 +78,7 @@ func CompareCandidateSteps(sc *Scenario, instants []time.Duration, fn func(Candi
 	nodes := sc.Net.Nodes()
 	for _, at := range instants {
 		st := CandidateStep{At: at, Graph: routing.NewGraph(), RefGraph: routing.NewGraph()}
-		se := sc.beginStep(nodes, at)
+		se := sc.beginStep(at)
 		if !se.grid.ok {
 			se.Close()
 			return fmt.Errorf("t=%v: spatial index inactive at %d nodes", at, len(nodes))

@@ -136,7 +136,7 @@ type TrafficQuery struct {
 
 // ephemeris returns the shared satellite cache for the given horizon,
 // building it on first use: the full catalog propagated at every topology
-// instant the query will evaluate. Past maxEphemerisCaches horizons the
+// instant the query will evaluate (admissionGrid). Past maxEphemerisCaches horizons the
 // least recently used cache is dropped.
 func (d *Daemon) ephemeris(horizon time.Duration) (*EphemerisCache, error) {
 	d.mu.Lock()
@@ -151,10 +151,10 @@ func (d *Daemon) ephemeris(horizon time.Duration) (*EphemerisCache, error) {
 			return e.cache, nil
 		}
 	}
-	step := d.params.TopologyStep()
+	grid := admissionGrid(d.params, horizon)
 	var times []time.Duration
-	for t := time.Duration(0); t <= horizon; t += step {
-		times = append(times, t)
+	for k := 0; k < grid.steps; k++ {
+		times = append(times, grid.at(k))
 	}
 	c, err := NewEphemerisCache(orbit.MaxPaperSatellites, d.params, times)
 	if err != nil {

@@ -530,3 +530,37 @@ func TestDaemonGracefulDrain(t *testing.T) {
 		t.Fatalf("drained response truncated: %v", err)
 	}
 }
+
+// TestDaemonAdmissionHitsEphemeris: the daemon propagates its shared cache
+// on admissionGrid, so every instant a query's admission samples is a
+// cache hit for every satellite, and the cache holds no other instant.
+func TestDaemonAdmissionHitsEphemeris(t *testing.T) {
+	d := newTestDaemon(t)
+	for _, horizon := range []time.Duration{30 * time.Minute, 45*time.Minute + 10*time.Second} {
+		cache, err := d.ephemeris(horizon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc, err := cache.Scenario(24)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ad, err := newAdmission(sc, horizon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grid := ad.ts.grid
+		ad.close()
+		for _, nd := range sc.relays {
+			sat := nd.(*cachedSatellite)
+			if len(sat.index) != grid.steps {
+				t.Fatalf("horizon %v: %s cached at %d instants, admission samples %d", horizon, sat.id, len(sat.index), grid.steps)
+			}
+			for k := 0; k < grid.steps; k++ {
+				if _, ok := sat.index[grid.at(k)]; !ok {
+					t.Fatalf("horizon %v: admission instant %v of %s is a cache miss", horizon, grid.at(k), sat.id)
+				}
+			}
+		}
+	}
+}

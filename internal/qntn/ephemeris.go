@@ -9,10 +9,11 @@ import (
 	"qntn/internal/orbit"
 )
 
-// propagationHook, when non-nil, observes every propagation pass over the
-// satellite catalog (one call per NewSpaceGround or NewEphemerisCache with
-// the catalog size). Tests install it to assert that nested-prefix sweeps
-// propagate the constellation exactly once instead of once per size.
+// propagationHook, when non-nil, observes every propagation pass over a
+// satellite catalog (one call per Table II fleet build, NewWalker or
+// NewEphemerisCache, with the catalog size). Tests install it to assert
+// that nested-prefix sweeps propagate the constellation exactly once
+// instead of once per size.
 var propagationHook func(nSats int)
 
 // cachedSatellite is a Table II satellite whose ECEF positions at a fixed
@@ -117,5 +118,5 @@ func (c *EphemerisCache) Scenario(n int) (*Scenario, error) {
 	if n > len(c.sats) {
 		return nil, fmt.Errorf("qntn: cached scenario size %d over the cached catalog's %d", n, len(c.sats))
 	}
-	return assembleTrusted(SpaceGround, c.params, GroundNetworks(), c.sats[:n])
+	return assembleTrusted(SpaceGround, c.params, GroundNetworks(), c.sats[:n], assembly{})
 }

@@ -78,14 +78,14 @@ type fiberEdge struct {
 }
 
 // eventEngine replays one scenario run as incremental topology updates.
+// Node kinds, the fiber pairs and the fault spans come from the scenario's
+// node table, read through the borrowed evaluator.
 type eventEngine struct {
 	sc   *Scenario
 	ws   *windowScan
 	se   *stepEval
 	grid sampleGrid
 	g    *routing.Graph
-
-	isGround []bool
 
 	// stamp[i] is the grid step node i's evaluator caches were last
 	// refreshed at (every node is fresh at step 0 from the initial reset).
@@ -118,7 +118,7 @@ type eventEngine struct {
 // pool — Close returns them — so repeated event-driven runs reuse the
 // window scan's position-memo slabs and the event buffers.
 func (sc *Scenario) newEventEngine(grid sampleGrid) (*eventEngine, error) {
-	nodes := sc.Net.Nodes()
+	nodes := sc.table.nodes
 	n := len(nodes)
 	eng, _ := sc.engPool.Get().(*eventEngine)
 	if eng == nil {
@@ -131,8 +131,7 @@ func (sc *Scenario) newEventEngine(grid sampleGrid) (*eventEngine, error) {
 	}
 	eng.sc = sc
 	eng.grid = grid
-	eng.ws.scan(sc, nodes, grid)
-	eng.isGround = grow(eng.isGround, n)
+	eng.ws.scan(sc, grid)
 	eng.stamp = grow(eng.stamp, n)
 	clear(eng.stamp)
 	eng.fiber = eng.fiber[:0]
@@ -145,30 +144,26 @@ func (sc *Scenario) newEventEngine(grid sampleGrid) (*eventEngine, error) {
 	eng.active = eng.active[:0]
 	eng.stepChanges, eng.transitions, eng.pairEvals = 0, 0, 0
 	eng.g.Reset()
-	for i, nd := range nodes {
+	for _, nd := range nodes {
 		eng.g.AddNode(nd.ID())
-		eng.isGround[i] = nd.Kind() == netsim.Ground
 	}
 	eng.g.ResetEdges()
 
 	// The initial full reset leaves every node's caches fresh at step 0,
 	// and its fault bits equal to what step 0's outage and weather events
 	// set; from there on the events alone move them.
-	eng.se = sc.beginStep(nodes, 0)
+	eng.se = sc.beginStep(0)
 
-	// Static fiber topology: evaluated once, installed up front (the
-	// initial topology produces no link transitions, matching the stepped
-	// tracker's first observation), then toggled only by down/up events.
+	// Static fiber topology: the node table's same-network pairs that pass
+	// the threshold (fiberPair's rule), in the dense loop's (i, j) order,
+	// installed up front (the initial topology produces no link
+	// transitions, matching the stepped tracker's first observation), then
+	// toggled only by down/up events.
+	se := eng.se
 	for i := 0; i < n; i++ {
-		if !eng.isGround[i] {
-			continue
-		}
-		for j := i + 1; j < n; j++ {
-			if !eng.isGround[j] {
-				continue
-			}
-			eta, ok := eng.se.fiberPair(i, j)
-			if !ok {
+		for k := se.fiberStart[i]; k < se.fiberStart[i+1]; k++ {
+			j, eta := int(se.fiberList[k]), se.fiberEta[k]
+			if eta < sc.Params.TransmissivityThreshold {
 				continue
 			}
 			fi := len(eng.fiber)
@@ -183,7 +178,7 @@ func (sc *Scenario) newEventEngine(grid sampleGrid) (*eventEngine, error) {
 	}
 	eng.ufDirty = true
 
-	eng.buildEvents(nodes)
+	eng.buildEvents()
 	eng.apos = grow(eng.apos, len(eng.ws.pairs))
 	for p := range eng.apos {
 		eng.apos[p] = -1
@@ -206,7 +201,7 @@ func (eng *eventEngine) Close() {
 
 // buildEvents merges the window runs with the fault schedule's outage and
 // weather spans into one stream sorted by (step, kind, node, pair).
-func (eng *eventEngine) buildEvents(nodes []netsim.Node) {
+func (eng *eventEngine) buildEvents() {
 	steps := eng.grid.steps
 	for p, runs := range eng.ws.runs {
 		for _, r := range runs {
@@ -217,8 +212,8 @@ func (eng *eventEngine) buildEvents(nodes []netsim.Node) {
 		}
 	}
 	if sched := eng.sc.faults; sched != nil {
-		for i, nd := range nodes {
-			spanEvents(eng.grid, sched.DownSpans(nd.ID()), func(on, off int) {
+		for i, spans := range eng.se.spans {
+			spanEvents(eng.grid, spans, func(on, off int) {
 				eng.events = append(eng.events, event{step: on, kind: evNodeDown, i: i})
 				if off < steps {
 					eng.events = append(eng.events, event{step: off, kind: evNodeUp, i: i})
@@ -447,7 +442,7 @@ func (eng *eventEngine) bridged(k int) bool {
 func (eng *eventEngine) joinOpenPairs(k int, ground bool) bool {
 	for _, p := range eng.active {
 		pr := &eng.ws.pairs[p]
-		if (eng.isGround[pr.i] || eng.isGround[pr.j]) != ground {
+		if (eng.se.kind[pr.i] == netsim.Ground || eng.se.kind[pr.j] == netsim.Ground) != ground {
 			continue
 		}
 		if eng.uf.find(pr.i) == eng.uf.find(pr.j) {

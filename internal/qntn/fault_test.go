@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -56,18 +55,23 @@ func TestFaultIdleDecoratorIsIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gated, err := NewSpaceGround(12, p)
+	// The schedule is drawn over base's nodes, which carry the same IDs as
+	// gated's, and handed to gated's assembly.
+	sched, err := fault.NewSchedule(fault.Config{Seed: 9}, base.Net.Nodes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := fault.NewSchedule(fault.Config{Seed: 9}, gated.Net.Nodes())
+	sats, err := paperFleet(12, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The pooled evaluator caches each node's span list, so drop it and
-	// let the next step rebuild its caches against the installed schedule.
-	gated.faults = sched
-	gated.stepPool = sync.Pool{}
+	gated, err := assembleWith(SpaceGround, p, GroundNetworks(), sats, assembly{faults: sched})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gated.faults != sched || gated.table.spans == nil {
+		t.Fatal("assembly did not install the schedule")
+	}
 	for s := 0; s < 40; s++ {
 		at := time.Duration(s) * 4 * time.Minute
 		want, err := base.Graph(at)

@@ -7,7 +7,6 @@ import (
 	"qntn/internal/channel"
 	"qntn/internal/geo"
 	"qntn/internal/netsim"
-	"qntn/internal/orbit"
 )
 
 // ExtendedNetworks returns the paper's three LANs plus three synthetic
@@ -65,15 +64,12 @@ func NewMultiHAP(p Params, lans []LocalNetwork, positions []geo.LLA) (*Scenario,
 }
 
 // NewExtendedSpaceGround assembles the space-ground architecture over the
-// extended statewide LAN set.
+// extended statewide LAN set, with the same Table II fleet as
+// NewSpaceGround.
 func NewExtendedSpaceGround(nSats int, p Params) (*Scenario, error) {
-	elems, err := orbit.PaperConstellationWith(nSats, p.SatelliteAltitudeM, p.InclinationDeg)
+	sats, err := paperFleet(nSats, p)
 	if err != nil {
 		return nil, err
-	}
-	sats := make([]netsim.Node, len(elems))
-	for i, e := range elems {
-		sats[i] = netsim.NewSatelliteNode(fmt.Sprintf("SAT-%03d", i+1), e)
 	}
 	return NewCustomScenario(SpaceGround, p, ExtendedNetworks(), sats)
 }

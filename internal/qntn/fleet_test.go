@@ -202,3 +202,44 @@ func TestConnectedPairsHelper(t *testing.T) {
 		t.Fatalf("empty fleet pairs %d", got)
 	}
 }
+
+// TestTableIIFleetsHonorJ2: every Table II architecture builds its fleet
+// through one builder, so Params.UseJ2 moves the satellites of the hybrid
+// and statewide scenarios exactly as it moves NewSpaceGround's, and each
+// build is one catalog propagation.
+func TestTableIIFleetsHonorJ2(t *testing.T) {
+	const at = 6 * time.Hour
+	twoBody, j2 := DefaultParams(), DefaultParams()
+	j2.UseJ2 = true
+	ref, err := NewSpaceGround(108, j2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ref.Net.Node("SAT-001").PositionAt(at)
+	calls := installPropagationHook(t)
+	for name, build := range map[string]func(Params) (*Scenario, error){
+		"space-ground": func(p Params) (*Scenario, error) { return NewSpaceGround(108, p) },
+		"hybrid":       func(p Params) (*Scenario, error) { return NewHybrid(108, p) },
+		"statewide":    func(p Params) (*Scenario, error) { return NewExtendedSpaceGround(108, p) },
+	} {
+		*calls = (*calls)[:0]
+		plain, err := build(twoBody)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perturbed, err := build(j2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := perturbed.Net.Node("SAT-001").PositionAt(at)
+		if got != want {
+			t.Errorf("%s: SAT-001 under J2 at %v is %v, NewSpaceGround's is %v", name, at, got, want)
+		}
+		if d := got.Distance(plain.Net.Node("SAT-001").PositionAt(at)); d < 1000 {
+			t.Errorf("%s: J2 moved SAT-001 by %.1f m at %v, want kilometers", name, d, at)
+		}
+		if len(*calls) != 2 {
+			t.Errorf("%s: %d catalog propagations for two builds, want 2", name, len(*calls))
+		}
+	}
+}

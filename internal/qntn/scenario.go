@@ -2,7 +2,7 @@ package qntn
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -70,16 +70,13 @@ type Scenario struct {
 	spaceFSO     channel.FSOConfig
 	hapFSO       channel.FSOConfig
 	satHAPFSO    channel.FSOConfig
-	groundByID   map[string]*netsim.GroundHost
 	relays       []netsim.Node
 	islClearance float64
 	sun          astro.Sun
 
-	// islAdj, when non-nil, restricts inter-satellite links to an explicit
-	// grid topology: each satellite ID maps to its sorted allowed-partner
-	// IDs (symmetric). nil means any satellite pair may link — the paper's
-	// default. See WalkerSpec.ISLGrid.
-	islAdj map[string][]string
+	// table is the static per-node state, built once at assembly and
+	// shared by the step evaluators, the window scan and the event engine.
+	table nodeTable
 
 	// Squared-slant-range prefilter gates derived from the transmissivity
 	// threshold (see channel.FSOConfig.MaxUsableRangeM2): beyond the gate
@@ -110,6 +107,18 @@ type Scenario struct {
 // nSats satellites of the paper's Table II slot pattern at the altitude and
 // inclination configured in p (the paper's 500 km / 53° by default).
 func NewSpaceGround(nSats int, p Params) (*Scenario, error) {
+	sats, err := paperFleet(nSats, p)
+	if err != nil {
+		return nil, err
+	}
+	return assemble(SpaceGround, p, sats)
+}
+
+// paperFleet builds the first nSats satellites of the paper's Table II
+// slot pattern at the altitude and inclination configured in p, with the
+// J2 perturbation when p.UseJ2 is set: the one fleet builder of every
+// Table II architecture.
+func paperFleet(nSats int, p Params) ([]netsim.Node, error) {
 	elems, err := orbit.PaperConstellationWith(nSats, p.SatelliteAltitudeM, p.InclinationDeg)
 	if err != nil {
 		return nil, err
@@ -122,7 +131,7 @@ func NewSpaceGround(nSats int, p Params) (*Scenario, error) {
 		e.ApplyJ2 = p.UseJ2
 		sats[i] = netsim.NewSatelliteNode(fmt.Sprintf("SAT-%03d", i+1), e)
 	}
-	return assemble(SpaceGround, p, sats)
+	return sats, nil
 }
 
 // NewSpaceGroundFromSheets assembles the space-ground architecture from
@@ -148,17 +157,12 @@ func NewAirGround(p Params) (*Scenario, error) {
 // NewHybrid assembles a scenario containing both the HAP and the first
 // nSats Table II satellites — the paper's future-work hybrid architecture.
 func NewHybrid(nSats int, p Params) (*Scenario, error) {
-	elems, err := orbit.PaperConstellationWith(nSats, p.SatelliteAltitudeM, p.InclinationDeg)
+	sats, err := paperFleet(nSats, p)
 	if err != nil {
 		return nil, err
 	}
-	relays := make([]netsim.Node, 0, len(elems)+1)
-	relays = append(relays, netsim.NewHAPNode(HAPID, geo.LLA{LatDeg: p.HAPLatDeg, LonDeg: p.HAPLonDeg, AltM: p.HAPAltM}))
-	for i, e := range elems {
-		e.ApplyJ2 = p.UseJ2
-		relays = append(relays, netsim.NewSatelliteNode(fmt.Sprintf("SAT-%03d", i+1), e))
-	}
-	return assemble(Hybrid, p, relays)
+	hap := netsim.NewHAPNode(HAPID, geo.LLA{LatDeg: p.HAPLatDeg, LonDeg: p.HAPLonDeg, AltM: p.HAPAltM})
+	return assemble(Hybrid, p, append([]netsim.Node{hap}, sats...))
 }
 
 // WalkerSpec configures a multi-shell Walker-Delta scenario — the
@@ -191,77 +195,50 @@ func NewWalker(spec WalkerSpec, p Params) (*Scenario, error) {
 		propagationHook(len(elems))
 	}
 	sats := make([]netsim.Node, len(elems))
-	ids := make([]string, len(elems))
 	for i, e := range elems {
 		e.ApplyJ2 = p.UseJ2
-		ids[i] = fmt.Sprintf("SAT-%04d", i+1)
-		sats[i] = netsim.NewSatelliteNode(ids[i], e)
+		sats[i] = netsim.NewSatelliteNode(fmt.Sprintf("SAT-%04d", i+1), e)
 	}
 	lans := spec.Ground
 	if lans == nil {
 		lans = GroundNetworks()
 	}
-	sc, err := assembleWith(SpaceGround, p, lans, sats)
-	if err != nil {
-		return nil, err
-	}
+	var a assembly
 	if spec.ISLGrid {
-		sc.islAdj = walkerGridAdjacency(spec.Shells, ids)
+		a.isl = walkerGridAdjacency(spec.Shells)
 	}
-	sc.warm()
-	return sc, nil
+	return assembleWith(SpaceGround, p, lans, sats, a)
 }
 
 // walkerGridAdjacency builds the symmetric +grid ISL allowlist over the
-// concatenated shells: intra-plane ring neighbors plus the same slot of the
-// two adjacent planes, no cross-shell links. Neighbor lists are sorted by
-// node index (= lexicographic for the fixed-width IDs).
-func walkerGridAdjacency(shells []orbit.WalkerShell, ids []string) map[string][]string {
-	adj := make(map[string][]string, len(ids))
+// concatenated shells, indexed by satellite ordinal: intra-plane ring
+// neighbors plus the same slot of the two adjacent planes, no cross-shell
+// links. Each row is ascending.
+func walkerGridAdjacency(shells []orbit.WalkerShell) [][]int32 {
+	var adj [][]int32
 	base := 0
 	for _, sh := range shells {
 		perPlane := sh.TotalSats / sh.Planes
 		for p := 0; p < sh.Planes; p++ {
 			for s := 0; s < perPlane; s++ {
-				i := base + p*perPlane + s
-				var nbrs []int
+				i := int32(base + p*perPlane + s)
+				var nbrs []int32
 				add := func(j int) {
-					if j == i {
-						return
+					if int32(j) != i && !slices.Contains(nbrs, int32(j)) {
+						nbrs = append(nbrs, int32(j))
 					}
-					for _, k := range nbrs {
-						if k == j {
-							return
-						}
-					}
-					nbrs = append(nbrs, j)
 				}
 				add(base + p*perPlane + (s+1)%perPlane)
 				add(base + p*perPlane + (s-1+perPlane)%perPlane)
 				add(base + ((p+1)%sh.Planes)*perPlane + s)
 				add(base + ((p-1+sh.Planes)%sh.Planes)*perPlane + s)
-				sort.Ints(nbrs)
-				out := make([]string, len(nbrs))
-				for k, j := range nbrs {
-					out[k] = ids[j]
-				}
-				adj[ids[i]] = out
+				slices.Sort(nbrs)
+				adj = append(adj, nbrs)
 			}
 		}
 		base += sh.TotalSats
 	}
 	return adj
-}
-
-// islAllowedID reports whether the grid topology permits an ISL between the
-// two satellite IDs. Lists are symmetric, so one side suffices.
-func (sc *Scenario) islAllowedID(aID, bID string) bool {
-	for _, id := range sc.islAdj[aID] {
-		if id == bID {
-			return true
-		}
-	}
-	return false
 }
 
 // NewCustomScenario assembles a scenario over an arbitrary set of local
@@ -282,44 +259,46 @@ func NewCustomScenario(arch Architecture, p Params, lans []LocalNetwork, relays 
 		}
 		seen[lan.Name] = true
 	}
-	sc, err := assembleWith(arch, p, lans, relays)
-	if err != nil {
-		return nil, err
-	}
-	sc.warm()
-	return sc, nil
+	return assembleWith(arch, p, lans, relays, assembly{})
 }
 
 func assemble(arch Architecture, p Params, relays []netsim.Node) (*Scenario, error) {
-	sc, err := assembleWith(arch, p, GroundNetworks(), relays)
-	if err != nil {
-		return nil, err
-	}
-	sc.warm()
-	return sc, nil
+	return assembleWith(arch, p, GroundNetworks(), relays, assembly{})
 }
 
-// warm initializes the pooled step evaluator — per-node caches, spatial-grid
-// geometry, one priming candidate build — as part of scenario construction,
-// so the first snapshot runs at allocation-free steady state. Every public
-// constructor calls it as its last step, after any post-assembly topology
-// (the Walker ISL allowlist) is in place, since the evaluator's static
-// caches are keyed on the node set alone.
-func (sc *Scenario) warm() {
-	sc.Net.BeginStep(0).Close()
+// assembly holds the assembly inputs that no Params field carries.
+type assembly struct {
+	// isl, when non-nil, restricts satellite↔satellite links to an
+	// allowlist over the relays: isl[r] lists relay r's allowed partners
+	// as ascending relay ordinals (symmetric; relays past the end have no
+	// row). nil lets any satellite pair link, the paper's default. See
+	// WalkerSpec.ISLGrid.
+	isl [][]int32
+	// faults, when non-nil, is the fault schedule in place of the one
+	// Params.Fault would draw.
+	faults *fault.Schedule
 }
 
-func assembleWith(arch Architecture, p Params, lans []LocalNetwork, relays []netsim.Node) (*Scenario, error) {
+// assembleWith validates the parameters, assembles the scenario and warms
+// its pooled step evaluator (per-step arrays, one priming candidate build),
+// so the first snapshot runs at allocation-free steady state.
+func assembleWith(arch Architecture, p Params, lans []LocalNetwork, relays []netsim.Node, a assembly) (*Scenario, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return assembleTrusted(arch, p, lans, relays)
+	sc, err := assembleTrusted(arch, p, lans, relays, a)
+	if err != nil {
+		return nil, err
+	}
+	sc.Net.BeginStep(0).Close()
+	return sc, nil
 }
 
 // assembleTrusted assembles a scenario from already-validated parameters —
 // the path EphemerisCache.Scenario takes so a sweep validates once instead
-// of once per size.
-func assembleTrusted(arch Architecture, p Params, lans []LocalNetwork, relays []netsim.Node) (*Scenario, error) {
+// of once per size. The node table is built last, over the final node set
+// and fault schedule.
+func assembleTrusted(arch Architecture, p Params, lans []LocalNetwork, relays []netsim.Node, a assembly) (*Scenario, error) {
 	sc := &Scenario{
 		Arch:         arch,
 		Params:       p,
@@ -328,7 +307,6 @@ func assembleTrusted(arch Architecture, p Params, lans []LocalNetwork, relays []
 		fiber:        p.Fiber(),
 		spaceFSO:     p.SpaceDownlinkFSO(),
 		hapFSO:       p.HAPDownlinkFSO(),
-		groundByID:   make(map[string]*netsim.GroundHost),
 		islClearance: p.ISLClearanceAltM,
 	}
 	sc.satHAPFSO = sc.spaceFSO
@@ -348,7 +326,6 @@ func assembleTrusted(arch Architecture, p Params, lans []LocalNetwork, relays []
 			}
 			sc.lanHosts[li] = append(sc.lanHosts[li], sc.Net.NumNodes()-1)
 			sc.GroundIDs[lan.Name] = append(sc.GroundIDs[lan.Name], id)
-			sc.groundByID[id] = host
 		}
 	}
 	for _, r := range relays {
@@ -361,13 +338,15 @@ func assembleTrusted(arch Architecture, p Params, lans []LocalNetwork, relays []
 	// The fault schedule is sampled per node, so it waits for the final
 	// node set. A disabled config builds none, keeping fault-free runs
 	// byte-identical to the baseline.
-	if p.Fault.Enabled() {
+	sc.faults = a.faults
+	if sc.faults == nil && p.Fault.Enabled() {
 		sched, err := fault.NewSchedule(p.Fault, sc.Net.Nodes())
 		if err != nil {
 			return nil, err
 		}
 		sc.faults = sched
 	}
+	sc.table = newNodeTable(sc, a.isl)
 	if p.Telemetry != nil {
 		sc.Instrument(p.Telemetry)
 	}
@@ -376,13 +355,14 @@ func assembleTrusted(arch Architecture, p Params, lans []LocalNetwork, relays []
 
 // EvaluateLink exposes the scenario's per-pair reference link model for a
 // node pair at time t, fault gate included, exactly as snapshots evaluate
-// it. Unknown IDs yield no link.
+// it. Unknown IDs, and nodes added to Net after assembly, yield no link.
 func (sc *Scenario) EvaluateLink(aID, bID string, t time.Duration) (float64, bool) {
-	a, b := sc.Net.Node(aID), sc.Net.Node(bID)
-	if a == nil || b == nil || aID == bID {
+	i, okA := sc.Net.IndexOf(aID)
+	j, okB := sc.Net.IndexOf(bID)
+	if !okA || !okB || i == j || max(i, j) >= len(sc.table.nodes) {
 		return 0, false
 	}
-	return scenarioModel{sc}.Evaluate(a, b, t)
+	return scenarioModel{sc}.Evaluate(sc.table.nodes[i], sc.table.nodes[j], t)
 }
 
 // evaluateLink implements the link physics + gating for every node-pair
@@ -458,7 +438,9 @@ func (sc *Scenario) groundSpaceLink(ground, relay netsim.Node, t time.Duration, 
 // atmosphere) and the transmissivity threshold; no elevation mask applies
 // between spaceborne terminals.
 func (sc *Scenario) interSatelliteLink(a, b netsim.Node, t time.Duration) (float64, bool) {
-	if sc.islAdj != nil && !sc.islAllowedID(a.ID(), b.ID()) {
+	i, _ := sc.Net.IndexOf(a.ID())
+	j, _ := sc.Net.IndexOf(b.ID())
+	if !sc.table.islAllowed(i, j) {
 		return 0, false
 	}
 	pa, pb := a.PositionAt(t), b.PositionAt(t)
@@ -543,8 +525,17 @@ func (sc *Scenario) Routes(t time.Duration) (*routing.Tables, *routing.Graph, er
 // NetworkOf returns the LAN name of a ground host ID ("" for relays and
 // unknown IDs).
 func (sc *Scenario) NetworkOf(id string) string {
-	if h, ok := sc.groundByID[id]; ok {
-		return h.Network()
+	if l := sc.lanOf(id); l >= 0 {
+		return sc.LANs[l].Name
 	}
 	return ""
+}
+
+// lanOf returns the index in LANs of a LAN host's ID, or -1 for relays,
+// unknown IDs and nodes added to Net after assembly.
+func (sc *Scenario) lanOf(id string) int32 {
+	if i, ok := sc.Net.IndexOf(id); ok && i < len(sc.table.lan) {
+		return sc.table.lan[i]
+	}
+	return -1
 }

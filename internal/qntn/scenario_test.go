@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"qntn/internal/geo"
+	"qntn/internal/netsim"
 	"qntn/internal/orbit"
 )
 
@@ -161,7 +162,7 @@ func TestSpaceLinkRespectsElevationMask(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	host := sc.groundByID[sc.GroundIDs[NetworkTTU][0]]
+	host := sc.Net.Node(sc.GroundIDs[NetworkTTU][0]).(*netsim.GroundHost)
 	found := false
 	for at := time.Duration(0); at < 6*time.Hour; at += time.Minute {
 		for _, sat := range sc.relays {

@@ -203,7 +203,7 @@ func TestRelayFrameFollowsRefresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	nodes := sc.Net.Nodes()
-	se := sc.beginStep(nodes, 0)
+	se := sc.beginStep(0)
 	defer se.Close()
 	relays := 0
 	for i, nd := range nodes {

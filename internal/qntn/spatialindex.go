@@ -27,24 +27,29 @@ import "qntn/internal/geo"
 const spatialIndexMinNodes = 48
 
 // pairGridMaxDim caps the grid resolution per axis. The per-cell run table
-// holds dim³ entries, allocated and cleared once per node set (and on the
+// holds dim³ entries, allocated and cleared once per evaluator (and on the
 // rare generation wrap-around), never per step; the cap bounds it at
 // ~384 KiB. Enlarging cells beyond the range bound is always safe (the
 // neighborhood stays a superset), just less selective.
 const pairGridMaxDim = 32
 
-// pairGrid is a uniform ECEF grid over the scenario's node universe. The
-// geometry (origin, cell size, dimension) is configured once per node set;
-// the per-step build reuses every backing array, so steady-state rebuilds
-// allocate nothing.
-type pairGrid struct {
-	// ok reports whether the grid is configured and eligible this node set.
-	ok bool
-	// originM is the universe's minimum corner along each axis; invCell is
-	// 1/cellM with cellM the effective cell edge in meters.
+// cellGeom is a grid's geometry: originM is the universe's minimum corner
+// along each axis, invCell is 1/cellM with cellM the effective cell edge in
+// meters, and dim the cells per axis. A scenario's node table holds the
+// step grid's geometry, computed once at assembly.
+type cellGeom struct {
 	originM float64
 	invCell float64
 	dim     int32
+}
+
+// pairGrid is a uniform ECEF grid over the scenario's node universe. The
+// geometry is configured once per grid; the per-step build reuses every
+// backing array, so steady-state rebuilds allocate nothing.
+type pairGrid struct {
+	// ok reports whether the grid is configured.
+	ok bool
+	cellGeom
 	// cell holds each node's flattened cell index for the current step.
 	cell []int32
 	// run is the per-cell bucket run, valid for the current build only
@@ -63,12 +68,12 @@ type cellRun struct {
 	start, end int32
 }
 
-// configure sets the grid geometry for a universe of half-extent
+// newCellGeom returns the geometry of a universe of half-extent
 // maxNormM + cell and a minimum cell edge of rangeM. The relative margin
 // absorbs float rounding in the axis computation (it dwarfs the 1e-9
 // margins already inside the range bounds), and the cap on dim only ever
 // enlarges cells, which keeps the neighborhood a superset.
-func (g *pairGrid) configure(rangeM, maxNormM float64) {
+func newCellGeom(rangeM, maxNormM float64) cellGeom {
 	cellM := rangeM*(1+1e-6) + 1.0
 	half := maxNormM + cellM
 	dim := int32(2 * half / cellM)
@@ -78,12 +83,20 @@ func (g *pairGrid) configure(rangeM, maxNormM float64) {
 	if dim > pairGridMaxDim {
 		dim = pairGridMaxDim
 	}
-	g.dim = dim
-	g.originM = -half
 	// Effective cell edge 2·half/dim ≥ cellM because dim ≤ 2·half/cellM.
-	g.invCell = float64(dim) / (2 * half)
+	return cellGeom{originM: -half, invCell: float64(dim) / (2 * half), dim: dim}
+}
+
+// configure sets the grid geometry to newCellGeom(rangeM, maxNormM).
+func (g *pairGrid) configure(rangeM, maxNormM float64) {
+	g.install(newCellGeom(rangeM, maxNormM))
+}
+
+// install sets the grid geometry and sizes the run table for it.
+func (g *pairGrid) install(geom cellGeom) {
+	g.cellGeom = geom
 	// Stamps of a previous geometry would alias this one's cells.
-	g.run = grow(g.run, int(dim)*int(dim)*int(dim))
+	g.run = grow(g.run, int(geom.dim)*int(geom.dim)*int(geom.dim))
 	clear(g.run)
 	g.gen = 0
 	g.ok = true
@@ -97,7 +110,7 @@ func (g *pairGrid) configure(rangeM, maxNormM float64) {
 // universe still land in a conservative neighborhood.
 //
 //qntn:hotpath
-func (g *pairGrid) axis(x float64) int32 {
+func (g *cellGeom) axis(x float64) int32 {
 	u := (x - g.originM) * g.invCell
 	if !(u >= 0) {
 		return 0
@@ -111,7 +124,7 @@ func (g *pairGrid) axis(x float64) int32 {
 // cellIndex flattens a position's cell coordinates x-fastest.
 //
 //qntn:hotpath
-func (g *pairGrid) cellIndex(p geo.Vec3) int32 {
+func (g *cellGeom) cellIndex(p geo.Vec3) int32 {
 	cx := g.axis(p.X)
 	cy := g.axis(p.Y)
 	cz := g.axis(p.Z)

@@ -296,22 +296,41 @@ func TestSnapshotZeroAllocsSpatialIndex(t *testing.T) {
 	}
 }
 
-// TestWalkerGridAdjacency pins the +grid ISL topology: four neighbors per
-// satellite (ring fore/aft plus the same slot in both adjacent planes),
-// symmetric, sorted, and never crossing shells.
+// TestWalkerGridAdjacency pins the +grid ISL topology in the node table:
+// four neighbors per satellite (ring fore/aft plus the same slot in both
+// adjacent planes), symmetric, sorted, never crossing shells, and no row
+// for a ground host.
 func TestWalkerGridAdjacency(t *testing.T) {
 	spec := walkerTestSpec()
 	sc, err := NewWalker(spec, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.islAdj == nil {
+	tab := &sc.table
+	if tab.islNbr == nil {
 		t.Fatal("ISLGrid spec produced no adjacency")
 	}
-	if got, want := len(sc.islAdj), 96; got != want {
-		t.Fatalf("adjacency covers %d satellites, want %d", got, want)
+	// Shell 0 is SAT-0001..SAT-0048, shell 1 the rest: no edge may cross.
+	shell := func(i int32) int {
+		var k int
+		if _, err := fmt.Sscanf(tab.nodes[i].ID(), "SAT-%04d", &k); err != nil {
+			t.Fatalf("bad satellite ID %q: %v", tab.nodes[i].ID(), err)
+		}
+		if k <= 48 {
+			return 0
+		}
+		return 1
 	}
-	for id, nbrs := range sc.islAdj {
+	sats := 0
+	for i, nbrs := range tab.islNbr {
+		if tab.kind[i] != netsim.Satellite {
+			if len(nbrs) != 0 {
+				t.Fatalf("%s is no satellite but has grid neighbors %v", tab.nodes[i].ID(), nbrs)
+			}
+			continue
+		}
+		sats++
+		id := tab.nodes[i].ID()
 		if len(nbrs) != 4 {
 			t.Fatalf("%s has %d grid neighbors, want 4: %v", id, len(nbrs), nbrs)
 		}
@@ -319,35 +338,19 @@ func TestWalkerGridAdjacency(t *testing.T) {
 			if k > 0 && nbrs[k-1] >= nb {
 				t.Fatalf("%s neighbors not sorted: %v", id, nbrs)
 			}
-			found := false
-			for _, back := range sc.islAdj[nb] {
-				if back == id {
-					found = true
-					break
-				}
+			if tab.kind[nb] != netsim.Satellite {
+				t.Fatalf("%s lists non-satellite %s", id, tab.nodes[nb].ID())
 			}
-			if !found {
-				t.Fatalf("adjacency not symmetric: %s lists %s but not vice versa", id, nb)
+			if !slices.Contains(tab.islNbr[nb], int32(i)) {
+				t.Fatalf("adjacency not symmetric: %s lists %s but not vice versa", id, tab.nodes[nb].ID())
+			}
+			if shell(int32(i)) != shell(nb) {
+				t.Fatalf("grid edge crosses shells: %s ~ %s", id, tab.nodes[nb].ID())
 			}
 		}
 	}
-	// Shell 0 is SAT-0001..SAT-0048, shell 1 the rest: no edge may cross.
-	shell := func(id string) int {
-		var k int
-		if _, err := fmt.Sscanf(id, "SAT-%04d", &k); err != nil {
-			t.Fatalf("bad satellite ID %q: %v", id, err)
-		}
-		if k <= 48 {
-			return 0
-		}
-		return 1
-	}
-	for id, nbrs := range sc.islAdj {
-		for _, nb := range nbrs {
-			if shell(id) != shell(nb) {
-				t.Fatalf("grid edge crosses shells: %s ~ %s", id, nb)
-			}
-		}
+	if got, want := sats, 96; got != want {
+		t.Fatalf("adjacency covers %d satellites, want %d", got, want)
 	}
 }
 
@@ -355,7 +358,7 @@ func TestWalkerGridAdjacency(t *testing.T) {
 // under an ISL allowlist still needs the grid: a HAP that follows the
 // satellites in node order. No public constructor builds such a scenario,
 // so it is assembled here from the walker-96 satellites plus a HAP over
-// Knoxville, with the walker's +grid allowlist installed before warm-up.
+// Knoxville, with the walker's +grid allowlist as an assembly input.
 // The candidate list must equal the retired gather's minus the forbidden
 // satellite pairs, and must hold satellite↔HAP pairs.
 func TestISLCandidatesKeepTrailingHAP(t *testing.T) {
@@ -364,20 +367,16 @@ func TestISLCandidatesKeepTrailingHAP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids := make([]string, len(elems))
 	relays := make([]netsim.Node, 0, len(elems)+1)
 	for i, e := range elems {
-		ids[i] = fmt.Sprintf("SAT-%04d", i+1)
-		relays = append(relays, netsim.NewSatelliteNode(ids[i], e))
+		relays = append(relays, netsim.NewSatelliteNode(fmt.Sprintf("SAT-%04d", i+1), e))
 	}
 	p := DefaultParams()
 	relays = append(relays, netsim.NewHAPNode(HAPID, geo.LLA{LatDeg: p.HAPLatDeg, LonDeg: p.HAPLonDeg, AltM: p.HAPAltM}))
-	sc, err := assembleWith(Hybrid, p, spec.Ground, relays)
+	sc, err := assembleWith(Hybrid, p, spec.Ground, relays, assembly{isl: walkerGridAdjacency(spec.Shells)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc.islAdj = walkerGridAdjacency(spec.Shells, ids)
-	sc.warm()
 	hap := sc.Net.NumNodes() - 1
 	instants := make([]time.Duration, 20)
 	for k := range instants {

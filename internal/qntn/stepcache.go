@@ -1,7 +1,6 @@
 package qntn
 
 import (
-	"math"
 	"time"
 
 	"qntn/internal/channel"
@@ -46,27 +45,34 @@ func (sc *Scenario) weatherGate(eta float64) (float64, bool) {
 	return eta, true
 }
 
-// BeginStep implements netsim.StepModel.
-func (m scenarioModel) BeginStep(nodes []netsim.Node, t time.Duration) netsim.StepEvaluator {
-	return m.sc.beginStep(nodes, t)
+// BeginStep implements netsim.StepModel. The network passes its own node
+// list, which is the scenario's node table for as long as no node is added
+// after assembly (beginStep checks).
+func (m scenarioModel) BeginStep(_ []netsim.Node, t time.Duration) netsim.StepEvaluator {
+	return m.sc.beginStep(t)
 }
 
-// beginStep returns a step evaluator for the given node set at instant t,
-// drawing from the scenario's pool so steady-state snapshots allocate
-// nothing. The caller must Close the evaluator to return it to the pool.
-// Evaluators are independent, so concurrent sweep workers can each hold
-// one.
+// lateNodePanic is beginStep's message for a node added to Scenario.Net
+// after assembly.
+const lateNodePanic = "qntn: a node was added to Scenario.Net after assembly; the scenario's node table, LAN hosts, relay list and fault schedule cover only the assembled nodes"
+
+// beginStep checks out a step evaluator over the scenario's node set at
+// instant t, drawing from the scenario's pool so steady-state snapshots
+// allocate nothing. The caller must Close the evaluator to return it to the
+// pool. Evaluators are independent, so concurrent sweep workers can each
+// hold one. A node added to Net after assembly is in none of the
+// scenario's per-node state (node table, LAN hosts, relay list, fault
+// schedule), so checkout refuses it.
 //
 //qntn:hotpath one call per topology step of every sweep worker
-func (sc *Scenario) beginStep(nodes []netsim.Node, t time.Duration) *stepEval {
+func (sc *Scenario) beginStep(t time.Duration) *stepEval {
+	if sc.Net.NumNodes() != len(sc.table.nodes) {
+		panic(lateNodePanic)
+	}
 	se, _ := sc.stepPool.Get().(*stepEval)
 	if se == nil {
 		//qntn:coldpath pool miss: first checkout constructs the evaluator
-		se = &stepEval{sc: sc}
-	}
-	if !se.sameNodes(nodes) {
-		//qntn:coldpath static caches rebuild only when the node set changes
-		se.init(nodes)
+		se = sc.newStepEval()
 	}
 	se.reset(t)
 	return se
@@ -82,17 +88,16 @@ func (sc *Scenario) beginStep(nodes []netsim.Node, t time.Duration) *stepEval {
 // results are bit-identical to Scenario.evaluateLink. On a faulted
 // scenario the evaluator also holds the instant's fault state, which
 // EvaluatePair gates every pair on.
+//
+// The static per-node data (kinds, ground frames, fiber CSR, ISL rows,
+// static cells, fault spans) is the scenario's node table, embedded by
+// value: construction copies its slice headers, so every evaluator shares
+// the table's arrays, and hot-path reads stay one index away. The
+// evaluator owns only per-instant state, its grid buckets and its
+// candidate scratch.
 type stepEval struct {
-	sc    *Scenario
-	nodes []netsim.Node
-
-	// Static per-node data (valid while the node set is unchanged).
-	kind    []netsim.NodeKind
-	network []string
-	ground  []*netsim.GroundHost
-	gFrame  []geo.Frame // ground hosts: observation frame
-	gAltM   []float64   // ground hosts: geodetic altitude
-	gPos    []geo.Vec3  // ground-kind nodes: PositionAt(0)
+	sc *Scenario
+	nodeTable
 
 	// Per-step data (valid for one instant t).
 	t     time.Duration
@@ -107,31 +112,11 @@ type stepEval struct {
 	// first read, so relays no pair looks at never pay for the trig.
 	frameOK []bool
 
-	// Fiber adjacency (valid while the node set is unchanged):
-	// fiberStart/fiberList are the CSR rows of same-network ground pairs
-	// (j > i, each row ascending) and fiberEta[k] is the fiber
-	// transmissivity of pair k. Ground hosts never move, so each η is
-	// computed once per node set and fiberPair only looks it up.
-	fiberStart []int32
-	fiberList  []int32
-	fiberEta   []float64
-
-	// Spatial index (geometry and static assignments valid while the node
-	// set is unchanged; see spatialindex.go). staticCell holds the cell of
-	// nodes fixed in ECEF (ground hosts, HAPs) so only movers re-bin per
-	// step; -1 marks a mover. Fiber pairs are not FSO-range-gated and
-	// therefore bypass the grid. groundLead is the length of the leading
-	// run of ground hosts, which the per-step build leaves out of the
-	// buckets (see buildCandidates). islNbr, when non-nil, restricts
-	// satellite↔satellite links to the scenario's ISL grid topology; each
-	// row is ascending. lastNonSat is the highest index of a node that is
-	// not a satellite (-1 if none): a satellite after it has no grid
-	// partner left once its satellite partners come from islNbr.
-	grid       pairGrid
-	staticCell []int32
-	groundLead int32
-	islNbr     [][]int32
-	lastNonSat int32
+	// Spatial index buckets (see spatialindex.go), over the table's cell
+	// geometry; static nodes keep their table cell, only movers re-bin per
+	// step. Fiber pairs are not FSO-range-gated and therefore bypass the
+	// grid.
+	grid pairGrid
 
 	// Per-step candidate list, built lazily on the first CandidatePairs
 	// call so callers that evaluate targeted pairs (the sweep engine, the
@@ -147,13 +132,11 @@ type stepEval struct {
 	horizonRejects int64
 	rangeRejects   int64
 
-	// Fault state: spans and down stay nil and the rest zero on a
-	// fault-free scenario. spans[i] is node i's downtime list in the
-	// scenario's schedule (static while the node set is unchanged). down[i] reports node i failed at the current instant
-	// and nodesDown counts the set bits; weather reports a blackout. The
-	// stepped backend looks them up in reset, the event engine writes
-	// them from its outage and weather events.
-	spans     [][]fault.Span
+	// Fault state: down stays nil and the rest zero on a fault-free
+	// scenario. down[i] reports node i failed at the current instant and
+	// nodesDown counts the set bits; weather reports a blackout. The
+	// stepped backend looks them up in reset from the table's spans, the
+	// event engine writes them from its outage and weather events.
 	down      []bool
 	nodesDown int
 	weather   bool
@@ -309,22 +292,6 @@ func (se *stepEval) islCandidates(i int32, s []int32) []int32 {
 	return s
 }
 
-// sameNodes reports whether the evaluator's static caches were built for
-// exactly this node slice (node identity, not just IDs).
-//
-//qntn:hotpath
-func (se *stepEval) sameNodes(nodes []netsim.Node) bool {
-	if len(se.nodes) != len(nodes) {
-		return false
-	}
-	for i, n := range nodes {
-		if se.nodes[i] != n {
-			return false
-		}
-	}
-	return true
-}
-
 // grow returns s resized to n elements, reusing its backing array when
 // possible. Contents are unspecified — callers overwrite every element.
 func grow[T any](s []T, n int) []T {
@@ -334,152 +301,33 @@ func grow[T any](s []T, n int) []T {
 	return make([]T, n)
 }
 
-// init rebuilds the static per-node caches.
-func (se *stepEval) init(nodes []netsim.Node) {
-	n := len(nodes)
-	se.nodes = append(se.nodes[:0], nodes...)
-	se.kind = grow(se.kind, n)
-	se.network = grow(se.network, n)
-	se.ground = grow(se.ground, n)
-	se.gFrame = grow(se.gFrame, n)
-	se.gAltM = grow(se.gAltM, n)
-	se.gPos = grow(se.gPos, n)
-	se.pos = grow(se.pos, n)
-	se.normM = grow(se.normM, n)
-	se.lla = grow(se.lla, n)
-	se.frame = grow(se.frame, n)
-	se.frameOK = grow(se.frameOK, n)
-	se.dark = grow(se.dark, n)
-	for i, node := range nodes {
-		se.kind[i] = node.Kind()
-		se.network[i] = node.Network()
-		gh, _ := node.(*netsim.GroundHost)
-		se.ground[i] = gh
-		if gh != nil {
-			se.gFrame[i] = geo.NewFrame(gh.LLA())
-			se.gAltM[i] = gh.LLA().AltM
-		}
-		if se.kind[i] == netsim.Ground {
-			se.gPos[i] = node.PositionAt(0)
-		}
+// newStepEval constructs an evaluator on a pool miss: it sizes the
+// per-step arrays and, when the spatial index applies, primes the grid
+// buckets, gather scratch and candidate list with one candidate build at
+// t=0, so the first real snapshot runs at steady state instead of
+// allocating inside the first hot step. A little headroom on the candidate
+// list absorbs instants with slightly larger candidate sets than t=0.
+func (sc *Scenario) newStepEval() *stepEval {
+	n := len(sc.table.nodes)
+	se := &stepEval{
+		sc:        sc,
+		nodeTable: sc.table,
+		pos:       make([]geo.Vec3, n),
+		normM:     make([]float64, n),
+		lla:       make([]geo.LLA, n),
+		frame:     make([]geo.Frame, n),
+		frameOK:   make([]bool, n),
+		dark:      make([]bool, n),
 	}
-	se.initFaults(nodes)
-	se.initSpatial(nodes)
-}
-
-// initFaults caches each node's downtime spans and clears the down bits.
-// A fault-free scenario leaves both slices nil: EvaluatePair reads them
-// only while a node is down.
-func (se *stepEval) initFaults(nodes []netsim.Node) {
-	se.nodesDown = 0
-	if se.sc.faults == nil {
-		return
+	if sc.faults != nil {
+		se.down = make([]bool, n)
 	}
-	se.spans = grow(se.spans, len(nodes))
-	se.down = grow(se.down, len(nodes))
-	clear(se.down)
-	for i, node := range nodes {
-		se.spans[i] = se.sc.faults.DownSpans(node.ID())
+	if se.cells.dim == 0 {
+		return se
 	}
-}
-
-// initSpatial rebuilds the static pair state for a new node set: the fiber
-// adjacency with its transmissivities, the ISL allowlist, and, when the
-// index is eligible, the grid geometry and fixed cell assignments. Cold
-// path — runs only when the node set changes.
-func (se *stepEval) initSpatial(nodes []netsim.Node) {
-	n := len(nodes)
-	sc := se.sc
-	se.fiberStart = grow(se.fiberStart, n+1)
-	se.fiberList = se.fiberList[:0]
-	se.fiberEta = se.fiberEta[:0]
-	for i := 0; i < n; i++ {
-		se.fiberStart[i] = int32(len(se.fiberList))
-		if se.kind[i] != netsim.Ground || se.network[i] == "" {
-			continue
-		}
-		for j := i + 1; j < n; j++ {
-			if se.kind[j] == netsim.Ground && se.network[j] == se.network[i] {
-				se.fiberList = append(se.fiberList, int32(j))
-				se.fiberEta = append(se.fiberEta, sc.fiber.Transmissivity(se.gPos[i].Distance(se.gPos[j])))
-			}
-		}
-	}
-	se.fiberStart[n] = int32(len(se.fiberList))
-	se.groundLead = 0
-	for se.groundLead < int32(n) && se.kind[se.groundLead] == netsim.Ground {
-		se.groundLead++
-	}
-	se.islNbr = nil
-	if sc.islAdj != nil {
-		se.islNbr = growZero(se.islNbr, n)
-		byID := make(map[string]int, n)
-		for i, node := range nodes {
-			byID[node.ID()] = i
-		}
-		for i, node := range nodes {
-			ids := sc.islAdj[node.ID()]
-			nbr := se.islNbr[i][:0]
-			for _, id := range ids {
-				if j, ok := byID[id]; ok {
-					nbr = append(nbr, int32(j))
-				}
-			}
-			insertionSortI32(nbr)
-			se.islNbr[i] = nbr
-		}
-	}
-	se.lastNonSat = -1
-	for i := n - 1; i >= 0; i-- {
-		if se.kind[i] != netsim.Satellite {
-			se.lastNonSat = int32(i)
-			break
-		}
-	}
-	se.grid.ok = false
-	se.candBuilt = false
-	if n < spatialIndexMinNodes || sc.Params.DisableSpatialIndex {
-		return
-	}
-	// All FSO range bounds must be finite and positive: an infinite bound
-	// (threshold ≤ 0 or a degenerate beam) means distance never gates a
-	// link and only the dense scan is safe.
-	maxGate := sc.spaceMaxRangeM2
-	if sc.hapMaxRangeM2 > maxGate {
-		maxGate = sc.hapMaxRangeM2
-	}
-	if sc.satHAPMaxRangeM2 > maxGate {
-		maxGate = sc.satHAPMaxRangeM2
-	}
-	if !(maxGate > 0) || math.IsInf(maxGate, 1) {
-		return
-	}
-	maxNorm := 0.0
-	for _, node := range nodes {
-		if nm := node.PositionAt(0).Norm(); nm > maxNorm {
-			maxNorm = nm
-		}
-	}
-	se.grid.configure(math.Sqrt(maxGate), maxNorm)
-	se.staticCell = grow(se.staticCell, n)
-	for i, node := range nodes {
-		se.staticCell[i] = -1
-		if se.kind[i] == netsim.Ground {
-			se.staticCell[i] = se.grid.cellIndex(se.gPos[i])
-		} else if _, hap := node.(*netsim.HAPNode); hap {
-			se.staticCell[i] = se.grid.cellIndex(node.PositionAt(0))
-		}
-	}
-	// Prime the per-step arrays with one candidate build at t=0, so the
-	// first real snapshot runs at steady state: grid buckets, gather
-	// scratch, and the candidate list all reach working capacity here, on
-	// the cold path, instead of allocating inside the first hot step. A
-	// little headroom on the variable-length arrays absorbs instants with
-	// slightly larger candidate sets than t=0.
-	for i, node := range nodes {
-		if se.staticCell[i] < 0 {
-			se.pos[i] = node.PositionAt(0)
-		}
+	se.grid.install(se.cells)
+	for _, i := range se.movers {
+		se.pos[i] = se.nodes[i].PositionAt(0)
 	}
 	se.buildCandidates()
 	if c := 3 * len(se.cand) / 2; cap(se.cand) < c {
@@ -487,18 +335,7 @@ func (se *stepEval) initSpatial(nodes []netsim.Node) {
 	}
 	se.candBuilt = false
 	se.indexCulled = 0
-}
-
-// growZero is grow for slice-of-slice scratch: reused entries keep their
-// backing arrays, new entries start nil.
-func growZero(s [][]int32, n int) [][]int32 {
-	if cap(s) >= n {
-		s = s[:n]
-		return s
-	}
-	out := make([][]int32, n)
-	copy(out, s)
-	return out
+	return se
 }
 
 // reset recomputes the per-step caches for instant t: one position, norm
@@ -638,7 +475,7 @@ func (se *stepEval) EvaluatePair(i, j int) (float64, bool) {
 
 // fiberPair mirrors Scenario.fiberLink on the memoized fiber adjacency: a
 // pair outside the lower node's ascending CSR row is not a same-network
-// pair, and a pair in it reads the η computed once per node set from the
+// pair, and a pair in it reads the η computed once at assembly from the
 // same positions and the same Fiber.Transmissivity.
 //
 //qntn:hotpath
@@ -708,7 +545,7 @@ func (se *stepEval) groundRelayPair(a, b int, cfg *channel.FSOConfig, maxRangeM2
 //qntn:hotpath
 func (se *stepEval) islPair(a, b int) (float64, bool) {
 	sc := se.sc
-	if se.islNbr != nil && !se.islAllowed(a, b) {
+	if !se.islAllowed(a, b) {
 		return 0, false
 	}
 	pa, pb := se.pos[a], se.pos[b]
@@ -734,20 +571,6 @@ func (se *stepEval) islPair(a, b int) (float64, bool) {
 		return 0, false
 	}
 	return eta, true
-}
-
-// islAllowed reports whether the grid topology permits an ISL between a and
-// b. Neighbor lists are symmetric and at most a handful of entries, so a
-// linear scan from a's side suffices.
-//
-//qntn:hotpath
-func (se *stepEval) islAllowed(a, b int) bool {
-	for _, j := range se.islNbr[a] {
-		if int(j) == b {
-			return true
-		}
-	}
-	return false
 }
 
 // satHAPPair mirrors Scenario.satelliteHAPLink on cached geometry, with the

@@ -91,30 +91,19 @@ type trafficSite struct {
 // trafficSites enumerates the scenario's ground sites in canonical order:
 // LANs in declaration order, host IDs in Table I order within each.
 func (sc *Scenario) trafficSites() ([]trafficSite, error) {
-	type host struct {
-		id  string
-		lan string
+	hosts, err := sc.interLANHosts("traffic")
+	if err != nil {
+		return nil, err
 	}
-	var hosts []host
-	lans := make(map[string]bool)
-	for _, lan := range sc.LANs {
-		for _, id := range sc.GroundIDs[lan.Name] {
-			hosts = append(hosts, host{id: id, lan: lan.Name})
-			lans[lan.Name] = true
-		}
-	}
-	if len(lans) < 2 {
-		return nil, fmt.Errorf("qntn: traffic needs ground sites in at least two local networks, scenario has %d site(s) across %d network(s)", len(hosts), len(lans))
-	}
+	tab := &sc.table
 	sites := make([]trafficSite, len(hosts))
 	for i, h := range hosts {
-		s := trafficSite{id: h.id}
-		for _, other := range hosts {
-			if other.lan != h.lan {
-				s.dsts = append(s.dsts, other.id)
+		sites[i].id = tab.nodes[h].ID()
+		for _, o := range hosts {
+			if tab.lan[o] != tab.lan[h] {
+				sites[i].dsts = append(sites[i].dsts, tab.nodes[o].ID())
 			}
 		}
-		sites[i] = s
 	}
 	return sites, nil
 }

@@ -404,9 +404,7 @@ func TestTrafficRejectsBadConfig(t *testing.T) {
 	}
 
 	// Single-LAN scenarios cannot form inter-LAN traffic.
-	lans := GroundNetworks()
-	degenerate := &Scenario{LANs: lans[:1], GroundIDs: map[string][]string{lans[0].Name: {"TTU-01"}}}
-	if _, err := degenerate.RunTraffic(TrafficConfig{RatePerHourPerSite: 10}); err == nil {
+	if _, err := singleLANScenario(t, 1).RunTraffic(TrafficConfig{RatePerHourPerSite: 10}); err == nil {
 		t.Fatal("single-LAN scenario accepted")
 	}
 }

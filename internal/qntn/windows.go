@@ -163,21 +163,16 @@ func nodeElements(nd netsim.Node) (orbit.Elements, bool) {
 
 // windowScan holds the precomputed candidate runs of one scenario on one
 // grid, plus the memoized moving-node positions the event engine replays
-// when refreshing evaluator caches.
+// when refreshing evaluator caches. Node kinds, the static/mover split,
+// static positions, ground frames and the ISL allowlist come from the
+// scenario's node table; pos and filled are indexed by mover slot.
 type windowScan struct {
-	sc    *Scenario
-	nodes []netsim.Node
-	grid  sampleGrid
+	sc *Scenario
+	*nodeTable
+	grid sampleGrid
 
-	// static marks nodes whose position the evaluator treats as fixed:
-	// ground hosts, HAP platforms, and any Ground-kind node (the stepped
-	// evaluator freezes ground positions at t = 0).
-	static    []bool
-	staticPos []geo.Vec3
-	slot      []int // node index -> slot in pos, -1 for static nodes
-	movers    []int // node indices of moving nodes
-	pos       [][]geo.Vec3
-	filled    [][]bool
+	pos    [][]geo.Vec3
+	filled [][]bool
 
 	pairs []candPair
 	runs  [][]idxRun // aligned with pairs; merged, ordered, gaps >= 2
@@ -219,42 +214,22 @@ func (ws *windowScan) analyticSamples(i int, rate float64) [3]geo.Vec3 {
 	return ws.aPos[s]
 }
 
-// scanWindows classifies the nodes and computes the candidate runs of every
-// pair that can ever link (fiber pairs are static and handled separately by
-// the event engine).
-func (sc *Scenario) scanWindows(nodes []netsim.Node, grid sampleGrid) *windowScan {
+// scanWindows computes the candidate runs of every pair of the scenario's
+// nodes that can ever link (fiber pairs are static and handled separately
+// by the event engine).
+func (sc *Scenario) scanWindows(grid sampleGrid) *windowScan {
 	ws := &windowScan{}
-	ws.scan(sc, nodes, grid)
+	ws.scan(sc, grid)
 	return ws
 }
 
 // scan (re)computes the window state into ws, reusing its backing arrays —
 // pooled engines replay many runs per scenario, and the position-memo slabs
 // dominate a fresh scan's allocations.
-func (ws *windowScan) scan(sc *Scenario, nodes []netsim.Node, grid sampleGrid) {
-	n := len(nodes)
-	ws.sc, ws.nodes, ws.grid = sc, nodes, grid
-	ws.static = grow(ws.static, n)
-	ws.staticPos = grow(ws.staticPos, n)
-	ws.slot = grow(ws.slot, n)
-	ws.movers = ws.movers[:0]
+func (ws *windowScan) scan(sc *Scenario, grid sampleGrid) {
+	ws.sc, ws.nodeTable, ws.grid = sc, &sc.table, grid
 	ws.pairs = ws.pairs[:0]
 	ws.runs = ws.runs[:0]
-	for i, nd := range nodes {
-		ws.slot[i] = -1
-		switch nd.(type) {
-		case *netsim.GroundHost, *netsim.HAPNode:
-			ws.static[i] = true
-		default:
-			ws.static[i] = nd.Kind() == netsim.Ground
-		}
-		if ws.static[i] {
-			ws.staticPos[i] = nd.PositionAt(0)
-		} else {
-			ws.slot[i] = len(ws.movers)
-			ws.movers = append(ws.movers, i)
-		}
-	}
 	if grid.steps == 0 {
 		return
 	}
@@ -326,20 +301,15 @@ func (ws *windowScan) relayGroundGate(relayKind netsim.NodeKind) (float64, bool)
 func (ws *windowScan) scanStaticStatic() {
 	full := idxRun{0, ws.grid.steps - 1}
 	gate, _ := ws.relayGroundGate(netsim.HAP)
-	for i, a := range ws.nodes {
-		if !ws.static[i] || a.Kind() != netsim.Ground {
+	for i := range ws.nodes {
+		if ws.ground[i] == nil {
 			continue
 		}
-		gh, ok := a.(*netsim.GroundHost)
-		if !ok {
-			continue
-		}
-		frame := geo.NewFrame(gh.LLA())
-		for j, b := range ws.nodes {
-			if !ws.static[j] || b.Kind() != netsim.HAP {
+		for j := range ws.nodes {
+			if !ws.static[j] || ws.kind[j] != netsim.HAP {
 				continue
 			}
-			p := candPair{i: i, j: j, gate: gate, horizon: true, frame: frame}
+			p := candPair{i: i, j: j, gate: gate, horizon: true, frame: ws.gFrame[i]}
 			if pairCandidate(&p, ws.staticPos[i], ws.staticPos[j]) {
 				ws.addPair(p, []idxRun{full})
 			}
@@ -355,39 +325,25 @@ func (ws *windowScan) scanStaticStatic() {
 // skipped step is candidate-false for every target because the range gate
 // alone already fails. In-reach steps check each target's full predicate.
 func (ws *windowScan) scanMovingStatic() {
-	type target struct {
-		idx    int
-		ground bool
-		frame  geo.Frame
-		pos    geo.Vec3
-	}
-	var targets []target
-	for i, nd := range ws.nodes {
-		if !ws.static[i] {
-			continue
-		}
-		switch nd.Kind() {
-		case netsim.Ground:
-			gh, ok := nd.(*netsim.GroundHost)
-			if !ok {
-				continue // custom ground nodes have no uplink frame
-			}
-			targets = append(targets, target{idx: i, ground: true, frame: geo.NewFrame(gh.LLA()), pos: ws.staticPos[i]})
-		case netsim.HAP:
-			targets = append(targets, target{idx: i, pos: ws.staticPos[i]})
+	// Targets: ground hosts and static HAPs (custom ground nodes have no
+	// uplink frame).
+	var targets []int
+	for i := range ws.nodes {
+		if ws.ground[i] != nil || (ws.static[i] && ws.kind[i] == netsim.HAP) {
+			targets = append(targets, i)
 		}
 	}
 	if len(targets) == 0 {
 		return
 	}
 	var c geo.Vec3
-	for _, tg := range targets {
-		c = c.Add(tg.pos)
+	for _, ti := range targets {
+		c = c.Add(ws.staticPos[ti])
 	}
 	c = c.Scale(1 / float64(len(targets)))
 	radius := 0.0
-	for _, tg := range targets {
-		if d := tg.pos.Distance(c); d > radius {
+	for _, ti := range targets {
+		if d := ws.staticPos[ti].Distance(c); d > radius {
 			radius = d
 		}
 	}
@@ -397,22 +353,22 @@ func (ws *windowScan) scanMovingStatic() {
 		rb   runBuilder
 	}
 	for _, mi := range ws.movers {
-		mk := ws.nodes[mi].Kind()
+		mk := ws.kind[mi]
 		var checks []check
 		maxGate := 0.0
-		for _, tg := range targets {
+		for _, ti := range targets {
 			var p candPair
-			if tg.ground {
+			if ws.ground[ti] != nil {
 				gate, ok := ws.relayGroundGate(mk)
 				if !ok {
 					continue
 				}
-				p = candPair{i: tg.idx, j: mi, gate: gate, horizon: true, frame: tg.frame}
+				p = candPair{i: ti, j: mi, gate: gate, horizon: true, frame: ws.gFrame[ti]}
 			} else {
 				if mk != netsim.Satellite {
 					continue // moving HAP ↔ static HAP never links
 				}
-				p = candPair{i: tg.idx, j: mi, gate: ws.sc.satHAPMaxRangeM2 * (1 + candGateSlack)}
+				p = candPair{i: ti, j: mi, gate: ws.sc.satHAPMaxRangeM2 * (1 + candGateSlack)}
 			}
 			if p.gate > maxGate {
 				maxGate = p.gate
@@ -500,7 +456,7 @@ func (ws *windowScan) moverPairWalks() bool {
 	oneClass := true
 	var first orbit.Elements
 	for _, i := range ws.movers {
-		switch ws.nodes[i].Kind() {
+		switch ws.kind[i] {
 		case netsim.HAP:
 			haps++
 		case netsim.Satellite:
@@ -545,7 +501,7 @@ func (ws *windowScan) sweepMoverPairs() bool {
 	sats, haps := 0, 0
 	vmax, maxNorm := 0.0, 0.0
 	for s, i := range ws.movers {
-		switch ws.nodes[i].Kind() {
+		switch ws.kind[i] {
 		case netsim.Satellite:
 			sats++
 		case netsim.HAP:
@@ -630,12 +586,12 @@ func analyticCircularPair(a, b orbit.Elements) bool {
 }
 
 func (ws *windowScan) scanMovingPair(i, j int) {
-	ki, kj := ws.nodes[i].Kind(), ws.nodes[j].Kind()
+	ki, kj := ws.kind[i], ws.kind[j]
 	var gate float64
 	switch {
 	case ki == netsim.Satellite && kj == netsim.Satellite:
-		if ws.sc.islAdj != nil && !ws.sc.islAllowedID(ws.nodes[i].ID(), ws.nodes[j].ID()) {
-			return // the ISL grid topology forbids this pair outright
+		if !ws.islAllowed(i, j) {
+			return // the ISL allowlist forbids this pair outright
 		}
 		gate = ws.sc.spaceMaxRangeM2 * (1 + candGateSlack)
 	case (ki == netsim.Satellite && kj == netsim.HAP) || (ki == netsim.HAP && kj == netsim.Satellite):
@@ -857,8 +813,8 @@ func (sc *Scenario) VisibilityWindows(duration time.Duration) ([]PairWindows, er
 	if duration <= 0 {
 		return nil, fmt.Errorf("qntn: non-positive windows duration %v", duration)
 	}
-	nodes := sc.Net.Nodes()
-	ws := sc.scanWindows(nodes, coverageGrid(sc.Params.TopologyStep(), duration))
+	nodes := sc.table.nodes
+	ws := sc.scanWindows(coverageGrid(sc.Params.TopologyStep(), duration))
 	var out []PairWindows
 	for p := range ws.pairs {
 		wins := ws.refinePair(p, duration)

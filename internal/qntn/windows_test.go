@@ -110,7 +110,7 @@ func TestVisibilityWindowProperties(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ws := sc.scanWindows(sc.Net.Nodes(), coverageGrid(p.StepInterval, duration))
+		ws := sc.scanWindows(coverageGrid(p.StepInterval, duration))
 		total := 0
 		for pi := range ws.pairs {
 			wins := ws.refinePair(pi, duration)
@@ -269,7 +269,7 @@ func TestRefinePairRunBoundaries(t *testing.T) {
 		t.Fatal(err)
 	}
 	duration := 6 * time.Hour
-	ws := sc.scanWindows(sc.Net.Nodes(), coverageGrid(p.StepInterval, duration))
+	ws := sc.scanWindows(coverageGrid(p.StepInterval, duration))
 
 	// Find a pair with an interior run: one that starts late enough to have
 	// a guaranteed candidate-false region before it (indices outside every
@@ -377,7 +377,7 @@ func TestSingleInstantWindow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sc.scanWindows(sc.Net.Nodes(), coverageGrid(gap, duration))
+		return sc.scanWindows(coverageGrid(gap, duration))
 	}
 	findPair := func(ws *windowScan) int {
 		for pi, pr := range ws.pairs {
@@ -435,7 +435,7 @@ func TestWindowClippingAtScenarioBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	duration := p.StepInterval // exactly one grid step
-	ws := sc.scanWindows(sc.Net.Nodes(), coverageGrid(p.StepInterval, duration))
+	ws := sc.scanWindows(coverageGrid(p.StepInterval, duration))
 	if ws.grid.steps != 1 {
 		t.Fatalf("grid has %d steps, want 1", ws.grid.steps)
 	}
@@ -492,7 +492,7 @@ func TestMoverSweepMatchesDenseWindows(t *testing.T) {
 				t.Fatal(err)
 			}
 			duration := 3 * time.Hour
-			ws := swept.scanWindows(swept.Net.Nodes(), coverageGrid(p.TopologyStep(), duration))
+			ws := swept.scanWindows(coverageGrid(p.TopologyStep(), duration))
 			if len(ws.pairMark) == 0 {
 				t.Fatal("the mover-pair sweep did not run")
 			}
@@ -586,7 +586,7 @@ func TestMoverSweepGate(t *testing.T) {
 			scan := func(s *Scenario, force bool) *windowScan {
 				defer func(old bool) { moverSweepForce = old }(moverSweepForce)
 				moverSweepForce = force
-				return s.scanWindows(s.Net.Nodes(), grid)
+				return s.scanWindows(grid)
 			}
 			gated, forced, dn := scan(sc, false), scan(sc, true), scan(dense, false)
 			if got := gated.moverPairWalks(); got != tc.walks {

@@ -12,8 +12,8 @@ import (
 // different local networks.
 type Workload struct {
 	rng    *rand.Rand
-	ids    []string // all ground IDs
-	lanOf  map[string]string
+	sc     *Scenario
+	hosts  []int // node indices of every LAN host, LANs in order
 	nextID int
 }
 
@@ -23,34 +23,43 @@ type Workload struct {
 // panic in rand.Intn(0), and with a single LAN it would spin forever
 // rejecting intra-LAN draws — both now surface as a constructor error.
 func NewWorkload(sc *Scenario, seed int64) (*Workload, error) {
-	w := &Workload{
-		rng:   rand.New(rand.NewSource(seed)),
-		lanOf: make(map[string]string),
+	hosts, err := sc.interLANHosts("workload")
+	if err != nil {
+		return nil, err
 	}
-	lans := make(map[string]bool)
-	for _, lan := range sc.LANs {
-		for _, id := range sc.GroundIDs[lan.Name] {
-			w.ids = append(w.ids, id)
-			w.lanOf[id] = lan.Name
-			lans[lan.Name] = true
+	return &Workload{rng: rand.New(rand.NewSource(seed)), sc: sc, hosts: hosts}, nil
+}
+
+// interLANHosts returns the node index of every LAN host, LANs in
+// declaration order and hosts in Table I order within each. Every request
+// is inter-LAN, so fewer than two LANs with hosts is an error naming what
+// needs them.
+func (sc *Scenario) interLANHosts(what string) ([]int, error) {
+	var hosts []int
+	nets := 0
+	for _, hs := range sc.lanHosts {
+		hosts = append(hosts, hs...)
+		if len(hs) > 0 {
+			nets++
 		}
 	}
-	if len(lans) < 2 {
-		return nil, fmt.Errorf("qntn: workload needs ground hosts in at least two local networks, scenario has %d host(s) across %d network(s)", len(w.ids), len(lans))
+	if nets < 2 {
+		return nil, fmt.Errorf("qntn: %s needs ground hosts in at least two local networks, scenario has %d host(s) across %d network(s)", what, len(hosts), nets)
 	}
-	return w, nil
+	return hosts, nil
 }
 
 // Next returns one inter-LAN request.
 func (w *Workload) Next() netsim.Request {
+	tab := &w.sc.table
 	for {
-		src := w.ids[w.rng.Intn(len(w.ids))]
-		dst := w.ids[w.rng.Intn(len(w.ids))]
-		if w.lanOf[src] == w.lanOf[dst] {
+		src := w.hosts[w.rng.Intn(len(w.hosts))]
+		dst := w.hosts[w.rng.Intn(len(w.hosts))]
+		if tab.lan[src] == tab.lan[dst] {
 			continue
 		}
 		w.nextID++
-		return netsim.Request{ID: w.nextID, Src: src, Dst: dst}
+		return netsim.Request{ID: w.nextID, Src: tab.nodes[src].ID(), Dst: tab.nodes[dst].ID()}
 	}
 }
 
@@ -65,13 +74,12 @@ func (w *Workload) Batch(n int) []netsim.Request {
 
 // Validate checks a request against the scenario's inter-LAN constraint.
 func (w *Workload) Validate(r netsim.Request) error {
-	sl, ok1 := w.lanOf[r.Src]
-	dl, ok2 := w.lanOf[r.Dst]
-	if !ok1 || !ok2 {
+	src, dst := w.sc.lanOf(r.Src), w.sc.lanOf(r.Dst)
+	if src < 0 || dst < 0 {
 		return fmt.Errorf("qntn: request %d references unknown host", r.ID)
 	}
-	if sl == dl {
-		return fmt.Errorf("qntn: request %d is intra-LAN (%s)", r.ID, sl)
+	if src == dst {
+		return fmt.Errorf("qntn: request %d is intra-LAN (%s)", r.ID, w.sc.LANs[src].Name)
 	}
 	return nil
 }

@@ -22,12 +22,7 @@ func mustWorkload(t *testing.T, sc *Scenario, seed int64) *Workload {
 // at all it panicked in rand.Intn(0). Both must now fail fast with a
 // descriptive error.
 func TestNewWorkloadSingleLAN(t *testing.T) {
-	lans := GroundNetworks()
-	sc := &Scenario{
-		LANs:      lans[:1],
-		GroundIDs: map[string][]string{lans[0].Name: {"TTU-01", "TTU-02"}},
-	}
-	wl, err := NewWorkload(sc, 1)
+	wl, err := NewWorkload(singleLANScenario(t, 2), 1)
 	if err == nil {
 		t.Fatal("NewWorkload accepted a single-LAN scenario; Next would loop forever")
 	}
@@ -40,6 +35,19 @@ func TestNewWorkloadSingleLAN(t *testing.T) {
 	if !strings.Contains(err.Error(), "2 host(s) across 1 network(s)") {
 		t.Fatalf("error does not report the scenario shape: %v", err)
 	}
+}
+
+// singleLANScenario assembles a scenario whose only LAN holds the first
+// hosts of the paper's first network, with no relays.
+func singleLANScenario(t *testing.T, hosts int) *Scenario {
+	t.Helper()
+	lan := GroundNetworks()[0]
+	lan.Nodes = lan.Nodes[:hosts]
+	sc, err := assembleWith(AirGround, DefaultParams(), []LocalNetwork{lan}, nil, assembly{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sc
 }
 
 // TestNewWorkloadNoGroundHosts covers the empty ground set (the rand.Intn
