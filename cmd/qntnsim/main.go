@@ -933,7 +933,7 @@ func runWalker(w io.Writer, p qntn.Params, _ qntn.ServeConfig, opt options) erro
 
 	g := routing.NewGraph()
 	var st netsim.SnapshotStats
-	if err := sc.Net.SnapshotIntoStats(g, 0, &st); err != nil {
+	if err := sc.GraphInto(g, 0, &st); err != nil {
 		return err
 	}
 	if st.Pairs > 0 {

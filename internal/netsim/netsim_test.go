@@ -86,8 +86,8 @@ func TestNetworkAddAndSnapshot(t *testing.T) {
 	if n.NumNodes() != 3 || n.Node("B") != near2 || n.Node("zz") != nil {
 		t.Fatal("node lookup broken")
 	}
-	g, err := n.Snapshot(0)
-	if err != nil {
+	g := routing.NewGraph()
+	if err := n.SnapshotInto(g, 0); err != nil {
 		t.Fatal(err)
 	}
 	if g.NumNodes() != 3 {

@@ -50,7 +50,7 @@ type StepEvaluator interface {
 }
 
 // StepModel is an optional LinkModel extension for models that can batch
-// per-node work across one topology instant. Snapshot uses it when
+// per-node work across one topology instant. SnapshotInto uses it when
 // available; the per-pair Evaluate remains the reference semantics, and a
 // StepModel's evaluator must reproduce them exactly.
 type StepModel interface {
@@ -96,7 +96,6 @@ type Network struct {
 	nodes []Node
 	index map[string]int // node ID -> position in nodes
 	model LinkModel
-	ins   *Instruments
 }
 
 // NewNetwork returns an empty network using the given link model.
@@ -185,44 +184,24 @@ func (n *Network) ByKind(k NodeKind) []Node {
 	return out
 }
 
-// Snapshot evaluates every node pair at time t and returns the
-// transmissivity graph of usable links. All nodes appear in the graph even
-// if isolated, so routing can distinguish "unknown node" from
-// "unreachable".
-func (n *Network) Snapshot(t time.Duration) (*routing.Graph, error) {
-	g := routing.NewGraph()
-	if err := n.SnapshotInto(g, t); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
 // SnapshotInto evaluates every node pair at time t and stores the
 // transmissivity graph of usable links in g, replacing g's previous
-// contents. When g already holds exactly the network's node set (the
-// steady state of a caller reusing one graph across topology steps), only
-// the edges are reset and the snapshot allocates nothing. The result is
-// identical to Snapshot's.
+// contents. All nodes appear in the graph even if isolated, so routing can
+// distinguish "unknown node" from "unreachable". When g already holds
+// exactly the network's node set (the steady state of a caller reusing one
+// graph across topology steps), only the edges are reset and the snapshot
+// allocates nothing.
 //
 //qntn:hotpath
 func (n *Network) SnapshotInto(g *routing.Graph, t time.Duration) error {
-	return n.snapshotInto(g, t, nil)
+	return n.SnapshotIntoStats(g, t, nil)
 }
 
 // SnapshotIntoStats is SnapshotInto plus per-step accounting: when st is
-// non-nil it is overwritten with the step's evaluation stats. Installed
-// Instruments are flushed either way.
+// non-nil it is overwritten with the step's evaluation stats.
 //
 //qntn:hotpath
 func (n *Network) SnapshotIntoStats(g *routing.Graph, t time.Duration, st *SnapshotStats) error {
-	return n.snapshotInto(g, t, st)
-}
-
-// snapshotInto is the shared snapshot core: steady-state calls reset edges
-// in place and allocate nothing.
-//
-//qntn:hotpath
-func (n *Network) snapshotInto(g *routing.Graph, t time.Duration, st *SnapshotStats) error {
 	//qntn:coldpath graph rebuild happens only when the node set changed
 	if !n.graphMatches(g) {
 		g.Reset()
@@ -260,15 +239,9 @@ func (n *Network) snapshotInto(g *routing.Graph, t time.Duration, st *SnapshotSt
 			}
 		}
 	}
-	if st != nil || n.ins != nil {
-		var s SnapshotStats
-		s.Pairs = len(n.nodes) * (len(n.nodes) - 1) / 2
-		s.Admitted = admitted
-		DrainStepStats(ev, &s)
-		n.ins.Observe(&s)
-		if st != nil {
-			*st = s
-		}
+	if st != nil {
+		*st = SnapshotStats{Pairs: len(n.nodes) * (len(n.nodes) - 1) / 2, Admitted: admitted}
+		DrainStepStats(ev, st)
 	}
 	ev.Close()
 	return nil

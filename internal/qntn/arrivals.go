@@ -204,7 +204,9 @@ func (ad *admission) drain(now time.Duration) (int, error) {
 // routing trees' snapshot of it (dropping the previous update's trees) and,
 // with the protocol layer on, the protocol's, drains the queue, then calls
 // onUpdate, when non-nil, with the update's index, its instant and the
-// number of arrivals admitted before it.
+// number of arrivals admitted before it. Once the last arrival is admitted,
+// an instrumented scenario's request counters receive what the run served
+// (see report).
 func (ad *admission) run(arrivals []trafficArrival, onUpdate func(k int, at time.Duration, arrived int)) (int, error) {
 	grid := ad.ts.grid
 	i := 0
@@ -230,7 +232,25 @@ func (ad *admission) run(arrivals []trafficArrival, onUpdate func(k int, at time
 			i++
 		}
 	}
+	ad.report(ad.ts.sc.tel)
 	return grid.steps, nil
+}
+
+// report adds a finished run to tel's request counters, once: the requests
+// served and those still queued at the end (dropped), every served
+// fidelity, and the protocol's draw counters. Nil-safe. Counting at the
+// end rather than per update includes the arrivals served after the last
+// topology update.
+func (ad *admission) report(tel *scenarioTelemetry) {
+	if tel == nil {
+		return
+	}
+	tel.requestsServed.Add(uint64(ad.served))
+	tel.requestsDropped.Add(uint64(len(ad.queue)))
+	for _, f := range ad.fids {
+		tel.fidelity.Observe(f)
+	}
+	tel.addProto(&ad.proto)
 }
 
 // RunArrivals executes the arrival-driven experiment: Poisson arrivals

@@ -2,8 +2,11 @@ package qntn
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
+
+	"qntn/internal/telemetry"
 )
 
 func TestRunArrivalsAirGround(t *testing.T) {
@@ -66,6 +69,60 @@ func TestRunArrivalsSpaceGroundQueues(t *testing.T) {
 	// minutes, horizon is hours); only the tail is censored.
 	if res.ServedPercent() < 80 {
 		t.Fatalf("served %.2f%% over 3 h", res.ServedPercent())
+	}
+}
+
+// TestRunArrivalsTelemetry: an instrumented RunArrivals must count what it
+// served, with the protocol layer on, and leave the result untouched.
+func TestRunArrivalsTelemetry(t *testing.T) {
+	p := DefaultParams()
+	p.Protocol = protoTestConfig()
+	cfg := ArrivalConfig{RatePerHour: 120, Horizon: 3 * time.Hour, Seed: 5}
+	plain, err := NewSpaceGround(24, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := plain.RunArrivals(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := telemetry.NewCollector()
+	p.Telemetry = col
+	sc, err := NewSpaceGround(24, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sc.RunArrivals(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, want) {
+		t.Fatalf("instrumented arrivals diverged:\n%+v\nvs\n%+v", res, want)
+	}
+	if res.Served == 0 || res.Served == res.Arrivals {
+		t.Fatalf("want some served and some dropped requests: %+v", res)
+	}
+	fid := col.Registry.Histogram("served_fidelity", nil)
+	for _, c := range []struct {
+		name      string
+		got, want uint64
+	}{
+		{"requests_served_total", counterValue(t, col, "requests_served_total"), uint64(res.Served)},
+		{"requests_dropped_total", counterValue(t, col, "requests_dropped_total"), uint64(res.Arrivals - res.Served)},
+		{"snapshot_steps_total", counterValue(t, col, "snapshot_steps_total"), uint64(res.EventsProcessed - res.Arrivals)},
+		{"served_fidelity count", fid.Count(), uint64(res.Served)},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
+		}
+	}
+	if mean := fid.Sum() / float64(fid.Count()); math.Abs(mean-res.MeanFidelity) > 1e-12 {
+		t.Errorf("served_fidelity mean %g, result %g", mean, res.MeanFidelity)
+	}
+	swaps, fails := counterValue(t, col, "protocol_swaps_total"), counterValue(t, col, "protocol_swap_failures_total")
+	rounds, accepted := counterValue(t, col, "protocol_purify_rounds_total"), counterValue(t, col, "protocol_purify_accepted_total")
+	if swaps == 0 || fails == 0 || fails > swaps || accepted > rounds {
+		t.Errorf("protocol counters: swaps %d, failures %d, purify rounds %d, accepted %d", swaps, fails, rounds, accepted)
 	}
 }
 

@@ -153,7 +153,7 @@ func BenchmarkCoverageDayWalker1k(b *testing.B) {
 			}
 			g := routing.NewGraph()
 			var st netsim.SnapshotStats
-			if err := sc.Net.SnapshotIntoStats(g, 0, &st); err != nil {
+			if err := sc.GraphInto(g, 0, &st); err != nil {
 				b.Fatal(err)
 			}
 			if st.Pairs > 0 {

@@ -36,7 +36,7 @@ func BenchmarkSnapshotInto108Satellites(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := sc.GraphInto(g, time.Duration(i)*30*time.Second); err != nil {
+		if err := sc.GraphInto(g, time.Duration(i)*30*time.Second, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -60,7 +60,7 @@ func BenchmarkSnapshotInto108TelemetrySatellites(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := sc.Net.SnapshotIntoStats(g, time.Duration(i)*30*time.Second, &st); err != nil {
+		if err := sc.GraphInto(g, time.Duration(i)*30*time.Second, &st); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -103,7 +103,7 @@ func BenchmarkSnapshotIntoWalker1k(b *testing.B) {
 	g := routing.NewGraph()
 	var uf unionFind
 	run := func(k int) {
-		if err := sc.GraphInto(g, time.Duration(k%walker1kInstants)*step); err != nil {
+		if err := sc.GraphInto(g, time.Duration(k%walker1kInstants)*step, nil); err != nil {
 			b.Fatal(err)
 		}
 		sc.bridgedInto(&uf, g, g.NumNodes())

@@ -71,7 +71,7 @@ type CandidateStep struct {
 
 // CompareCandidateSteps builds, at every instant, the production candidate
 // list and the reference list on one step evaluator, then the topology from
-// each: the production snapshot (SnapshotIntoStats) and the reference list
+// each: the production snapshot (GraphInto) and the reference list
 // admitted pair by pair through a fresh step of the same network model, so
 // a fault schedule applies to both. It calls fn with the step's results.
 func CompareCandidateSteps(sc *Scenario, instants []time.Duration, fn func(CandidateStep)) error {
@@ -99,7 +99,7 @@ func CompareCandidateSteps(sc *Scenario, instants []time.Duration, fn func(Candi
 		}
 		se.Close()
 
-		if err := sc.Net.SnapshotIntoStats(st.Graph, at, &st.Stats); err != nil {
+		if err := sc.GraphInto(st.Graph, at, &st.Stats); err != nil {
 			return err
 		}
 		for _, n := range nodes {

@@ -62,7 +62,7 @@ func TestDisjointExtractMatchesDenseReference108(t *testing.T) {
 		}
 	}
 	for step := 0; step < cfg.Steps; step++ {
-		if err := sc.GraphInto(g, time.Duration(step)*gap); err != nil {
+		if err := sc.GraphInto(g, time.Duration(step)*gap, nil); err != nil {
 			t.Fatal(err)
 		}
 		adj.Load(g, routing.NegLogEtaCost(0))

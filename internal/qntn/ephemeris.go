@@ -10,8 +10,8 @@ import (
 )
 
 // propagationHook, when non-nil, observes every propagation pass over a
-// satellite catalog (one call per Table II fleet build, NewWalker or
-// NewEphemerisCache, with the catalog size). Tests install it to assert
+// satellite catalog (one call per Table II fleet build, NewEphemerisCache's
+// included, or NewWalker, with the catalog size). Tests install it to assert
 // that nested-prefix sweeps propagate the constellation exactly once
 // instead of once per size.
 var propagationHook func(nSats int)
@@ -69,12 +69,9 @@ func NewEphemerisCache(nSats int, p Params, times []time.Duration) (*EphemerisCa
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	elems, err := orbit.PaperConstellationWith(nSats, p.SatelliteAltitudeM, p.InclinationDeg)
+	fleet, err := paperFleet(nSats, p)
 	if err != nil {
 		return nil, err
-	}
-	if propagationHook != nil {
-		propagationHook(len(elems))
 	}
 	index := make(map[time.Duration]int, len(times))
 	var uniq []time.Duration
@@ -85,11 +82,13 @@ func NewEphemerisCache(nSats int, p Params, times []time.Duration) (*EphemerisCa
 		index[t] = len(uniq)
 		uniq = append(uniq, t)
 	}
-	cache := &EphemerisCache{params: p, sats: make([]netsim.Node, len(elems))}
-	for i, e := range elems {
-		e.ApplyJ2 = p.UseJ2
+	cache := &EphemerisCache{params: p, sats: make([]netsim.Node, len(fleet))}
+	for i, node := range fleet {
+		// The fleet builder's nodes carry the catalog IDs and the J2 rule;
+		// the cache keeps both and adds the propagated positions.
+		e := node.(*netsim.SatelliteNode).Elements()
 		sat := &cachedSatellite{
-			id:    fmt.Sprintf("SAT-%03d", i+1),
+			id:    node.ID(),
 			elems: e,
 			index: index,
 			pos:   make([]geo.Vec3, len(uniq)),

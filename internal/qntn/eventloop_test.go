@@ -47,7 +47,7 @@ func TestEventEngineDeltaMatchesRebuild(t *testing.T) {
 		if err := eng.runStep(k); err != nil {
 			t.Fatal(err)
 		}
-		if err := sc.GraphInto(ref, grid.at(k)); err != nil {
+		if err := sc.GraphInto(ref, grid.at(k), nil); err != nil {
 			t.Fatal(err)
 		}
 		got, want := edgeSet(eng.g), edgeSet(ref)

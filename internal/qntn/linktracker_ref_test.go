@@ -87,7 +87,7 @@ func TestLinkTrackerMatchesNeighborsReference108(t *testing.T) {
 			transitions := 0
 			for k := 0; k < grid.steps; k++ {
 				at := grid.at(k)
-				if err := sc.GraphInto(g, at); err != nil {
+				if err := sc.GraphInto(g, at, nil); err != nil {
 					t.Fatal(err)
 				}
 				got, want := lt.Observe(at, g), ref.Observe(at, g)
@@ -138,7 +138,7 @@ func CompareLinkTransitions(sc *Scenario, duration time.Duration) (got, want int
 	g := routing.NewGraph()
 	for k := 0; k < grid.steps; k++ {
 		at := grid.at(k)
-		if err := sc.GraphInto(g, at); err != nil {
+		if err := sc.GraphInto(g, at, nil); err != nil {
 			return 0, 0, err
 		}
 		if changes := lt.Observe(at, g); k > 0 {

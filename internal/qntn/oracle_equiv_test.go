@@ -134,7 +134,7 @@ func TestISLChainArchetypeDecidedByRelayLinks(t *testing.T) {
 	g := routing.NewGraph()
 	for _, iv := range res.Intervals {
 		for at := iv.Start; at < iv.End; at += sc.Params.TopologyStep() {
-			if err := sc.GraphInto(g, at); err != nil {
+			if err := sc.GraphInto(g, at, nil); err != nil {
 				t.Fatal(err)
 			}
 			for _, relay := range sc.RelayIDs {
@@ -187,7 +187,7 @@ func TestEventGraphDeepEqualsSteppedSnapshot(t *testing.T) {
 				ref := routing.NewGraph()
 				steps, edges := 0, 0
 				err := qntn.EachEventGraph(event, duration, func(at time.Duration, g *routing.Graph) {
-					if err := stepped.GraphInto(ref, at); err != nil {
+					if err := stepped.GraphInto(ref, at, nil); err != nil {
 						t.Fatal(err)
 					}
 					if !reflect.DeepEqual(g, ref) {

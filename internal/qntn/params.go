@@ -134,8 +134,9 @@ type Params struct {
 	// oracle, asserted by the differential test suite — only faster.
 	// Runtime wiring only, like Telemetry: excluded from the JSON codec,
 	// ParamsHash and Validate. Telemetry-instrumented runs, the serve
-	// daemon's included, always step (per-step snapshot stats have no
-	// event-driven equivalent).
+	// daemon's included, always step: the per-snapshot counters and step
+	// events are filled by Scenario.GraphInto, which the event engine does
+	// not call.
 	EventDriven bool
 
 	// DisableSpatialIndex forces dense n² candidate generation in both the

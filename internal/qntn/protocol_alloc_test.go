@@ -144,7 +144,7 @@ func TestProtocolOutcomeDeterministic(t *testing.T) {
 // per-request scoring both request drivers share must be allocation-free
 // once the scorer's and the snapshot's buffers are warm, with the protocol
 // layer on — disjoint extraction, swap chain, dephasing, distillation — and
-// off, so the pooled GraphInto/SnapshotInto serving fast path survives
+// off, so the pooled GraphInto serving fast path survives
 // either setting.
 func TestProtocolOutcomeZeroAllocs(t *testing.T) {
 	if raceEnabled {

@@ -117,7 +117,7 @@ func NewSpaceGround(nSats int, p Params) (*Scenario, error) {
 // paperFleet builds the first nSats satellites of the paper's Table II
 // slot pattern at the altitude and inclination configured in p, with the
 // J2 perturbation when p.UseJ2 is set: the one fleet builder of every
-// Table II architecture.
+// Table II architecture and of the ephemeris cache.
 func paperFleet(nSats int, p Params) ([]netsim.Node, error) {
 	elems, err := orbit.PaperConstellationWith(nSats, p.SatelliteAltitudeM, p.InclinationDeg)
 	if err != nil {
@@ -496,16 +496,37 @@ func (sc *Scenario) satelliteHAPLink(sat, hap netsim.Node, t time.Duration) (flo
 	return eta, true
 }
 
-// Graph returns the usable-link transmissivity graph at virtual time t.
+// Graph returns the usable-link transmissivity graph at virtual time t, in
+// a fresh graph (see GraphInto).
 func (sc *Scenario) Graph(t time.Duration) (*routing.Graph, error) {
-	return sc.Net.Snapshot(t)
+	g := routing.NewGraph()
+	if err := sc.GraphInto(g, t, nil); err != nil {
+		return nil, err
+	}
+	return g, nil
 }
 
 // GraphInto stores the usable-link graph at time t into g, reusing its
-// storage across calls (see netsim.Network.SnapshotInto). The steady state
-// of a caller stepping one graph through time allocates nothing.
-func (sc *Scenario) GraphInto(g *routing.Graph, t time.Duration) error {
-	return sc.Net.SnapshotInto(g, t)
+// storage across calls (see netsim.Network.SnapshotIntoStats), and, when st
+// is non-nil, the snapshot's stats into st. It is the one place a scenario
+// snapshots its network: on an instrumented scenario every snapshot flushes
+// its stats into the per-snapshot counters, whether or not the caller asked
+// for them. The steady state of a caller stepping one graph through time
+// allocates nothing, instrumented or not.
+//
+//qntn:hotpath once per topology snapshot
+func (sc *Scenario) GraphInto(g *routing.Graph, t time.Duration, st *netsim.SnapshotStats) error {
+	var local netsim.SnapshotStats
+	if st == nil && sc.tel != nil {
+		st = &local
+	}
+	if err := sc.Net.SnapshotIntoStats(g, t, st); err != nil {
+		return err
+	}
+	if sc.tel != nil {
+		sc.tel.observe(st)
+	}
+	return nil
 }
 
 // Routes computes the converged Algorithm 1 routing tables for the topology

@@ -21,7 +21,7 @@ var (
 
 // runServeReference is the retired stepped RunServe body, kept as the
 // differential oracle for the one serve loop over the topology stepper:
-// pooled GraphInto/SnapshotIntoStats snapshots at SampleTimes, Algorithm 1
+// pooled GraphInto snapshots at SampleTimes, Algorithm 1
 // tables converged by one Bellman-Ford scratch (the routing specification
 // the serve loop's per-source trees are pinned to), and the protocol-on and
 // protocol-off branches. It always steps; the event-driven dispatch that
@@ -62,11 +62,7 @@ func runServeReference(sc *Scenario, cfg ServeConfig) (*ServeResult, error) {
 	var fids, etas []float64
 	for step, at := range times {
 		var st netsim.SnapshotStats
-		if tel != nil {
-			if err := sc.Net.SnapshotIntoStats(graph, at, &st); err != nil {
-				return nil, err
-			}
-		} else if err := sc.GraphInto(graph, at); err != nil {
+		if err := sc.GraphInto(graph, at, &st); err != nil {
 			return nil, err
 		}
 		adj.Load(graph, disjointCost)

@@ -65,7 +65,7 @@ func assertStepEquivalence(t *testing.T, sc *Scenario, steps int, stepGap time.D
 			t.Fatalf("step %d (t=%v): fresh snapshot != reference\nfast: %v\nref:  %v",
 				s, at, edgeMap(fresh), edgeMap(want))
 		}
-		if err := sc.GraphInto(reused, at); err != nil {
+		if err := sc.GraphInto(reused, at, nil); err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(reused, want) {
@@ -170,10 +170,10 @@ func TestSnapshotIndexMatchesDense(t *testing.T) {
 				edges := 0
 				for s := 0; s < 30; s++ {
 					at := time.Duration(s) * 9 * time.Minute
-					if err := indexed.GraphInto(gi, at); err != nil {
+					if err := indexed.GraphInto(gi, at, nil); err != nil {
 						t.Fatal(err)
 					}
-					if err := dense.GraphInto(gd, at); err != nil {
+					if err := dense.GraphInto(gd, at, nil); err != nil {
 						t.Fatal(err)
 					}
 					if !reflect.DeepEqual(gi, gd) {
@@ -243,7 +243,7 @@ func TestSnapshotReusedAcrossScenarios(t *testing.T) {
 			t.Fatal(err)
 		}
 		at := 17 * time.Minute
-		if err := sc.GraphInto(g, at); err != nil {
+		if err := sc.GraphInto(g, at, nil); err != nil {
 			t.Fatal(err)
 		}
 		want := referenceGraph(t, sc, at)
@@ -265,7 +265,7 @@ func TestScratchTablesMatchBellmanFordOverTime(t *testing.T) {
 	var scratch routing.BellmanFordScratch
 	for s := 0; s < 50; s++ {
 		at := time.Duration(s) * 10 * time.Minute
-		if err := sc.GraphInto(g, at); err != nil {
+		if err := sc.GraphInto(g, at, nil); err != nil {
 			t.Fatal(err)
 		}
 		got := scratch.Run(g, sc.Params.RoutingEpsilon)

@@ -278,7 +278,7 @@ func TestSnapshotZeroAllocsSpatialIndex(t *testing.T) {
 			g := routing.NewGraph()
 			var st netsim.SnapshotStats
 			for i := 0; i < 3; i++ {
-				if err := sc.Net.SnapshotIntoStats(g, time.Duration(i)*time.Minute, &st); err != nil {
+				if err := sc.GraphInto(g, time.Duration(i)*time.Minute, &st); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -286,7 +286,7 @@ func TestSnapshotZeroAllocsSpatialIndex(t *testing.T) {
 				t.Fatalf("spatial index culled nothing: %+v", st)
 			}
 			if n := testing.AllocsPerRun(20, func() {
-				if err := sc.Net.SnapshotIntoStats(g, 5*time.Minute, &st); err != nil {
+				if err := sc.GraphInto(g, 5*time.Minute, &st); err != nil {
 					t.Fatal(err)
 				}
 			}); n != 0 {

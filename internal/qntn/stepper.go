@@ -16,8 +16,8 @@ import (
 // backends produce that snapshot, DeepEqual-identical by the differential
 // oracle suite:
 //
-//   - stepped (the semantic oracle): the pooled GraphInto/SnapshotIntoStats
-//     rebuild of the whole graph at every instant, a union-find bridged
+//   - stepped (the semantic oracle): the scenario's GraphInto rebuild of
+//     the whole graph at every instant, a union-find bridged
 //     check, and a diff of consecutive snapshots' edge keys when link
 //     transitions are counted;
 //   - event-driven (Params.EventDriven): the eventEngine's incremental
@@ -29,7 +29,8 @@ import (
 // builds the snapshot and runs the union-find over it as usual.
 //
 // Telemetry-instrumented scenarios, the serve daemon's included, always
-// step: per-step snapshot stats have no event-driven equivalent.
+// step: the per-snapshot counters and step events come from GraphInto,
+// which only the stepped backend calls.
 type topoStepper struct {
 	sc   *Scenario
 	grid sampleGrid
@@ -94,7 +95,7 @@ func (ts *topoStepper) step(k int) error {
 		return ts.eng.runStep(k)
 	}
 	at := ts.grid.at(k)
-	if err := ts.sc.Net.SnapshotIntoStats(ts.g, at, ts.stats); err != nil {
+	if err := ts.sc.GraphInto(ts.g, at, ts.stats); err != nil {
 		return err
 	}
 	if ts.trackLinks {

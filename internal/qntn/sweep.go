@@ -57,7 +57,7 @@ func largestPaperSize(sizes []int) (int, error) {
 // Because the paper's constellations are nested prefixes of Table II, the
 // sweep propagates the full catalog once (EphemerisCache) and takes one
 // standard stepped snapshot of the largest size per instant (spatial index,
-// fault gate and instruments included). Ground hosts lead the node
+// fault gate and snapshot counters included). Ground hosts lead the node
 // order and each link depends on its two endpoints alone, so the snapshot
 // of size n is this one restricted to its first len(ground)+n nodes, and
 // each size is answered by Coverage's bridged rule over that prefix. Steps
@@ -122,7 +122,7 @@ func CoverageSweep(p Params, sizes []int, duration time.Duration, workers int) (
 		}
 
 		for k, at := range times[lo:hi] {
-			if err := sc.Net.SnapshotIntoStats(g, at, st); err != nil {
+			if err := sc.GraphInto(g, at, st); err != nil {
 				return err
 			}
 			sc.recordStepEvent(label, lo+k, at, st, nil)

@@ -267,9 +267,42 @@ func TestCoverageSweepTelemetryWorkerInvariance(t *testing.T) {
 	}
 }
 
+// snapshotCounters names the eight per-snapshot counters GraphInto flushes.
+var snapshotCounters = []string{
+	"snapshot_steps_total",
+	"pairs_evaluated_total",
+	"links_admitted_total",
+	"horizon_prefilter_rejects_total",
+	"range_prefilter_rejects_total",
+	"index_culled_pairs_total",
+	"fault_node_down_steps_total",
+	"fault_weather_steps_total",
+}
+
+// eventSnapshotSums sums the snapshot fields of events in snapshotCounters'
+// order: one step per event, then the per-step counts.
+func eventSnapshotSums(events []telemetry.Event) []uint64 {
+	sums := make([]uint64, len(snapshotCounters))
+	for _, e := range events {
+		sums[0]++
+		sums[1] += uint64(e.PairsEvaluated)
+		sums[2] += uint64(e.LinksAdmitted)
+		sums[3] += uint64(e.HorizonRejects)
+		sums[4] += uint64(e.RangeRejects)
+		sums[5] += uint64(e.IndexCulled)
+		sums[6] += uint64(e.NodesDown)
+		if e.Weather {
+			sums[7]++
+		}
+	}
+	return sums
+}
+
 // TestFaultTelemetry: a faulted run must surface outages and weather in both
-// the counters and the event stream — and still match the uninstrumented
-// faulted run bit for bit.
+// the counters and the event stream, and still match the uninstrumented
+// faulted run bit for bit. Every per-step loop records one event per
+// snapshot it takes, so each of the eight snapshot counters must equal the
+// sum of its events' field, whichever run took the snapshots.
 func TestFaultTelemetry(t *testing.T) {
 	p := telemetryTestParams()
 	p.Fault = fault.Config{
@@ -289,39 +322,83 @@ func TestFaultTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pt := p
-	col := telemetry.NewCollector()
-	pt.Telemetry = col
-	sc, err := NewSpaceGround(24, pt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := sc.RunServe(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("instrumented faulted serve diverged from uninstrumented")
+	// instrumented runs fn on a SpaceGround-24 scenario built from p with a
+	// fresh collector attached, and returns the collector.
+	instrumented := func(t *testing.T, fn func(p Params, sc *Scenario) error) *telemetry.Collector {
+		t.Helper()
+		pt := p
+		col := telemetry.NewCollector()
+		pt.Telemetry = col
+		sc, err := NewSpaceGround(24, pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fn(pt, sc); err != nil {
+			t.Fatal(err)
+		}
+		return col
 	}
 
-	downSteps := counterValue(t, col, "fault_node_down_steps_total")
-	weatherSteps := counterValue(t, col, "fault_weather_steps_total")
-	if downSteps == 0 && weatherSteps == 0 {
-		t.Fatal("fault injection left no telemetry trace")
+	for _, tc := range []struct {
+		name string
+		run  func(p Params, sc *Scenario) error
+	}{
+		{"RunServe", func(_ Params, sc *Scenario) error {
+			got, err := sc.RunServe(cfg)
+			if err == nil && !reflect.DeepEqual(got, want) {
+				t.Error("instrumented faulted serve diverged from uninstrumented")
+			}
+			return err
+		}},
+		{"Coverage", func(_ Params, sc *Scenario) error {
+			_, err := sc.Coverage(3 * time.Hour)
+			return err
+		}},
+		{"RunTraffic", func(_ Params, sc *Scenario) error {
+			_, err := sc.RunTraffic(TrafficConfig{RatePerHourPerSite: 4, Horizon: 3 * time.Hour, Seed: 3})
+			return err
+		}},
+		{"CoverageSweep", func(p Params, _ *Scenario) error {
+			_, err := CoverageSweep(p, []int{6, 24}, 3*time.Hour, 2)
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			col := instrumented(t, tc.run)
+			events := col.Events.Events()
+			if len(events) == 0 {
+				t.Fatal("no events recorded")
+			}
+			sums := eventSnapshotSums(events)
+			for i, name := range snapshotCounters {
+				if got := counterValue(t, col, name); got != sums[i] {
+					t.Errorf("%s = %d, events sum to %d", name, got, sums[i])
+				}
+			}
+			if sums[6] == 0 && sums[7] == 0 {
+				t.Error("fault injection left no telemetry trace")
+			}
+			if sums[1] == 0 || sums[2] == 0 || sums[5] == 0 {
+				t.Errorf("pairs, links or index culls never counted: %v", sums)
+			}
+		})
 	}
-	var evDown uint64
-	var evWeather uint64
-	for _, e := range col.Events.Events() {
-		evDown += uint64(e.NodesDown)
-		if e.Weather {
-			evWeather++
-		}
+
+	// Snapshots outside the per-step event loops count too.
+	var detail *CoverageDetail
+	col := instrumented(t, func(_ Params, sc *Scenario) (err error) {
+		detail, err = sc.DetailedCoverage(3 * time.Hour)
+		return err
+	})
+	if got := counterValue(t, col, "snapshot_steps_total"); got != uint64(detail.All.Steps) {
+		t.Errorf("DetailedCoverage: snapshot_steps_total = %d, want %d", got, detail.All.Steps)
 	}
-	if evDown != downSteps {
-		t.Errorf("event nodes_down sum %d != fault_node_down_steps_total %d", evDown, downSteps)
-	}
-	if evWeather != weatherSteps {
-		t.Errorf("%d weather events != fault_weather_steps_total %d", evWeather, weatherSteps)
+	col = instrumented(t, func(_ Params, sc *Scenario) error {
+		_, err := sc.Graph(time.Hour)
+		return err
+	})
+	if got := counterValue(t, col, "snapshot_steps_total"); got != 1 {
+		t.Errorf("Graph: snapshot_steps_total = %d, want 1", got)
 	}
 }
 
@@ -341,12 +418,12 @@ func TestSnapshotZeroAllocsUninstrumented(t *testing.T) {
 	g := routing.NewGraph()
 	// Warm the pooled evaluator and graph storage.
 	for i := 0; i < 3; i++ {
-		if err := sc.GraphInto(g, time.Duration(i)*time.Minute); err != nil {
+		if err := sc.GraphInto(g, time.Duration(i)*time.Minute, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if n := testing.AllocsPerRun(20, func() {
-		if err := sc.GraphInto(g, 5*time.Minute); err != nil {
+		if err := sc.GraphInto(g, 5*time.Minute, nil); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
@@ -371,19 +448,26 @@ func TestSnapshotZeroAllocsMetricsOnly(t *testing.T) {
 	g := routing.NewGraph()
 	var st netsim.SnapshotStats
 	for i := 0; i < 3; i++ {
-		if err := sc.Net.SnapshotIntoStats(g, time.Duration(i)*time.Minute, &st); err != nil {
+		if err := sc.GraphInto(g, time.Duration(i)*time.Minute, &st); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n := testing.AllocsPerRun(20, func() {
-		if err := sc.Net.SnapshotIntoStats(g, 5*time.Minute, &st); err != nil {
-			t.Fatal(err)
+	// With and without caller stats: the counters are flushed either way.
+	for _, stp := range []*netsim.SnapshotStats{&st, nil} {
+		if n := testing.AllocsPerRun(20, func() {
+			if err := sc.GraphInto(g, 5*time.Minute, stp); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Fatalf("metrics-only snapshot (stats %v) allocates %v times per step", stp != nil, n)
 		}
-	}); n != 0 {
-		t.Fatalf("metrics-only snapshot allocates %v times per step", n)
 	}
 	if st.Pairs == 0 || st.Admitted == 0 {
 		t.Fatalf("snapshot stats not populated: %+v", st)
+	}
+	// Three warm-ups plus 21 calls per AllocsPerRun (one of them a warm-up).
+	if got := counterValue(t, col, "snapshot_steps_total"); got != 3+2*21 {
+		t.Fatalf("snapshot_steps_total = %d after %d snapshots", got, 3+2*21)
 	}
 }
 
@@ -398,7 +482,7 @@ func TestInstrumentDetach(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc.Instrument(nil)
-	if sc.Telemetry() != nil || sc.Net.Instruments() != nil {
+	if sc.Telemetry() != nil {
 		t.Fatal("Instrument(nil) left instrumentation attached")
 	}
 	if _, err := sc.RunServe(ServeConfig{RequestsPerStep: 2, Steps: 2, Horizon: time.Hour, Seed: 1}); err != nil {

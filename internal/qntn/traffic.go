@@ -260,11 +260,12 @@ func (sc *Scenario) trafficLabel(seed int64) string {
 // per-site arrival streams feed the same batched admission core as
 // RunArrivals — one topology update per step on the backend
 // Params.EventDriven selects, Dijkstra memo, FIFO drain. Instrumented
-// scenarios step (newTopoStepper's telemetry fallback) and additionally
-// record one event per topology step (arrivals in the window, served, queue
-// depth, snapshot counters) on the collector's sink, which is what the
-// serve daemon streams back as NDJSON. Everything is seeded; a run is a
-// pure function of (scenario, config).
+// scenarios step (newTopoStepper's telemetry fallback), count the run's
+// requests once at its end (admission.report) and additionally record one
+// event per topology step (arrivals in the window, served, queue depth,
+// snapshot counters) on the collector's sink, which is what the serve
+// daemon streams back as NDJSON. Everything is seeded; a run is a pure
+// function of (scenario, config).
 func (sc *Scenario) RunTraffic(cfg TrafficConfig) (*TrafficResult, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -300,7 +301,6 @@ func (sc *Scenario) RunTraffic(cfg TrafficConfig) (*TrafficResult, error) {
 			// lastArrivals is the window count.
 			served := ad.served - lastServed
 			fidSum := ad.fidSum - lastFidSum
-			tel.requestsServed.Add(uint64(served))
 			sc.recordStepEvent(label, k, at, ad.ts.stats, func(e *telemetry.Event) {
 				e.Arrivals = int64(arrived - lastArrivals)
 				e.Served = int64(served)
@@ -328,12 +328,5 @@ func (sc *Scenario) RunTraffic(cfg TrafficConfig) (*TrafficResult, error) {
 	res.MaxWait = ad.maxWait
 	res.MeanWait = secs(stats.Mean(ad.waits))
 	res.MeanFidelity = stats.Mean(ad.fids)
-	if tel != nil {
-		tel.requestsDropped.Add(uint64(res.QueuedAtEnd))
-		for _, f := range ad.fids {
-			tel.fidelity.Observe(f)
-		}
-		tel.addProto(&ad.proto)
-	}
 	return res, nil
 }

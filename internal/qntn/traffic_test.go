@@ -376,6 +376,41 @@ func TestTrafficServes(t *testing.T) {
 	}
 }
 
+// TestTrafficTelemetryCountsTail: the request counters must hold the whole
+// run, including the requests served after the last topology update. A
+// 95 s horizon ends 5 s past the update at 90 s, and the arrivals of
+// those 5 s are served on the always-bridged air-ground scenario.
+func TestTrafficTelemetryCountsTail(t *testing.T) {
+	sc, err := NewAirGround(DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := telemetry.NewCollector()
+	sc.Instrument(col)
+	res, err := sc.RunTraffic(TrafficConfig{RatePerHourPerSite: 200, Horizon: 95 * time.Second, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var evServed int64
+	for _, e := range col.Events.Events() {
+		evServed += e.Served
+	}
+	if evServed >= int64(res.Served) {
+		t.Fatalf("no request served after the last update (events %d, result %d); the tail goes untested", evServed, res.Served)
+	}
+	served := counterValue(t, col, "requests_served_total")
+	dropped := counterValue(t, col, "requests_dropped_total")
+	if served != uint64(res.Served) {
+		t.Errorf("requests_served_total = %d, result served %d", served, res.Served)
+	}
+	if served+dropped != uint64(res.Arrivals) {
+		t.Errorf("served %d + dropped %d != %d arrivals", served, dropped, res.Arrivals)
+	}
+	if n := col.Registry.Histogram("served_fidelity", nil).Count(); n != served {
+		t.Errorf("served_fidelity count %d != requests_served_total %d", n, served)
+	}
+}
+
 // TestTrafficRejectsBadConfig covers the validation surface.
 func TestTrafficRejectsBadConfig(t *testing.T) {
 	sc, err := NewAirGround(DefaultParams())

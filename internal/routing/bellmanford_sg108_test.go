@@ -28,7 +28,7 @@ func TestRunMatchesFullSweepOnSpaceGround108(t *testing.T) {
 	var s routing.BellmanFordScratch
 	for step := 0; step < cfg.Steps; step++ {
 		at := time.Duration(step) * gap
-		if err := sc.GraphInto(g, at); err != nil {
+		if err := sc.GraphInto(g, at, nil); err != nil {
 			t.Fatal(err)
 		}
 		s.Run(g, sc.Params.RoutingEpsilon)
@@ -56,7 +56,7 @@ func TestKernelsMatchDenseOnSpaceGround108(t *testing.T) {
 	g := routing.NewGraph()
 	for step := 0; step < cfg.Steps; step++ {
 		at := time.Duration(step) * gap
-		if err := sc.GraphInto(g, at); err != nil {
+		if err := sc.GraphInto(g, at, nil); err != nil {
 			t.Fatal(err)
 		}
 		routing.RequireKernelsMatchDense(t, g, ground, fmt.Sprintf("step %d (t=%v)", step, at))
