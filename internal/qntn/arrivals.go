@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"qntn/internal/netsim"
 	"qntn/internal/routing"
 	"qntn/internal/stats"
+	"qntn/internal/telemetry"
 )
 
 // ArrivalConfig parameterizes the arrival-driven experiment: entanglement
@@ -67,38 +69,90 @@ type queuedRequest struct {
 	arrived time.Duration
 }
 
-// admission is the batched request-scheduling core shared by RunArrivals
-// and RunTraffic: a topoStepper over the topology-update grid (either
-// backend, like every other driver), one shortest-path tree per queried
-// source under 1/(η+ε) valid until the next update (routing.SourceTrees,
-// which answers exactly as routing.Dijkstra from that source would), and
-// the FIFO wait queue with its drain loop. Batching admission per topology
-// update keeps the per-step cost amortized: the graph storage, the pooled
-// trees, the path buffer and the queue backing array are all reused across
-// the run.
+// unservedPolicy says what the admission core does with a request it cannot
+// serve at its own instant: queue it for a later topology update
+// (RunArrivals, RunTraffic), or drop it, since the serve experiment's
+// time-slotted requests are served at their instant or not at all.
+type unservedPolicy bool
+
+const (
+	queueUnserved unservedPolicy = false
+	dropUnserved  unservedPolicy = true
+)
+
+// arrivalSource is an admission run's request stream in time order. The
+// core reads at(i) as often as it needs, and req(i) exactly once per i, in
+// order.
+type arrivalSource interface {
+	count() int
+	at(i int) time.Duration
+	req(i int) netsim.Request
+}
+
+// arrivalList is a materialized, time-sorted request stream.
+type arrivalList []trafficArrival
+
+func (l arrivalList) count() int               { return len(l) }
+func (l arrivalList) at(i int) time.Duration   { return l[i].at }
+func (l arrivalList) req(i int) netsim.Request { return l[i].req }
+
+// slottedSource is the serve experiment's request stream: perStep requests
+// at each grid instant, drawn from wl as the core admits them, so no batch
+// is ever materialized.
+type slottedSource struct {
+	wl      *Workload
+	grid    sampleGrid
+	perStep int
+}
+
+func (s slottedSource) count() int             { return s.grid.steps * s.perStep }
+func (s slottedSource) at(i int) time.Duration { return s.grid.at(i / s.perStep) }
+func (s slottedSource) req(int) netsim.Request { return s.wl.Next() }
+
+// stepWindow counts one step's event window, from its topology update to
+// the next (or to the end of the run).
+type stepWindow struct {
+	arrivals, served, dropped int
+	fidSum                    float64
+}
+
+// admission is the request-scheduling core behind every request driver: a
+// topoStepper over the driver's sample grid (either backend), one
+// shortest-path tree per queried source under 1/(η+ε) valid until the next
+// update (routing.SourceTrees, which answers exactly as routing.Dijkstra
+// from that source would), and the driver's unserved policy with, for
+// queueUnserved, the FIFO wait queue and its drain. The graph storage, the
+// pooled trees, the path buffer and the queue backing array are all reused
+// across the run.
 type admission struct {
-	ts    *topoStepper
-	trees routing.SourceTrees
-	cost  routing.CostFunc // 1/(η+ε) at Params.RoutingEpsilon
-	path  []string         // the routed request's path, reused
-	queue []queuedRequest
-	// scorer decides each routed request; a request whose protocol attempt
-	// fails stays queued and redraws at the next drain instant (PairKey
-	// includes the evaluation time).
+	ts     *topoStepper
+	trees  routing.SourceTrees
+	cost   routing.CostFunc // 1/(η+ε) at Params.RoutingEpsilon
+	path   []string         // the routed request's path, reused
+	queue  []queuedRequest
+	policy unservedPolicy
+	// scorer decides each routed request; a queued request whose protocol
+	// attempt fails redraws at the next drain instant (PairKey includes the
+	// evaluation time).
 	scorer routeScorer
 	proto  protoOutcome // accumulated draw counters over the run
+	// outcomes, when non-nil, receives one outcome per request as it
+	// resolves: served, with its own copy of the path, or dropped.
+	outcomes *netsim.Metrics
+	label    string     // the run's event stream
+	win      stepWindow // the open event window
 
 	served    int
+	dropped   int
 	immediate int
 	evaluated int // admission attempts: arrivals plus drain retries
 	maxQueue  int
 	maxWait   time.Duration
 	waits     []float64 // seconds, in serve order
 	fids      []float64 // fidelity at serve time, in serve order
-	fidSum    float64
 }
 
-// admissionGrid returns the instants the admission loop updates the
+// admissionGrid returns the instants the arrival-driven runs update the
 // topology at: 0, step, … ≤ horizon, step = p.TopologyStep. The serve
 // daemon propagates its shared ephemeris on the same grid, so every
 // satellite position a query's admission reads is a cache hit.
@@ -107,16 +161,18 @@ func admissionGrid(p Params, horizon time.Duration) sampleGrid {
 	return sampleGrid{gap: step, steps: int(horizon/step) + 1}
 }
 
-// newAdmission returns an admission whose topology updates run on
-// admissionGrid. The caller must close it.
-func newAdmission(sc *Scenario, horizon time.Duration) (*admission, error) {
-	ts, err := sc.newTopoStepper(admissionGrid(sc.Params, horizon), false)
+// newAdmission returns an admission whose topology updates run on grid and
+// which handles requests it cannot serve by policy. The caller must close
+// it.
+func newAdmission(sc *Scenario, grid sampleGrid, policy unservedPolicy) (*admission, error) {
+	ts, err := sc.newTopoStepper(grid, false)
 	if err != nil {
 		return nil, err
 	}
 	return &admission{
 		ts:     ts,
 		cost:   routing.InverseEtaCost(sc.Params.RoutingEpsilon),
+		policy: policy,
 		scorer: sc.newRouteScorer(),
 	}, nil
 }
@@ -143,12 +199,14 @@ func (ad *admission) tryServe(now time.Duration, q queuedRequest, onArrival bool
 	ad.proto.purifyRounds += po.purifyRounds
 	ad.proto.purifyAccepted += po.purifyAccepted
 	if !po.served {
-		// Swap chain or distillation failed: the request stays queued and
-		// redraws at the next topology instant.
+		// Swap chain or distillation failed: the policy decides whether
+		// the request redraws at the next topology instant.
 		return false, nil
 	}
 	wait := now - q.arrived
 	ad.served++
+	ad.win.served++
+	ad.win.fidSum += po.fidelity
 	if onArrival {
 		ad.immediate++
 	}
@@ -157,96 +215,133 @@ func (ad *admission) tryServe(now time.Duration, q queuedRequest, onArrival bool
 		ad.maxWait = wait
 	}
 	ad.fids = append(ad.fids, po.fidelity)
-	ad.fidSum += po.fidelity
+	if ad.outcomes != nil {
+		ad.outcomes.Record(netsim.Outcome{Request: q.req, At: now, Served: true,
+			Path: slices.Clone(path), EndToEndEta: po.primaryEta, Fidelity: po.fidelity})
+	}
 	return true, nil
 }
 
-// arrive admits one new request: served on the spot or appended to the
-// wait queue.
+// arrive admits one new request: served on the spot, or else dropped or
+// appended to the wait queue, as the policy says.
 func (ad *admission) arrive(now time.Duration, req netsim.Request) error {
+	ad.win.arrivals++
 	q := queuedRequest{req: req, arrived: now}
 	ok, err := ad.tryServe(now, q, true)
-	if err != nil {
+	if err != nil || ok {
 		return err
 	}
-	if !ok {
-		ad.queue = append(ad.queue, q)
-		if len(ad.queue) > ad.maxQueue {
-			ad.maxQueue = len(ad.queue)
+	if ad.policy == dropUnserved {
+		ad.dropped++
+		ad.win.dropped++
+		if ad.outcomes != nil {
+			ad.outcomes.Record(netsim.Outcome{Request: req, At: now})
 		}
+		return nil
+	}
+	ad.queue = append(ad.queue, q)
+	if len(ad.queue) > ad.maxQueue {
+		ad.maxQueue = len(ad.queue)
 	}
 	return nil
 }
 
-// drain retries every queued request against the updated topology,
-// keeping the still-unroutable ones in FIFO order, and returns the number
-// served.
-func (ad *admission) drain(now time.Duration) (int, error) {
-	before := ad.served
+// update runs topology update k: it closes step k−1's event window,
+// advances the topology, loads the routing trees' snapshot of it (dropping
+// the previous update's trees) and, with the protocol layer on, the
+// protocol's, then drains the queue, retrying every queued request and
+// keeping the still-unserved ones in FIFO order.
+func (ad *admission) update(k int) error {
+	if k > 0 {
+		ad.closeWindow(k - 1)
+	}
+	if err := ad.ts.step(k); err != nil {
+		return err
+	}
+	ad.trees.Load(ad.ts.g, ad.cost)
+	ad.scorer.load(ad.ts.g)
 	remaining := ad.queue[:0]
 	for _, q := range ad.queue {
-		ok, err := ad.tryServe(now, q, false)
+		ok, err := ad.tryServe(ad.ts.grid.at(k), q, false)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		if !ok {
 			remaining = append(remaining, q)
 		}
 	}
 	ad.queue = remaining
-	return ad.served - before, nil
+	return nil
 }
 
-// run merges the stepper's topology-update stream with the time-sorted
-// arrivals and returns the number of updates run. At a time tie the update
-// runs first, the retired event heap's FIFO order when every update was
-// enqueued before any arrival. Each update advances the topology, loads the
-// routing trees' snapshot of it (dropping the previous update's trees) and,
-// with the protocol layer on, the protocol's, drains the queue, then calls
-// onUpdate, when non-nil, with the update's index, its instant and the
-// number of arrivals admitted before it. Once the last arrival is admitted,
-// an instrumented scenario's request counters receive what the run served
-// (see report).
-func (ad *admission) run(arrivals []trafficArrival, onUpdate func(k int, at time.Duration, arrived int)) (int, error) {
+// run merges the stepper's topology-update stream with src, labelling its
+// events label. At a time tie the update runs first, the retired event
+// heap's FIFO order, so a serve batch is routed on its instant's snapshot
+// in draw order. After the last request the last event window closes and
+// the request counters receive the run (see report).
+func (ad *admission) run(src arrivalSource, label string) error {
+	ad.label = label
 	grid := ad.ts.grid
-	i := 0
-	for k := 0; k < grid.steps || i < len(arrivals); {
-		if k < grid.steps && (i >= len(arrivals) || grid.at(k) <= arrivals[i].at) {
-			at := grid.at(k)
-			if err := ad.ts.step(k); err != nil {
-				return 0, err
-			}
-			ad.trees.Load(ad.ts.g, ad.cost)
-			ad.scorer.load(ad.ts.g)
-			if _, err := ad.drain(at); err != nil {
-				return 0, err
-			}
-			if onUpdate != nil {
-				onUpdate(k, at, i)
+	n := src.count()
+	for k, i := 0, 0; k < grid.steps || i < n; {
+		if k < grid.steps && (i >= n || grid.at(k) <= src.at(i)) {
+			if err := ad.update(k); err != nil {
+				return err
 			}
 			k++
 		} else {
-			if err := ad.arrive(arrivals[i].at, arrivals[i].req); err != nil {
-				return 0, err
+			if err := ad.arrive(src.at(i), src.req(i)); err != nil {
+				return err
 			}
 			i++
 		}
 	}
-	ad.report(ad.ts.sc.tel)
-	return grid.steps, nil
+	ad.closeWindow(grid.steps - 1)
+	ad.report()
+	return nil
 }
 
-// report adds a finished run to tel's request counters, once: the requests
-// served and those still queued at the end (dropped), every served
-// fidelity, and the protocol's draw counters. Nil-safe. Counting at the
-// end rather than per update includes the arrivals served after the last
-// topology update.
-func (ad *admission) report(tel *scenarioTelemetry) {
+// closeWindow ends step k's event window, from update k to the next (or to
+// the end of the run). An instrumented scenario's routing counters receive
+// the trees the step's snapshot started and the nodes they settled, and its
+// event sink one event: those, the snapshot stats, and the window's
+// arrivals, served and dropped requests, mean served fidelity and final
+// queue depth.
+func (ad *admission) closeWindow(k int) {
+	w := ad.win
+	ad.win = stepWindow{}
+	sc := ad.ts.sc
+	tel := sc.tel
+	if tel == nil {
+		return
+	}
+	built, settled := ad.trees.Trees(), ad.trees.Settled()
+	tel.treesBuilt.Add(uint64(built))
+	tel.nodesSettled.Add(uint64(settled))
+	sc.recordStepEvent(ad.label, k, ad.ts.grid.at(k), ad.ts.stats, func(e *telemetry.Event) {
+		e.TreesBuilt = int64(built)
+		e.NodesSettled = int64(settled)
+		e.Arrivals = int64(w.arrivals)
+		e.Served = int64(w.served)
+		e.Dropped = int64(w.dropped)
+		e.QueueDepth = int64(len(ad.queue))
+		if w.served > 0 {
+			e.MeanFidelity = w.fidSum / float64(w.served)
+		}
+	})
+}
+
+// report adds a finished run to an instrumented scenario's request
+// counters, once: the requests served, those dropped or still queued at the
+// end (both count as dropped), every served fidelity, and the protocol's
+// draw counters.
+func (ad *admission) report() {
+	tel := ad.ts.sc.tel
 	if tel == nil {
 		return
 	}
 	tel.requestsServed.Add(uint64(ad.served))
-	tel.requestsDropped.Add(uint64(len(ad.queue)))
+	tel.requestsDropped.Add(uint64(ad.dropped + len(ad.queue)))
 	for _, f := range ad.fids {
 		tel.fidelity.Observe(f)
 	}
@@ -257,7 +352,9 @@ func (ad *admission) report(tel *scenarioTelemetry) {
 // interleave with the periodic topology updates; each arrival is served
 // against the most recent topology or queued, and every topology update
 // drains the queue of newly reachable requests. All randomness is seeded;
-// runs are reproducible.
+// runs are reproducible. An instrumented scenario records the run's
+// counters and, on an event sink, one event per topology update (see
+// admission.closeWindow).
 //
 // The loop is admission.run's deterministic two-stream merge over the
 // topology backend Params.EventDriven selects. It replays the retired
@@ -291,18 +388,17 @@ func (sc *Scenario) RunArrivals(cfg ArrivalConfig) (*ArrivalResult, error) {
 		arrivals = append(arrivals, trafficArrival{at: at, req: wl.Next()})
 	}
 
-	ad, err := newAdmission(sc, cfg.Horizon)
+	ad, err := newAdmission(sc, admissionGrid(sc.Params, cfg.Horizon), queueUnserved)
 	if err != nil {
 		return nil, err
 	}
 	defer ad.close()
-	updates, err := ad.run(arrivals, nil)
-	if err != nil {
+	if err := ad.run(arrivalList(arrivals), sc.runLabel("arrivals", cfg.Seed)); err != nil {
 		return nil, err
 	}
 
 	res.Arrivals = len(arrivals)
-	res.EventsProcessed = updates + len(arrivals)
+	res.EventsProcessed = ad.ts.grid.steps + len(arrivals)
 	res.Served = ad.served
 	res.ServedImmediately = ad.immediate
 	res.RequestsEvaluated = ad.evaluated

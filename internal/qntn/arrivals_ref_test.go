@@ -247,24 +247,23 @@ func TestArrivalImmediateClassificationBoundary(t *testing.T) {
 	// queue stamped 30 s, so the update at 30 s drains it at its arrival
 	// instant: zero wait, but served by the drain loop.
 	at := 30 * time.Second
-	ad, err := newAdmission(sc, at)
+	ad, err := newAdmission(sc, admissionGrid(sc.Params, at), queueUnserved)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ad.close()
-	updates, err := ad.run(nil, func(k int, _ time.Duration, _ int) {
-		if k == 0 {
-			if ad.served != 0 {
-				t.Fatalf("empty queue served %d requests", ad.served)
-			}
-			ad.queue = append(ad.queue, queuedRequest{req: netsim.Request{ID: 1, Src: src, Dst: dst}, arrived: at})
-		}
-	})
-	if err != nil {
+	if steps := ad.ts.grid.steps; steps != 2 {
+		t.Fatalf("grid has %d topology updates, want 2", steps)
+	}
+	if err := ad.update(0); err != nil {
 		t.Fatal(err)
 	}
-	if updates != 2 {
-		t.Fatalf("run made %d topology updates, want 2", updates)
+	if ad.served != 0 {
+		t.Fatalf("empty queue served %d requests", ad.served)
+	}
+	ad.queue = append(ad.queue, queuedRequest{req: netsim.Request{ID: 1, Src: src, Dst: dst}, arrived: at})
+	if err := ad.update(1); err != nil {
+		t.Fatal(err)
 	}
 	if len(ad.queue) != 0 || ad.served != 1 {
 		t.Fatalf("drain should serve the queued request, served %d", ad.served)
@@ -302,11 +301,11 @@ func TestAdmissionUnknownEndpointsError(t *testing.T) {
 		{netsim.Request{ID: 1, Src: "ghost", Dst: host}, `routing: unknown source "ghost"`},
 		{netsim.Request{ID: 2, Src: host, Dst: "ghost"}, `routing: unknown destination "ghost"`},
 	} {
-		ad, err := newAdmission(sc, 0)
+		ad, err := newAdmission(sc, admissionGrid(sc.Params, 0), queueUnserved)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = ad.run([]trafficArrival{{at: 0, req: c.req}}, nil)
+		err = ad.run(arrivalList{{at: 0, req: c.req}}, "arrivals")
 		ad.close()
 		if err == nil || err.Error() != c.want {
 			t.Fatalf("request %+v: run error %v, want %q", c.req, err, c.want)

@@ -545,7 +545,7 @@ func TestDaemonAdmissionHitsEphemeris(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ad, err := newAdmission(sc, horizon)
+		ad, err := newAdmission(sc, admissionGrid(sc.Params, horizon), queueUnserved)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,8 +8,9 @@ import (
 
 // This file implements the event-driven topology backend: the engine
 // behind topoStepper (stepper.go) when Params.EventDriven is set, so the
-// one per-step loop of Coverage, DetailedCoverage and RunServe (RunServeDES
-// included) runs on it unchanged. Instead of rebuilding the topology graph
+// per-step loop of Coverage and DetailedCoverage and the admission core
+// behind every request driver (RunServe, RunServeDES, RunArrivals,
+// RunTraffic) run on it unchanged. Instead of rebuilding the topology graph
 // from scratch at every step from the precomputed visibility windows of
 // windows.go, the engine applies a sorted stream of window open/close,
 // platform down/up and weather on/off events as incremental graph deltas

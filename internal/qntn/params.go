@@ -125,11 +125,10 @@ type Params struct {
 	Telemetry *telemetry.Collector
 
 	// EventDriven, when true, selects the event-driven visibility-window
-	// engine (windows.go, eventloop.go) as the topology backend of both
-	// request drivers — the per-step loop behind Coverage,
-	// DetailedCoverage, RunServe and RunServeDES, and the admission loop
-	// behind RunArrivals and RunTraffic (the waiting-time question) —
-	// instead of brute-force per-step snapshot rebuilds (stepper.go). The
+	// engine (windows.go, eventloop.go) as the topology backend of every
+	// run — the per-step loop behind Coverage and DetailedCoverage, and the
+	// admission core behind RunServe, RunServeDES, RunArrivals and
+	// RunTraffic — instead of brute-force per-step snapshot rebuilds (stepper.go). The
 	// results are identical — the stepped backend remains the semantic
 	// oracle, asserted by the differential test suite — only faster.
 	// Runtime wiring only, like Telemetry: excluded from the JSON codec,

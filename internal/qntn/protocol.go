@@ -178,8 +178,8 @@ func seedOutcome(g *routing.Graph, buf *[]float64, path []string, model Fidelity
 	return protoOutcome{served: true, fidelity: PathFidelity(etas, model), primaryEta: product(etas)}, nil
 }
 
-// routeScorer scores routed requests for both request drivers, the serve
-// loop and admission: the protocol evaluator's verdict over its snapshot of
+// routeScorer scores routed requests for the admission core behind every
+// request driver: the protocol evaluator's verdict over its snapshot of
 // the step's graph when the layer is enabled, otherwise seedOutcome. Its
 // buffers are reused across requests, so one routeScorer must never be
 // shared across goroutines.
@@ -206,7 +206,7 @@ func (rs *routeScorer) load(g *routing.Graph) {
 // score returns the verdict on req routed over path on g, the graph last
 // passed to load, at topology instant at.
 //
-//qntn:hotpath once per routed request of either request driver
+//qntn:hotpath once per routed request
 func (rs *routeScorer) score(g *routing.Graph, path []string, req netsim.Request, at time.Duration) (protoOutcome, error) {
 	if rs.pe != nil {
 		return rs.pe.outcome(&rs.adj, path, req, at)

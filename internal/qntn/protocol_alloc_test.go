@@ -206,11 +206,17 @@ func TestAdmissionRefreshReloadsProtocolSnapshot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ad, err := newAdmission(sc, 18*time.Hour)
+		ad, err := newAdmission(sc, admissionGrid(p, 18*time.Hour), queueUnserved)
 		if err != nil {
 			t.Fatal(err)
 		}
-		updates, err := ad.run(nil, func(_ int, at time.Duration, _ int) {
+		if steps := ad.ts.grid.steps; steps != 4 {
+			t.Fatalf("event-driven=%v: %d topology updates, want 4", eventDriven, steps)
+		}
+		for k := 0; k < ad.ts.grid.steps; k++ {
+			if err := ad.update(k); err != nil {
+				t.Fatal(err)
+			}
 			graph := ad.ts.g
 			fresh.Load(graph, disjointCost)
 			for _, a := range graph.Nodes() {
@@ -225,21 +231,15 @@ func TestAdmissionRefreshReloadsProtocolSnapshot(t *testing.T) {
 						t.Fatal(err)
 					}
 					if !reflect.DeepEqual(g, w) {
-						t.Fatalf("event-driven=%v t=%v primary %v: admission snapshot %v, fresh snapshot %v", eventDriven, at, primary, g, w)
+						t.Fatalf("event-driven=%v t=%v primary %v: admission snapshot %v, fresh snapshot %v", eventDriven, ad.ts.grid.at(k), primary, g, w)
 					}
 					if len(w) > 1 {
 						multi++
 					}
 				}
 			}
-		})
+		}
 		ad.close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if updates != 4 {
-			t.Fatalf("event-driven=%v: %d topology updates, want 4", eventDriven, updates)
-		}
 	}
 	if multi == 0 {
 		t.Fatal("no edge had a disjoint alternative; the check cannot see stale rows")

@@ -7,9 +7,7 @@ import (
 
 	"qntn/internal/netsim"
 	"qntn/internal/orbit"
-	"qntn/internal/routing"
 	"qntn/internal/stats"
-	"qntn/internal/telemetry"
 )
 
 // ServeConfig parameterizes the paper's §IV-B/§IV-C experiments:
@@ -53,7 +51,7 @@ func (cfg ServeConfig) Validate() error {
 // stepGap returns the spacing between this config's sample instants:
 // Horizon/Steps, falling back to the scenario's topology-update cadence
 // when the integer division underflows to zero (Horizon shorter than Steps
-// nanoseconds). The serve loop (RunServe and RunServeDES, on either
+// nanoseconds). RunServe's admission grid (RunServeDES included, on either
 // topology backend) and the sweeps' SampleTimes all use this single
 // definition; duplicating the fallback is how the DES path once drifted a
 // step short (see the shared regression test).
@@ -95,128 +93,54 @@ type ServeResult struct {
 	MeanPathEta float64
 }
 
-// RunServe executes the serve experiment against the scenario. At each
-// step it snapshots the topology and attempts every request of the batch,
-// routed under the paper's 1/(η+ε) cost from its source's shortest-path
-// tree over the snapshot: a request is served when a path exists; its
-// fidelity follows the scenario's FidelityModel applied to the path's
-// per-hop transmissivities. Algorithm 1 (routing.BellmanFord, the paper's
-// distance-vector protocol) stays the specification: the differential
-// suite holds every served path DeepEqual to its tables' paths on every
-// oracle archetype.
+// RunServe executes the serve experiment against the scenario: a
+// time-slotted request stream on the admission core. At each step the core
+// snapshots the topology and attempts every request of the batch, routed
+// under the paper's 1/(η+ε) cost from its source's shortest-path tree over
+// the snapshot: a request is served when a path exists (and, with the
+// protocol layer on, a pair survives it); its fidelity follows the
+// scenario's FidelityModel applied to the path's per-hop transmissivities.
+// A request not served at its instant is dropped, never queued. Algorithm 1
+// (routing.BellmanFord, the paper's distance-vector protocol) stays the
+// specification: the differential suite holds every served path DeepEqual
+// to its tables' paths on every oracle archetype.
 func (sc *Scenario) RunServe(cfg ServeConfig) (*ServeResult, error) {
-	res := &ServeResult{}
-	if err := sc.runServe(cfg, res); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return res, nil
-}
-
-// runServe is the serve experiment's one per-step loop into res, shared by
-// RunServe and RunServeDES over either topology backend and either protocol
-// setting; routeScorer decides each routed request.
-func (sc *Scenario) runServe(cfg ServeConfig, res *ServeResult) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
 	cfg = cfg.withDefaults()
-	res.Config = cfg
-	// Every request records exactly one outcome; validate bounded the
-	// product.
-	res.Metrics.Outcomes = make([]netsim.Outcome, 0, cfg.Steps*cfg.RequestsPerStep)
 	wl, err := NewWorkload(sc, cfg.Seed)
 	if err != nil {
-		return err
+		return nil, err
 	}
-
 	// The grid's instants are exactly SampleTimes' — sweeps precompute that
 	// list to propagate ephemerides there, so both derive the spacing from
 	// the single stepGap definition.
 	grid := sampleGrid{gap: cfg.stepGap(sc.Params), steps: cfg.Steps}
-	ts, err := sc.newTopoStepper(grid, false)
+	ad, err := newAdmission(sc, grid, dropUnserved)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer ts.close()
+	defer ad.close()
 
-	// One pooled set of per-source trees serves every step: the node set
-	// is fixed, so per-step work reuses its storage, and a tree grows only
-	// until the batch's destinations from its source have settled.
-	graph := ts.g
-	var trees routing.SourceTrees
-	cost := routing.InverseEtaCost(sc.Params.RoutingEpsilon)
-	rs := sc.newRouteScorer()
-
-	tel := sc.tel
-	var label string
-	if tel != nil {
-		label = sc.serveLabel(cfg.Seed)
+	res := &ServeResult{Config: cfg}
+	// Every request records exactly one outcome; Validate bounded the
+	// product.
+	res.Metrics.Outcomes = make([]netsim.Outcome, 0, cfg.Steps*cfg.RequestsPerStep)
+	ad.outcomes = &res.Metrics
+	src := slottedSource{wl: wl, grid: grid, perStep: cfg.RequestsPerStep}
+	if err := ad.run(src, sc.runLabel("serve", cfg.Seed)); err != nil {
+		return nil, err
 	}
-
-	var fids, etas []float64
-	for step := 0; step < grid.steps; step++ {
-		if err := ts.step(step); err != nil {
-			return err
-		}
-		trees.Load(graph, cost)
-		rs.load(graph)
-		at := grid.at(step)
-		stepServed, stepDropped := 0, 0
-		var stepFidSum float64
-		for _, req := range wl.Batch(cfg.RequestsPerStep) {
-			out := netsim.Outcome{Request: req, At: at}
-			// A nil buffer makes the path its own allocation: out keeps it.
-			path, reachable, err := trees.AppendPath(nil, req.Src, req.Dst)
-			if err != nil {
-				return fmt.Errorf("qntn: step %d request %d: %w", step, req.ID, err)
-			}
-			if reachable {
-				po, err := rs.score(graph, path, req, at)
-				if err != nil {
-					return fmt.Errorf("qntn: step %d request %d: %w", step, req.ID, err)
-				}
-				if tel != nil {
-					tel.addProto(&po)
-				}
-				if po.served {
-					out.Served = true
-					out.Path = path
-					out.EndToEndEta = po.primaryEta
-					out.Fidelity = po.fidelity
-					fids = append(fids, out.Fidelity)
-					etas = append(etas, out.EndToEndEta)
-					stepServed++
-					stepFidSum += out.Fidelity
-					if tel != nil {
-						tel.fidelity.Observe(out.Fidelity)
-					}
-				}
-			}
-			if !out.Served {
-				stepDropped++
-			}
-			res.Metrics.Record(out)
-		}
-		if tel != nil {
-			built, settled := trees.Trees(), trees.Settled()
-			tel.treesBuilt.Add(uint64(built))
-			tel.nodesSettled.Add(uint64(settled))
-			tel.requestsServed.Add(uint64(stepServed))
-			tel.requestsDropped.Add(uint64(stepDropped))
-			sc.recordStepEvent(label, step, at, ts.stats, func(e *telemetry.Event) {
-				e.TreesBuilt = int64(built)
-				e.NodesSettled = int64(settled)
-				e.Served = int64(stepServed)
-				e.Dropped = int64(stepDropped)
-				if stepServed > 0 {
-					e.MeanFidelity = stepFidSum / float64(stepServed)
-				}
-			})
+	etas := make([]float64, 0, ad.served)
+	for _, o := range res.Metrics.Outcomes {
+		if o.Served {
+			etas = append(etas, o.EndToEndEta)
 		}
 	}
 	res.ServedPercent = 100 * res.Metrics.ServedFraction()
 	res.MeanFidelity = res.Metrics.MeanServedFidelity()
-	res.FidelitySummary = stats.Summarize(fids)
+	res.FidelitySummary = stats.Summarize(ad.fids)
 	res.MeanPathEta = stats.Mean(etas)
-	return nil
+	return res, nil
 }

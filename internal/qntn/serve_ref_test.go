@@ -20,13 +20,12 @@ var (
 )
 
 // runServeReference is the retired stepped RunServe body, kept as the
-// differential oracle for the one serve loop over the topology stepper:
-// pooled GraphInto snapshots at SampleTimes, Algorithm 1
-// tables converged by one Bellman-Ford scratch (the routing specification
-// the serve loop's per-source trees are pinned to), and the protocol-on and
-// protocol-off branches. It always steps; the event-driven dispatch that
-// preceded it is dropped, and so is its relaxation-round telemetry, which
-// the serve loop no longer has.
+// differential oracle for RunServe on the admission core: pooled GraphInto
+// snapshots at SampleTimes, Algorithm 1 tables converged by one
+// Bellman-Ford scratch (the routing specification the core's per-source
+// trees are pinned to), and the protocol-on and protocol-off branches. It
+// always steps; the event-driven dispatch that preceded it is dropped, and
+// so is its relaxation-round telemetry, which the core does not have.
 func runServeReference(sc *Scenario, cfg ServeConfig) (*ServeResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -56,7 +55,7 @@ func runServeReference(sc *Scenario, cfg ServeConfig) (*ServeResult, error) {
 	tel := sc.tel
 	var label string
 	if tel != nil {
-		label = sc.serveLabel(cfg.Seed)
+		label = sc.runLabel("serve", cfg.Seed)
 	}
 
 	var fids, etas []float64
@@ -141,7 +140,7 @@ func runServeReference(sc *Scenario, cfg ServeConfig) (*ServeResult, error) {
 }
 
 // runServeDESReference is the retired RunServeDES body, kept verbatim as
-// the differential oracle for its fold into the serve loop: topology-update
+// the differential oracle for its fold into RunServe: topology-update
 // events on the simulator (simulator_test.go), a fresh sc.Routes snapshot
 // and BellmanFord per step, and the heralding-latency evaluator inline. Its
 // memory T2 and per-hop processing delay, since deleted, read as zero here:

@@ -8,10 +8,10 @@ import (
 	"qntn/internal/routing"
 )
 
-// topoStepper is the topology backend behind both request drivers: the
-// per-step loop of Coverage, DetailedCoverage and RunServe (RunServeDES
-// included), and the admission loop of RunArrivals and RunTraffic
-// (arrivals.go). A driver visits a sampleGrid in order; after step(k) the
+// topoStepper is the topology backend behind every stepped run: the
+// per-step loop of Coverage and DetailedCoverage, and the admission core of
+// the request drivers, RunServe (RunServeDES included), RunArrivals and
+// RunTraffic (arrivals.go). A driver visits a sampleGrid in order; after step(k) the
 // stepper's graph holds the usable-link snapshot at grid.at(k). Two
 // backends produce that snapshot, DeepEqual-identical by the differential
 // oracle suite:

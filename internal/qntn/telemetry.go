@@ -78,14 +78,14 @@ func (t *scenarioTelemetry) addProto(po *protoOutcome) {
 
 // Instrument attaches a telemetry collector to the scenario: every snapshot
 // the scenario takes (GraphInto) flushes the per-snapshot counters, every
-// request driver (RunServe and RunServeDES, RunArrivals, RunTraffic)
-// records the request and protocol counters, RunServe also the routing
-// counters, and the per-step loops of
-// RunServe, RunTraffic, Coverage and CoverageSweep record one event per
-// step when the collector carries an event sink. Passing nil detaches
-// instrumentation. Scenarios assembled from Params with a non-nil Telemetry
-// field are instrumented automatically; sweeps re-instrument with per-task
-// shards to stay worker-count invariant.
+// request driver (RunServe and RunServeDES, RunArrivals, RunTraffic, all on
+// the one admission core) records the routing, request and protocol
+// counters, and the per-step loops of the request drivers, Coverage and
+// CoverageSweep record one event per step when the collector carries an
+// event sink. Passing nil detaches instrumentation. Scenarios assembled
+// from Params with a non-nil Telemetry field are instrumented
+// automatically; sweeps re-instrument with per-task shards to stay
+// worker-count invariant.
 func (sc *Scenario) Instrument(c *telemetry.Collector) {
 	if c == nil || c.Registry == nil {
 		sc.tel = nil
@@ -126,12 +126,12 @@ func (sc *Scenario) Telemetry() *telemetry.Collector {
 	return sc.tel.collector
 }
 
-// serveLabel names the event stream of one serve run. The seed
-// disambiguates runs of the same scenario (same architecture and relay
-// count) under different workloads, keeping (label, step) keys
-// collision-free on one collector.
-func (sc *Scenario) serveLabel(seed int64) string {
-	return fmt.Sprintf("serve/%s/%d/seed=%d", sc.Arch, len(sc.RelayIDs), seed)
+// runLabel names the event stream of one request-driver run of the given
+// kind ("serve", "arrivals", "traffic"). The seed disambiguates runs of the
+// same scenario (same architecture and relay count) under different
+// workloads, keeping (label, step) keys collision-free on one collector.
+func (sc *Scenario) runLabel(kind string, seed int64) string {
+	return fmt.Sprintf("%s/%s/%d/seed=%d", kind, sc.Arch, len(sc.RelayIDs), seed)
 }
 
 // coverageLabel names the event stream of one coverage run.

@@ -111,6 +111,9 @@ func TestInstrumentedServeMatchesUninstrumented(t *testing.T) {
 				t.Fatalf("event %d served %d requests from %d trees settling %d nodes", i, e.Served, e.TreesBuilt, e.NodesSettled)
 			}
 		}
+		if e.Arrivals != int64(cfg.RequestsPerStep) {
+			t.Fatalf("event %d counts %d arrivals, want the batch of %d", i, e.Arrivals, cfg.RequestsPerStep)
+		}
 		if e.TreesBuilt > int64(cfg.RequestsPerStep) {
 			t.Fatalf("event %d: %d trees for %d requests", i, e.TreesBuilt, cfg.RequestsPerStep)
 		}
@@ -127,6 +130,76 @@ func TestInstrumentedServeMatchesUninstrumented(t *testing.T) {
 	}
 	if trees, settled := counterValue(t, col, "routing_trees_total"), counterValue(t, col, "routing_settled_nodes_total"); uint64(evTrees) != trees || uint64(evSettled) != settled {
 		t.Errorf("event trees/settled %d/%d disagree with counters %d/%d", evTrees, evSettled, trees, settled)
+	}
+}
+
+// TestAdmissionRecordsRoutingTelemetry: the arrival-driven request drivers
+// run on the same admission core as RunServe, so an instrumented run must
+// count the routing work it did, with the routing counters equal to the
+// sums over its per-step events, and those events must account for every
+// request the result reports.
+func TestAdmissionRecordsRoutingTelemetry(t *testing.T) {
+	type totals struct{ arrivals, served, steps int }
+	for _, tc := range []struct {
+		name string
+		run  func(sc *Scenario) (totals, error)
+	}{
+		{"arrivals", func(sc *Scenario) (totals, error) {
+			res, err := sc.RunArrivals(ArrivalConfig{RatePerHour: 400, Horizon: 20 * time.Minute, Seed: 3})
+			if err != nil {
+				return totals{}, err
+			}
+			return totals{res.Arrivals, res.Served, res.EventsProcessed - res.Arrivals}, nil
+		}},
+		{"traffic", func(sc *Scenario) (totals, error) {
+			res, err := sc.RunTraffic(TrafficConfig{RatePerHourPerSite: 20, Horizon: 20 * time.Minute, Seed: 3})
+			if err != nil {
+				return totals{}, err
+			}
+			return totals{res.Arrivals, res.Served, res.Steps}, nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := telemetryTestParams()
+			col := telemetry.NewCollector()
+			p.Telemetry = col
+			sc, err := NewSpaceGround(24, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := tc.run(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want.served == 0 {
+				t.Fatal("nothing served; the routing counters go unchecked")
+			}
+			events := col.Events.Events()
+			if len(events) != want.steps {
+				t.Fatalf("%d events, want one per topology update (%d)", len(events), want.steps)
+			}
+			var evTrees, evSettled, evArrivals, evServed int64
+			for _, e := range events {
+				if !strings.HasPrefix(e.Label, tc.name+"/space-ground/24/seed=3") {
+					t.Fatalf("event label %q", e.Label)
+				}
+				evTrees += e.TreesBuilt
+				evSettled += e.NodesSettled
+				evArrivals += e.Arrivals
+				evServed += e.Served
+			}
+			trees := counterValue(t, col, "routing_trees_total")
+			settled := counterValue(t, col, "routing_settled_nodes_total")
+			if trees == 0 || settled == 0 {
+				t.Fatalf("routing_trees_total %d, routing_settled_nodes_total %d after serving %d requests", trees, settled, want.served)
+			}
+			if uint64(evTrees) != trees || uint64(evSettled) != settled {
+				t.Errorf("event trees/settled %d/%d disagree with counters %d/%d", evTrees, evSettled, trees, settled)
+			}
+			if evArrivals != int64(want.arrivals) || evServed != int64(want.served) {
+				t.Errorf("events count arrivals %d, served %d; result %d, %d", evArrivals, evServed, want.arrivals, want.served)
+			}
+		})
 	}
 }
 
@@ -545,7 +618,7 @@ func TestServeLabelsDisambiguateSeeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := sc.serveLabel(1), sc.serveLabel(2)
+	a, b := sc.runLabel("serve", 1), sc.runLabel("serve", 2)
 	if a == b {
 		t.Fatalf("labels for different seeds collide: %q", a)
 	}

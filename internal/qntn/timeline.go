@@ -52,10 +52,11 @@ func HeraldingLatency(pathLengthM float64) time.Duration {
 // (Params.Protocol.MemoryT2), so served fraction and fidelity are exactly
 // RunServe's.
 func (sc *Scenario) RunServeDES(cfg ServeConfig) (*ServeDESResult, error) {
-	des := &ServeDESResult{}
-	if err := sc.runServe(cfg, &des.ServeResult); err != nil {
+	res, err := sc.RunServe(cfg)
+	if err != nil {
 		return nil, err
 	}
+	des := &ServeDESResult{ServeResult: *res}
 	var latencies []float64
 	outs := des.Metrics.Outcomes
 	for i := range outs {

@@ -13,7 +13,6 @@ import (
 	"qntn/internal/netsim"
 	"qntn/internal/runner"
 	"qntn/internal/stats"
-	"qntn/internal/telemetry"
 )
 
 // DiurnalProfile shapes the traffic rate over the day as a raised cosine:
@@ -251,19 +250,15 @@ func (r *TrafficResult) ServedPercent() float64 {
 	return 100 * float64(r.Served) / float64(r.Arrivals)
 }
 
-// trafficLabel names the event stream of one traffic run.
-func (sc *Scenario) trafficLabel(seed int64) string {
-	return fmt.Sprintf("traffic/%s/%d/seed=%d", sc.Arch, len(sc.RelayIDs), seed)
-}
-
 // RunTraffic executes the traffic engine against the scenario: the merged
 // per-site arrival streams feed the same batched admission core as
 // RunArrivals — one topology update per step on the backend
-// Params.EventDriven selects, Dijkstra memo, FIFO drain. Instrumented
-// scenarios step (newTopoStepper's telemetry fallback), count the run's
-// requests once at its end (admission.report) and additionally record one
-// event per topology step (arrivals in the window, served, queue depth,
-// snapshot counters) on the collector's sink, which is what the serve
+// Params.EventDriven selects, per-source shortest-path trees, FIFO drain.
+// Instrumented scenarios step (newTopoStepper's telemetry fallback), count
+// the run's requests once at its end (admission.report) and record one
+// event per topology step on the collector's sink (admission.closeWindow:
+// snapshot counters, routing work, and the arrivals, served requests and
+// queue depth of the window the step opens), which is what the serve
 // daemon streams back as NDJSON. Everything is seeded; a run is a pure
 // function of (scenario, config).
 func (sc *Scenario) RunTraffic(cfg TrafficConfig) (*TrafficResult, error) {
@@ -281,45 +276,16 @@ func (sc *Scenario) RunTraffic(cfg TrafficConfig) (*TrafficResult, error) {
 	}
 	res := &TrafficResult{Config: cfg, Sites: len(sites), Arrivals: len(arrivals)}
 
-	tel := sc.tel
-	var label string
-	if tel != nil {
-		label = sc.trafficLabel(cfg.Seed)
-	}
-
-	ad, err := newAdmission(sc, cfg.Horizon)
+	ad, err := newAdmission(sc, admissionGrid(sc.Params, cfg.Horizon), queueUnserved)
 	if err != nil {
 		return nil, err
 	}
 	defer ad.close()
-	var onUpdate func(k int, at time.Duration, arrived int)
-	if tel != nil {
-		lastServed, lastArrivals := 0, 0
-		var lastFidSum float64
-		onUpdate = func(k int, at time.Duration, arrived int) {
-			// Same-instant arrivals are still pending, so arrived -
-			// lastArrivals is the window count.
-			served := ad.served - lastServed
-			fidSum := ad.fidSum - lastFidSum
-			sc.recordStepEvent(label, k, at, ad.ts.stats, func(e *telemetry.Event) {
-				e.Arrivals = int64(arrived - lastArrivals)
-				e.Served = int64(served)
-				e.QueueDepth = int64(len(ad.queue))
-				if served > 0 {
-					e.MeanFidelity = fidSum / float64(served)
-				}
-			})
-			lastServed = ad.served
-			lastArrivals = arrived
-			lastFidSum = ad.fidSum
-		}
-	}
-	steps, err := ad.run(arrivals, onUpdate)
-	if err != nil {
+	if err := ad.run(arrivalList(arrivals), sc.runLabel("traffic", cfg.Seed)); err != nil {
 		return nil, err
 	}
 
-	res.Steps = steps
+	res.Steps = ad.ts.grid.steps
 	res.Served = ad.served
 	res.ServedImmediately = ad.immediate
 	res.RequestsEvaluated = ad.evaluated

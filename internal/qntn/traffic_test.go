@@ -366,20 +366,18 @@ func TestTrafficServes(t *testing.T) {
 			t.Fatalf("step %d reports queue depth %d", e.Step, e.QueueDepth)
 		}
 	}
-	// Arrivals after the final in-horizon update are not covered by any
-	// event window; everything else must reconcile.
-	if evArrivals > int64(res.Arrivals) || evServed > int64(res.Served) {
-		t.Fatalf("events overcount: arrivals %d>%d or served %d>%d", evArrivals, res.Arrivals, evServed, res.Served)
-	}
-	if evServed < evArrivals {
-		t.Fatalf("evented served %d below evented arrivals %d on an always-bridged scenario", evServed, evArrivals)
+	// Every arrival falls in the window of the update before it, the last
+	// window running to the horizon, so the events reconcile exactly.
+	if evArrivals != int64(res.Arrivals) || evServed != int64(res.Served) {
+		t.Fatalf("events count arrivals %d, served %d; result %d, %d", evArrivals, evServed, res.Arrivals, res.Served)
 	}
 }
 
-// TestTrafficTelemetryCountsTail: the request counters must hold the whole
-// run, including the requests served after the last topology update. A
-// 95 s horizon ends 5 s past the update at 90 s, and the arrivals of
-// those 5 s are served on the always-bridged air-ground scenario.
+// TestTrafficTelemetryCountsTail: the request counters and the per-step
+// events must hold the whole run, including the requests that arrive after
+// the last topology update. A 95 s horizon ends 5 s past the update at
+// 90 s, and the arrivals of those 5 s are served on the always-bridged
+// air-ground scenario; the last step's event window runs to the horizon.
 func TestTrafficTelemetryCountsTail(t *testing.T) {
 	sc, err := NewAirGround(DefaultParams())
 	if err != nil {
@@ -387,16 +385,37 @@ func TestTrafficTelemetryCountsTail(t *testing.T) {
 	}
 	col := telemetry.NewCollector()
 	sc.Instrument(col)
-	res, err := sc.RunTraffic(TrafficConfig{RatePerHourPerSite: 200, Horizon: 95 * time.Second, Seed: 1})
+	cfg := TrafficConfig{RatePerHourPerSite: 200, Horizon: 95 * time.Second, Seed: 1}
+	arrivals, err := sampleTraffic(sc, cfg.withDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var evServed int64
-	for _, e := range col.Events.Events() {
+	grid := admissionGrid(sc.Params, cfg.Horizon)
+	lastUpdate := grid.at(grid.steps - 1)
+	tail := 0
+	for _, a := range arrivals {
+		if a.at > lastUpdate {
+			tail++
+		}
+	}
+	if tail == 0 {
+		t.Fatalf("no request arrives after the last update at %v; the tail goes untested", lastUpdate)
+	}
+	res, err := sc.RunTraffic(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := col.Events.Events()
+	var evArrivals, evServed int64
+	for _, e := range events {
+		evArrivals += e.Arrivals
 		evServed += e.Served
 	}
-	if evServed >= int64(res.Served) {
-		t.Fatalf("no request served after the last update (events %d, result %d); the tail goes untested", evServed, res.Served)
+	if evArrivals != int64(res.Arrivals) || evServed != int64(res.Served) {
+		t.Errorf("events count arrivals %d, served %d; result %d, %d", evArrivals, evServed, res.Arrivals, res.Served)
+	}
+	if last := events[len(events)-1]; last.Arrivals < int64(tail) {
+		t.Errorf("last event (t=%vs) counts %d arrivals, %d arrive after its update", last.TSeconds, last.Arrivals, tail)
 	}
 	served := counterValue(t, col, "requests_served_total")
 	dropped := counterValue(t, col, "requests_dropped_total")

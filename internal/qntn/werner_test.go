@@ -76,12 +76,12 @@ func TestServedFidelityInWernerRange(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ad, err := newAdmission(sc, cfg.Horizon)
+				ad, err := newAdmission(sc, admissionGrid(sc.Params, cfg.Horizon), queueUnserved)
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer ad.close()
-				if _, err := ad.run(arrivals, nil); err != nil {
+				if err := ad.run(arrivalList(arrivals), "traffic"); err != nil {
 					t.Fatal(err)
 				}
 				if len(ad.fids) != tr.Served || stats.Mean(ad.fids) != tr.MeanFidelity {

@@ -215,7 +215,7 @@ func (s *DijkstraScratch) run(a *Adjacency, src, dst int, blocked []bool, skipA,
 // queries are never labelled.
 //
 // It does not implement Algorithm 1: BellmanFord remains the paper's
-// specification, and the serve loop's differential suite pins every served
+// specification, and RunServe's differential suite pins every served
 // path DeepEqual to it (Algorithm 1 breaks exact cost ties by its own rule,
 // so that pin, not construction, is what makes them agree). A SourceTrees
 // must not be shared between goroutines.

@@ -28,9 +28,9 @@ type Event struct {
 	HorizonRejects int64   `json:"horizon_rejects"`
 	RangeRejects   int64   `json:"range_rejects"`
 	IndexCulled    int64   `json:"index_culled,omitempty"`
-	// TreesBuilt and NodesSettled are the serve loop's routing work at this
-	// step: the per-source shortest-path trees started and the nodes they
-	// settled.
+	// TreesBuilt and NodesSettled are a request driver's routing work on
+	// this step's snapshot: the per-source shortest-path trees started and
+	// the nodes they settled.
 	TreesBuilt   int64 `json:"trees_built,omitempty"`
 	NodesSettled int64 `json:"nodes_settled,omitempty"`
 	NodesDown    int64 `json:"nodes_down,omitempty"`
@@ -38,9 +38,10 @@ type Event struct {
 	Covered      bool  `json:"covered,omitempty"`
 	Served       int64 `json:"served,omitempty"`
 	Dropped      int64 `json:"dropped,omitempty"`
-	// Arrivals counts requests arriving in the window that ends at this
-	// step; QueueDepth is the number still waiting after the step's drain.
-	// Both are produced by the request-level traffic engine.
+	// Arrivals counts requests arriving in the window that starts at this
+	// step and ends at the next one (at the end of the run, for the last
+	// step); QueueDepth is the number still waiting at that window's end.
+	// Every request driver fills both.
 	Arrivals     int64   `json:"arrivals,omitempty"`
 	QueueDepth   int64   `json:"queue_depth,omitempty"`
 	MeanFidelity float64 `json:"mean_fidelity,omitempty"`
